@@ -24,6 +24,7 @@
 //! pointer and the first few words of the arena are reserved so that no
 //! object can ever live at address zero.
 
+mod bitset;
 pub mod builder;
 pub mod header;
 pub mod heap;

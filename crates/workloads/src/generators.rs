@@ -488,7 +488,7 @@ mod tests {
         };
         let a = build(42);
         let b = build(42);
-        assert_eq!(a.objects.len(), b.objects.len());
+        assert_eq!(a.live_objects(), b.live_objects());
         assert_eq!(a.live_words, b.live_words);
     }
 

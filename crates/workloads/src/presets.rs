@@ -210,7 +210,7 @@ mod tests {
             let a = Snapshot::capture(&p.build(9));
             let b = Snapshot::capture(&p.build(9));
             assert_eq!(a.live_words, b.live_words, "{p}");
-            assert_eq!(a.objects.len(), b.objects.len(), "{p}");
+            assert_eq!(a.live_objects(), b.live_objects(), "{p}");
         }
     }
 
@@ -220,13 +220,9 @@ mod tests {
         let b = Snapshot::capture(&Preset::Db.build(2));
         // Same object count, different wiring → different live words is
         // not guaranteed, but the edge structure should differ.
-        assert_eq!(a.objects.len(), b.objects.len());
-        let edges = |s: &Snapshot| -> Vec<(u32, Vec<Option<u32>>)> {
-            let mut v: Vec<_> = s
-                .objects
-                .iter()
-                .map(|(k, r)| (*k, r.children.clone()))
-                .collect();
+        assert_eq!(a.live_objects(), b.live_objects());
+        let edges = |s: &Snapshot| -> Vec<(u32, Vec<u32>)> {
+            let mut v: Vec<_> = s.records().map(|r| (r.id(), r.children.to_vec())).collect();
             v.sort();
             v
         };
@@ -268,15 +264,13 @@ mod tests {
             // most once) whose interior nodes form a single chain — i.e.
             // at most one child of any object has children of its own.
             let mut in_degree = std::collections::HashMap::new();
-            for rec in snap.objects.values() {
-                for c in rec.children.iter().flatten() {
-                    *in_degree.entry(*c).or_insert(0u32) += 1;
+            for rec in snap.records() {
+                let children = rec.children.iter().filter(|&&c| c != 0);
+                for &c in children.clone() {
+                    *in_degree.entry(c).or_insert(0u32) += 1;
                 }
-                let interior_children = rec
-                    .children
-                    .iter()
-                    .flatten()
-                    .filter(|c| !snap.objects[c].children.is_empty())
+                let interior_children = children
+                    .filter(|&&c| !snap.get(c).unwrap().children.is_empty())
                     .count();
                 assert!(interior_children <= 1, "{p} spine must be linear");
             }
