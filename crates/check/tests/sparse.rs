@@ -95,6 +95,65 @@ fn every_preset_is_bit_exact_under_sparse() {
     });
 }
 
+/// The configurations in which a scan-lock release is more than "wake
+/// the next cycle's winner": a multiport SB or a line-split chunk claim
+/// lets the lock be retaken in the releasing cycle, and a small (or
+/// absent) header FIFO holds it across a header load, so waiters pile up
+/// behind it. None of these is a default, so the matrix above never
+/// draws them; this sweep crosses all three with core counts that put
+/// waiters on both sides of a releaser, on the scan-lock-bound (`cup`),
+/// small-record (`db`), header-lock-bound (`javac`) and splittable
+/// (`compress`) presets — at a scale small enough for a debug build.
+#[test]
+fn scan_hand_off_axes_are_bit_exact_under_sparse() {
+    let mut combos: Vec<(Preset, GcConfig)> = Vec::new();
+    for preset in [Preset::Compress, Preset::Cup, Preset::Db, Preset::Javac] {
+        for cores in [2usize, 3, 5, 16] {
+            for multiport_sb in [false, true] {
+                for line_split in [None, Some(2), Some(5)] {
+                    for header_fifo_capacity in [0usize, 2, 4096] {
+                        for extra in [0u32, 7] {
+                            let mut cfg = sparse_config(cores, extra);
+                            cfg.multiport_sb = multiport_sb;
+                            cfg.line_split = line_split;
+                            cfg.mem.header_fifo_capacity = header_fifo_capacity;
+                            combos.push((preset, cfg));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    par_map(&combos, |_, &(preset, cfg)| {
+        let base = WorkloadSpec {
+            scale: 0.05,
+            ..WorkloadSpec::new(preset, 42)
+        }
+        .build();
+        let mut sparse_heap = base.clone();
+        let mut naive_heap = base;
+        let sparse = SimCollector::new(cfg).collect(&mut sparse_heap);
+        let naive = SimCollector::new(GcConfig {
+            engine: Some(EngineKind::Naive),
+            sparse: false,
+            fast_forward: false,
+            ..cfg
+        })
+        .collect(&mut naive_heap);
+        let label = format!(
+            "{}/{}c +{} multiport {} split {:?} fifo {}",
+            preset.name(),
+            cfg.n_cores,
+            cfg.mem.extra_latency,
+            cfg.multiport_sb,
+            cfg.line_split,
+            cfg.mem.header_fifo_capacity
+        );
+        assert_eq!(sparse.stats, naive.stats, "{label}: stats diverged");
+        assert_eq!(sparse.free, naive.free, "{label}: frontier diverged");
+    });
+}
+
 /// Backend axis of the parity matrix: the sparse engine must stay
 /// bit-exact when per-access latency is bank/row dependent. DRAM retire
 /// calendars are sparser and more irregular than the fixed model's, so

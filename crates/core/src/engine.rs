@@ -119,6 +119,30 @@ fn flush_stall_run<P: Probe>(
     }
 }
 
+/// Whom a scan-lock release by `releaser` wakes among the parked
+/// `waiters` (a mask over core indices) under static priority, as
+/// `(now, next)` masks: cores re-admitted into the executing cycle, and
+/// cores that resume from the next one.
+///
+/// The hardware holds every loser of the SB arbitration; only the
+/// elected core ever proceeds. So a release hands the lock to the cores
+/// that can win it and leaves the rest parked: the lowest waiter — first
+/// in the next cycle's tick order — and, only while the lock is still
+/// `acquirable` in this cycle, the first waiter whose slot is still
+/// ahead of the releaser's. `wake_all` is set where a waiter's retry
+/// would no longer be a scan-lock failure at all (the release left the
+/// work list empty, or `done` is up): then every waiter resumes, split
+/// by whether its slot is still ahead.
+fn scan_hand_off(waiters: u64, releaser: usize, acquirable: bool, wake_all: bool) -> (u64, u64) {
+    let ahead = waiters & ((!1u64) << releaser);
+    if wake_all {
+        return (ahead, waiters & !ahead);
+    }
+    let lowest = |mask: u64| mask & mask.wrapping_neg();
+    let now = if acquirable { lowest(ahead) } else { 0 };
+    (now, lowest(waiters) & !now)
+}
+
 impl SimCollector {
     /// Collector with the given configuration.
     pub fn new(cfg: GcConfig) -> SimCollector {
@@ -412,7 +436,8 @@ impl SimCollector {
             // only while its next retry could succeed; otherwise it parks
             // on the wake condition of its stall class:
             //
-            //   ScanLock, holder-held ... SB scan-release list
+            //   ScanLock, holder-held ... SB scan-waiter list, handed off
+            //                             at a release (below)
             //   ScanLock, write-port .... stays awake (port re-arms next
             //                             cycle, the retry may succeed)
             //   FreeLock ................ stays awake (the free lock never
@@ -436,6 +461,18 @@ impl SimCollector {
             // per-cycle fail event is a real tick. All other parked
             // retries are provably side-effect-free self-loops, so a
             // skipped cycle replays as `record_n` alone.
+            //
+            // Scan-lock waiters are the one class a wake condition does
+            // not drain. Static priority elects exactly one of them, so a
+            // release wakes only the cores that can win (`scan_hand_off`)
+            // and the losers stay parked with `park_since` untouched —
+            // every failure they would have ticked through is still
+            // replayed, in bulk, at their eventual wake. Everyone wakes
+            // where the winner is not computable or the retry changes
+            // class: under a schedule policy (the next cycle's order is
+            // not known at release time), when the release leaves the
+            // work list empty (waiters fall through to the termination
+            // test) and once `done` is up.
             //
             // When every core is parked, the clock jumps straight to the
             // earliest wake: the memory system's next activity (its
@@ -569,8 +606,10 @@ impl SimCollector {
             // below. `$wake_this_cycle` is a predicate closure over a
             // woken core's index: does its slot in this cycle's arranged
             // order still lie ahead of the one ticking now?
+            // `$static_order`: is the tick order ascending core index,
+            // this cycle and the next?
             macro_rules! tick_core {
-                ($idx:expr, $wake_this_cycle:expr) => {{
+                ($idx:expr, $wake_this_cycle:expr, $static_order:expr) => {{
                     let idx: usize = $idx;
                     let wake_this_cycle = $wake_this_cycle;
                     let scan_before = if P::ACTIVE { sb.scan() } else { 0 };
@@ -702,6 +741,33 @@ impl SimCollector {
                         for i in 0..wake_scratch.len() {
                             let w = wake_scratch[i];
                             wake_parked!(w, wake_this_cycle(w), "engine.wake.sb");
+                        }
+                    }
+                    // Scan-lock hand-off (see the catalog). A candidate
+                    // admitted from the next cycle has this cycle's
+                    // failure — behind the releaser's back, or against
+                    // the spent write port — accounted in bulk.
+                    let waiters = sb.take_scan_release();
+                    if waiters != 0 {
+                        let (now, next) = if $static_order {
+                            scan_hand_off(
+                                waiters,
+                                idx,
+                                sb.scan_acquirable(),
+                                sb.scan() >= sb.free() || done,
+                            )
+                        } else {
+                            (waiters, 0)
+                        };
+                        let mut woken = now | next;
+                        while woken != 0 {
+                            let w = woken.trailing_zeros() as usize;
+                            woken &= woken - 1;
+                            wake_parked!(
+                                w,
+                                now & (1u64 << w) != 0 && wake_this_cycle(w),
+                                "engine.wake.sb"
+                            );
                         }
                     }
                     if done && !done_announced {
@@ -965,7 +1031,7 @@ impl SimCollector {
                         if cur & (1u64 << idx) == 0 {
                             continue;
                         }
-                        tick_core!(idx, |w: usize| pos_of[w] > pos);
+                        tick_core!(idx, |w: usize| pos_of[w] > pos, false);
                     }
                 } else {
                     // Static priority (the paper's arbiter): walk only the
@@ -979,7 +1045,7 @@ impl SimCollector {
                     while rem != 0 {
                         let idx = rem.trailing_zeros() as usize;
                         rem &= rem - 1;
-                        tick_core!(idx, |w: usize| w > idx);
+                        tick_core!(idx, |w: usize| w > idx, true);
                         rem |= cur & ((!1u64) << idx);
                     }
                 }
@@ -2182,6 +2248,129 @@ mod tests {
             assert!(row.scan >= prev);
             prev = row.scan;
             assert_eq!(row.gray_words, row.free - row.scan);
+        }
+    }
+
+    #[test]
+    fn scan_hand_off_elects_the_cores_that_can_win() {
+        // Waiters 1, 2, 9, 12; core 5 releases.
+        let waiters = 0b1_0010_0000_0110u64;
+        // Two candidates: with the lock still acquirable this cycle the
+        // first waiter ahead of the releaser ticks now, and the lowest
+        // waiter — whose slot already passed — leads the next cycle.
+        assert_eq!(scan_hand_off(waiters, 5, true, false), (1 << 9, 1 << 1));
+        // The write port is spent: nobody can retake the lock in this
+        // cycle, so only the next cycle's first ticker wakes.
+        assert_eq!(scan_hand_off(waiters, 5, false, false), (0, 1 << 1));
+        // One core is both candidates when every waiter is still ahead:
+        // it ticks now — or, behind a spent port, only from next cycle.
+        assert_eq!(scan_hand_off(waiters, 0, true, false), (1 << 1, 0));
+        assert_eq!(scan_hand_off(waiters, 0, false, false), (0, 1 << 1));
+        // No waiter ahead: just the next-cycle winner.
+        assert_eq!(scan_hand_off(waiters, 13, true, false), (0, 1 << 1));
+        assert_eq!(scan_hand_off(1 << 63, 63, true, false), (0, 1 << 63));
+        // Class change (work list emptied, or `done`): everyone resumes,
+        // split by slot, whatever the port says.
+        for acquirable in [false, true] {
+            assert_eq!(
+                scan_hand_off(waiters, 5, acquirable, true),
+                ((1 << 9) | (1 << 12), 0b110)
+            );
+        }
+        assert_eq!(scan_hand_off(0, 5, true, false), (0, 0));
+    }
+
+    /// `n` rooted one-word leaves: the root phase fills the work list,
+    /// claims are tiny, and with the header FIFO off (every claim holds
+    /// the scan lock across a header load) the cores queue up on the
+    /// scan lock.
+    fn leaves(n: u32) -> Heap {
+        let mut heap = Heap::new(8 * n + 64);
+        let mut b = GraphBuilder::new(&mut heap);
+        for _ in 0..n {
+            let leaf = b.add(0, 1).unwrap();
+            b.root(leaf);
+        }
+        heap
+    }
+
+    fn herd_config(cores: usize) -> GcConfig {
+        GcConfig {
+            mem: hwgc_memsim::MemConfig {
+                header_fifo_capacity: 0,
+                ..Default::default()
+            },
+            engine: Some(EngineKind::Sparse),
+            sparse: true,
+            ..GcConfig::with_cores(cores)
+        }
+    }
+
+    #[test]
+    fn a_schedule_policy_keeps_wake_all_for_scan_waiters() {
+        // Under a policy the next cycle's order is unknown at release
+        // time, so every waiter must wake — even under the identity
+        // policy, which the engine cannot tell from any other. Same
+        // simulation either way; only the herd differs.
+        use crate::schedule::StaticPriority;
+        use hwgc_obs::HostProfiler;
+        let collector = SimCollector::new(herd_config(8));
+        let run = |policy: Option<&mut dyn SchedulePolicy>| {
+            let mut heap = leaves(64);
+            let mut prof = HostProfiler::new();
+            let (free, stats, _) =
+                collector.run(&mut heap, None, policy, &mut NullProbe, &mut prof);
+            (free, stats, prof.counter("engine.park.scan_lock"))
+        };
+        let (free, stats, handed_off) = run(None);
+        let (policy_free, policy_stats, woke_all) = run(Some(&mut StaticPriority));
+        assert_eq!(policy_stats, stats);
+        assert_eq!(policy_free, free);
+        let acquired = stats.sync.acquired(LockKind::Scan);
+        assert!(
+            handed_off <= 2 * acquired,
+            "hand-off parked {handed_off} times for {acquired} acquisitions"
+        );
+        assert!(
+            woke_all > 4 * acquired,
+            "wake-all parked {woke_all} times for {acquired} acquisitions"
+        );
+    }
+
+    #[test]
+    fn scan_waiters_all_wake_when_a_release_empties_the_work_list() {
+        // One gray object (the root, whose only child is still white):
+        // core 0 holds the scan lock across the header load, cores 1–3
+        // park behind it, and its claim leaves `scan == free`. Their
+        // retries are now empty-work-list spins, not scan-lock failures,
+        // so all of them must resume — a loser left parked would keep
+        // accruing the wrong stall class.
+        let chain = || {
+            let mut heap = Heap::new(128);
+            let mut b = GraphBuilder::new(&mut heap);
+            let root = b.add(1, 1).unwrap();
+            let leaf = b.add(0, 1).unwrap();
+            b.link(root, 0, leaf);
+            b.root(root);
+            heap
+        };
+        let cfg = herd_config(4);
+        let mut prof = hwgc_obs::HostProfiler::new();
+        let mut heap = chain();
+        let sparse = SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
+        let naive = SimCollector::new(GcConfig {
+            engine: Some(EngineKind::Naive),
+            sparse: false,
+            fast_forward: false,
+            ..cfg
+        })
+        .collect(&mut chain());
+        assert_eq!(sparse.stats, naive.stats);
+        assert!(prof.counter("engine.park.scan_lock") >= 3);
+        for core in 1..4 {
+            let stalls = &sparse.stats.per_core[core];
+            assert!(stalls.get(StallReason::ScanLock) > 0, "core {core}");
+            assert!(stalls.get(StallReason::EmptySpin) > 0, "core {core}");
         }
     }
 }

@@ -17,6 +17,7 @@
 use hwgc_core::{EngineKind, GcConfig, SimCollector};
 use hwgc_memsim::MemConfig;
 use hwgc_obs::HostProfiler;
+use hwgc_sync::LockKind;
 use hwgc_workloads::{Preset, WorkloadSpec};
 
 fn config(engine: EngineKind, cores: usize, extra: u32) -> GcConfig {
@@ -131,5 +132,35 @@ fn deterministic_counters_are_stable_across_reruns() {
         a.deterministic_json().to_string_compact(),
         b.deterministic_json().to_string_compact(),
         "deterministic counters diverged between identical runs"
+    );
+}
+
+#[test]
+fn scan_lock_releases_wake_no_thundering_herd() {
+    // A scan-lock release hands the lock to the waiters that can win it
+    // and leaves the losers parked, so scan-lock parks stay within a
+    // small multiple of the acquisitions they queue for (1.1 here; the
+    // rest are waiters re-parking after a retirement of their own woke
+    // them). Waking every waiter at every release — static priority
+    // lets exactly one win, the others tick, fail and re-park — put this
+    // run at 5.1 parks per acquisition. Scale 4 is the smallest javac
+    // graph on which 16 cores queue up behind the scan lock at all.
+    let spec = WorkloadSpec {
+        scale: 4.0,
+        ..WorkloadSpec::new(Preset::Javac, 42)
+    };
+    let mut heap = spec.build();
+    let mut prof = HostProfiler::new();
+    let out =
+        SimCollector::new(config(EngineKind::Sparse, 16, 0)).collect_hostprof(&mut heap, &mut prof);
+    let parks = prof.counter("engine.park.scan_lock");
+    let acquired = out.stats.sync.acquired(LockKind::Scan);
+    assert!(
+        parks > acquired / 2,
+        "{parks} scan-lock parks for {acquired} acquisitions: no contention to guard"
+    );
+    assert!(
+        parks <= 2 * acquired,
+        "{parks} scan-lock parks for {acquired} acquisitions: the herd is back"
     );
 }

@@ -14,7 +14,11 @@
 //!
 //! Graphs, core counts, memory latencies, and schedule policies are all
 //! drawn by proptest so the differential explores interleavings no
-//! hand-written graph pins down.
+//! hand-written graph pins down. So are the three knobs that decide
+//! what a scan-lock release means for the cores parked behind it:
+//! `multiport_sb` and `line_split` (the released lock can be retaken in
+//! the same cycle) and a tiny header FIFO (the lock is held across a
+//! header load, so waiters actually pile up).
 
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy};
 use hwgc_core::{GcConfig, SimCollector};
@@ -99,8 +103,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// No missed and no spurious wakeups, across graphs × cores ×
-    /// latency × schedule policy: the sparse engine's stats are
-    /// bit-identical to the always-awake shadow engine's.
+    /// latency × schedule policy × SB ports × claim granularity × FIFO
+    /// depth: the sparse engine's stats are bit-identical to the
+    /// always-awake shadow engine's.
     #[test]
     fn sparse_never_oversleeps(
         shape in shapes(),
@@ -111,9 +116,17 @@ proptest! {
         ]),
         policy_choice in 0u8..3,
         seed in 0u64..u64::MAX,
+        multiport in 0u8..2,
+        split_choice in 0usize..3,
+        fifo_choice in 0usize..3,
     ) {
         let sparse_cfg = GcConfig {
-            mem: MemConfig::default().with_extra_latency(extra),
+            mem: MemConfig {
+                header_fifo_capacity: [0, 2, 4096][fifo_choice],
+                ..MemConfig::default().with_extra_latency(extra)
+            },
+            multiport_sb: multiport == 1,
+            line_split: [None, Some(2), Some(5)][split_choice],
             // Pinned so the 1-core draws still differential sparse vs
             // naive (the unpinned single-core default is the naive loop).
             engine: Some(hwgc_core::EngineKind::Sparse),
@@ -130,7 +143,8 @@ proptest! {
         let (n_stats, n_free, _, _) = run(naive_cfg, &shape, policy_choice, seed);
         prop_assert_eq!(
             &s_stats, &n_stats,
-            "sparse diverged from shadow naive engine ({cores} cores, +{extra} latency, policy {policy_choice})"
+            "sparse diverged from shadow naive engine ({cores} cores, +{extra} latency, \
+             policy {policy_choice}, multiport {multiport}, split {split_choice}, fifo {fifo_choice})"
         );
         prop_assert_eq!(s_free, n_free);
         // The collection itself must also be correct, not just consistent.

@@ -10,7 +10,7 @@
 
 use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector};
 use hwgc_heap::{verify_collection, Snapshot};
-use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
+use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy, MAX_SERVICE_LATENCY};
 use hwgc_obs::json::Json;
 use hwgc_obs::LedgerRecord;
 use hwgc_workloads::{Preset, WorkloadSpec};
@@ -221,6 +221,16 @@ fn req_usize(j: &Json, key: &str) -> Result<usize, String> {
     usize::try_from(req_u64(j, key)?).map_err(|_| format!("`{key}` overflows usize"))
 }
 
+/// A count or divisor the simulator asserts to be non-zero: a frame
+/// carrying `0` is refused here instead of panicking a worker there.
+fn positive<T: Default + PartialEq>(key: &str, n: T) -> Result<T, String> {
+    if n == T::default() {
+        Err(format!("`{key}` must be positive"))
+    } else {
+        Ok(n)
+    }
+}
+
 fn req_bool(j: &Json, key: &str) -> Result<bool, String> {
     match j.get(key) {
         Some(Json::Bool(b)) => Ok(*b),
@@ -258,11 +268,11 @@ fn backend_from_json(j: &Json) -> Result<MemBackendKind, String> {
         Some("fixed") => Ok(MemBackendKind::Fixed),
         Some("dram") => Ok(MemBackendKind::Dram(DramConfig {
             t_rcd: req_u32(j, "t_rcd")?,
-            t_cas: req_u32(j, "t_cas")?,
+            t_cas: positive("t_cas", req_u32(j, "t_cas")?)?,
             t_rp: req_u32(j, "t_rp")?,
             t_ras: req_u32(j, "t_ras")?,
-            n_banks: req_u32(j, "n_banks")?,
-            row_words: req_u32(j, "row_words")?,
+            n_banks: positive("n_banks", req_u32(j, "n_banks")?)?,
+            row_words: positive("row_words", req_u32(j, "row_words")?)?,
             page_policy: match j.get("page_policy").and_then(Json::as_str) {
                 Some("open") => PagePolicy::Open,
                 Some("closed") => PagePolicy::Closed,
@@ -298,15 +308,29 @@ fn mem_to_json(m: &MemConfig) -> Json {
 }
 
 fn mem_from_json(j: &Json) -> Result<MemConfig, String> {
-    Ok(MemConfig {
+    let mem = MemConfig {
         latency: req_u32(j, "latency")?,
-        bandwidth: req_u32(j, "bandwidth")?,
+        bandwidth: positive("bandwidth", req_u32(j, "bandwidth")?)?,
         header_fifo_capacity: req_usize(j, "header_fifo_capacity")?,
         extra_latency: req_u32(j, "extra_latency")?,
         header_cache_entries: req_usize(j, "header_cache_entries")?,
         service_reorder_seed: opt_u64_back(j.get("service_reorder_seed"), "service_reorder_seed")?,
         backend: backend_from_json(j.get("backend").ok_or("missing `backend`")?)?,
-    })
+    };
+    // The backends size their retirement wheel from this sum and assert
+    // the same bound.
+    let worst = mem.worst_service_latency();
+    if worst > MAX_SERVICE_LATENCY {
+        let access = match mem.backend {
+            MemBackendKind::Fixed => "`latency`",
+            MemBackendKind::Dram(_) => "`t_ras` + `t_rp` + `t_rcd` + `t_cas`",
+        };
+        return Err(format!(
+            "{access} + `extra_latency` = {worst} cycles exceeds the supported \
+             service latency of {MAX_SERVICE_LATENCY}"
+        ));
+    }
+    Ok(mem)
 }
 
 fn engine_to_json(e: Option<EngineKind>) -> Json {
@@ -370,14 +394,19 @@ pub fn config_to_json(cfg: &GcConfig) -> Json {
     ])
 }
 
-/// Decode [`config_to_json`] output. Exact inverse.
+/// Decode [`config_to_json`] output. Exact inverse on everything
+/// [`SimCollector::new`] and the memory backends accept; a frame they
+/// would assert on (a zero count or divisor, a service latency past
+/// [`MAX_SERVICE_LATENCY`]) is an `Err` naming the field.
 pub fn config_from_json(j: &Json) -> Result<GcConfig, String> {
     Ok(GcConfig {
-        n_cores: req_usize(j, "n_cores")?,
+        n_cores: positive("n_cores", req_usize(j, "n_cores")?)?,
         mem: mem_from_json(j.get("mem").ok_or("missing `mem`")?)?,
         test_before_lock: req_bool(j, "test_before_lock")?,
         line_split: opt_u64_back(j.get("line_split"), "line_split")?
-            .map(|n| u32::try_from(n).map_err(|_| "`line_split` overflows u32"))
+            .map(|n| u32::try_from(n).map_err(|_| "`line_split` overflows u32".to_string()))
+            .transpose()?
+            .map(|n| positive("line_split", n))
             .transpose()?,
         tick_permutation_seed: opt_u64_back(
             j.get("tick_permutation_seed"),
@@ -501,5 +530,148 @@ mod tests {
             job.cache_key("bench_baseline").config_hash(),
             "cross-binary dedupe rests on the binary field staying out of the hash"
         );
+    }
+
+    /// `cfg`'s wire form with the field at `path` replaced.
+    fn frame_with(cfg: &GcConfig, path: &[&str], value: Json) -> Json {
+        fn set(j: &mut Json, path: &[&str], value: Json) {
+            let Json::Obj(pairs) = j else {
+                panic!("not an object at {path:?}")
+            };
+            let slot = &mut pairs
+                .iter_mut()
+                .find(|(k, _)| k == path[0])
+                .unwrap_or_else(|| panic!("no field {path:?}"))
+                .1;
+            match path {
+                [_] => *slot = value,
+                [_, rest @ ..] => set(slot, rest, value),
+                [] => unreachable!(),
+            }
+        }
+        let mut frame = config_to_json(cfg);
+        set(&mut frame, path, value);
+        // Through the text form, like a real worker frame or cache line.
+        Json::parse(&frame.to_string_compact()).unwrap()
+    }
+
+    #[test]
+    fn frames_the_simulator_would_assert_on_are_errors_naming_the_field() {
+        let fixed = GcConfig::with_cores(4);
+        let dram = GcConfig {
+            mem: MemConfig::default().with_backend(MemBackendKind::Dram(DramConfig::default())),
+            ..fixed
+        };
+        let zero = Json::Int(0);
+        let big = |n: u64| Json::Int(i128::from(n));
+        let cases: [(&GcConfig, &[&str], Json, &str); 10] = [
+            (&fixed, &["n_cores"], zero.clone(), "`n_cores`"),
+            (&fixed, &["line_split"], zero.clone(), "`line_split`"),
+            (&fixed, &["mem", "bandwidth"], zero.clone(), "`bandwidth`"),
+            (
+                &dram,
+                &["mem", "backend", "n_banks"],
+                zero.clone(),
+                "`n_banks`",
+            ),
+            (
+                &dram,
+                &["mem", "backend", "row_words"],
+                zero.clone(),
+                "`row_words`",
+            ),
+            (&dram, &["mem", "backend", "t_cas"], zero.clone(), "`t_cas`"),
+            // One past the bound (the default latency is 5) ...
+            (
+                &fixed,
+                &["mem", "extra_latency"],
+                big(MAX_SERVICE_LATENCY - 4),
+                "`latency` + `extra_latency`",
+            ),
+            // ... and sums that would wrap a `u32`.
+            (
+                &fixed,
+                &["mem", "latency"],
+                big(u64::from(u32::MAX)),
+                "`latency` + `extra_latency`",
+            ),
+            (
+                &dram,
+                &["mem", "backend", "t_ras"],
+                big(u64::from(u32::MAX)),
+                "`t_ras` + `t_rp` + `t_rcd` + `t_cas` + `extra_latency`",
+            ),
+            (
+                &dram,
+                &["mem", "extra_latency"],
+                big(u64::from(u32::MAX)),
+                "`t_ras` + `t_rp` + `t_rcd` + `t_cas` + `extra_latency`",
+            ),
+        ];
+        for (cfg, path, value, named) in cases {
+            let err = config_from_json(&frame_with(cfg, path, value))
+                .expect_err(&format!("{path:?} accepted"));
+            assert!(
+                err.contains(named),
+                "{path:?}: `{err}` does not name {named}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_config_the_repo_builds_still_round_trips() {
+        let mut cfgs = vec![GcConfig::default()];
+        for cores in [1usize, 2, 4, 8, 16, 64] {
+            cfgs.push(GcConfig::with_cores(cores));
+        }
+        let base = GcConfig::with_cores(16);
+        // Figure 6, the ablations, and the largest latency the wheel
+        // supports (accepted: the bound is inclusive).
+        for mem in [
+            MemConfig::default().with_extra_latency(20),
+            MemConfig::default().with_service_reorder(7),
+            MemConfig {
+                header_fifo_capacity: 0,
+                header_cache_entries: 64,
+                latency: 0,
+                ..MemConfig::default()
+            },
+            MemConfig::default().with_extra_latency(MAX_SERVICE_LATENCY as u32 - 5),
+        ] {
+            cfgs.push(GcConfig { mem, ..base });
+        }
+        for preset in ["150ns", "120ns", "100ns", "80ns"] {
+            for page_policy in [PagePolicy::Open, PagePolicy::Closed] {
+                let dram = DramConfig {
+                    page_policy,
+                    ..DramConfig::preset(preset).unwrap()
+                };
+                cfgs.push(GcConfig {
+                    mem: MemConfig::default().with_backend(MemBackendKind::Dram(dram)),
+                    ..base
+                });
+            }
+        }
+        cfgs.push(GcConfig {
+            line_split: Some(1),
+            multiport_sb: true,
+            test_before_lock: true,
+            tick_permutation_seed: Some(9),
+            engine: Some(EngineKind::Naive),
+            ..base
+        });
+        for cfg in cfgs {
+            let wire = config_to_json(&cfg).to_string_compact();
+            let back = config_from_json(&Json::parse(&wire).unwrap());
+            assert_eq!(back, Ok(cfg), "{wire}");
+            // What the codec accepts, the constructors accept.
+            SimCollector::new(cfg);
+            match cfg.mem.backend {
+                MemBackendKind::Fixed => drop(hwgc_memsim::MemorySystem::new(cfg.n_cores, cfg.mem)),
+                MemBackendKind::Dram(_) => {
+                    drop(hwgc_memsim::DramMemorySystem::new(cfg.n_cores, cfg.mem))
+                }
+            }
+        }
     }
 }

@@ -45,14 +45,14 @@
 //!   possible service start has latency `>= tCAS >= 1`, and a tick in
 //!   which busy banks start nothing at all is equally core-invisible.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::backend::{MemBackend, MemBackendKind};
 use crate::system::{
     remove_one, MemConfig, MemEvent, MemEventRecord, MemStats, Port, RowOutcome, Txn, TxnState,
     PORT_COUNT,
 };
+use crate::wheel::RetireWheel;
 
 /// Row-buffer page policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,6 +131,16 @@ impl DramConfig {
             page_policy: PagePolicy::Open,
         })
     }
+
+    /// The slowest access the row-buffer model can produce: a row
+    /// conflict that first waits out all of `tRAS` (before
+    /// `extra_latency`; see [`MemConfig::worst_service_latency`]).
+    pub fn worst_access_latency(&self) -> u64 {
+        [self.t_ras, self.t_rp, self.t_rcd, self.t_cas]
+            .into_iter()
+            .map(u64::from)
+            .sum()
+    }
 }
 
 /// Bank/row counters, carried in [`MemStats::dram`] (always `Some` for
@@ -200,7 +210,7 @@ pub struct DramMemorySystem {
     blocked: usize,
     complete: usize,
     next_retire: u64,
-    retire_cal: BinaryHeap<Reverse<(u64, u32, u8)>>,
+    retire_cal: RetireWheel,
     pending_stores_dirty: bool,
     wake_feed: Option<Vec<usize>>,
     events: Option<Vec<MemEventRecord>>,
@@ -219,6 +229,9 @@ impl DramMemorySystem {
         assert!(dram.t_cas >= 1, "tCAS must be at least one cycle");
         assert!(dram.n_banks >= 1, "need at least one bank");
         assert!(dram.row_words >= 1, "rows must hold at least one word");
+        let worst_latency = cfg
+            .with_backend(MemBackendKind::Dram(dram))
+            .worst_service_latency();
         let n_banks = dram.n_banks as usize;
         // Built in a loop, not `vec![..; n]`: cloning a `VecDeque` does
         // not preserve capacity, and the steady-state loop must never
@@ -256,7 +269,7 @@ impl DramMemorySystem {
             blocked: 0,
             complete: 0,
             next_retire: u64::MAX,
-            retire_cal: BinaryHeap::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
+            retire_cal: RetireWheel::new(n_cores, worst_latency),
             pending_stores_dirty: false,
             wake_feed: None,
             events: None,
@@ -352,18 +365,19 @@ impl DramMemorySystem {
         self.stats.cycles += 1;
 
         // 1. Retire in-service transactions that are due.
-        if self.in_service > 0 && self.next_retire <= self.cycle {
-            while let Some(&Reverse((done_at, core, port_idx))) = self.retire_cal.peek() {
-                if done_at > self.cycle {
-                    break;
-                }
-                self.retire_cal.pop();
-                let core = core as usize;
-                let port = Port::ALL[port_idx as usize];
-                let txn = self.ports[core][port_idx as usize]
+        if self.next_retire <= self.cycle {
+            debug_assert_eq!(self.next_retire, self.cycle, "a retirement was skipped");
+            while let Some((core, port_idx)) = self.retire_cal.pop_due(self.cycle) {
+                let port = Port::ALL[port_idx];
+                let txn = self.ports[core][port_idx]
                     .as_mut()
                     .expect("calendar entry without a transaction");
-                debug_assert_eq!(txn.state, TxnState::InService { done_at });
+                debug_assert_eq!(
+                    txn.state,
+                    TxnState::InService {
+                        done_at: self.cycle
+                    }
+                );
                 self.in_service -= 1;
                 if port.is_load() {
                     txn.state = TxnState::Complete;
@@ -374,7 +388,7 @@ impl DramMemorySystem {
                         remove_one(&mut self.pending_header_stores, addr);
                         self.pending_stores_dirty = true;
                     }
-                    self.ports[core][port_idx as usize] = None;
+                    self.ports[core][port_idx] = None;
                     self.occupied -= 1;
                 }
                 self.log(MemEvent::Retire {
@@ -383,10 +397,7 @@ impl DramMemorySystem {
                 });
                 self.push_wake(core);
             }
-            self.next_retire = match self.retire_cal.peek() {
-                Some(&Reverse((done_at, _, _))) => done_at,
-                None => u64::MAX,
-            };
+            self.next_retire = self.retire_cal.next_after(self.cycle);
         }
 
         // 2. Comparator re-check (identical to the fixed model).
@@ -471,7 +482,7 @@ impl DramMemorySystem {
                 txn.state = TxnState::InService { done_at };
                 self.in_service += 1;
                 self.retire_cal
-                    .push(Reverse((done_at, core as u32, port as u8)));
+                    .insert(self.cycle, done_at, core, port as usize);
                 self.next_retire = self.next_retire.min(done_at);
             }
         }
@@ -628,6 +639,11 @@ impl MemBackend for DramMemorySystem {
 
     fn fast_forward(&mut self, k: u64) {
         debug_assert!(self.queued_total == 0, "fast-forward with queued requests");
+        debug_assert!(
+            k < self.next_retire - self.cycle,
+            "fast-forward over the retirement at {}",
+            self.next_retire
+        );
         self.cycle += k;
         self.stats.cycles += k;
         self.stats.comparator_blocked_cycles += k * self.blocked as u64;

@@ -32,6 +32,7 @@ pub mod backend;
 pub mod dram;
 pub mod fifo;
 pub mod system;
+mod wheel;
 
 pub use backend::{
     backend_from, BodyPortsView, BodyWindowPatch, FinalTxn, InflightTxnView, MemBackend,
@@ -42,3 +43,4 @@ pub use fifo::{FifoStats, HeaderFifo};
 pub use system::{
     MemConfig, MemEvent, MemEventRecord, MemStats, MemorySystem, Port, RowOutcome, PORT_COUNT,
 };
+pub use wheel::MAX_SERVICE_LATENCY;

@@ -1,12 +1,12 @@
 //! The memory access scheduler and DRAM timing model.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::backend::{
     backend_from, BodyPortsView, BodyWindowPatch, InflightTxnView, MemBackendKind,
 };
 use crate::dram::DramStats;
+use crate::wheel::RetireWheel;
 
 /// Memory-system configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +85,20 @@ impl MemConfig {
     pub fn with_backend(mut self, backend: MemBackendKind) -> MemConfig {
         self.backend = backend;
         self
+    }
+
+    /// The most cycles any access can spend between service start and
+    /// retirement under the selected backend: `latency` (fixed) or a row
+    /// conflict that waits out all of `tRAS` (DRAM), plus the artificial
+    /// `extra_latency`. Sizes the retirement wheel and is bounded by
+    /// [`crate::MAX_SERVICE_LATENCY`]; `u64`, so the sum of `u32` fields
+    /// cannot overflow.
+    pub fn worst_service_latency(&self) -> u64 {
+        let access = match self.backend {
+            MemBackendKind::Fixed => u64::from(self.latency),
+            MemBackendKind::Dram(d) => d.worst_access_latency(),
+        };
+        access + u64::from(self.extra_latency)
     }
 }
 
@@ -283,18 +297,16 @@ pub struct MemorySystem {
     blocked: usize,
     complete: usize,
     next_retire: u64,
-    /// Retirement calendar: one `(done_at, core, port)` entry per
-    /// in-service transaction, min-ordered. A retire cycle pops exactly
-    /// the transactions that are due instead of scanning every port
-    /// buffer and then rescanning to recompute `next_retire` — the scans
-    /// were O(cores × ports) on nearly every cycle at 16 cores, and
-    /// dominated the whole simulator (see DESIGN.md "profiling the
-    /// simulator"). In-service transactions never cancel, so the calendar
-    /// holds no stale entries, and within a cycle the `(core, port)` tie
-    /// break reproduces the old scan's retire order exactly (ports are
-    /// declared in index order). Bounded by the port-buffer count, so the
-    /// preallocated heap never grows.
-    retire_cal: BinaryHeap<Reverse<(u64, u32, u8)>>,
+    /// Retirement calendar: one entry per in-service transaction, in
+    /// the slot of its `done_at` (see [`crate::wheel`]). A retire cycle
+    /// pops exactly the transactions that are due instead of scanning
+    /// every port buffer and then rescanning to recompute `next_retire`
+    /// — the scans were O(cores × ports) on nearly every cycle at 16
+    /// cores, and dominated the whole simulator (see DESIGN.md
+    /// "profiling the simulator"). Within a cycle the slot's bit order
+    /// reproduces the old scan's `(core, port)` retire order exactly
+    /// (ports are declared in index order).
+    retire_cal: RetireWheel,
     /// Set when a pending header store retired; the comparator re-check
     /// can only unblock a load on such a cycle.
     pending_stores_dirty: bool,
@@ -312,6 +324,11 @@ impl MemorySystem {
     /// Memory system serving `n_cores` cores.
     pub fn new(n_cores: usize, cfg: MemConfig) -> MemorySystem {
         assert!(cfg.bandwidth > 0, "bandwidth must be positive");
+        // `MemorySystem` *is* the fixed backend, whatever `cfg.backend`
+        // says.
+        let worst_latency = cfg
+            .with_backend(MemBackendKind::Fixed)
+            .worst_service_latency();
         MemorySystem {
             cfg,
             cycle: 0,
@@ -331,7 +348,7 @@ impl MemorySystem {
             blocked: 0,
             complete: 0,
             next_retire: u64::MAX,
-            retire_cal: BinaryHeap::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
+            retire_cal: RetireWheel::new(n_cores, worst_latency),
             pending_stores_dirty: false,
             wake_feed: None,
             events: None,
@@ -469,22 +486,24 @@ impl MemorySystem {
         self.stats.cycles += 1;
 
         // 1. Retire in-service transactions that are done: pop exactly
-        // the due entries off the retirement calendar (min-ordered, so
-        // ties retire in the same `(core, port)` order the old full port
-        // scan produced). `next_retire` is the calendar's minimum, so
-        // cycles with nothing to retire cost one comparison.
-        if self.in_service > 0 && self.next_retire <= self.cycle {
-            while let Some(&Reverse((done_at, core, port_idx))) = self.retire_cal.peek() {
-                if done_at > self.cycle {
-                    break;
-                }
-                self.retire_cal.pop();
-                let core = core as usize;
-                let port = Port::ALL[port_idx as usize];
-                let txn = self.ports[core][port_idx as usize]
+        // the due entries off the retirement calendar (this cycle's
+        // slot, whose bit order retires ties in the same `(core, port)`
+        // order the old full port scan produced). `next_retire` is the
+        // calendar's minimum, so cycles with nothing to retire cost one
+        // comparison.
+        if self.next_retire <= self.cycle {
+            debug_assert_eq!(self.next_retire, self.cycle, "a retirement was skipped");
+            while let Some((core, port_idx)) = self.retire_cal.pop_due(self.cycle) {
+                let port = Port::ALL[port_idx];
+                let txn = self.ports[core][port_idx]
                     .as_mut()
                     .expect("calendar entry without a transaction");
-                debug_assert_eq!(txn.state, TxnState::InService { done_at });
+                debug_assert_eq!(
+                    txn.state,
+                    TxnState::InService {
+                        done_at: self.cycle
+                    }
+                );
                 self.in_service -= 1;
                 if port.is_load() {
                     txn.state = TxnState::Complete;
@@ -496,7 +515,7 @@ impl MemorySystem {
                         remove_one(&mut self.pending_header_stores, addr);
                         self.pending_stores_dirty = true;
                     }
-                    self.ports[core][port_idx as usize] = None;
+                    self.ports[core][port_idx] = None;
                     self.occupied -= 1;
                 }
                 self.log(MemEvent::Retire {
@@ -505,10 +524,7 @@ impl MemorySystem {
                 });
                 self.push_wake(core);
             }
-            self.next_retire = match self.retire_cal.peek() {
-                Some(&Reverse((done_at, _, _))) => done_at,
-                None => u64::MAX,
-            };
+            self.next_retire = self.retire_cal.next_after(self.cycle);
         }
 
         // 2. Unblock header loads (comparator array re-check). A blocked
@@ -591,7 +607,7 @@ impl MemorySystem {
                 txn.state = TxnState::InService { done_at };
                 self.in_service += 1;
                 self.retire_cal
-                    .push(Reverse((done_at, core as u32, port as u8)));
+                    .insert(self.cycle, done_at, core, port as usize);
                 self.next_retire = self.next_retire.min(done_at);
             }
         }
@@ -830,6 +846,11 @@ impl MemorySystem {
     /// busy) and merely re-counted every comparator-blocked header load.
     pub fn fast_forward(&mut self, k: u64) {
         debug_assert!(self.queue.is_empty(), "fast-forward with queued requests");
+        debug_assert!(
+            k < self.next_retire - self.cycle,
+            "fast-forward over the retirement at {}",
+            self.next_retire
+        );
         self.cycle += k;
         self.stats.cycles += k;
         self.stats.comparator_blocked_cycles += k * self.blocked as u64;
@@ -967,63 +988,50 @@ impl MemorySystem {
             self.stats.issued[Port::BodyStore as usize] += patch.issued_stores;
             for (port, done) in [(Port::BodyLoad, patch.load), (Port::BodyStore, patch.store)] {
                 let slot = &mut self.ports[patch.core][port as usize];
-                debug_assert!(
-                    !matches!(
-                        slot,
-                        Some(Txn {
-                            state: TxnState::Blocked | TxnState::Queued | TxnState::Complete,
-                            ..
-                        })
-                    ),
-                    "patched body port was not in service"
-                );
-                let had = slot.is_some();
-                match done {
-                    Some(t) => {
-                        debug_assert!(t.done_at > end_cycle, "final txn retires inside window");
-                        if !had {
-                            self.occupied += 1;
-                            self.in_service += 1;
-                        }
-                        *slot = Some(Txn {
-                            addr: t.addr,
-                            state: TxnState::InService { done_at: t.done_at },
-                            issued_at: t.issued_at,
-                        });
+                match *slot {
+                    None => {}
+                    Some(Txn {
+                        state: TxnState::InService { done_at },
+                        ..
+                    }) => {
+                        // Consumed by the window (or superseded below).
+                        self.retire_cal.remove(done_at, patch.core, port as usize);
+                        self.occupied -= 1;
+                        self.in_service -= 1;
                     }
-                    None => {
-                        if had {
-                            self.occupied -= 1;
-                            self.in_service -= 1;
-                        }
-                        *slot = None;
-                    }
+                    Some(_) => unreachable!("patched body port was not in service"),
                 }
+                *slot = done.map(|t| {
+                    debug_assert!(t.done_at > end_cycle, "final txn retires inside window");
+                    self.retire_cal
+                        .insert(end_cycle, t.done_at, patch.core, port as usize);
+                    self.occupied += 1;
+                    self.in_service += 1;
+                    Txn {
+                        addr: t.addr,
+                        state: TxnState::InService { done_at: t.done_at },
+                        issued_at: t.issued_at,
+                    }
+                });
             }
             self.last_body_addr[patch.core][0] = patch.last_load_addr;
             self.last_body_addr[patch.core][1] = patch.last_store_addr;
         }
-        // The calendar still holds entries for the transactions the
-        // window consumed (a binary heap cannot remove), so rebuild it
-        // from the port buffers — bounded by the buffer count, and the
-        // `(done_at, core, port)` ordering is restored by construction.
-        self.retire_cal.clear();
-        for (core, ports) in self.ports.iter().enumerate() {
-            for (port_idx, txn) in ports.iter().enumerate() {
-                if let Some(Txn {
-                    state: TxnState::InService { done_at },
-                    ..
-                }) = txn
-                {
-                    self.retire_cal
-                        .push(Reverse((*done_at, core as u32, port_idx as u8)));
-                }
-            }
-        }
-        self.next_retire = match self.retire_cal.peek() {
-            Some(&Reverse((done_at, _, _))) => done_at,
-            None => u64::MAX,
-        };
+        // The gap rule, seen from the calendar: the window jumped over no
+        // occupied slot — every entry left is still ahead of the clock.
+        debug_assert!(
+            self.ports
+                .iter()
+                .flatten()
+                .flatten()
+                .all(|t| match t.state {
+                    TxnState::InService { done_at } =>
+                        done_at > end_cycle && done_at - end_cycle < self.retire_cal.horizon(),
+                    _ => true,
+                }),
+            "window jumped over a scheduled retirement"
+        );
+        self.next_retire = self.retire_cal.next_after(end_cycle);
     }
 }
 
@@ -1861,7 +1869,7 @@ mod window_tests {
             })
         );
 
-        // The rebuilt calendar retires the untouched header store first
+        // The patched calendar retires the untouched header store first
         // (cycle 4, which also unblocks and serves core 0's header
         // load), then the patched-in body load (cycle 9), with wakes.
         m.tick();

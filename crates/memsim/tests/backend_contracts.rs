@@ -18,6 +18,10 @@
 //!    load became ready or whose store freed its buffer in a tick
 //!    appears in that tick's `wakes()` (shadow comparison against
 //!    polling, the naive engine's view).
+//! 4. **Tie order** — transactions retiring in the same cycle reach the
+//!    wake feed and the event log in `(core, port)` order, whatever
+//!    order they were issued or served in (the engine's wake order and
+//!    every committed event-stream fingerprint are pinned to it).
 
 use hwgc_memsim::{
     DramConfig, DramMemorySystem, MemBackend, MemBackendKind, MemConfig, MemEvent, MemorySystem,
@@ -327,4 +331,73 @@ fn check_wake_feed<B: MemBackend>(mut m: B, ops: Vec<Op>, worst_latency: u32) {
             apply(&mut m, op);
         }
     }
+}
+
+/// Contract 4: all twelve `(core, port)` buffers of three cores retire
+/// in one cycle. They are issued in descending order and `addr_of`
+/// spreads them so that every one starts service in the same tick with
+/// the same latency; the retirement calendar alone decides the order in
+/// which they come back.
+fn check_same_cycle_retire_order<B: MemBackend>(mut m: B, addr_of: impl Fn(usize) -> u32) {
+    m.enable_wake_feed(CORES);
+    m.enable_event_log();
+    for id in (0..CORES * PORT_COUNT).rev() {
+        assert!(m.try_issue(id / PORT_COUNT, Port::ALL[id % PORT_COUNT], addr_of(id)));
+    }
+    while m.wakes().is_empty() {
+        m.tick();
+        assert!(m.cycle() < 64, "nothing retired");
+    }
+    let in_order: Vec<(usize, Port)> = (0..CORES * PORT_COUNT)
+        .map(|id| (id / PORT_COUNT, Port::ALL[id % PORT_COUNT]))
+        .collect();
+    let woken: Vec<usize> = in_order.iter().map(|&(core, _)| core).collect();
+    assert_eq!(m.wakes(), woken, "wake feed out of (core, port) order");
+    let retire_cycle = m.cycle();
+    let retired: Vec<(usize, Port)> = m
+        .take_event_log()
+        .iter()
+        .filter_map(|rec| match rec.event {
+            MemEvent::Retire { core, port } => {
+                assert_eq!(rec.cycle, retire_cycle, "a retirement in another cycle");
+                Some((core as usize, port))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retired, in_order, "event log out of (core, port) order");
+}
+
+#[test]
+fn fixed_same_cycle_retirements_come_back_in_core_port_order() {
+    // Bandwidth covers all twelve starts in one tick; addresses are far
+    // apart, so no body access continues a burst and no header load
+    // meets a pending header store.
+    let cfg = MemConfig {
+        bandwidth: 16,
+        ..MemConfig::default()
+    }
+    .with_backend(MemBackendKind::Fixed);
+    check_same_cycle_retire_order(MemorySystem::new(CORES, cfg), |id| 1000 * (id as u32 + 1));
+}
+
+#[test]
+fn dram_same_cycle_retirements_come_back_in_core_port_order() {
+    // One request per bank, every bank precharged: all twelve start in
+    // the first tick as row empties. Banks serve in index order, so
+    // mapping the ids to descending banks also decouples the service
+    // order from `(core, port)`.
+    let dram = DramConfig {
+        n_banks: 16,
+        row_words: 16,
+        ..DramConfig::default()
+    };
+    let cfg = MemConfig {
+        bandwidth: 16,
+        ..MemConfig::default()
+    }
+    .with_backend(MemBackendKind::Dram(dram));
+    check_same_cycle_retire_order(DramMemorySystem::new(CORES, cfg), |id| {
+        (15 - id as u32) * dram.row_words
+    });
 }

@@ -435,19 +435,30 @@ impl SyncBlock {
         }
     }
 
-    /// Release the `scan` lock.
+    /// Release the `scan` lock. Cores parked on it stay parked: the
+    /// hardware holds every loser of the arbitration at no cost, so the
+    /// release only arms [`SyncBlock::take_scan_release`] for the engine
+    /// to hand the lock to the waiters that can win it.
     pub fn release_scan(&mut self, core: usize) {
         assert_eq!(self.scan_owner, Some(core), "scan release without lock");
         self.scan_owner = None;
         self.log(SbEvent::ReleaseScan { core });
         if let Some(w) = &mut self.wake {
-            w.wake_scan_release();
+            w.scan_released = true;
         }
     }
 
     /// The core currently holding the `scan` lock, if any.
     pub fn scan_owner(&self) -> Option<usize> {
         self.scan_owner
+    }
+
+    /// Can the `scan` lock still be acquired in the current cycle? Not
+    /// while it is held, and not after a write to `scan` used up the
+    /// register's single write port — a release that wrote nothing (a
+    /// line-split chunk claim) or a multiport SB leaves it open.
+    pub fn scan_acquirable(&self) -> bool {
+        self.scan_owner.is_none() && (self.multiport || !self.scan_written)
     }
 
     /// Attempt to acquire the `free` lock. Zero-cost when uncontended,
@@ -672,10 +683,24 @@ impl SyncBlock {
         self.wake = Some(WakeLists::new(self.n_cores));
     }
 
-    /// Park `core` until the scan lock is next released.
+    /// Park `core` on the scan lock. It stays listed across releases
+    /// until the engine wakes it ([`SyncBlock::cancel_park`]).
     pub fn park_on_scan_release(&mut self, core: usize) {
         let w = self.wake.as_mut().expect("wake tracking off");
-        w.scan_release |= 1u64 << core;
+        w.scan_waiters |= 1u64 << core;
+    }
+
+    /// The cores parked on the scan lock (a bitmask over core indices)
+    /// if it has been released since the last call, else `0`. One-shot:
+    /// the engine asks after every core tick (a tick releases at most
+    /// once) and picks whom to wake from the mask.
+    pub fn take_scan_release(&mut self) -> u64 {
+        let Some(w) = &mut self.wake else { return 0 };
+        if std::mem::take(&mut w.scan_released) {
+            w.scan_waiters
+        } else {
+            0
+        }
     }
 
     /// Park `core` until the header lock on `addr` is released.
@@ -699,7 +724,7 @@ impl SyncBlock {
     /// no-op if the core is not parked here or tracking is off.
     pub fn cancel_park(&mut self, core: usize) {
         if let Some(w) = &mut self.wake {
-            w.scan_release &= !(1u64 << core);
+            w.scan_waiters &= !(1u64 << core);
             w.empty &= !(1u64 << core);
             if w.header[core].take().is_some() {
                 w.header_n -= 1;
@@ -724,15 +749,21 @@ impl SyncBlock {
 
 /// Per-resource lists of parked cores for the sparse engine. A core on a
 /// list has proven its next retry must fail until the listed SB operation
-/// happens; the hooks in [`SyncBlock::release_scan`],
-/// [`SyncBlock::unlock_header`], [`SyncBlock::set_free`] and
-/// [`SyncBlock::clear_busy`] move it to `woken` the moment that operation
-/// executes. Spurious wakes are safe (the core re-ticks and re-parks);
-/// only a *missed* wake would break the sparse engine's bit-exactness.
+/// happens; the hooks in [`SyncBlock::unlock_header`],
+/// [`SyncBlock::set_free`] and [`SyncBlock::clear_busy`] move it to
+/// `woken` the moment that operation executes. The scan lock is the
+/// exception: of its waiters only the arbitration winner's retry can
+/// succeed, so [`SyncBlock::release_scan`] wakes nobody and flags the
+/// release for the engine, which knows the tick order. Spurious wakes
+/// are safe (the core re-ticks and re-parks); only a *missed* wake would
+/// break the sparse engine's bit-exactness.
 #[derive(Debug, Clone)]
 struct WakeLists {
-    /// Cores parked until the scan lock's next release (bitmask).
-    scan_release: u64,
+    /// Cores parked on the scan lock (bitmask).
+    scan_waiters: u64,
+    /// The scan lock was released and the engine has not yet handed it
+    /// off to `scan_waiters`.
+    scan_released: bool,
     /// Cores parked in the empty-worklist spin (bitmask).
     empty: u64,
     /// Per-core header address the core is parked on.
@@ -747,7 +778,8 @@ impl WakeLists {
     fn new(n_cores: usize) -> WakeLists {
         assert!(n_cores <= 64, "wake bitmasks hold at most 64 cores");
         WakeLists {
-            scan_release: 0,
+            scan_waiters: 0,
+            scan_released: false,
             empty: 0,
             header: vec![None; n_cores],
             header_n: 0,
@@ -755,23 +787,12 @@ impl WakeLists {
         }
     }
 
-    fn drain_mask(&mut self, mut mask: u64) {
+    fn wake_empty(&mut self) {
+        let mut mask = std::mem::take(&mut self.empty);
         while mask != 0 {
             self.woken.push(mask.trailing_zeros() as usize);
             mask &= mask - 1;
         }
-    }
-
-    fn wake_scan_release(&mut self) {
-        let m = self.scan_release;
-        self.scan_release = 0;
-        self.drain_mask(m);
-    }
-
-    fn wake_empty(&mut self) {
-        let m = self.empty;
-        self.empty = 0;
-        self.drain_mask(m);
     }
 
     fn wake_header(&mut self, addr: u32) {
@@ -1100,18 +1121,70 @@ mod tests {
     }
 
     #[test]
-    fn wake_lists_fire_on_release_setfree_and_clearbusy() {
+    fn scan_release_flags_the_hand_off_and_leaves_waiters_listed() {
         let mut sb = SyncBlock::new(4);
         sb.enable_wake_tracking();
-        assert!(sb.wakes().is_empty());
 
-        // Scan-release wakes every core parked on it, ascending.
+        // A release past parked waiters wakes nobody by itself: it
+        // raises the one-shot flag and the waiters stay listed.
         assert!(sb.try_acquire_scan(0));
         sb.park_on_scan_release(2);
         sb.park_on_scan_release(1);
+        assert_eq!(sb.take_scan_release(), 0, "nothing released yet");
         sb.release_scan(0);
-        assert_eq!(sb.wakes(), &[1, 2]);
-        sb.clear_wakes();
+        assert!(sb.wakes().is_empty());
+        assert_eq!(sb.take_scan_release(), 0b110);
+        assert_eq!(sb.take_scan_release(), 0, "the flag is one-shot");
+
+        // The engine's wake takes the elected core off the list; the
+        // loser is still there at the next release.
+        sb.cancel_park(1);
+        assert!(sb.try_acquire_scan(1));
+        sb.release_scan(1);
+        assert_eq!(sb.take_scan_release(), 0b100);
+        sb.cancel_park(2);
+
+        // A release nobody waits for has nobody to hand off to.
+        assert!(sb.try_acquire_scan(2));
+        sb.release_scan(2);
+        assert_eq!(sb.take_scan_release(), 0);
+        sb.assert_quiescent();
+    }
+
+    #[test]
+    fn scan_is_acquirable_again_in_the_releasing_cycle_only_past_an_unspent_port() {
+        let mut sb = SyncBlock::new(2);
+        sb.begin_cycle();
+        assert!(sb.scan_acquirable());
+        assert!(sb.try_acquire_scan(0));
+        assert!(!sb.scan_acquirable(), "held");
+        // A release that wrote nothing (a line-split chunk claim only
+        // moves the chunk offset) leaves the write port open.
+        sb.set_scan_chunk_off(0, 4);
+        sb.release_scan(0);
+        assert!(sb.scan_acquirable());
+        // A release that advanced `scan` spent the port for this cycle.
+        assert!(sb.try_acquire_scan(1));
+        sb.set_scan_chunk_off(1, 0);
+        sb.set_scan(1, 8);
+        sb.release_scan(1);
+        assert!(!sb.scan_acquirable());
+        sb.begin_cycle();
+        assert!(sb.scan_acquirable());
+        // A multiport SB has no port to spend.
+        sb.set_multiport(true);
+        assert!(sb.try_acquire_scan(0));
+        sb.set_scan(0, 12);
+        sb.release_scan(0);
+        assert!(sb.scan_acquirable());
+        sb.assert_quiescent();
+    }
+
+    #[test]
+    fn wake_lists_fire_on_unlock_setfree_and_clearbusy() {
+        let mut sb = SyncBlock::new(4);
+        sb.enable_wake_tracking();
+        assert!(sb.wakes().is_empty());
 
         // Header wake matches the released address only.
         assert!(sb.try_lock_header(0, 0xA0));
@@ -1156,5 +1229,6 @@ mod tests {
         sb.release_scan(0);
         sb.unlock_header(0);
         assert!(sb.wakes().is_empty());
+        assert_eq!(sb.take_scan_release(), 0);
     }
 }
