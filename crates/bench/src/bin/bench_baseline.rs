@@ -102,11 +102,12 @@
 //!   wall clocks and steal counts recorded as measured. This container
 //!   has one host core, so the committed numbers show process overhead,
 //!   not scaling — recorded honestly rather than simulated.
-//! * **resume** — a 2-worker run of the sweep with a private journal and
-//!   cache, killed mid-sweep by an injected worker abort
-//!   (`HWGC_WORKER_ABORT_AFTER`); the rerun resumes from the journal ∪
-//!   cache and executes only the remainder, which the section records as
-//!   `killed_after_done` / `resumed_skipped` / `resumed_executed`.
+//! * **resume** — a one-worker run of the sweep with a private journal
+//!   and cache, killed after two jobs by an injected worker abort
+//!   (`HWGC_WORKER_ABORT_AFTER`); the 2-worker rerun resumes from the
+//!   journal ∪ cache and executes only the remainder, which the section
+//!   records as `killed_after_done` / `resumed_skipped` /
+//!   `resumed_executed`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -465,10 +466,13 @@ fn measure_sweep_scaling(set: &JobSet) -> SweepScaling {
         reference.get_or_insert(report);
     }
 
-    // Kill-and-resume: run the sweep on 2 workers with a private journal
-    // and rw cache, with worker 0 told to die after 2 completed jobs.
-    // The run fails; the journal then holds exactly the completed jobs.
-    // The rerun resumes (journal ∪ cache) and executes only the rest.
+    // Kill-and-resume: run the sweep with a private journal and rw
+    // cache, worker 0 told to die after 2 completed jobs. The killed leg
+    // runs on that one worker: it dies when its third job arrives, and
+    // with a second worker around to steal the rest of a small set first
+    // the abort would never fire. The run fails; the journal then holds
+    // exactly the two completed jobs. The rerun resumes (journal ∪ cache)
+    // on two workers and executes only the rest.
     let journal_path = hwgc_bench::experiments_dir().join("bench_resume_journal.jsonl");
     let cache_path = hwgc_bench::experiments_dir().join("bench_resume_cache.jsonl");
     let _ = std::fs::remove_file(&journal_path);
@@ -488,7 +492,7 @@ fn measure_sweep_scaling(set: &JobSet) -> SweepScaling {
                 binary: hwgc_bench::binary_name(),
                 cache: &cache,
                 progress: None,
-                workers: 2,
+                workers: 1,
                 journal: Some(&journal),
             },
         )
@@ -503,11 +507,9 @@ fn measure_sweep_scaling(set: &JobSet) -> SweepScaling {
     let journal = Journal::open(&journal_path, "sweep_scaling_resume", set)
         .unwrap_or_else(|e| panic!("resume probe journal reopen: {e}"));
     let killed_after_done = journal.resumed();
-    assert!(
-        killed_after_done > 0 && killed_after_done < set.len(),
-        "the injected abort must leave a genuinely partial sweep \
-         ({killed_after_done} of {} done)",
-        set.len()
+    assert_eq!(
+        killed_after_done, 2,
+        "the injected abort must leave exactly the two completed jobs journaled"
     );
     let resumed = run_jobset(
         set,

@@ -9,8 +9,10 @@
 //! an independent simulation.
 
 use hwgc_check::{graphs, par_map};
-use hwgc_core::{GcConfig, SignalTrace, SimCollector};
-use hwgc_heap::Heap;
+use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
+use hwgc_heap::{GraphBuilder, Heap};
+use hwgc_memsim::{MemBackendKind, MemConfig};
+use hwgc_obs::{HostProfiler, Recorder};
 use hwgc_workloads::{Preset, WorkloadSpec};
 
 fn ff_config(cores: usize) -> GcConfig {
@@ -97,4 +99,250 @@ fn every_catalog_graph_preserves_the_sb_event_stream() {
             );
         }
     });
+}
+
+// --- the stream jump ------------------------------------------------------
+//
+// The presets and the adversarial catalog above are pointer-dense small
+// objects; the closed-form body-stream jump bites on long pass-through
+// runs, so it gets a catalog of its own.
+
+/// A chain of `n` objects of `(pi, delta)` body shape whose only live
+/// edge sits in pointer slot `live` (every other slot stays `NULL`).
+fn chain_of(n: usize, pi: u32, delta: u32, live: u32) -> Heap {
+    let mut heap = Heap::new(n as u32 * (pi + delta + 2) + 64);
+    let mut b = GraphBuilder::new(&mut heap);
+    let ids: Vec<_> = (0..n).map(|_| b.add(pi, delta).unwrap()).collect();
+    for w in ids.windows(2) {
+        b.link(w[0], live, w[1]);
+    }
+    b.root(ids[0]);
+    heap
+}
+
+/// A root whose pointer slots each lead to one leaf of the given body
+/// shape: the leaves are scanned side by side at two and three cores.
+fn fan_of(leaves: &[(u32, u32)]) -> Heap {
+    let words: u32 = leaves.iter().map(|&(pi, delta)| pi + delta + 2).sum();
+    let mut heap = Heap::new(words + leaves.len() as u32 + 64);
+    let mut b = GraphBuilder::new(&mut heap);
+    let root = b.add(leaves.len() as u32, 1).unwrap();
+    for (slot, &(pi, delta)) in leaves.iter().enumerate() {
+        let leaf = b.add(pi, delta).unwrap();
+        b.link(root, slot as u32, leaf);
+    }
+    b.root(root);
+    heap
+}
+
+/// A long data leaf beside `spokes` small objects that all point at one
+/// hub: while one core streams the leaf, the others race for the hub's
+/// header lock, so a stream jump has lock stalls to replay (or, with
+/// the SB event log on, to refuse).
+fn hub_beside_stream(spokes: u32) -> Heap {
+    let mut heap = Heap::new(5 * spokes + 600);
+    let mut b = GraphBuilder::new(&mut heap);
+    let root = b.add(spokes + 1, 1).unwrap();
+    let leaf = b.add(0, 400).unwrap();
+    let hub = b.add(0, 2).unwrap();
+    b.link(root, 0, leaf);
+    for slot in 1..=spokes {
+        let spoke = b.add(1, 1).unwrap();
+        b.link(spoke, 0, hub);
+        b.link(root, slot, spoke);
+    }
+    b.root(root);
+    heap
+}
+
+fn stream_catalog() -> Vec<(&'static str, Heap)> {
+    vec![
+        ("hub-beside-stream", hub_beside_stream(16)),
+        ("long-data", chain_of(5, 1, 40, 0)),
+        ("null-padded/first", chain_of(5, 12, 3, 0)),
+        ("null-padded/middle", chain_of(5, 12, 3, 6)),
+        ("null-padded/last", chain_of(5, 12, 3, 11)),
+        (
+            "long-data-fan",
+            fan_of(&[(0, 40), (0, 33), (0, 40), (0, 17)]),
+        ),
+        // Claims of exactly two and three words never reach a stream
+        // tick (their last word is always a real one); four is the
+        // shortest claim that does.
+        (
+            "short-claims",
+            fan_of(&[
+                (0, 2),
+                (0, 3),
+                (1, 1),
+                (2, 1),
+                (0, 4),
+                (3, 1),
+                (0, 5),
+                (2, 2),
+            ]),
+        ),
+    ]
+}
+
+fn stream_config(cores: usize, mem: MemConfig, line_split: Option<u32>, ff: bool) -> GcConfig {
+    GcConfig {
+        mem,
+        line_split,
+        engine: Some(EngineKind::Naive),
+        sparse: false,
+        fast_forward: ff,
+        ..GcConfig::with_cores(cores)
+    }
+}
+
+#[test]
+fn stream_jumps_are_bit_exact() {
+    let mut combos: Vec<(usize, MemConfig, Option<u32>, u64)> = Vec::new();
+    for cores in [1usize, 2, 3] {
+        for bandwidth in [1u32, 2, 3, 10] {
+            for extra in [0u32, 3] {
+                for line_split in [None, Some(4)] {
+                    for header_cache_entries in [0usize, 64] {
+                        for period in [1u64, 7] {
+                            let mem = MemConfig {
+                                bandwidth,
+                                header_cache_entries,
+                                ..MemConfig::default()
+                            }
+                            .with_backend(MemBackendKind::Fixed)
+                            .with_extra_latency(extra);
+                            combos.push((cores, mem, line_split, period));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let catalog = stream_catalog();
+    par_map(&combos, |_, &(cores, mem, line_split, period)| {
+        let fast_cfg = stream_config(cores, mem, line_split, true);
+        let naive_cfg = stream_config(cores, mem, line_split, false);
+        for (name, heap) in &catalog {
+            let label = format!(
+                "{name}/{cores}c bw {} +{} split {line_split:?} cache {} period {period}",
+                mem.bandwidth, mem.extra_latency, mem.header_cache_entries
+            );
+
+            // Quiet runs: statistics, frontier and the heap image.
+            let (mut fast_heap, mut naive_heap) = (heap.clone(), heap.clone());
+            let fast = SimCollector::new(fast_cfg).collect(&mut fast_heap);
+            let naive = SimCollector::new(naive_cfg).collect(&mut naive_heap);
+            assert_eq!(fast.stats, naive.stats, "{label}: stats diverged");
+            assert_eq!(fast.free, naive.free, "{label}: frontier diverged");
+            assert_eq!(
+                fast_heap.words(),
+                naive_heap.words(),
+                "{label}: heap image diverged"
+            );
+
+            // The full bus: stall spans, state edges, claims, samples
+            // and the bridged SB and memory event streams.
+            let (mut fast_heap, mut naive_heap) = (heap.clone(), heap.clone());
+            let mut fast_rec = Recorder::sampling(period);
+            let mut naive_rec = Recorder::sampling(period);
+            let fast = SimCollector::new(fast_cfg).collect_probed(&mut fast_heap, &mut fast_rec);
+            let naive =
+                SimCollector::new(naive_cfg).collect_probed(&mut naive_heap, &mut naive_rec);
+            assert_eq!(fast.stats, naive.stats, "{label}: probed stats diverged");
+            assert_eq!(
+                fast_rec.recording().events,
+                naive_rec.recording().events,
+                "{label}: probe recordings diverged"
+            );
+
+            // Sampled rows without any event log (the configuration in
+            // which the jump fires under a probe, capped at each wanted
+            // sample) and with the SB log on.
+            for with_events in [false, true] {
+                let mk = || match with_events {
+                    true => SignalTrace::with_events(period),
+                    false => SignalTrace::new(period),
+                };
+                let (mut fast_heap, mut naive_heap) = (heap.clone(), heap.clone());
+                let (mut fast_trace, mut naive_trace) = (mk(), mk());
+                let fast =
+                    SimCollector::new(fast_cfg).collect_traced(&mut fast_heap, &mut fast_trace);
+                let naive =
+                    SimCollector::new(naive_cfg).collect_traced(&mut naive_heap, &mut naive_trace);
+                assert_eq!(fast.stats, naive.stats, "{label}: traced stats diverged");
+                assert_eq!(
+                    fast_trace.rows(),
+                    naive_trace.rows(),
+                    "{label}: trace rows diverged"
+                );
+                assert_eq!(
+                    fast_trace.events(),
+                    naive_trace.events(),
+                    "{label}: SB event streams diverged"
+                );
+            }
+        }
+    });
+}
+
+/// The matrix above is only a test of the stream jump if the jump fires
+/// on it — and not only at one core.
+#[test]
+fn the_stream_catalog_streams() {
+    for (name, heap) in stream_catalog() {
+        for cores in [1usize, 3] {
+            let cfg = stream_config(
+                cores,
+                MemConfig::default().with_backend(MemBackendKind::Fixed),
+                None,
+                true,
+            );
+            let mut prof = HostProfiler::new();
+            let out = SimCollector::new(cfg).collect_hostprof(&mut heap.clone(), &mut prof);
+            let jumps = prof.counter("engine.ff.stream_jumps");
+            let skipped = prof.counter("engine.ff.stream_cycles");
+            assert!(jumps > 0, "{name}/{cores}c: the stream jump never fired");
+            assert!(skipped >= jumps && skipped < out.stats.total_cycles);
+        }
+    }
+}
+
+/// A watchdog bound that lands inside a stream trips at the same cycle,
+/// with the same diagnostics, as in the naive loop: the jump stops one
+/// cycle short of the bound and the real tick after it panics.
+#[test]
+fn the_watchdog_fires_at_the_same_cycle_inside_a_stream() {
+    let heap = chain_of(3, 1, 40, 0);
+    let mem = MemConfig::default().with_backend(MemBackendKind::Fixed);
+    let total = SimCollector::new(stream_config(1, mem, None, true))
+        .collect(&mut heap.clone())
+        .stats
+        .total_cycles;
+    let panic_of = |max_cycles: u64, ff: bool| {
+        let cfg = GcConfig {
+            max_cycles,
+            ..stream_config(1, mem, None, ff)
+        };
+        let mut heap = heap.clone();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            SimCollector::new(cfg).collect(&mut heap);
+        }))
+        .expect_err("the watchdog must fire");
+        (
+            payload
+                .downcast_ref::<String>()
+                .expect("formatted panic")
+                .clone(),
+            heap.into_words(),
+        )
+    };
+    // One whole object's worth of bounds: most land inside its stream.
+    for max_cycles in total / 2..total / 2 + 60 {
+        let (fast_msg, fast_words) = panic_of(max_cycles, true);
+        let (naive_msg, naive_words) = panic_of(max_cycles, false);
+        assert!(fast_msg.contains(&format!("exceeded {max_cycles} cycles")));
+        assert_eq!(fast_msg, naive_msg, "bound {max_cycles}");
+        assert_eq!(fast_words, naive_words, "bound {max_cycles}: heap image");
+    }
 }

@@ -119,6 +119,57 @@ fn flush_stall_run<P: Probe>(
     }
 }
 
+/// Did any core's tick end in a failed lock acquisition? Each retry of
+/// one emits a cycle-stamped SB event while the event log is on, which
+/// no fast-forward can replicate outside `core.tick()`.
+fn any_lock_stall(outcomes: &[TickOutcome]) -> bool {
+    outcomes.iter().any(|o| {
+        matches!(
+            o,
+            TickOutcome::Stalled(
+                StallReason::ScanLock | StallReason::FreeLock | StallReason::HeaderLock
+            )
+        )
+    })
+}
+
+/// Replay `k` skipped cycles, the first stamped `first`, for every core
+/// whose frozen `outcomes` entry is a stall: the retry fails identically
+/// each cycle, so the stall counters, the SB's failed-attempt counters
+/// and (probe on) the open stall run grow by `k` without a tick — the
+/// run emits nothing until the stall resolves.
+fn replay_stalls<P: Probe>(
+    cores: &mut [CoreSm],
+    outcomes: &[TickOutcome],
+    stall_runs: &mut [Option<(StallReason, u64, u64)>],
+    probe: &mut P,
+    sb: &mut SyncBlock,
+    first: u64,
+    k: u64,
+) {
+    for (i, (core, outcome)) in cores.iter_mut().zip(outcomes).enumerate() {
+        let TickOutcome::Stalled(reason) = *outcome else {
+            continue;
+        };
+        core.stalls.record_n(reason, k);
+        if P::ACTIVE {
+            match &mut stall_runs[i] {
+                Some((r, _, len)) if *r == reason => *len += k,
+                run => {
+                    flush_stall_run(probe, i, run);
+                    *run = Some((reason, first, k));
+                }
+            }
+        }
+        match reason {
+            StallReason::ScanLock => sb.bulk_fail(LockKind::Scan, k),
+            StallReason::FreeLock => sb.bulk_fail(LockKind::Free, k),
+            StallReason::HeaderLock => sb.bulk_fail(LockKind::Header, k),
+            _ => {}
+        }
+    }
+}
+
 /// Whom a scan-lock release by `releaser` wakes among the parked
 /// `waiters` (a mask over core indices) under static priority, as
 /// `(now, next)` masks: cores re-admitted into the executing cycle, and
@@ -1102,6 +1153,9 @@ impl SimCollector {
                 }
             }
         } else {
+            // Cores whose tick in the executing cycle was a stream tick
+            // (preallocated like every per-cycle buffer).
+            let mut streams: Vec<usize> = Vec::with_capacity(cfg.n_cores);
             loop {
                 if H::ACTIVE {
                     host.count("engine.cycles_executed", 1);
@@ -1132,10 +1186,15 @@ impl SimCollector {
                     };
                     p.arrange(cycles + 1, &view, &mut order);
                 }
-                let mut any_progress = false;
+                // Cores whose tick was more than a failed retry. The rest
+                // are *frozen*: their coming ticks replay this one until
+                // the stall's cause resolves.
+                let mut active = 0usize;
+                streams.clear();
                 for &idx in &order {
                     let scan_before = if P::ACTIVE { sb.scan() } else { 0 };
                     let core = &mut cores[idx];
+                    let before = core.state();
                     let mut ctx = Ctx {
                         heap,
                         sb: &mut sb,
@@ -1148,7 +1207,37 @@ impl SimCollector {
                     };
                     let outcome = core.tick(&mut ctx);
                     outcomes[idx] = outcome;
-                    any_progress |= outcome == TickOutcome::Progress;
+                    let after = cores[idx].state();
+                    match outcome {
+                        TickOutcome::Progress => {
+                            active += 1;
+                            // The only productive paths from `CopyWait`
+                            // or `StoreWord` to `CopyWait` within one tick
+                            // are the stream tick (a pass-through word
+                            // consumed, stored, the next load issued) and
+                            // its second half alone, retried after a busy
+                            // store port: the SB and the FIFO untouched.
+                            if matches!(before, State::CopyWait | State::StoreWord)
+                                && after == State::CopyWait
+                            {
+                                streams.push(idx);
+                            }
+                        }
+                        // A tick that chained through other states before
+                        // it stalled may have changed what another core's
+                        // stall waits for (released a header lock,
+                        // advanced `free`, raised `done`) after that core
+                        // ticked: nobody is frozen behind it. One chain is
+                        // known to touch only the core itself: a body word
+                        // consumed, its store finding the port busy.
+                        TickOutcome::Stalled(_)
+                            if after != before
+                                && (before, after) != (State::CopyWait, State::StoreWord) =>
+                        {
+                            active += 1;
+                        }
+                        _ => {}
+                    }
                     if P::ACTIVE {
                         // Stall-run bookkeeping: a stalled tick extends the
                         // open run (stamped `cycles + 1`, like every stall
@@ -1229,11 +1318,12 @@ impl SimCollector {
                 cores.iter().map(|c| c.state()).collect::<Vec<_>>()
             );
                 // --- event-horizon fast-forward ----------------------------
-                // Every core just stalled (or is parked): with frozen SB
+                // Every core is frozen (or parked): with frozen SB
                 // registers, FIFO and heap, the coming cycles replay
                 // identically until memory changes something a core can see.
                 // Two flavors of skip alternate until the next core-visible
-                // event:
+                // event; a third (below them) covers the cycles in which
+                // the only progress is a body word streaming through:
                 //  * horizon jump — nothing in the memory system moves until
                 //    the earliest in-service completion; jump there in one
                 //    step, replicating the skipped per-cycle statistics in
@@ -1242,23 +1332,25 @@ impl SimCollector {
                 //    service next tick, which no core can observe; run
                 //    `mem.tick()` for real and replay the cores' stalled
                 //    cycle without ticking them.
+                //  * stream jump — every core that progressed is mid-stream
+                //    (`CoreSm::stream_len`: it consumed a pass-through body
+                //    word, stored it and issued the next load) and the memory
+                //    system holds nothing but those zero-latency burst pairs
+                //    (`MemBackend::stream_window`); the coming ticks repeat
+                //    that cycle one word further, so replay `k` of them in
+                //    closed form: `k` words copied per stream, the queued
+                //    pairs shifted, the frozen cores' stalls in bulk. Sound
+                //    because a streaming core touches neither the SB nor the
+                //    FIFO, a frozen core's cause cannot resolve before the
+                //    next retirement (which bounds `k`), and the queue
+                //    pattern pins the service order.
                 // The second bridges the one-cycle gap between "request
                 // queued" and "request in service" that would otherwise cost
                 // a full n-core tick in every stall window.
-                if ff_enabled && !any_progress {
+                if ff_enabled && active == 0 {
                     // Each failed lock attempt emits a cycle-stamped event;
                     // those cannot be replicated outside `core.tick()`.
-                    let events_pinned = sb.event_log_enabled()
-                        && outcomes.iter().any(|o| {
-                            matches!(
-                                o,
-                                TickOutcome::Stalled(
-                                    StallReason::ScanLock
-                                        | StallReason::FreeLock
-                                        | StallReason::HeaderLock
-                                )
-                            )
-                        });
+                    let events_pinned = sb.event_log_enabled() && any_lock_stall(&outcomes);
                     loop {
                         if let Some(done_at) = mem.next_event_cycle() {
                             // `mem`'s clock equals `cycles` here (aligned
@@ -1288,39 +1380,15 @@ impl SimCollector {
                                 if sb.scan() == sb.free() {
                                     stats.empty_worklist_cycles += k;
                                 }
-                                for (i, (core, outcome)) in
-                                    cores.iter_mut().zip(&outcomes).enumerate()
-                                {
-                                    if let TickOutcome::Stalled(reason) = *outcome {
-                                        core.stalls.record_n(reason, k);
-                                        if P::ACTIVE {
-                                            // The tick that opened this window
-                                            // left a matching run open; the
-                                            // jump extends it by `k` without
-                                            // emitting (the span closes when
-                                            // the stall resolves).
-                                            match &mut stall_runs[i] {
-                                                Some((r, _, len)) if *r == reason => *len += k,
-                                                run => {
-                                                    flush_stall_run(probe, i, run);
-                                                    *run = Some((reason, cycles - k + 1, k));
-                                                }
-                                            }
-                                        }
-                                        match reason {
-                                            StallReason::ScanLock => {
-                                                sb.bulk_fail(LockKind::Scan, k)
-                                            }
-                                            StallReason::FreeLock => {
-                                                sb.bulk_fail(LockKind::Free, k)
-                                            }
-                                            StallReason::HeaderLock => {
-                                                sb.bulk_fail(LockKind::Header, k)
-                                            }
-                                            _ => {}
-                                        }
-                                    }
-                                }
+                                replay_stalls(
+                                    &mut cores,
+                                    &outcomes,
+                                    &mut stall_runs,
+                                    probe,
+                                    &mut sb,
+                                    cycles - k + 1,
+                                    k,
+                                );
                             }
                             break;
                         }
@@ -1343,28 +1411,15 @@ impl SimCollector {
                             mem.tick();
                         }
                         sb.begin_cycle();
-                        for (i, (core, outcome)) in cores.iter_mut().zip(&outcomes).enumerate() {
-                            if let TickOutcome::Stalled(reason) = *outcome {
-                                core.stalls.record_n(reason, 1);
-                                if P::ACTIVE {
-                                    // Extend the open stall run exactly as a
-                                    // naive iteration would have.
-                                    match &mut stall_runs[i] {
-                                        Some((r, _, len)) if *r == reason => *len += 1,
-                                        run => {
-                                            flush_stall_run(probe, i, run);
-                                            *run = Some((reason, cycles + 1, 1));
-                                        }
-                                    }
-                                }
-                                match reason {
-                                    StallReason::ScanLock => sb.bulk_fail(LockKind::Scan, 1),
-                                    StallReason::FreeLock => sb.bulk_fail(LockKind::Free, 1),
-                                    StallReason::HeaderLock => sb.bulk_fail(LockKind::Header, 1),
-                                    _ => {}
-                                }
-                            }
-                        }
+                        replay_stalls(
+                            &mut cores,
+                            &outcomes,
+                            &mut stall_runs,
+                            probe,
+                            &mut sb,
+                            cycles + 1,
+                            1,
+                        );
                         cycles += 1;
                         if sb.scan() == sb.free() {
                             stats.empty_worklist_cycles += 1;
@@ -1391,6 +1446,51 @@ impl SimCollector {
                         }
                         // The queue may now have drained into service, opening
                         // a horizon jump on the next pass.
+                    }
+                } else if ff_enabled && streams.len() == active {
+                    // Stream jump: every core that progressed ran a stream
+                    // tick. The shortest remaining run bounds the jump, as
+                    // do the watchdog (run out of cycles exactly where the
+                    // naive loop would panic), the next cycle the probe
+                    // wants sampled, and what the backend can replay.
+                    let mut k = cfg.max_cycles - 1 - cycles;
+                    for &i in &streams {
+                        k = cores[i].stream_len(heap, k);
+                    }
+                    if sb.event_log_enabled() && any_lock_stall(&outcomes) {
+                        k = 0;
+                    }
+                    if P::ACTIVE {
+                        if let Some(ns) = probe.next_sample(cycles + 1) {
+                            k = k.min(ns.saturating_sub(cycles + 1));
+                        }
+                    }
+                    if k > 0 {
+                        k = k.min(mem.stream_window(&streams).unwrap_or(0));
+                    }
+                    if k > 0 {
+                        if H::ACTIVE {
+                            host.count("engine.ff.stream_jumps", 1);
+                            host.count("engine.ff.stream_cycles", k);
+                        }
+                        for &i in &streams {
+                            cores[i].stream_advance(heap, &mut counters, k as u32);
+                        }
+                        mem.apply_stream_window(&streams, k);
+                        sb.fast_forward(k);
+                        if sb.scan() == sb.free() {
+                            stats.empty_worklist_cycles += k;
+                        }
+                        replay_stalls(
+                            &mut cores,
+                            &outcomes,
+                            &mut stall_runs,
+                            probe,
+                            &mut sb,
+                            cycles + 1,
+                            k,
+                        );
+                        cycles += k;
                     }
                 }
             }

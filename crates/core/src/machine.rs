@@ -324,6 +324,44 @@ impl CoreSm {
         }
     }
 
+    /// How many of this core's coming ticks (at most `cap`) are
+    /// *stream ticks* as far as the core alone can tell: in
+    /// [`State::CopyWait`], the tick consumes body word `idx`, finds it
+    /// pass-through — a data word, or a pointer slot whose fromspace
+    /// word is `NULL` — stores it and issues the load for `idx + 1`,
+    /// touching neither the SB nor the FIFO. The claim's last word is
+    /// never counted (its tick chains into `ClaimDone`), so `0` unless
+    /// at least two words are left. Fromspace bodies are immutable
+    /// during a stop-the-world cycle, so the answer cannot go stale.
+    pub(crate) fn stream_len(&self, heap: &Heap, cap: u64) -> u64 {
+        let r = &self.regs;
+        if self.state != State::CopyWait {
+            return 0;
+        }
+        let max = u64::from(r.end - 1 - r.idx).min(cap);
+        let slots = u64::from(r.pi.saturating_sub(r.idx)).min(max);
+        let src = r.backlink + 2 + r.idx;
+        (0..slots)
+            .find(|&j| heap.word(src + j as u32) != NULL)
+            .unwrap_or(max)
+    }
+
+    /// Execute `k` stream ticks in one step (`k` at most what
+    /// [`CoreSm::stream_len`] just returned): copy words `idx..idx + k`
+    /// through, count the null pointer slots among them as visited, and
+    /// stay in [`State::CopyWait`] on word `idx + k`.
+    pub(crate) fn stream_advance(&mut self, heap: &mut Heap, counters: &mut WorkCounters, k: u32) {
+        debug_assert!(self.stream_len(heap, u64::from(k)) == u64::from(k));
+        let r = &mut self.regs;
+        let src = (r.backlink + 2 + r.idx) as usize;
+        let dst = r.frame + 2 + r.idx;
+        heap.words_mut()
+            .copy_within(src..src + k as usize, dst as usize);
+        counters.pointers_visited += u64::from(r.pi.min(r.idx + k) - r.pi.min(r.idx));
+        r.idx += k;
+        r.store_val = heap.word(dst + k - 1);
+    }
+
     /// Execute one clock cycle.
     pub fn tick<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> TickOutcome {
         if self.state == State::Done {

@@ -38,12 +38,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// A serial chain of `len` two-word objects — no parallelism, so cycles
-/// scale linearly with `len` while the engine's buffers do not.
-fn chain(len: usize) -> Heap {
+/// A serial chain of `len` objects of one pointer and `delta` data words
+/// — no parallelism, so cycles scale linearly with `len` while the
+/// engine's buffers do not.
+fn chain(len: usize, delta: u32) -> Heap {
     let mut heap = Heap::new(16 * len as u32 + 64);
     let mut b = GraphBuilder::new(&mut heap);
-    let ids: Vec<_> = (0..len).map(|_| b.add(1, 1).unwrap()).collect();
+    let ids: Vec<_> = (0..len).map(|_| b.add(1, delta).unwrap()).collect();
     for w in ids.windows(2) {
         b.link(w[0], 0, w[1]);
     }
@@ -76,7 +77,19 @@ fn steady_state_cycles_do_not_allocate() {
         sparse: true,
         ..GcConfig::with_cores(4)
     };
-    for (mode, cfg) in [("naive", naive), ("sparse", sparse)] {
+    // The naive loop with all three fast-forward flavours on, over
+    // bodies long enough to stream: the jumps' scratch (the stream set)
+    // is preallocated too.
+    let fast_forward = GcConfig {
+        fast_forward: true,
+        ..naive
+    };
+    for (mode, cfg, delta) in [
+        ("naive", naive, 1),
+        ("sparse", sparse, 1),
+        ("naive+ff", fast_forward, 12),
+    ] {
+        let chain = |len| chain(len, delta);
         let mut small = chain(64);
         let mut large = chain(512);
 

@@ -15,7 +15,7 @@
 //! change. This test is the enforcement of that claim.
 
 use hwgc_core::{EngineKind, GcConfig, SimCollector};
-use hwgc_memsim::MemConfig;
+use hwgc_memsim::{MemBackendKind, MemConfig};
 use hwgc_obs::HostProfiler;
 use hwgc_sync::LockKind;
 use hwgc_workloads::{Preset, WorkloadSpec};
@@ -162,5 +162,37 @@ fn scan_lock_releases_wake_no_thundering_herd() {
     assert!(
         parks <= 2 * acquired,
         "{parks} scan-lock parks for {acquired} acquisitions: the herd is back"
+    );
+}
+
+#[test]
+fn one_core_compress_streams_and_every_cycle_is_accounted_for() {
+    // The default one-core engine is the naive loop with fast-forward
+    // on the fixed-latency backend (both pinned here against
+    // `HWGC_ENGINE` / `HWGC_MEM_BACKEND`). On compress (long data bodies behind a null-padded spine) the
+    // stream jump must carry a real share of the run — this is the
+    // vacuity guard of `check/tests/fast_forward.rs`'s stream matrix —
+    // and the three fast-forward flavours plus the executed cycles must
+    // add up to the simulated total: nothing skipped twice, nothing
+    // skipped unaccounted.
+    let mut cfg = config(EngineKind::Naive, 1, 0);
+    cfg.mem = cfg.mem.with_backend(MemBackendKind::Fixed);
+    let mut heap = WorkloadSpec::new(Preset::Compress, 42).build();
+    let mut prof = HostProfiler::new();
+    let out = SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
+    let total = out.stats.total_cycles;
+    let stream_cycles = prof.counter("engine.ff.stream_cycles");
+    assert!(prof.counter("engine.ff.stream_jumps") > 0);
+    assert!(
+        4 * stream_cycles >= total,
+        "stream jumps cover {stream_cycles} of {total} cycles: under a quarter"
+    );
+    assert_eq!(
+        out.stats.root_phase_cycles
+            + prof.counter("engine.cycles_executed")
+            + prof.counter("engine.ff.service_replays")
+            + prof.counter("engine.ff.horizon_cycles")
+            + stream_cycles,
+        total
     );
 }

@@ -8,11 +8,11 @@
 //! process-wide environment variable — parallel tests would leak it
 //! into each other's fleets.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hwgc_core::GcConfig;
 use hwgc_jobs::{
-    run_jobset, CacheMode, ConfigMatrix, ExecError, ExecOptions, Journal, ResultCache,
+    run_jobset, CacheMode, ConfigMatrix, ExecError, ExecOptions, JobSet, Journal, ResultCache,
 };
 use hwgc_workloads::Preset;
 
@@ -22,6 +22,44 @@ fn temp_file(tag: &str) -> PathBuf {
     let path = dir.join(format!("{tag}.jsonl"));
     let _ = std::fs::remove_file(&path);
     path
+}
+
+/// The killed leg of the drill: run `set` with worker 0 told to die
+/// after two completed jobs, and return the journal it leaves behind.
+/// One worker, so the abort is deterministic: the worker dies when its
+/// third job arrives, and on a fleet of two the other worker can steal
+/// the rest of a small set first, in which case nothing ever fails.
+fn killed_leg(set: &JobSet, cache_path: &Path, journal_path: &Path) -> String {
+    std::env::set_var("HWGC_WORKER_ABORT_AFTER", "2");
+    let killed = {
+        let cache = ResultCache::open(CacheMode::Rw, &[], Some(cache_path)).unwrap();
+        let journal = Journal::open(journal_path, "resume_drill", set).unwrap();
+        assert_eq!(journal.resumed(), 0);
+        run_jobset(
+            set,
+            &ExecOptions {
+                binary: "resume_test".to_string(),
+                cache: &cache,
+                progress: None,
+                workers: 1,
+                journal: Some(&journal),
+            },
+        )
+    };
+    std::env::remove_var("HWGC_WORKER_ABORT_AFTER");
+    match killed {
+        Err(ExecError::Worker { .. }) => {}
+        Err(other) => panic!("expected a worker failure, got: {other}"),
+        Ok(_) => panic!("the aborted sweep must not report success"),
+    }
+    std::fs::read_to_string(journal_path).unwrap()
+}
+
+fn done_lines_of(journal_text: &str) -> Vec<&str> {
+    journal_text
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"done\""))
+        .collect()
 }
 
 #[test]
@@ -50,47 +88,17 @@ fn aborted_sweep_journals_completions_and_resumes_with_only_the_remainder() {
     let cache_path = temp_file("resume_cache");
     let journal_path = temp_file("resume_journal");
 
-    // Leg 1: two workers, worker 0 dies after 2 completed jobs. The run
-    // must fail with a worker error, not panic and not hang.
-    std::env::set_var("HWGC_WORKER_ABORT_AFTER", "2");
-    let killed = {
-        let cache = ResultCache::open(CacheMode::Rw, &[], Some(&cache_path)).unwrap();
-        let journal = Journal::open(&journal_path, "resume_drill", &set).unwrap();
-        assert_eq!(journal.resumed(), 0);
-        run_jobset(
-            &set,
-            &ExecOptions {
-                binary: "resume_test".to_string(),
-                cache: &cache,
-                progress: None,
-                workers: 2,
-                journal: Some(&journal),
-            },
-        )
-    };
-    std::env::remove_var("HWGC_WORKER_ABORT_AFTER");
-    match killed {
-        Err(ExecError::Worker { .. }) => {}
-        Err(other) => panic!("expected a worker failure, got: {other}"),
-        Ok(_) => panic!("the aborted sweep must not report success"),
-    }
+    // Leg 1: worker 0 dies after 2 completed jobs. The run must fail
+    // with a worker error, not panic and not hang.
+    let journal_text = killed_leg(&set, &cache_path, &journal_path);
 
     // The journal holds exactly the completed jobs: every done line's
     // hash is in the set, done indices are unique, and the count is a
     // genuinely partial prefix of the sweep (> 0, < total). Every
     // journaled job also has its payload in the cache — that pairing is
     // what resumption replays.
-    let journal_text = std::fs::read_to_string(&journal_path).unwrap();
-    let done_lines: Vec<&str> = journal_text
-        .lines()
-        .filter(|l| l.contains("\"kind\":\"done\""))
-        .collect();
-    assert!(
-        !done_lines.is_empty() && done_lines.len() < set.len(),
-        "abort must leave a partial journal ({} of {} done)",
-        done_lines.len(),
-        set.len()
-    );
+    let done_lines = done_lines_of(&journal_text);
+    assert_eq!(done_lines.len(), 2);
     let cache_text = std::fs::read_to_string(&cache_path).unwrap();
     for line in &done_lines {
         let hash = line
@@ -143,6 +151,17 @@ fn aborted_sweep_journals_completions_and_resumes_with_only_the_remainder() {
     // total, and a rerun executes nothing at all.
     let journal = Journal::open(&journal_path, "resume_drill", &set).unwrap();
     assert_eq!(journal.resumed(), set.len());
+
+    // The killed leg is deterministic: ten times in a row it fails and
+    // journals the same strict, non-empty prefix of the sweep.
+    for round in 0..10 {
+        let journal_text = killed_leg(
+            &set,
+            &temp_file("repeat_cache"),
+            &temp_file("repeat_journal"),
+        );
+        assert_eq!(done_lines_of(&journal_text).len(), 2, "round {round}");
+    }
 
     // A different sweep must never replay this journal.
     let other = ConfigMatrix::new(GcConfig::default())

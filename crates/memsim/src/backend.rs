@@ -46,6 +46,17 @@
 //!    enabled, every retirement that can change the outcome of a core's
 //!    retry pushes that core's id before the engine drains the feed — a
 //!    parked core is woken by the feed or not at all.
+//! 6. **Stream replication** ([`MemBackend::stream_window`] /
+//!    [`MemBackend::apply_stream_window`]): when the window is
+//!    `Some(limit)`, `apply_stream_window(streams, k)` for any
+//!    `k <= limit` must leave the backend — ports, queue, burst
+//!    trackers, calendar, statistics — exactly as `k` rounds of `tick()`
+//!    followed by each stream core's `consume_load(BodyLoad)`,
+//!    `try_issue(BodyStore, next)` and `try_issue(BodyLoad, next)`
+//!    would. `None` whenever that is not the case. The DRAM backend
+//!    keeps the declining default: `tCAS >= 1` means no body access
+//!    completes within the tick that starts its service, so a DRAM
+//!    stream never has a tick of this shape.
 
 use crate::dram::DramConfig;
 use crate::system::{MemConfig, MemEventRecord, MemStats, MemorySystem, Port};
@@ -205,6 +216,24 @@ pub trait MemBackend {
 
     /// Skip `k` dead-wait cycles in one jump (contract obligation 4).
     fn fast_forward(&mut self, k: u64);
+
+    /// How many of the coming ticks are pure body-stream ticks for
+    /// `streams` (cores in tick order), replayable in closed form
+    /// (contract obligation 6)? See [`MemorySystem::stream_window`]. The
+    /// default declines: a backend whose body accesses never complete
+    /// within the tick that starts them has no such ticks.
+    fn stream_window(&self, streams: &[usize]) -> Option<u64> {
+        let _ = streams;
+        None
+    }
+
+    /// Replay `k` stream ticks in one step (contract obligation 6).
+    /// Only called with `k` at most what [`MemBackend::stream_window`]
+    /// just returned for the same `streams`.
+    fn apply_stream_window(&mut self, streams: &[usize], k: u64) {
+        let _ = (streams, k);
+        unreachable!("apply_stream_window on a backend without stream windows")
+    }
 
     /// Align the memory clock with the engine clock (only legal with no
     /// traffic in flight).
@@ -380,6 +409,16 @@ impl MemBackend for MemorySystem {
     #[inline]
     fn fast_forward(&mut self, k: u64) {
         MemorySystem::fast_forward(self, k)
+    }
+
+    #[inline]
+    fn stream_window(&self, streams: &[usize]) -> Option<u64> {
+        MemorySystem::stream_window(self, streams)
+    }
+
+    #[inline]
+    fn apply_stream_window(&mut self, streams: &[usize], k: u64) {
+        MemorySystem::apply_stream_window(self, streams, k)
     }
 
     #[inline]

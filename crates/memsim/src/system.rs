@@ -856,6 +856,76 @@ impl MemorySystem {
         self.stats.comparator_blocked_cycles += k * self.blocked as u64;
     }
 
+    /// How many of the coming ticks are *pure stream ticks* for
+    /// `streams` — the cores, in tick order, that each consumed a body
+    /// word this cycle, stored it and issued the next load. In such a
+    /// tick DRAM serves exactly their `(c, BodyStore), (c, BodyLoad)`
+    /// pairs, every one a zero-latency burst continuation, and the cores
+    /// re-issue the same pair one word further, so `k` of them have the
+    /// closed form [`MemorySystem::apply_stream_window`] replays.
+    ///
+    /// `None` unless that replay is exact: no artificial latency, event
+    /// log and wake feed off (each tick would log four transitions and
+    /// feed two wakes per stream), FIFO service, no comparator re-check
+    /// pending, no completed load waiting for a frozen core, and the
+    /// queue holding precisely the stream pairs, within the bandwidth,
+    /// both halves continuing their burst. The bound stops one tick
+    /// short of the next retirement — the no-retirement argument of
+    /// [`MemorySystem::next_event_cycle`]: until then nothing but the
+    /// streams moves, and blocked header loads merely re-count.
+    pub fn stream_window(&self, streams: &[usize]) -> Option<u64> {
+        if self.cfg.extra_latency != 0
+            || self.events.is_some()
+            || self.wake_feed.is_some()
+            || self.reorder_state.is_some()
+            || self.pending_stores_dirty
+            || self.complete > 0
+            || self.queue.len() != 2 * streams.len()
+            || self.queue.len() > self.cfg.bandwidth as usize
+        {
+            return None;
+        }
+        let in_pattern = streams.iter().enumerate().all(|(i, &c)| {
+            self.queue[2 * i] == (c, Port::BodyStore)
+                && self.queue[2 * i + 1] == (c, Port::BodyLoad)
+                && self.peek_latency(c, Port::BodyStore) == 0
+                && self.peek_latency(c, Port::BodyLoad) == 0
+        });
+        let limit = self.next_retire - 1 - self.cycle;
+        (in_pattern && limit > 0).then_some(limit)
+    }
+
+    /// Replay `k` pure stream ticks for `streams` in one step. Only
+    /// legal with `k` at most what [`MemorySystem::stream_window`] just
+    /// returned for the same `streams`. Each skipped tick found the
+    /// stream pairs queued, served both halves within the tick and saw
+    /// them re-issued one word further: the queued transactions and the
+    /// burst trackers shift by `k` words, and the per-tick counters are
+    /// replicated in bulk.
+    pub fn apply_stream_window(&mut self, streams: &[usize], k: u64) {
+        debug_assert!(
+            self.stream_window(streams).is_some_and(|limit| k <= limit),
+            "stream window of {k} ticks applied beyond its bound"
+        );
+        self.cycle += k;
+        self.stats.cycles += k;
+        self.stats.queue_busy_cycles += k;
+        self.stats.queue_occupancy_sum += k * self.queue.len() as u64;
+        self.stats.comparator_blocked_cycles += k * self.blocked as u64;
+        let words = u32::try_from(k).expect("stream window longer than the address space");
+        for &c in streams {
+            for (port, slot) in [(Port::BodyLoad, 0), (Port::BodyStore, 1)] {
+                self.stats.issued[port as usize] += k;
+                let txn = self.ports[c][port as usize]
+                    .as_mut()
+                    .expect("stream transaction must exist");
+                txn.addr += words;
+                txn.issued_at += k;
+                self.last_body_addr[c][slot] = Some(txn.addr - 1);
+            }
+        }
+    }
+
     /// Statistics.
     pub fn stats(&self) -> &MemStats {
         &self.stats

@@ -401,3 +401,269 @@ fn dram_same_cycle_retirements_come_back_in_core_port_order() {
         (15 - id as u32) * dram.row_words
     });
 }
+
+// --- Contract 6: stream replication --------------------------------------
+
+/// One streaming core as the engine sees it: its id and the fromspace /
+/// tospace addresses of the body word its next round loads / stores.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    core: usize,
+    load: u32,
+    store: u32,
+}
+
+fn streams_of(n: usize) -> Vec<Stream> {
+    (0..n)
+        .map(|core| Stream {
+            core,
+            load: 10_000 * (core as u32 + 1),
+            store: 500_000 + 10_000 * core as u32,
+        })
+        .collect()
+}
+
+fn tick_until(m: &mut MemorySystem, what: &str, done: impl Fn(&MemorySystem) -> bool) {
+    for _ in 0..256 {
+        if done(m) {
+            return;
+        }
+        m.tick();
+    }
+    panic!("{what} never happened");
+}
+
+/// Drive `m` the way copying cores would until every stream has stored
+/// its first body word and consumed its second: body ports empty, burst
+/// trackers primed. Returns the streams advanced to the pair they issue
+/// next.
+fn prime_streams(m: &mut MemorySystem, streams: &[Stream]) -> Vec<Stream> {
+    for s in streams {
+        assert!(m.try_issue(s.core, Port::BodyLoad, s.load));
+    }
+    tick_until(m, "first loads", |m| {
+        streams.iter().all(|s| m.load_ready(s.core, Port::BodyLoad))
+    });
+    for s in streams {
+        m.consume_load(s.core, Port::BodyLoad);
+        assert!(m.try_issue(s.core, Port::BodyStore, s.store));
+        assert!(m.try_issue(s.core, Port::BodyLoad, s.load + 1));
+    }
+    m.tick();
+    tick_until(m, "first stores", |m| {
+        streams
+            .iter()
+            .all(|s| m.load_ready(s.core, Port::BodyLoad) && !m.port_busy(s.core, Port::BodyStore))
+    });
+    streams
+        .iter()
+        .map(|s| {
+            m.consume_load(s.core, Port::BodyLoad);
+            Stream {
+                core: s.core,
+                load: s.load + 2,
+                store: s.store + 1,
+            }
+        })
+        .collect()
+}
+
+/// What a streaming core's tick does to the memory system, minus the
+/// consume: store the word in hand, load the next.
+fn issue_pairs(m: &mut MemorySystem, streams: &[Stream]) {
+    for s in streams {
+        assert!(m.try_issue(s.core, Port::BodyStore, s.store));
+        assert!(m.try_issue(s.core, Port::BodyLoad, s.load));
+    }
+}
+
+/// `k` explicit stream rounds: the memory tick, then every stream
+/// core's tick in order.
+fn explicit_rounds(m: &mut MemorySystem, streams: &[Stream], k: u64) {
+    for j in 1..=k as u32 {
+        m.tick();
+        for s in streams {
+            assert!(m.load_ready(s.core, Port::BodyLoad), "not a stream tick");
+            m.consume_load(s.core, Port::BodyLoad);
+            assert!(m.try_issue(s.core, Port::BodyStore, s.store + j));
+            assert!(m.try_issue(s.core, Port::BodyLoad, s.load + j));
+        }
+    }
+}
+
+fn stream_cfg(latency: u32, bandwidth: u32) -> MemConfig {
+    MemConfig {
+        latency,
+        bandwidth,
+        ..MemConfig::default()
+    }
+    .with_backend(MemBackendKind::Fixed)
+}
+
+/// A memory system with `n` streams mid-copy — `stream_window` must
+/// accept it — after `before_pairs` had its say between the priming and
+/// the pair issue. Two spare cores (`n`, `n + 1`) stand in for the
+/// frozen rest of the machine.
+fn streaming_system(
+    n: usize,
+    cfg: MemConfig,
+    before_pairs: impl FnOnce(&mut MemorySystem),
+) -> (MemorySystem, Vec<Stream>, Vec<usize>) {
+    let mut m = MemorySystem::new(n + 2, cfg);
+    let streams = prime_streams(&mut m, &streams_of(n));
+    before_pairs(&mut m);
+    issue_pairs(&mut m, &streams);
+    let ids = streams.iter().map(|s| s.core).collect();
+    (m, streams, ids)
+}
+
+/// An in-service header store on spare core `n` and, behind it, a
+/// comparator-blocked header load on spare core `n + 1`.
+fn park_header_traffic(m: &mut MemorySystem, n: usize) {
+    assert!(m.try_issue(n, Port::HeaderStore, 77));
+    m.tick();
+    assert!(m.try_issue(n + 1, Port::HeaderLoad, 77));
+    assert!(m.header_store_pending(77));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Contract 6: `apply_stream_window(S, k)` equals `k` explicit
+    /// rounds — statistics, every port, the queue, the burst trackers
+    /// and the calendar (the `Debug` image is the whole state) and the
+    /// activity horizon.
+    #[test]
+    fn stream_window_replays_explicit_rounds(
+        n in 1usize..=5,
+        runs in prop::collection::vec(2u64..=64, 5),
+        header_traffic in prop_oneof![Just(false), Just(true)],
+        latency in 2u32..9,
+        slack in 0u32..3,
+        pick in 0u64..1 << 32,
+    ) {
+        let cfg = stream_cfg(latency, 2 * n as u32 + slack);
+        let (m, streams, ids) = streaming_system(n, cfg, |m| {
+            if header_traffic {
+                park_header_traffic(m, n);
+            }
+        });
+        let limit = m.stream_window(&ids).expect("a pure stream state");
+        if header_traffic {
+            // The header store entered service one tick ago.
+            prop_assert_eq!(limit, u64::from(latency) - 1);
+        }
+        let shortest = runs[..n].iter().copied().min().expect("n >= 1");
+        let k = 1 + pick % limit.min(shortest);
+
+        let mut jumped = m.clone();
+        jumped.apply_stream_window(&ids, k);
+        let mut ticked = m;
+        explicit_rounds(&mut ticked, &streams, k);
+
+        prop_assert_eq!(jumped.stats(), ticked.stats());
+        prop_assert_eq!(format!("{jumped:?}"), format!("{ticked:?}"));
+        prop_assert_eq!(jumped.next_activity_cycle(), ticked.next_activity_cycle());
+    }
+
+    /// The DRAM backend never offers a stream window, whatever state
+    /// it is in.
+    #[test]
+    fn dram_never_offers_a_stream_window(
+        ops in ops(CORES),
+        dram in dram_configs(),
+    ) {
+        let cfg = MemConfig::default().with_backend(MemBackendKind::Dram(dram));
+        let mut m = DramMemorySystem::new(CORES, cfg);
+        for &op in &ops {
+            apply(&mut m, op);
+            for ids in [&[0usize][..], &[0, 1], &[0, 1, 2]] {
+                prop_assert_eq!(m.stream_window(ids), None);
+            }
+        }
+    }
+}
+
+#[test]
+fn stream_window_refuses_whatever_it_cannot_replay() {
+    const N: usize = 2;
+    let good = stream_cfg(5, 4);
+    let accepted = |cfg: MemConfig, before: &dyn Fn(&mut MemorySystem)| {
+        let (m, _, ids) = streaming_system(N, cfg, before);
+        m.stream_window(&ids)
+    };
+    assert!(
+        accepted(good, &|_| {}).is_some(),
+        "the baseline must stream"
+    );
+
+    // Configuration and observers.
+    assert_eq!(accepted(stream_cfg(5, 3), &|_| {}), None, "bandwidth");
+    assert_eq!(
+        accepted(good.with_extra_latency(1), &|_| {}),
+        None,
+        "artificial latency"
+    );
+    assert_eq!(
+        accepted(good.with_service_reorder(7), &|_| {}),
+        None,
+        "reordered service"
+    );
+    assert_eq!(accepted(good, &|m| m.enable_event_log()), None, "event log");
+    assert_eq!(
+        accepted(good, &|m| m.enable_wake_feed(N + 2)),
+        None,
+        "wake feed"
+    );
+
+    // Traffic that is not the stream's.
+    assert_eq!(
+        accepted(stream_cfg(5, 8), &|m| {
+            assert!(m.try_issue(N, Port::HeaderStore, 77));
+        }),
+        None,
+        "a foreign queue entry"
+    );
+    assert_eq!(
+        accepted(good, &|m| {
+            assert!(m.try_issue(N, Port::BodyLoad, 77));
+            tick_until(m, "spare load", |m| m.load_ready(N, Port::BodyLoad));
+        }),
+        None,
+        "a completed load waiting"
+    );
+    assert_eq!(
+        accepted(good, &|m| {
+            assert!(m.try_issue(N, Port::HeaderStore, 77));
+            for _ in 0..5 {
+                m.tick();
+            }
+            assert_eq!(m.next_activity_cycle(), Some(m.cycle() + 1));
+        }),
+        None,
+        "a retirement due next tick"
+    );
+    // A zero-latency header store retires at its service start and
+    // leaves the comparator re-check for the next tick.
+    assert!(accepted(stream_cfg(0, 4), &|_| {}).is_some());
+    assert_eq!(
+        accepted(stream_cfg(0, 4), &|m| {
+            assert!(m.try_issue(N, Port::HeaderStore, 77));
+            m.tick();
+            assert!(!m.header_store_pending(77));
+        }),
+        None,
+        "a comparator re-check pending"
+    );
+
+    // A stream set that is not what the queue holds.
+    let (m, _, ids) = streaming_system(N, good, |_| {});
+    assert_eq!(m.stream_window(&[ids[1], ids[0]]), None, "tick order");
+    assert_eq!(m.stream_window(&ids[..1]), None, "a stream left out");
+    // A store that does not continue its burst.
+    let mut m = MemorySystem::new(N + 2, good);
+    let mut skewed = prime_streams(&mut m, &streams_of(N));
+    skewed[1].store += 1;
+    issue_pairs(&mut m, &skewed);
+    assert_eq!(m.stream_window(&ids), None, "a non-burst first word");
+}
