@@ -1,5 +1,6 @@
 //! Golden-file tests for the host profiler's *deterministic* efficacy
-//! counters on the two reference regimes of the par-window engine:
+//! counters on the two reference regimes of the par-window engine and
+//! on the sparse engine's DRAM regime:
 //!
 //! * **compress/16c, +20 latency** — the window-rich configuration (the
 //!   one `par_smoke`'s traced leg fingerprints): the funnel fires, the
@@ -8,7 +9,12 @@
 //! * **javac/16c, +0 latency** — the zero-window configuration: the
 //!   committed golden *is* the quantitative answer to "why does javac
 //!   fire no windows at 16 cores" — every attempt shows up under a
-//!   `win.veto.*` reason instead of `win.fired`.
+//!   `win.veto.*` reason instead of `win.fired`;
+//! * **db/16c on the default DRAM backend, sparse engine** — sixteen
+//!   cores parked on body traffic queued behind eight banks: the golden
+//!   pins how much of that the all-parked jump skips
+//!   (`engine.jump.all_parked{,_cycles}`, `engine.cycles_executed`,
+//!   `engine.calendar.pops`) and the park/wake mix that gets it there.
 //!
 //! Only [`hwgc_obs::HostProfiler::deterministic_json`] is goldened —
 //! counters and histograms, never timers, notes or spans. If a
@@ -24,7 +30,7 @@ use std::path::PathBuf;
 
 use hwgc_bench::run_hostprof;
 use hwgc_core::{EngineKind, GcConfig};
-use hwgc_memsim::MemConfig;
+use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::{validate_hostprof_json, Json};
 use hwgc_workloads::{Preset, WorkloadSpec};
 
@@ -110,6 +116,25 @@ fn zero_window_javac_counters_match_golden() {
     );
     golden(
         "hostprof_golden_javac16.txt",
+        &render(&prof.deterministic_json()),
+    );
+}
+
+#[test]
+fn dram_db_counters_match_golden() {
+    let spec = WorkloadSpec::new(Preset::Db, 42);
+    let cfg = GcConfig {
+        mem: MemConfig::default().with_backend(MemBackendKind::Dram(DramConfig::default())),
+        engine: Some(EngineKind::Sparse),
+        ..par_config(0)
+    };
+    let (_, prof) = run_hostprof(&spec, cfg);
+    assert!(
+        prof.counter("engine.jump.all_parked_cycles") > 0,
+        "db/16c on DRAM must jump bank-busy windows — the golden would be vacuous"
+    );
+    golden(
+        "hostprof_golden_db16_dram.txt",
         &render(&prof.deterministic_json()),
     );
 }

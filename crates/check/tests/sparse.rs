@@ -191,6 +191,134 @@ fn every_preset_is_bit_exact_under_sparse_with_dram_backend() {
     });
 }
 
+/// A `db` heap small enough for a debug-build matrix.
+fn small_db() -> Heap {
+    WorkloadSpec {
+        scale: 0.05,
+        ..WorkloadSpec::new(Preset::Db, 42)
+    }
+    .build()
+}
+
+/// The regime the DRAM activity horizon opens up: every core parked on
+/// memory while requests wait behind busy banks, and the clock jumping
+/// over the wait. Few banks' worth of bandwidth (1, 2) keep the bank
+/// queues deep, 10 drains them; closed page adds the precharge re-arm to
+/// the horizon; a probe sampling every cycle or every 7th makes the jumps
+/// land mid-window, and trace rows sample across them. Everything a run
+/// produces must match the naive loop: the full `GcStats` (with
+/// `mem.dram` and the queue-occupancy counters the jumps replicate in
+/// bulk), the frontier, the heap image, the recorded SB + memory event
+/// streams and samples, and the trace rows.
+#[test]
+fn dram_jumps_over_bank_busy_windows_are_bit_exact() {
+    let mut combos: Vec<(GcConfig, GcConfig, String)> = Vec::new();
+    for (name, backend) in dram_backends() {
+        for cores in [2usize, 5, 16] {
+            for bandwidth in [1u32, 2, 10] {
+                for extra in [0u32, 3] {
+                    let pin = |mut cfg: GcConfig| {
+                        cfg.mem.bandwidth = bandwidth;
+                        with_backend(cfg, backend)
+                    };
+                    combos.push((
+                        pin(sparse_config(cores, extra)),
+                        pin(naive_config(cores, extra)),
+                        format!("{name}/{cores}c bw{bandwidth} +{extra}"),
+                    ));
+                }
+            }
+        }
+    }
+    let base = small_db();
+    par_map(&combos, |_, (sparse_cfg, naive_cfg, label)| {
+        let (sparse_sim, naive_sim) = (
+            SimCollector::new(*sparse_cfg),
+            SimCollector::new(*naive_cfg),
+        );
+
+        let (mut sparse_heap, mut naive_heap) = (base.clone(), base.clone());
+        let sparse = sparse_sim.collect(&mut sparse_heap);
+        let naive = naive_sim.collect(&mut naive_heap);
+        assert!(naive.stats.mem.dram.is_some(), "{label}: not a DRAM run");
+        assert_eq!(sparse.stats, naive.stats, "{label}: stats diverged");
+        assert_eq!(sparse.free, naive.free, "{label}: frontier diverged");
+        assert!(
+            sparse_heap.words() == naive_heap.words(),
+            "{label}: heap images diverged"
+        );
+
+        for period in [1u64, 7] {
+            let (mut r1, mut r2) = (Recorder::sampling(period), Recorder::sampling(period));
+            let sparse = sparse_sim.collect_probed(&mut base.clone(), &mut r1);
+            let naive = naive_sim.collect_probed(&mut base.clone(), &mut r2);
+            assert_eq!(sparse.stats, naive.stats, "{label} probe/{period}: stats");
+            assert!(
+                r1.recording().mem_events().next().is_some(),
+                "{label}: no memory events recorded"
+            );
+            assert!(
+                r1.recording().events == r2.recording().events,
+                "{label} probe/{period}: recordings diverged"
+            );
+        }
+
+        let (mut t1, mut t2) = (SignalTrace::new(7), SignalTrace::new(7));
+        let sparse = sparse_sim.collect_traced(&mut base.clone(), &mut t1);
+        let naive = naive_sim.collect_traced(&mut base.clone(), &mut t2);
+        assert_eq!(sparse.stats, naive.stats, "{label} traced: stats");
+        assert!(!t1.rows().is_empty(), "{label}: no trace rows sampled");
+        assert!(t1.rows() == t2.rows(), "{label}: trace rows diverged");
+    });
+}
+
+/// A watchdog bound that lands inside a DRAM jump (requests queued,
+/// every core parked) trips at the same cycle, with the same
+/// diagnostics and the same heap image, as in the naive loop: the jump
+/// stops one cycle short of the bound and the real tick after it panics.
+#[test]
+fn the_watchdog_fires_at_the_same_cycle_inside_a_dram_jump() {
+    let base = small_db();
+    for (name, backend) in dram_backends() {
+        let pin = |mut cfg: GcConfig, max_cycles: u64| {
+            cfg.mem.bandwidth = 1;
+            cfg.max_cycles = max_cycles;
+            with_backend(cfg, backend)
+        };
+        let total = SimCollector::new(pin(sparse_config(16, 0), u64::MAX))
+            .collect(&mut base.clone())
+            .stats
+            .total_cycles;
+        let panic_of = |cfg: GcConfig| {
+            let mut heap = base.clone();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                SimCollector::new(cfg).collect(&mut heap);
+            }))
+            .expect_err("the watchdog must fire");
+            (
+                payload
+                    .downcast_ref::<String>()
+                    .expect("formatted panic")
+                    .clone(),
+                heap.into_words(),
+            )
+        };
+        // At one start per cycle for 16 cores, most cycles lie inside a
+        // jump; forty consecutive bounds cannot all miss one.
+        let bounds: Vec<u64> = (total / 2..total / 2 + 40).collect();
+        par_map(&bounds, |_, &max_cycles| {
+            let (sparse_msg, sparse_words) = panic_of(pin(sparse_config(16, 0), max_cycles));
+            let (naive_msg, naive_words) = panic_of(pin(naive_config(16, 0), max_cycles));
+            assert!(sparse_msg.contains(&format!("exceeded {max_cycles} cycles")));
+            assert_eq!(sparse_msg, naive_msg, "{name}: bound {max_cycles}");
+            assert!(
+                sparse_words == naive_words,
+                "{name}: bound {max_cycles}: heap image"
+            );
+        });
+    }
+}
+
 /// SB event-stream and trace-row parity under the DRAM backend, on the
 /// adversarial graph catalog (lock convoys + bank conflicts together).
 #[test]

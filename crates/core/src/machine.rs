@@ -547,6 +547,10 @@ impl CoreSm {
         let addr = self.regs.backlink + 2 + self.regs.idx;
         let ok = ctx.mem.try_issue(self.id, Port::BodyLoad, addr);
         debug_assert!(ok, "body-load buffer must be free here");
+        // A claim's first body word is a random fromspace address that
+        // `copy_wait` reads once the load retires: start the host's own
+        // fetch now (the words after it are sequential).
+        ctx.heap.prefetch(addr);
         Step::Yield(State::CopyWait)
     }
 
@@ -572,6 +576,7 @@ impl CoreSm {
                 // Ablation C: probe the mark bit without the header lock.
                 let ok = ctx.mem.try_issue(self.id, Port::HeaderLoad, val);
                 debug_assert!(ok);
+                ctx.heap.prefetch(val);
                 return Step::Yield(State::ChildProbeWait);
             }
             return Step::Chain(State::ChildLock);
@@ -608,6 +613,9 @@ impl CoreSm {
             .mem
             .try_issue(self.id, Port::HeaderLoad, self.regs.child);
         debug_assert!(ok, "header-load buffer must be free here");
+        // The child header is the other random read of the microprogram:
+        // `child_header_wait` wants it when the simulated load retires.
+        ctx.heap.prefetch(self.regs.child);
         Step::Yield(State::ChildHeaderWait)
     }
 

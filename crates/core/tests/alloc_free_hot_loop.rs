@@ -6,22 +6,45 @@
 //! must allocate the *same* number of times, because all allocation
 //! happens in setup, which is identical.
 //!
-//! Kept as the only test in this binary — the allocation counter is
-//! process-global and concurrent tests would race it.
+//! Only the measuring thread is counted, and only while it measures:
+//! libtest's main thread allocates on its own schedule (result channel,
+//! timers, output capture) while the test thread runs, which used to
+//! leak a handful of allocations into one side of a comparison.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use hwgc_core::{GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::{GraphBuilder, Heap};
+use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count while it is inside [`counting`],
+    /// `None` otherwise. `const`-initialised and without a destructor:
+    /// touching it from inside the allocator neither allocates nor
+    /// registers anything.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// Count one allocation if this thread is inside [`counting`].
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCS.try_with(|allocs| allocs.set(allocs.get().map(|n| n + 1)));
+}
+
+/// Run `f`, returning how many times this thread allocated meanwhile.
+fn counting<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    ALLOCS.with(|allocs| allocs.set(Some(0)));
+    let out = f();
+    let allocs = ALLOCS.with(|allocs| allocs.take()).expect("armed above");
+    (allocs, out)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,12 +76,8 @@ fn chain(len: usize, delta: u32) -> Heap {
 }
 
 fn collect_counting(heap: &mut Heap, cfg: GcConfig) -> (u64, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = SimCollector::new(cfg).collect(heap);
-    (
-        ALLOCS.load(Ordering::Relaxed) - before,
-        out.stats.total_cycles,
-    )
+    let (allocs, out) = counting(|| SimCollector::new(cfg).collect(heap));
+    (allocs, out.stats.total_cycles)
 }
 
 #[test]
@@ -84,10 +103,17 @@ fn steady_state_cycles_do_not_allocate() {
         fast_forward: true,
         ..naive
     };
+    // The sparse loop on the DRAM backend: bank queues, the scheduler's
+    // bit sets and the all-parked jumps across bank-busy windows.
+    let sparse_dram = GcConfig {
+        mem: MemConfig::default().with_backend(MemBackendKind::Dram(DramConfig::default())),
+        ..sparse
+    };
     for (mode, cfg, delta) in [
         ("naive", naive, 1),
         ("sparse", sparse, 1),
         ("naive+ff", fast_forward, 12),
+        ("sparse+dram", sparse_dram, 1),
     ] {
         let chain = |len| chain(len, delta);
         let mut small = chain(64);
@@ -119,9 +145,8 @@ fn steady_state_cycles_do_not_allocate() {
         // trace adds only O(log rows) allocations.
         let mut trace = SignalTrace::new(4096);
         let mut heap = chain(512);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        SimCollector::new(cfg).collect_traced(&mut heap, &mut trace);
-        let traced_delta = ALLOCS.load(Ordering::Relaxed) - before;
+        let (traced_delta, _) =
+            counting(|| SimCollector::new(cfg).collect_traced(&mut heap, &mut trace));
         let untraced = large_allocs;
         assert!(
             !trace.rows().is_empty(),
@@ -139,9 +164,9 @@ fn steady_state_cycles_do_not_allocate() {
         // guard compiles the profiling hooks out of the hot loop, so a
         // hostprof-off run is the same machine code path as `collect`.
         let mut heap = chain(512);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        SimCollector::new(cfg).collect_hostprof(&mut heap, &mut hwgc_obs::NullHostProf);
-        let hostprof_delta = ALLOCS.load(Ordering::Relaxed) - before;
+        let (hostprof_delta, _) = counting(|| {
+            SimCollector::new(cfg).collect_hostprof(&mut heap, &mut hwgc_obs::NullHostProf)
+        });
         assert_eq!(
             hostprof_delta, untraced,
             "{mode}: collect_hostprof(NullHostProf) allocated {} times, collect {} — \

@@ -15,7 +15,7 @@
 //! change. This test is the enforcement of that claim.
 
 use hwgc_core::{EngineKind, GcConfig, SimCollector};
-use hwgc_memsim::{MemBackendKind, MemConfig};
+use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::HostProfiler;
 use hwgc_sync::LockKind;
 use hwgc_workloads::{Preset, WorkloadSpec};
@@ -194,5 +194,42 @@ fn one_core_compress_streams_and_every_cycle_is_accounted_for() {
             + prof.counter("engine.ff.horizon_cycles")
             + stream_cycles,
         total
+    );
+}
+
+#[test]
+fn sixteen_core_db_on_dram_jumps_over_bank_busy_windows() {
+    // The vacuity guard of `check/tests/sparse.rs`'s DRAM jump matrix.
+    // `db` keeps 16 cores parked on body loads and stores while requests
+    // queue behind 8 banks; with the exact activity horizon the sparse
+    // loop (pinned here, like the backend, against `HWGC_ENGINE` /
+    // `HWGC_MEM_BACKEND`) jumps those windows instead of ticking through
+    // them: 56 194 jumps in 415 305 cycles (13.5 %), 75.8 % of the
+    // steady-state cycles executed. Under the old `cycle + 1` horizon a
+    // jump needed every bank queue empty: 7 jumps, and every cycle
+    // outside them executed.
+    let mut cfg = config(EngineKind::Sparse, 16, 0);
+    cfg.mem = cfg
+        .mem
+        .with_backend(MemBackendKind::Dram(DramConfig::default()));
+    let mut heap = WorkloadSpec::new(Preset::Db, 42).build();
+    let mut prof = HostProfiler::new();
+    let out = SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
+    let total = out.stats.total_cycles;
+    let steady = total - out.stats.root_phase_cycles;
+    let jumps = prof.counter("engine.jump.all_parked");
+    let executed = prof.counter("engine.cycles_executed");
+    assert!(
+        20 * jumps >= total,
+        "{jumps} all-parked jumps in {total} cycles: under 5 %"
+    );
+    assert!(
+        100 * executed <= 85 * steady,
+        "{executed} of {steady} steady-state cycles executed: over 85 %"
+    );
+    assert_eq!(
+        executed + prof.counter("engine.jump.all_parked_cycles"),
+        steady,
+        "a cycle neither executed nor jumped"
     );
 }

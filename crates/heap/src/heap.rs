@@ -157,6 +157,28 @@ impl Heap {
         self.words[addr as usize]
     }
 
+    /// Hint the host CPU to pull the cache line of word `addr` in: for a
+    /// simulator that knows, simulated cycles ahead, which scattered word
+    /// it will read next. Purely a host-speed hint — nothing is read or
+    /// written, any `addr` (even one outside the arena) is accepted, and
+    /// targets without a prefetch instruction compile it to nothing.
+    #[inline]
+    pub fn prefetch(&self, addr: Addr) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // `wrapping_add` keeps the pointer arithmetic defined for any
+            // `addr`; the pointer is only ever handed to the hint.
+            let line = self.words.as_ptr().wrapping_add(addr as usize);
+            // SAFETY: `prefetcht0` is part of SSE, which every x86_64
+            // target has; it never faults and does not access memory
+            // architecturally, whatever address it is given.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line.cast::<i8>()) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = addr;
+    }
+
     /// Raw word write.
     #[inline]
     pub fn set_word(&mut self, addr: Addr, value: Word) {

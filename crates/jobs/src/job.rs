@@ -10,7 +10,9 @@
 
 use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector};
 use hwgc_heap::{verify_collection, Snapshot};
-use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy, MAX_SERVICE_LATENCY};
+use hwgc_memsim::{
+    DramConfig, MemBackendKind, MemConfig, PagePolicy, MAX_BANKS, MAX_SERVICE_LATENCY,
+};
 use hwgc_obs::json::Json;
 use hwgc_obs::LedgerRecord;
 use hwgc_workloads::{Preset, WorkloadSpec};
@@ -330,6 +332,15 @@ fn mem_from_json(j: &Json) -> Result<MemConfig, String> {
              service latency of {MAX_SERVICE_LATENCY}"
         ));
     }
+    // Likewise the DRAM backend allocates a queue per bank.
+    if let MemBackendKind::Dram(dram) = mem.backend {
+        if dram.n_banks > MAX_BANKS {
+            return Err(format!(
+                "`n_banks` = {} exceeds the supported {MAX_BANKS} banks",
+                dram.n_banks
+            ));
+        }
+    }
     Ok(mem)
 }
 
@@ -397,7 +408,8 @@ pub fn config_to_json(cfg: &GcConfig) -> Json {
 /// Decode [`config_to_json`] output. Exact inverse on everything
 /// [`SimCollector::new`] and the memory backends accept; a frame they
 /// would assert on (a zero count or divisor, a service latency past
-/// [`MAX_SERVICE_LATENCY`]) is an `Err` naming the field.
+/// [`MAX_SERVICE_LATENCY`], more than [`MAX_BANKS`] banks) is an `Err`
+/// naming the field.
 pub fn config_from_json(j: &Json) -> Result<GcConfig, String> {
     Ok(GcConfig {
         n_cores: positive("n_cores", req_usize(j, "n_cores")?)?,
@@ -564,7 +576,7 @@ mod tests {
         };
         let zero = Json::Int(0);
         let big = |n: u64| Json::Int(i128::from(n));
-        let cases: [(&GcConfig, &[&str], Json, &str); 10] = [
+        let cases: [(&GcConfig, &[&str], Json, &str); 12] = [
             (&fixed, &["n_cores"], zero.clone(), "`n_cores`"),
             (&fixed, &["line_split"], zero.clone(), "`line_split`"),
             (&fixed, &["mem", "bandwidth"], zero.clone(), "`bandwidth`"),
@@ -581,6 +593,20 @@ mod tests {
                 "`row_words`",
             ),
             (&dram, &["mem", "backend", "t_cas"], zero.clone(), "`t_cas`"),
+            // One past the bank bound, and the count that used to abort
+            // a worker inside the allocator.
+            (
+                &dram,
+                &["mem", "backend", "n_banks"],
+                big(u64::from(MAX_BANKS) + 1),
+                "`n_banks`",
+            ),
+            (
+                &dram,
+                &["mem", "backend", "n_banks"],
+                big(u64::from(u32::MAX)),
+                "`n_banks`",
+            ),
             // One past the bound (the default latency is 5) ...
             (
                 &fixed,
@@ -652,6 +678,14 @@ mod tests {
                 });
             }
         }
+        // The largest bank count (accepted: the bound is inclusive).
+        cfgs.push(GcConfig {
+            mem: MemConfig::default().with_backend(MemBackendKind::Dram(DramConfig {
+                n_banks: MAX_BANKS,
+                ..DramConfig::default()
+            })),
+            ..base
+        });
         cfgs.push(GcConfig {
             line_split: Some(1),
             multiport_sb: true,

@@ -28,20 +28,27 @@
 //!    comparator unblocking that a core could read, no service start.
 //!    `None` whenever the next tick is not a pure wait.
 //! 2. **Activity lower bound** ([`MemBackend::next_activity_cycle`]):
-//!    when it returns `Some(c)`, no state a core reads changes before
-//!    cycle `c` (assuming no new requests arrive); `None` means the
-//!    memory system is quiet forever absent new requests. It may be
-//!    conservative (earlier than the real next change) but never late —
+//!    when it returns `Some(c)`, nothing happens before cycle `c`
+//!    (assuming no new requests arrive): no state a core reads changes,
+//!    and the backend makes no move of its own either — no retirement,
+//!    no service start, no comparator re-check — so every tick before
+//!    `c` is a pure wait that [`MemBackend::fast_forward`] replicates
+//!    (obligation 4), requests queued or not. `None` means the memory
+//!    system is quiet forever absent new requests. It may be
+//!    conservative (earlier than the real next move) but never late —
 //!    the sparse engine jumps straight to `c` when every core is parked.
 //! 3. **Service-only ticks** ([`MemBackend::next_tick_starts_service_only`]):
 //!    `true` only if the coming tick's effects are core-invisible (no
 //!    retirement, no completed load waiting, every service start has a
 //!    nonzero latency).
 //! 4. **Fast-forward replication** ([`MemBackend::fast_forward`]): after
-//!    `fast_forward(k)` under the rule of (1)/(3), the statistics and
-//!    event log must equal a `k`-fold naive `tick()` sequence bit for
-//!    bit (dead-wait windows are transition-free, so the log gains
-//!    nothing; per-cycle counters are replicated in bulk).
+//!    `fast_forward(k)` with `cycle + k` short of the bound of (1) or
+//!    (2), the statistics and event log must equal a `k`-fold naive
+//!    `tick()` sequence bit for bit (dead-wait windows are
+//!    transition-free, so the log gains nothing; per-cycle counters —
+//!    on the DRAM backend the queue-occupancy ones too, since its banks
+//!    can keep requests waiting across such a window — are replicated in
+//!    bulk).
 //! 5. **Wake completeness** ([`MemBackend::wakes`]): with the feed
 //!    enabled, every retirement that can change the outcome of a core's
 //!    retry pushes that core's id before the engine drains the feed — a

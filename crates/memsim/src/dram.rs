@@ -19,9 +19,20 @@
 //!
 //! Each bank serves one access at a time (`ready_at`) from its own FIFO
 //! queue; a global `bandwidth` cap bounds service starts per cycle, and
-//! banks are scanned in index order, so service is deterministic. Under
+//! banks start in index order, so service is deterministic. Under
 //! [`PagePolicy::Closed`] every access auto-precharges (`ready_at`
 //! extends by `tRP`, the next access is always a row empty).
+//!
+//! The scheduler is event-driven. Two bit sets over the banks — those
+//! with a queued request, and those that may still be busy — make a
+//! tick's service starts a find-first-set walk over `queued & !busy`:
+//! work per start, not per bank. The busy set is refreshed lazily: it
+//! always contains every bank with `ready_at` in the future, `next_ready`
+//! is a lower bound on the `ready_at` of its members, and only a tick
+//! that has requests queued and has reached `next_ready` walks the set
+//! to drop the banks that came free. Row and bank of a request are
+//! computed once, when it joins its bank queue, through precomputed
+//! reciprocals (see [`Reciprocal`]); the row rides in the queue entry.
 //!
 //! The Figure 6 `extra_latency` knob still applies to every access.
 //! `tCAS >= 1` is asserted, so no access retires within its service
@@ -29,13 +40,18 @@
 //!
 //! # Calendar/fast-forward contracts (see [`crate::MemBackend`])
 //!
-//! * `next_activity_cycle` returns `Some(cycle + 1)` whenever any bank
-//!   queue is non-empty or a comparator re-check is pending — a
-//!   conservative lower bound (a bank may still be busy next tick); the
-//!   sparse engine then single-steps through bank-busy windows, which
-//!   terminates because every queue drains at the in-service
-//!   retirements the calendar tracks. With all queues empty it is the
-//!   retirement horizon, exactly as in the fixed model.
+//! * `next_activity_cycle` is exact: `cycle + 1` if a comparator
+//!   re-check is pending or a bank with a queued request is free to
+//!   start next tick, else the earlier of the next retirement and the
+//!   earliest `ready_at` of a bank with a queued request (under
+//!   [`PagePolicy::Closed`] a bank re-arms `tRP` after its data retired,
+//!   so the second term can be the smaller). Every tick before it is a
+//!   pure wait, and `fast_forward` is legal across them with requests
+//!   queued: it replicates the queue-occupancy counters in bulk, and
+//!   nothing else drifts — bank stamps are absolute and
+//!   `bank_busy_cycles` is charged at service start. The sparse engine's
+//!   all-parked jump therefore skips bank-busy windows on this backend
+//!   exactly as it skips retirement waits on the fixed one.
 //! * `next_event_cycle` requires global quiescence (no queued request,
 //!   no unconsumed load, no pending re-check) — then ticks up to the
 //!   horizon are pure waits: banks only change state at service starts
@@ -53,6 +69,48 @@ use crate::system::{
     PORT_COUNT,
 };
 use crate::wheel::RetireWheel;
+
+/// Largest supported [`DramConfig::n_banks`]. Each bank owns a queue
+/// sized for every port of every core, so the bound only keeps an absurd
+/// count (a corrupt worker frame, say) from turning into a giant
+/// allocation. [`DramMemorySystem::new`] asserts it; the job codec
+/// rejects frames beyond it.
+pub const MAX_BANKS: u32 = 4096;
+
+/// Division of a `u32` by a configuration constant `d >= 1` without a
+/// divide instruction: `n / d == ((n + 1) * m) >> 64` with
+/// `m = floor((2^64 - 1) / d)`.
+///
+/// Exact for every `n, d < 2^32`. Write `2^64 - 1 = m*d + r` with
+/// `r < d` and `n = q*d + s` with `s < d`; then `(n + 1) * m / 2^64` is
+/// `(q + (s + 1)/d) * (1 - e)` with `e = (1 + r) / 2^64 > 0`. That is
+/// below `q + 1` because `e > 0`, and at least `q` because
+/// `e * (n + 1) <= d * 2^32 / 2^64 < 1 <= s + 1`. Rounding the
+/// reciprocal down (and the dividend up) rather than the reciprocal up
+/// keeps `m` inside 64 bits for `d = 1` too, so powers of two and one
+/// take the same path as every other divisor.
+#[derive(Debug, Clone, Copy)]
+struct Reciprocal {
+    d: u32,
+    m: u64,
+}
+
+impl Reciprocal {
+    fn new(d: u32) -> Reciprocal {
+        assert!(d >= 1, "division by zero");
+        Reciprocal {
+            d,
+            m: u64::MAX / u64::from(d),
+        }
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    fn div_rem(self, n: u32) -> (u32, u32) {
+        let q = (((u128::from(n) + 1) * u128::from(self.m)) >> 64) as u32;
+        (q, n - q * self.d)
+    }
+}
 
 /// Row-buffer page policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -177,6 +235,17 @@ impl DramStats {
     }
 }
 
+/// The scheduler's view of 64 consecutive banks.
+#[derive(Debug, Clone, Copy, Default)]
+struct BankGroup {
+    /// Banks whose queue is non-empty.
+    queued: u64,
+    /// A superset of the banks with `ready_at` in the future: set at
+    /// service start, cleared lazily by
+    /// [`DramMemorySystem::refresh_busy`].
+    busy: u64,
+}
+
 /// Per-bank row-buffer and availability state. Timestamps are absolute
 /// cycles, so clock jumps (`fast_forward`, `set_cycle`) need no fixup.
 #[derive(Debug, Clone, Copy)]
@@ -197,10 +266,22 @@ pub struct DramMemorySystem {
     cycle: u64,
     /// `ports[core][port]` — identical protocol to the fixed model.
     ports: Vec<[Option<Txn>; PORT_COUNT]>,
-    /// Per-bank service queues, FIFO within a bank.
+    /// Per-bank service queues, FIFO within a bank: `(core, port, row)`.
     bank_queues: Vec<VecDeque<(usize, Port, u32)>>,
     /// Total requests across all bank queues.
     queued_total: usize,
+    /// The scheduler's two bit sets, bank `b` at bit `b % 64` of group
+    /// `b / 64`. Sized for [`MAX_BANKS`] and kept inline — the scheduler
+    /// reads them every tick — with only the first `n_groups` in use.
+    bank_groups: [BankGroup; (MAX_BANKS / 64) as usize],
+    n_groups: usize,
+    /// Lower bound on `ready_at` over the busy set (`u64::MAX` when it
+    /// is empty): while it lies in the future the set is exact.
+    next_ready: u64,
+    /// `addr / row_words`.
+    row_of: Reciprocal,
+    /// `row % n_banks`.
+    bank_of_row: Reciprocal,
     pending_header_stores: Vec<u32>,
     header_cache: Vec<Option<u32>>,
     banks: Vec<Bank>,
@@ -228,6 +309,11 @@ impl DramMemorySystem {
         assert!(cfg.bandwidth > 0, "bandwidth must be positive");
         assert!(dram.t_cas >= 1, "tCAS must be at least one cycle");
         assert!(dram.n_banks >= 1, "need at least one bank");
+        assert!(
+            dram.n_banks <= MAX_BANKS,
+            "n_banks {} exceeds the supported maximum {MAX_BANKS}",
+            dram.n_banks
+        );
         assert!(dram.row_words >= 1, "rows must hold at least one word");
         let worst_latency = cfg
             .with_backend(MemBackendKind::Dram(dram))
@@ -246,6 +332,11 @@ impl DramMemorySystem {
             ports: vec![[None; PORT_COUNT]; n_cores],
             bank_queues,
             queued_total: 0,
+            bank_groups: [BankGroup::default(); (MAX_BANKS / 64) as usize],
+            n_groups: n_banks.div_ceil(64),
+            next_ready: u64::MAX,
+            row_of: Reciprocal::new(dram.row_words),
+            bank_of_row: Reciprocal::new(dram.n_banks),
             pending_header_stores: Vec::with_capacity(n_cores + 1),
             header_cache: vec![None; cfg.header_cache_entries],
             banks: vec![
@@ -281,9 +372,21 @@ impl DramMemorySystem {
         &self.dram
     }
 
+    /// `(bank, row)` of `addr` under the row-interleaved map.
     #[inline]
-    fn bank_of(&self, addr: u32) -> usize {
-        ((addr / self.dram.row_words) % self.dram.n_banks) as usize
+    fn locate(&self, addr: u32) -> (usize, u32) {
+        let (row, _) = self.row_of.div_rem(addr);
+        let (_, bank) = self.bank_of_row.div_rem(row);
+        (bank as usize, row)
+    }
+
+    /// Append `(core, port)`'s request for `addr` to its bank's queue.
+    #[inline]
+    fn enqueue(&mut self, core: usize, port: Port, addr: u32) {
+        let (bank, row) = self.locate(addr);
+        self.bank_queues[bank].push_back((core, port, row));
+        self.bank_groups[bank / 64].queued |= 1 << (bank % 64);
+        self.queued_total += 1;
     }
 
     #[inline]
@@ -325,12 +428,12 @@ impl DramMemorySystem {
         self.header_cache[set] = Some(addr);
     }
 
-    /// Resolve one access against bank `b`'s row buffer at the current
-    /// cycle: returns the service latency (before `extra_latency`) and
-    /// the row outcome, and commits the bank's new row/timing state for
-    /// an access completing at `now + latency (+ extra)`.
-    fn access_bank(&mut self, b: usize, addr: u32) -> (u32, RowOutcome) {
-        let row = addr / self.dram.row_words;
+    /// Resolve one access to `row` against bank `b`'s row buffer at the
+    /// current cycle: returns the service latency (before
+    /// `extra_latency`) and the row outcome, and commits the bank's new
+    /// row/timing state for an access completing at
+    /// `now + latency (+ extra)`.
+    fn access_bank(&mut self, b: usize, row: u32) -> (u32, RowOutcome) {
         let now = self.cycle;
         let bank = &mut self.banks[b];
         match self.dram.page_policy {
@@ -412,9 +515,7 @@ impl DramMemorySystem {
                                 txn.state = TxnState::Queued;
                                 let addr = txn.addr;
                                 self.blocked -= 1;
-                                let bank = self.bank_of(addr);
-                                self.bank_queues[bank].push_back((core, Port::HeaderLoad, addr));
-                                self.queued_total += 1;
+                                self.enqueue(core, Port::HeaderLoad, addr);
                                 self.log(MemEvent::CompUnblocked {
                                     core: core as u32,
                                     addr,
@@ -429,63 +530,102 @@ impl DramMemorySystem {
         }
         self.pending_stores_dirty = false;
 
-        // 3. Ready banks start service, bank index order, up to
-        // `bandwidth` starts per cycle, one in-flight access per bank.
+        // 3. Free banks with a queued request start service, in bank
+        // index order, up to `bandwidth` starts per cycle.
         if self.queued_total > 0 {
             self.stats.queue_occupancy_sum += self.queued_total as u64;
             self.stats.queue_busy_cycles += 1;
+            if self.next_ready <= self.cycle {
+                self.refresh_busy();
+            }
             let mut budget = self.cfg.bandwidth;
-            for b in 0..self.banks.len() {
-                if budget == 0 {
-                    break;
+            'banks: for g in 0..self.n_groups {
+                // A start only touches its own bank's bits, so the
+                // snapshot stays valid through the walk.
+                let mut startable = self.bank_groups[g].queued & !self.bank_groups[g].busy;
+                while startable != 0 {
+                    if budget == 0 {
+                        break 'banks;
+                    }
+                    budget -= 1;
+                    let b = g * 64 + startable.trailing_zeros() as usize;
+                    startable &= startable - 1;
+                    self.start_service(b);
                 }
-                if self.bank_queues[b].is_empty() || self.banks[b].ready_at > self.cycle {
-                    continue;
-                }
-                let (core, port, addr) = self.bank_queues[b].pop_front().expect("checked");
-                self.queued_total -= 1;
-                budget -= 1;
-                let left_behind = self.bank_queues[b].len() as u32;
-                let (row_latency, outcome) = self.access_bank(b, addr);
-                let latency = row_latency + self.cfg.extra_latency;
-                debug_assert!(latency >= 1, "tCAS >= 1 forbids zero-latency service");
-                let done_at = self.cycle + latency as u64;
-                self.banks[b].ready_at = match self.dram.page_policy {
-                    PagePolicy::Open => done_at,
-                    PagePolicy::Closed => done_at + self.dram.t_rp as u64,
-                };
-                let busy = self.banks[b].ready_at - self.cycle;
-                let dstats = self.stats.dram.as_mut().expect("dram stats present");
-                match outcome {
-                    RowOutcome::Hit => dstats.row_hits += 1,
-                    RowOutcome::Empty => dstats.row_empties += 1,
-                    RowOutcome::Conflict => dstats.row_conflicts += 1,
-                }
-                dstats.bank_accesses[b] += 1;
-                dstats.bank_busy_cycles[b] += busy;
-                self.log(MemEvent::DramAccess {
-                    core: core as u32,
-                    port,
-                    bank: b as u32,
-                    outcome,
-                    bank_queue: left_behind,
-                });
-                self.log(MemEvent::ServiceStart {
-                    core: core as u32,
-                    port,
-                    latency,
-                });
-                let txn = self.ports[core][port as usize]
-                    .as_mut()
-                    .expect("queued transaction must exist");
-                debug_assert_eq!(txn.state, TxnState::Queued);
-                txn.state = TxnState::InService { done_at };
-                self.in_service += 1;
-                self.retire_cal
-                    .insert(self.cycle, done_at, core, port as usize);
-                self.next_retire = self.next_retire.min(done_at);
             }
         }
+    }
+
+    /// Drop the banks whose `ready_at` has passed from the busy set and
+    /// make `next_ready` the exact minimum over the rest.
+    fn refresh_busy(&mut self) {
+        let mut next_ready = u64::MAX;
+        for g in 0..self.n_groups {
+            let mut bits = self.bank_groups[g].busy;
+            while bits != 0 {
+                let b = g * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let ready_at = self.banks[b].ready_at;
+                if ready_at <= self.cycle {
+                    self.bank_groups[g].busy &= !(1 << (b % 64));
+                } else {
+                    next_ready = next_ready.min(ready_at);
+                }
+            }
+        }
+        self.next_ready = next_ready;
+    }
+
+    /// Start the access at the head of free bank `b`'s queue.
+    fn start_service(&mut self, b: usize) {
+        let (core, port, row) = self.bank_queues[b]
+            .pop_front()
+            .expect("queued bit set on an empty bank queue");
+        self.queued_total -= 1;
+        let left_behind = self.bank_queues[b].len() as u32;
+        if left_behind == 0 {
+            self.bank_groups[b / 64].queued &= !(1 << (b % 64));
+        }
+        let (row_latency, outcome) = self.access_bank(b, row);
+        let latency = row_latency + self.cfg.extra_latency;
+        debug_assert!(latency >= 1, "tCAS >= 1 forbids zero-latency service");
+        let done_at = self.cycle + latency as u64;
+        let ready_at = match self.dram.page_policy {
+            PagePolicy::Open => done_at,
+            PagePolicy::Closed => done_at + self.dram.t_rp as u64,
+        };
+        self.banks[b].ready_at = ready_at;
+        self.bank_groups[b / 64].busy |= 1 << (b % 64);
+        self.next_ready = self.next_ready.min(ready_at);
+        let dstats = self.stats.dram.as_mut().expect("dram stats present");
+        match outcome {
+            RowOutcome::Hit => dstats.row_hits += 1,
+            RowOutcome::Empty => dstats.row_empties += 1,
+            RowOutcome::Conflict => dstats.row_conflicts += 1,
+        }
+        dstats.bank_accesses[b] += 1;
+        dstats.bank_busy_cycles[b] += ready_at - self.cycle;
+        self.log(MemEvent::DramAccess {
+            core: core as u32,
+            port,
+            bank: b as u32,
+            outcome,
+            bank_queue: left_behind,
+        });
+        self.log(MemEvent::ServiceStart {
+            core: core as u32,
+            port,
+            latency,
+        });
+        let txn = self.ports[core][port as usize]
+            .as_mut()
+            .expect("queued transaction must exist");
+        debug_assert_eq!(txn.state, TxnState::Queued);
+        txn.state = TxnState::InService { done_at };
+        self.in_service += 1;
+        self.retire_cal
+            .insert(self.cycle, done_at, core, port as usize);
+        self.next_retire = self.next_retire.min(done_at);
     }
 
     /// Issue a request on `(core, port)` — the protocol (port buffers,
@@ -521,11 +661,7 @@ impl DramMemorySystem {
             addr,
         });
         match state {
-            TxnState::Queued => {
-                let bank = self.bank_of(addr);
-                self.bank_queues[bank].push_back((core, port, addr));
-                self.queued_total += 1;
-            }
+            TxnState::Queued => self.enqueue(core, port, addr),
             TxnState::Blocked => {
                 self.blocked += 1;
                 self.log(MemEvent::CompBlocked {
@@ -620,13 +756,29 @@ impl MemBackend for DramMemorySystem {
     }
 
     fn next_activity_cycle(&self) -> Option<u64> {
-        if self.queued_total > 0 || self.pending_stores_dirty {
-            return Some(self.cycle + 1);
+        let next_tick = self.cycle + 1;
+        if self.pending_stores_dirty {
+            return Some(next_tick);
         }
-        if self.in_service == 0 {
-            return None;
+        if self.queued_total == 0 {
+            return (self.in_service > 0).then_some(self.next_retire);
         }
-        Some(self.next_retire)
+        // The earliest service start: a bank outside the busy set is
+        // free now; one inside it frees at its `ready_at` (which a lazy
+        // busy bit may already have behind it).
+        let mut horizon = self.next_retire;
+        for (g, group) in self.bank_groups[..self.n_groups].iter().enumerate() {
+            if group.queued & !group.busy != 0 {
+                return Some(next_tick);
+            }
+            let mut waiting = group.queued;
+            while waiting != 0 {
+                let b = g * 64 + waiting.trailing_zeros() as usize;
+                waiting &= waiting - 1;
+                horizon = horizon.min(self.banks[b].ready_at.max(next_tick));
+            }
+        }
+        Some(horizon)
     }
 
     fn next_tick_starts_service_only(&self) -> bool {
@@ -638,15 +790,29 @@ impl MemBackend for DramMemorySystem {
     }
 
     fn fast_forward(&mut self, k: u64) {
-        debug_assert!(self.queued_total == 0, "fast-forward with queued requests");
         debug_assert!(
-            k < self.next_retire - self.cycle,
-            "fast-forward over the retirement at {}",
-            self.next_retire
+            self.next_activity_cycle()
+                .is_none_or(|at| self.cycle + k < at),
+            "fast-forward of {k} cycles from {} over a retirement, service start or re-check",
+            self.cycle
         );
+        if k == 0 {
+            return;
+        }
         self.cycle += k;
         self.stats.cycles += k;
         self.stats.comparator_blocked_cycles += k * self.blocked as u64;
+        if self.queued_total > 0 {
+            // Every skipped tick would have found the same requests
+            // waiting behind busy banks.
+            self.stats.queue_occupancy_sum += k * self.queued_total as u64;
+            self.stats.queue_busy_cycles += k;
+            // ... and the last of them would have left the busy set
+            // refreshed like this.
+            if self.next_ready <= self.cycle {
+                self.refresh_busy();
+            }
+        }
     }
 
     fn set_cycle(&mut self, cycle: u64) {
@@ -731,6 +897,8 @@ impl MemBackend for DramMemorySystem {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn dram_cfg() -> DramConfig {
@@ -927,15 +1095,81 @@ mod tests {
         assert_eq!(m.next_event_cycle(), Some(5));
         assert_eq!(m.next_activity_cycle(), Some(5));
         assert!(!m.next_tick_starts_service_only(), "nothing queued");
+        // A second request behind the access in service (same bank, same
+        // row) cannot start before the bank frees at that retirement:
+        // the horizon stays there, and the wait can be skipped.
+        assert!(m.try_issue(0, Port::BodyStore, 1));
+        assert_eq!(m.next_event_cycle(), None, "queued request blocks skipping");
+        assert_eq!(m.next_activity_cycle(), Some(5), "not cycle + 1");
         m.fast_forward(5 - 1 - m.cycle());
-        m.tick();
+        assert_eq!(m.stats().queue_occupancy_sum, 1 + 3, "one request, 3 ticks");
+        assert_eq!(m.stats().queue_busy_cycles, 1 + 3);
+        m.tick(); // load retires, store starts (row hit): done at 7
         assert!(m.load_ready(0, Port::BodyLoad));
+        assert_eq!(m.next_activity_cycle(), Some(7));
+        m.fast_forward(7 - 1 - m.cycle());
+        m.tick();
+        assert!(!m.port_busy(0, Port::BodyStore));
         assert_eq!(
             m.next_activity_cycle(),
             None,
             "completed load awaiting its owner is not future activity"
         );
         m.consume_load(0, Port::BodyLoad);
+        assert_eq!(dstats(&m).bank_busy_cycles, [4 + 2, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the supported maximum")]
+    fn a_bank_count_past_the_maximum_is_refused() {
+        DramMemorySystem::new(
+            1,
+            MemConfig::default().with_backend(MemBackendKind::Dram(DramConfig {
+                n_banks: MAX_BANKS + 1,
+                ..dram_cfg()
+            })),
+        );
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact() {
+        let corners = [
+            0,
+            1,
+            2,
+            3,
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 31) - 1,
+            1 << 31,
+            u32::MAX - 1,
+            u32::MAX,
+        ];
+        for d in corners.into_iter().filter(|&d| d > 0) {
+            let r = Reciprocal::new(d);
+            for n in corners {
+                // Around every multiple boundary the corner induces, too.
+                for n in [n, (n / d * d).saturating_sub(1), n / d * d] {
+                    assert_eq!(r.div_rem(n), (n / d, n % d), "{n} / {d}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+        /// Divisors of every magnitude (`d >> shift`), dividends over
+        /// the whole range.
+        #[test]
+        fn reciprocal_matches_divide_and_modulo(
+            n in 0u32..=u32::MAX,
+            d in 1u32..=u32::MAX,
+            shift in 0u32..32,
+        ) {
+            let d = (d >> shift).max(1);
+            prop_assert_eq!(Reciprocal::new(d).div_rem(n), (n / d, n % d));
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use backend::{
     backend_from, BodyPortsView, BodyWindowPatch, FinalTxn, InflightTxnView, MemBackend,
     MemBackendKind,
 };
-pub use dram::{DramConfig, DramMemorySystem, DramStats, PagePolicy};
+pub use dram::{DramConfig, DramMemorySystem, DramStats, PagePolicy, MAX_BANKS};
 pub use fifo::{FifoStats, HeaderFifo};
 pub use system::{
     MemConfig, MemEvent, MemEventRecord, MemStats, MemorySystem, Port, RowOutcome, PORT_COUNT,

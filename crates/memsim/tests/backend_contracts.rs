@@ -8,7 +8,9 @@
 //! 1. **Activity lower bound** — `next_activity_cycle` never overshoots:
 //!    no core-visible change (a load completing, a store freeing its
 //!    port) happens strictly before the returned cycle; `None` means no
-//!    change ever happens without new issues.
+//!    change ever happens without new issues. On the DRAM backend the
+//!    bound covers the backend's own moves too: `fast_forward` up to it
+//!    equals that many ticks with requests queued, and it is tight.
 //! 2. **Bank timing order** — (DRAM) replaying the event log, each
 //!    retirement lands exactly `latency` after its service start, and
 //!    within a bank consecutive service starts are separated by the
@@ -22,10 +24,14 @@
 //!    wake feed and the event log in `(core, port)` order, whatever
 //!    order they were issued or served in (the engine's wake order and
 //!    every committed event-stream fingerprint are pinned to it).
+//! 5. **Bank scheduling** — (DRAM) the division-free address map equals
+//!    `(addr / row_words) % n_banks`, free banks start in index order
+//!    under the bandwidth cap, and a busy bank starts exactly at
+//!    `ready_at`.
 
 use hwgc_memsim::{
     DramConfig, DramMemorySystem, MemBackend, MemBackendKind, MemConfig, MemEvent, MemorySystem,
-    PagePolicy, Port, PORT_COUNT,
+    PagePolicy, Port, RowOutcome, MAX_BANKS, PORT_COUNT,
 };
 use proptest::prelude::*;
 
@@ -56,8 +62,11 @@ fn dram_configs() -> impl Strategy<Value = DramConfig> {
     (
         (1u32..3, 1u32..3, 1u32..4, 2u32..8),
         (
-            prop_oneof![Just(1u32), Just(2), Just(4)],
-            prop_oneof![Just(4u32), Just(16), Just(64)],
+            // Non-powers of two for the reciprocal address map; 65 banks
+            // (with one-word rows, addresses 0..256 reach them all) for
+            // the second word of the scheduler's bit sets.
+            prop_oneof![Just(1u32), Just(2), Just(3), Just(4), Just(7), Just(65)],
+            prop_oneof![Just(1u32), Just(3), Just(4), Just(16), Just(64), Just(100)],
             prop_oneof![Just(PagePolicy::Open), Just(PagePolicy::Closed)],
         ),
     )
@@ -145,6 +154,22 @@ fn check_activity_lower_bound<B: MemBackend + Clone>(m: &B) {
     }
 }
 
+/// Whole-state equality through the `Debug` image. The image of a
+/// 65-bank backend runs to tens of kilobytes, so a mismatch reports the
+/// neighbourhood of the first difference only.
+fn assert_same_state(jumped: &DramMemorySystem, ticked: &DramMemorySystem, when: &str) {
+    let (a, b) = (format!("{jumped:?}"), format!("{ticked:?}"));
+    if a != b {
+        let at = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+        let window = |s: &str| s[at.saturating_sub(160)..(at + 80).min(s.len())].to_string();
+        panic!(
+            "fast-forward and ticks diverge {when}:\n jumped: ..{}..\n ticked: ..{}..",
+            window(&a),
+            window(&b)
+        );
+    }
+}
+
 /// Drain helper: upper-bounds how long any access chain can take.
 fn drain_bound(n_ops: usize, worst_latency: u32) -> usize {
     n_ops * (worst_latency as usize + 2) + 64
@@ -185,6 +210,55 @@ proptest! {
         for &op in &ops {
             apply(&mut m, op);
             check_activity_lower_bound(&m);
+        }
+    }
+
+    /// Contract 1, the backend's own side: after every op of a random
+    /// sequence, `fast_forward` up to the activity horizon leaves a
+    /// clone exactly where that many `tick()`s leave another — the
+    /// `Debug` image is the whole state: statistics (queue occupancy and
+    /// the bank counters included), ports, bank queues, bank row /
+    /// `ready_at` / `active_since`, scheduler sets, wheel, event log —
+    /// and the two then behave alike under the remaining ops. A
+    /// comparator-blocked header load is in flight from the start.
+    #[test]
+    fn dram_fast_forward_to_the_horizon_equals_ticking(
+        ops in ops(CORES),
+        dram in dram_configs(),
+        bw in 1u32..4,
+        extra in prop_oneof![Just(0u32), Just(3)],
+    ) {
+        let cfg = MemConfig { bandwidth: bw, ..MemConfig::default() }
+            .with_backend(MemBackendKind::Dram(dram))
+            .with_extra_latency(extra);
+        // Two spare cores carry the header store and the load it blocks.
+        let mut m = DramMemorySystem::new(CORES + 2, cfg);
+        m.enable_event_log();
+        m.enable_wake_feed(CORES + 2);
+        assert!(m.try_issue(CORES, Port::HeaderStore, 77));
+        m.tick();
+        assert!(m.try_issue(CORES + 1, Port::HeaderLoad, 77));
+        prop_assert!(m.stats().comparator_blocked_cycles == 0 && m.header_store_pending(77));
+        for (i, &op) in ops.iter().enumerate() {
+            apply(&mut m, op);
+            let Some(horizon) = m.next_activity_cycle() else { continue };
+            let k = horizon - 1 - m.cycle();
+            let mut jumped = m.clone();
+            jumped.fast_forward(k);
+            let mut ticked = m.clone();
+            for _ in 0..k {
+                ticked.tick();
+            }
+            assert_same_state(&jumped, &ticked, &format!("{k} cycles after op {i}"));
+            prop_assert_eq!(jumped.next_activity_cycle(), Some(horizon));
+            if k == 0 {
+                continue;
+            }
+            for &op in &ops[i + 1..] {
+                apply(&mut jumped, op);
+                apply(&mut ticked, op);
+            }
+            assert_same_state(&jumped, &ticked, &format!("the ops after op {i}"));
         }
     }
 
@@ -400,6 +474,201 @@ fn dram_same_cycle_retirements_come_back_in_core_port_order() {
     check_same_cycle_retire_order(DramMemorySystem::new(CORES, cfg), |id| {
         (15 - id as u32) * dram.row_words
     });
+}
+
+/// A closed-page, one-bank backend with all three cores' body loads
+/// issued at cycle 0: the first is in service after one tick, two wait.
+fn closed_single_bank() -> (DramMemorySystem, DramConfig) {
+    let dram = DramConfig {
+        n_banks: 1,
+        page_policy: PagePolicy::Closed,
+        ..DramConfig::default()
+    };
+    let cfg = MemConfig::default().with_backend(MemBackendKind::Dram(dram));
+    let mut m = DramMemorySystem::new(CORES, cfg);
+    for core in 0..CORES {
+        assert!(m.try_issue(core, Port::BodyLoad, 1000 * core as u32));
+    }
+    m.tick();
+    (m, dram)
+}
+
+fn bank_accesses(m: &DramMemorySystem) -> u64 {
+    m.stats()
+        .dram
+        .as_ref()
+        .expect("dram stats")
+        .total_accesses()
+}
+
+/// The bound is tight where it can be. Closed page, one bank, two
+/// requests queued behind an access that has retired: the bank re-arms
+/// `tRP` and the horizon is its `ready_at` — not `cycle + 1` (the old
+/// answer whenever anything was queued) and not `next_retire` (nothing
+/// is in service).
+#[test]
+fn dram_horizon_is_the_bank_ready_cycle_when_only_precharge_is_pending() {
+    let (mut m, dram) = closed_single_bank();
+    let done_at = 1 + u64::from(dram.t_rcd + dram.t_cas);
+    let ready_at = done_at + u64::from(dram.t_rp);
+    assert!(dram.t_rp >= 2, "the window must be worth skipping");
+    assert_eq!(m.next_activity_cycle(), Some(done_at), "the retirement");
+    m.fast_forward(done_at - 1 - m.cycle());
+    m.tick();
+    assert!(m.load_ready(0, Port::BodyLoad));
+    assert_eq!(m.queue_len(), 2);
+    assert_eq!(m.next_activity_cycle(), Some(ready_at), "the precharge");
+    assert_eq!(
+        m.next_event_cycle(),
+        None,
+        "the naive horizon still declines"
+    );
+    m.fast_forward(ready_at - 1 - m.cycle());
+    assert_eq!((bank_accesses(&m), m.queue_len()), (1, 2));
+    m.tick();
+    assert_eq!(
+        (bank_accesses(&m), m.queue_len()),
+        (2, 1),
+        "starts at ready_at"
+    );
+    let queue_ticks = ready_at; // requests waited in every tick so far
+    assert_eq!(m.stats().queue_busy_cycles, queue_ticks);
+    assert_eq!(m.stats().queue_occupancy_sum, 3 + 2 * (queue_ticks - 1));
+}
+
+/// Every service start of the run so far: `(cycle, bank)`.
+fn service_starts(m: &mut DramMemorySystem) -> Vec<(u64, u32)> {
+    m.take_event_log()
+        .iter()
+        .filter_map(|rec| match rec.event {
+            MemEvent::DramAccess { bank, .. } => Some((rec.cycle, bank)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Scan order: with `bandwidth` 1 and two free banks holding a request
+/// each, the lower bank index starts first and the other the tick after
+/// — whatever order they were issued in, and in either word of the bit
+/// sets.
+#[test]
+fn dram_free_banks_start_in_index_order_under_the_bandwidth_cap() {
+    for (lo, hi) in [(1u32, 5u32), (3, 64), (64, 69)] {
+        let dram = DramConfig {
+            n_banks: 70,
+            row_words: 16,
+            ..DramConfig::default()
+        };
+        let cfg = MemConfig {
+            bandwidth: 1,
+            ..MemConfig::default()
+        }
+        .with_backend(MemBackendKind::Dram(dram));
+        let mut m = DramMemorySystem::new(2, cfg);
+        m.enable_event_log();
+        assert!(m.try_issue(0, Port::BodyLoad, hi * dram.row_words));
+        assert!(m.try_issue(1, Port::BodyLoad, lo * dram.row_words));
+        assert_eq!(m.next_activity_cycle(), Some(1));
+        m.tick();
+        assert_eq!(m.next_activity_cycle(), Some(2), "a free bank still waits");
+        m.tick();
+        assert_eq!(service_starts(&mut m), [(1, lo), (2, hi)]);
+    }
+}
+
+/// A bank whose queue empties and refills while it is busy starts the
+/// new request exactly at `ready_at` — the stale-queue and stale-busy
+/// bits both resolve on that tick, open and closed page.
+#[test]
+fn dram_refilled_busy_bank_starts_exactly_at_ready_at() {
+    for page_policy in [PagePolicy::Open, PagePolicy::Closed] {
+        let dram = DramConfig {
+            page_policy,
+            ..DramConfig::default()
+        };
+        let cfg = MemConfig::default().with_backend(MemBackendKind::Dram(dram));
+        let mut m = DramMemorySystem::new(2, cfg);
+        m.enable_event_log();
+        assert!(m.try_issue(0, Port::BodyLoad, 0));
+        m.tick(); // queue empties: the access is in service
+        let done_at = 1 + u64::from(dram.t_rcd + dram.t_cas);
+        let ready_at = match page_policy {
+            PagePolicy::Open => done_at,
+            PagePolicy::Closed => done_at + u64::from(dram.t_rp),
+        };
+        m.tick();
+        assert!(m.try_issue(1, Port::BodyLoad, 1)); // same bank, refilled
+        assert_eq!(m.next_activity_cycle(), Some(done_at));
+        while m.cycle() < ready_at {
+            let horizon = m.next_activity_cycle().expect("work pending");
+            m.fast_forward(horizon - 1 - m.cycle());
+            m.tick();
+        }
+        assert_eq!(service_starts(&mut m), [(1, 0), (ready_at, 0)]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+    /// The address map, observed from outside: two loads in a row land
+    /// in bank `(addr / row_words) % n_banks`, and the second is a row
+    /// hit exactly when it shares the first's bank and row — for
+    /// divisors of every magnitude (`>> shift`) and the corners.
+    #[test]
+    fn dram_address_map_matches_divide_and_modulo(
+        addrs in (addr_corners(), addr_corners()),
+        row_words in prop_oneof![
+            Just(1u32), Just(2), Just(3), Just(u32::MAX),
+            ((1u32..=u32::MAX), (0u32..32)).prop_map(|(d, shift)| (d >> shift).max(1)),
+        ],
+        n_banks in prop_oneof![
+            Just(1u32), Just(2), Just(3), Just(MAX_BANKS),
+            ((1u32..=MAX_BANKS), (0u32..13)).prop_map(|(d, shift)| (d >> shift).max(1)),
+        ],
+    ) {
+        let dram = DramConfig { n_banks, row_words, ..DramConfig::default() };
+        let cfg = MemConfig::default().with_backend(MemBackendKind::Dram(dram));
+        let mut m = DramMemorySystem::new(1, cfg);
+        m.enable_event_log();
+        for addr in [addrs.0, addrs.1] {
+            assert!(m.try_issue(0, Port::BodyLoad, addr));
+            while !m.load_ready(0, Port::BodyLoad) {
+                m.tick();
+            }
+            m.consume_load(0, Port::BodyLoad);
+        }
+        let seen: Vec<(u32, RowOutcome)> = m
+            .take_event_log()
+            .iter()
+            .filter_map(|rec| match rec.event {
+                MemEvent::DramAccess { bank, outcome, .. } => Some((bank, outcome)),
+                _ => None,
+            })
+            .collect();
+        let (row0, row1) = (addrs.0 / row_words, addrs.1 / row_words);
+        let second = if row0 == row1 {
+            RowOutcome::Hit
+        } else if row0 % n_banks == row1 % n_banks {
+            RowOutcome::Conflict
+        } else {
+            RowOutcome::Empty
+        };
+        prop_assert_eq!(
+            seen,
+            [(row0 % n_banks, RowOutcome::Empty), (row1 % n_banks, second)]
+        );
+    }
+}
+
+fn addr_corners() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just(1),
+        Just(u32::MAX),
+        0u32..=u32::MAX,
+        0u32..4096,
+    ]
 }
 
 // --- Contract 6: stream replication --------------------------------------

@@ -217,8 +217,15 @@ fn worker(shared: &Shared<'_>, tid: usize) -> (SwSyncOps, u64, u64) {
         let scan = shared.scan.load(Ordering::Relaxed);
         let free = shared.free.load(Ordering::Acquire);
         if scan == free {
-            // Atomic termination test: worklist empty + nobody busy.
-            if shared.busy.load(Ordering::Acquire) == 0 {
+            // Termination test: worklist empty + nobody busy. The SB
+            // evaluates both in one cycle; here `free` was read first, so
+            // a worker may have evacuated one last frame and cleared its
+            // busy bit in between. Nobody can turn busy while we hold the
+            // scan lock, so once `busy` reads zero a second look at
+            // `free` is conclusive.
+            if shared.busy.load(Ordering::Acquire) == 0
+                && shared.free.load(Ordering::Acquire) == scan
+            {
                 shared.done.store(true, Ordering::Release);
                 drop(guard);
                 break;
