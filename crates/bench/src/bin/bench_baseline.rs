@@ -32,8 +32,8 @@
 //!   metrics snapshot. The probed run is *not* timed; every measured
 //!   combo keeps the zero-overhead `NullProbe` path,
 //! * `--trajectory` / `--pr` — measure every trajectory series (the
-//!   fig6 1-core baseline, the fig6 16-core sweep point since PR 5,
-//!   and the 16-core par-engine leg since PR 7) once more and append
+//!   fig6 1-core baseline and the fig6 16-core sweep point since PR 5)
+//!   once more and append
 //!   `{pr, cycles, wall_s}` to each series in the per-PR trajectory
 //!   file (the committed `BENCH_trajectory.json`). Idempotent per PR:
 //!   an existing entry for the same PR number is replaced, so
@@ -56,21 +56,9 @@
 //! for: at high core counts global quiescence almost never holds, so
 //! the PR 2 fast-forward alone degenerates to the naive loop there.
 //!
-//! Since PR 7 the report also carries a `host_scaling` section: the
-//! par engine (`EngineKind::Par`) on the two window-rich 16-core
-//! configurations, timed at `host_threads = 1` and at auto (one worker
-//! per available host core), with the sparse engine's wall clock
-//! alongside as the overhead reference and bit-exactness of all three
-//! asserted first. `--check` gates both legs' throughput against the
-//! committed baseline with the same [`CHECK_RATIO`] floor, so a
-//! regression in either the single-thread window path or the pool
-//! handshake fails CI. On a single-core host the two legs coincide —
-//! the committed baseline records that honestly rather than a scaling
-//! number this container cannot produce.
-//!
 //! Since PR 8 the binary also writes two companions next to `--out`:
 //! `BENCH_hostprof.json` — the `hwgc-hostprof-v1` self-profile of an
-//! extra untimed compress/16c par-engine run (the timed matrix always
+//! extra untimed compress/16c sparse-engine run (the timed matrix always
 //! keeps the zero-overhead `NullHostProf` path) — and
 //! `BENCH_ledger.jsonl` — one `hwgc-ledger-v1` provenance record per
 //! profiled run, deterministic efficacy counters split from the
@@ -207,11 +195,10 @@ fn measure_engine_speedup(preset: Preset, cores: usize) -> f64 {
     let base = GcConfig {
         n_cores: cores,
         mem: MemConfig::default().with_extra_latency(20),
-        sparse: true,
         ..GcConfig::default()
     };
     let naive_cfg = GcConfig {
-        sparse: false,
+        engine: Some(EngineKind::Naive),
         fast_forward: false,
         ..base
     };
@@ -234,83 +221,14 @@ fn measure_engine_speedup(preset: Preset, cores: usize) -> f64 {
     naive_s / fast_s.max(1e-9)
 }
 
-/// The `host_scaling` configurations: the two window-rich 16-core
-/// regimes under the Figure 6 memory model. javac is the paper's
-/// headline workload (and, honestly, fires essentially no windows at 16
-/// cores — its copy streams never all park together); compress is the
-/// window-dense one where the par engine's planner actually runs.
-const HOST_SCALING: &[(&str, Preset, usize)] = &[
+/// The profiled companion runs (`BENCH_hostprof.json`, `BENCH_ledger.jsonl`):
+/// the two 16-core regimes under the Figure 6 memory model — javac, the
+/// paper's headline workload (lock-bound), and compress (long copy
+/// streams, memory-bound) — as `(ledger workload, preset, cores)`.
+const PROFILED_RUNS: &[(&str, Preset, usize)] = &[
     ("fig6-16c", Preset::Javac, 16),
     ("compress-16c", Preset::Compress, 16),
 ];
-
-struct HostScalingRow {
-    config: &'static str,
-    workload: &'static str,
-    cores: usize,
-    host_threads_max: usize,
-    cycles: u64,
-    sparse_wall_s: f64,
-    wall_s_ht1: f64,
-    wall_s_htmax: f64,
-}
-
-/// Time the par engine at `host_threads = 1` and at auto (one worker per
-/// available host core) against the sparse engine on each
-/// [`HOST_SCALING`] configuration, asserting all three bit-exact first.
-/// Reps are interleaved round-robin so slow host drift hits every leg
-/// equally instead of biasing whichever ran last.
-fn measure_host_scaling() -> Vec<HostScalingRow> {
-    HOST_SCALING
-        .iter()
-        .map(|&(config, preset, cores)| {
-            let sparse_cfg = GcConfig {
-                n_cores: cores,
-                mem: MemConfig::default().with_extra_latency(20),
-                sparse: true,
-                engine: Some(EngineKind::Sparse),
-                ..GcConfig::default()
-            };
-            let ht1 = GcConfig {
-                engine: Some(EngineKind::Par),
-                host_threads: 1,
-                ..sparse_cfg
-            };
-            let htmax = GcConfig {
-                host_threads: 0,
-                ..ht1
-            };
-            let (sparse_out, mut sparse_w, _) = timed_collect(preset, sparse_cfg);
-            let (p1, mut w1, _) = timed_collect(preset, ht1);
-            let (pm, mut wm, _) = timed_collect(preset, htmax);
-            assert_eq!(
-                p1.stats, sparse_out.stats,
-                "par (1 host thread) diverged from sparse on {config}"
-            );
-            assert_eq!(
-                pm.stats, sparse_out.stats,
-                "par (auto host threads) diverged from sparse on {config}"
-            );
-            for _ in 1..REPS {
-                sparse_w = sparse_w.min(timed_collect(preset, sparse_cfg).1);
-                w1 = w1.min(timed_collect(preset, ht1).1);
-                wm = wm.min(timed_collect(preset, htmax).1);
-            }
-            HostScalingRow {
-                config,
-                workload: preset.name(),
-                cores,
-                host_threads_max: std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-                cycles: sparse_out.stats.total_cycles,
-                sparse_wall_s: sparse_w,
-                wall_s_ht1: w1,
-                wall_s_htmax: wm,
-            }
-        })
-        .collect()
-}
 
 /// The reduced sweep every job-layer probe replays: the default-config
 /// `{compress, javac, jlisp} × {1, 4}` sub-matrix. Small enough to keep
@@ -552,7 +470,6 @@ fn render_report(
     combos: &[ComboResult],
     speedup_1c: f64,
     speedup_16c: f64,
-    host_scaling: &[HostScalingRow],
     cache_sweep: &CacheSweep,
     sweep_scaling: &SweepScaling,
 ) -> String {
@@ -578,30 +495,6 @@ fn render_report(
         );
     }
     out.push_str("  ],\n");
-    // `workload` deliberately instead of `preset`: parse_combos keys the
-    // throughput gate on `preset`, and these rows must not join it.
-    out.push_str("  \"host_scaling\": [\n");
-    for (i, h) in host_scaling.iter().enumerate() {
-        let sep = if i + 1 == host_scaling.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"config\": \"{}\", \"workload\": \"{}\", \"cores\": {}, \
-             \"host_threads_max\": {}, \"cycles\": {}, \"sparse_wall_s\": {:.6}, \
-             \"wall_s_ht1\": {:.6}, \"wall_s_htmax\": {:.6}, \
-             \"pool_speedup\": {:.2}, \"par_overhead_vs_sparse\": {:.2}}}{sep}",
-            h.config,
-            h.workload,
-            h.cores,
-            h.host_threads_max,
-            h.cycles,
-            h.sparse_wall_s,
-            h.wall_s_ht1,
-            h.wall_s_htmax,
-            h.wall_s_ht1 / h.wall_s_htmax.max(1e-9),
-            h.wall_s_ht1 / h.sparse_wall_s.max(1e-9),
-        );
-    }
-    out.push_str("  ],\n");
     let _ = writeln!(
         out,
         "  \"cache_sweep\": {{\"jobs\": {}, \"uncached_wall_s\": {:.6}, \
@@ -611,8 +504,8 @@ fn render_report(
         cache_sweep.cached_wall_s,
         cache_sweep.speedup(),
     );
-    // No `preset`/`config` keys anywhere in this section: the --check
-    // parsers key on those, and these rows must not join their gates.
+    // No `preset` key anywhere in this section: the --check parser keys
+    // on it, and these rows must not join its gate.
     out.push_str("  \"sweep_scaling\": {\n");
     let _ = writeln!(out, "    \"jobs\": {},", sweep_scaling.jobs);
     let _ = writeln!(
@@ -730,51 +623,24 @@ fn per_core_intersection(reference: &str, measured: &str) -> Vec<(usize, f64, f6
         .collect()
 }
 
-/// Parse the `host_scaling` lines of a report into
-/// `(config, cycles, wall_s_ht1, wall_s_htmax)` rows.
-fn parse_host_scaling(report: &str) -> Vec<(String, f64, f64, f64)> {
-    report
-        .lines()
-        .filter_map(|line| {
-            Some((
-                json_str(line, "config")?.to_string(),
-                json_num(line, "cycles")?,
-                json_num(line, "wall_s_ht1")?,
-                json_num(line, "wall_s_htmax")?,
-            ))
-        })
-        .collect()
-}
-
-/// The per-PR trajectory series: `(name, config description, cores,
-/// engine pin)`. All run javac under the Figure 6 memory model (+20
-/// cycles per access). The 1-core series is the figure's normalization
-/// baseline and goes back to PR 4; the 16-core series (added in PR 5
-/// with the sparse engine) tracks the regime the paper's headline
-/// numbers live in; the par series (added in PR 7) pins the window
-/// engine at one host thread so its coordinator path is comparable
-/// across recording hosts. `None` runs whatever the unpinned default
-/// resolves to — which is the point of the 1-core series: it records
-/// engine-selection wins (e.g. PR 7's naive-at-1-core heuristic) as
-/// wall-clock drops on an unchanged cycle count.
-const TRAJECTORY_SERIES: &[(&str, &str, usize, Option<EngineKind>)] = &[
+/// The per-PR trajectory series: `(name, config description, cores)`.
+/// Both run javac under the Figure 6 memory model (+20 cycles per
+/// access) on whatever engine the unpinned default resolves to. The
+/// 1-core series is the figure's normalization baseline and goes back
+/// to PR 4 — it records engine-selection wins (e.g. PR 7's
+/// naive-at-1-core heuristic) as wall-clock drops on an unchanged cycle
+/// count; the 16-core series (added in PR 5 with the sparse engine)
+/// tracks the regime the paper's headline numbers live in.
+const TRAJECTORY_SERIES: &[(&str, &str, usize)] = &[
     (
         "fig6-1c",
         "javac, 1 core, +20 cycles memory latency (fig6 baseline)",
         1,
-        None,
     ),
     (
         "fig6-16c",
         "javac, 16 cores, +20 cycles memory latency (fig6 sweep point)",
         16,
-        None,
-    ),
-    (
-        "fig6-16c-par",
-        "javac, 16 cores, +20 cycles memory latency, par engine, 1 host thread",
-        16,
-        Some(EngineKind::Par),
     ),
 ];
 
@@ -851,16 +717,10 @@ fn append_trajectory(path: &str, pr: u64) {
     let mut series = std::fs::read_to_string(path)
         .map(|t| parse_trajectory(&t))
         .unwrap_or_default();
-    for &(name, config, cores, engine) in TRAJECTORY_SERIES {
+    for &(name, config, cores) in TRAJECTORY_SERIES {
         let cfg = GcConfig {
             n_cores: cores,
             mem: MemConfig::default().with_extra_latency(20),
-            engine: engine.or(GcConfig::default().engine),
-            host_threads: if engine == Some(EngineKind::Par) {
-                1
-            } else {
-                0
-            },
             ..GcConfig::default()
         };
         let (mut cycles, mut wall_s) = (0, f64::INFINITY);
@@ -901,7 +761,7 @@ fn check_trajectory(path: &str, pr: u64) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let series = parse_trajectory(&text);
     let mut stale = Vec::new();
-    for &(name, _, _, _) in TRAJECTORY_SERIES {
+    for &(name, _, _) in TRAJECTORY_SERIES {
         match series
             .iter()
             .find(|s| s.name == name)
@@ -990,22 +850,6 @@ fn main() {
     let speedup_16c = measure_engine_speedup(Preset::Javac, 16);
     println!("\nengine speedup vs naive loop (fig6 config, javac): 1c {speedup_1c:.2}x, 16c {speedup_16c:.2}x");
 
-    let host_scaling = measure_host_scaling();
-    println!("\npar engine host-thread scaling (bit-exact vs sparse asserted):");
-    for h in &host_scaling {
-        println!(
-            "  {:>12}: sparse {:>8.3} ms, par@1 {:>8.3} ms, par@auto({}) {:>8.3} ms \
-             — pool speedup {:.2}x, 1-thread overhead {:.2}x",
-            h.config,
-            h.sparse_wall_s * 1e3,
-            h.wall_s_ht1 * 1e3,
-            h.host_threads_max,
-            h.wall_s_htmax * 1e3,
-            h.wall_s_ht1 / h.wall_s_htmax.max(1e-9),
-            h.wall_s_ht1 / h.sparse_wall_s.max(1e-9),
-        );
-    }
-
     let probe_set = scaling_set();
     let cache_sweep = measure_cache_sweep(&probe_set);
     println!(
@@ -1082,7 +926,6 @@ fn main() {
         &combos,
         speedup_1c,
         speedup_16c,
-        &host_scaling,
         &cache_sweep,
         &sweep_scaling,
     );
@@ -1090,10 +933,10 @@ fn main() {
     println!("[json] {out_path}");
 
     // Host-profile and run-ledger companions next to the report: one
-    // extra untimed run per host_scaling config with the HostProfiler
+    // extra untimed run per [`PROFILED_RUNS`] config with the HostProfiler
     // attached (never the timed matrix — profiling the profiler would
     // poison the throughput numbers). The hostprof dump records the
-    // window-rich compress/16c run. The ledger is maintained through the
+    // compress/16c run. The ledger is maintained through the
     // store, not blind append: this run's fresh records are merged with
     // the file's existing ones (fresh wins a digest conflict, with the
     // drift reported — the file is being regenerated) and the result is
@@ -1105,13 +948,11 @@ fn main() {
     let hostprof_path = out_dir.join("BENCH_hostprof.json");
     let ledger_path = out_dir.join("BENCH_ledger.jsonl");
     let mut store = LedgerStore::new();
-    for &(config, preset, cores) in HOST_SCALING {
+    for &(config, preset, cores) in PROFILED_RUNS {
         let cfg = GcConfig {
             n_cores: cores,
             mem: MemConfig::default().with_extra_latency(20),
-            sparse: true,
-            engine: Some(EngineKind::Par),
-            host_threads: 1,
+            engine: Some(EngineKind::Sparse),
             ..GcConfig::default()
         };
         let (run, prof) = hwgc_bench::run_hostprof(&spec(preset), cfg);
@@ -1185,31 +1026,6 @@ fn main() {
                     "  throughput regression at {cores} cores: ratio {ratio:.2} < {CHECK_RATIO}"
                 );
                 failed = true;
-            }
-        }
-        // The same floor on both par-engine legs of every host_scaling
-        // config the reference also carries, in cycles/second so a host
-        // faster or slower overall still compares honestly per leg.
-        let ref_hs = parse_host_scaling(&reference);
-        for (config, cycles, w1, wmax) in parse_host_scaling(&report) {
-            let Some((_, rc, rw1, rwmax)) = ref_hs.iter().find(|(c, _, _, _)| *c == config) else {
-                continue;
-            };
-            for (leg, mea, reference) in [
-                ("ht1", cycles / w1.max(1e-9), rc / rw1.max(1e-9)),
-                ("htmax", cycles / wmax.max(1e-9), rc / rwmax.max(1e-9)),
-            ] {
-                let ratio = mea / reference;
-                println!(
-                    "  {config} par {leg}: reference {reference:>12.0} c/s, measured \
-                     {mea:>12.0} c/s — {ratio:.2}x vs committed baseline"
-                );
-                if ratio < CHECK_RATIO {
-                    eprintln!(
-                        "  par engine regression on {config} ({leg}): ratio {ratio:.2} < {CHECK_RATIO}"
-                    );
-                    failed = true;
-                }
             }
         }
         if failed {

@@ -15,15 +15,14 @@
 //! (`hwgc-hostprof-v1`) as `report_<preset>_hostprof.json`.
 //!
 //! The report's **host performance** section comes from a second run of
-//! the same heap under the par-window engine with the [`HostProfiler`]
-//! attached: its deterministic window-funnel counters
-//! (`win.attempted`/`win.veto.*`/`win.fired`) explain *why* a workload
-//! fires (or never fires) copy windows — e.g. javac/16c fires zero
-//! because retirement-order bounds veto every candidate instant.
+//! the same heap and configuration with the [`HostProfiler`] attached
+//! (the probe and the profiler ride separate doors): its deterministic
+//! `engine.*` counters say how the loop spent the run — parks and wakes
+//! by class, all-parked jumps, calendar pops.
 //!
 //! `--ledger FILE` (or `HWGC_LEDGER`) appends one `hwgc-ledger-v1` JSONL
-//! record per simulation (the probed default-engine run and the profiled
-//! par run) with config hash, stats digest and efficacy counters.
+//! record of the simulation — config hash, stats digest and the profiled
+//! run's efficacy counters.
 //!
 //! `--check` (what the CI `report-smoke` job runs) additionally asserts:
 //!
@@ -33,16 +32,16 @@
 //!    slices) sums exactly to the engine's corresponding stall counter:
 //!    every stall cycle attributed once, none invented;
 //! 3. the critical path partitions the run's wall-clock cycles exactly;
-//! 4. **hostprof parity** — a hostprof-off par run produces identical
-//!    `GcStats` to the profiled par run (self-observation must not
-//!    perturb the simulation either), and the emitted hostprof JSON
-//!    passes schema validation.
+//! 4. **hostprof parity** — the same probe-off run produces identical
+//!    `GcStats` to the profiled run (self-observation must not perturb
+//!    the simulation either), and the emitted hostprof JSON passes
+//!    schema validation.
 
 use hwgc_bench::{
     append_ledger_to, assert_blame_reconciles, experiments_dir, ledger_path, ledger_record,
     report_for_run, run_hostprof_heap, run_probed_heap, run_verified_heap,
 };
-use hwgc_core::{EngineKind, GcConfig};
+use hwgc_core::GcConfig;
 use hwgc_memsim::MemConfig;
 use hwgc_obs::{
     render_report_json, render_report_markdown, validate_hostprof_json, HostSection, LedgerStore,
@@ -133,15 +132,11 @@ fn main() {
     let (out, _trace, recording) = run_probed_heap(&mut heap, cfg, &label, 64);
     let report = report_for_run(&label, cores, &out, &recording, mem.bandwidth);
 
-    // Second run of the same heap under the par-window engine with the
-    // host profiler attached: the report's host section (window funnel,
-    // veto taxonomy, park/wake statistics) describes *this* run.
-    let par_cfg = GcConfig {
-        engine: Some(EngineKind::Par),
-        ..cfg
-    };
-    let mut par_heap = spec.build();
-    let (par_out, prof) = run_hostprof_heap(&mut par_heap, par_cfg, &label);
+    // Second run of the same heap and configuration with the host
+    // profiler attached: the report's host section (park/wake and jump
+    // statistics, host time) describes *this* run.
+    let mut prof_heap = spec.build();
+    let (prof_out, prof) = run_hostprof_heap(&mut prof_heap, cfg, &label);
     let hostprof_json = prof.to_json_string();
     let report = report.with_host(HostSection::from_profiler(&prof));
 
@@ -159,13 +154,11 @@ fn main() {
             "[check] blame matrix reconciles: every stall cycle of all {} classes attributed",
             hwgc_core::StallReason::COUNT
         );
-        let mut plain_heap = spec.build();
-        let plain = run_verified_heap(&mut plain_heap, par_cfg, &label);
         assert_eq!(
-            par_out.stats, plain.stats,
+            prof_out.stats, reference.stats,
             "hostprof-on GcStats diverged from hostprof-off"
         );
-        assert_eq!(par_out.free, plain.free, "hostprof-on free diverged");
+        assert_eq!(prof_out.free, reference.free, "hostprof-on free diverged");
         println!("[check] hostprof-on GcStats identical to hostprof-off");
         validate_hostprof_json(&hostprof_json)
             .unwrap_or_else(|e| panic!("hostprof JSON failed validation: {e}"));
@@ -207,23 +200,15 @@ fn main() {
         ),
     }
 
-    // Run ledger: one JSONL record per simulation performed above. The
-    // probed default-engine run carries no profiler (its efficacy
-    // counters live in the report); the par run carries the full set.
+    // Run ledger: one JSONL record for the simulation performed above,
+    // carrying the probed run's stats and the profiled run's efficacy
+    // counters (the same configuration, so the same config hash).
     // Before appending, cross-check the rendered stats against whatever
-    // record the ledger already holds for each config hash: a digest
-    // mismatch means this binary and a previous run disagree about the
-    // same configuration — fatal under `--check`.
+    // record the ledger already holds for that hash: a digest mismatch
+    // means this binary and a previous run disagree about the same
+    // configuration — fatal under `--check`.
     if let Some(path) = ledger.map(std::path::PathBuf::from).or_else(ledger_path) {
-        let rec_probe = ledger_record("gc_report", &label, &cfg, &out.stats, None, None);
-        let rec_par = ledger_record(
-            "gc_report",
-            &label,
-            &par_cfg,
-            &par_out.stats,
-            None,
-            Some(&prof),
-        );
+        let rec = ledger_record("gc_report", &label, &cfg, &out.stats, None, Some(&prof));
         let store = match LedgerStore::load_tolerant(&path) {
             Ok((store, _report)) => store,
             Err(e) if check => panic!("ledger {} failed to load: {e}", path.display()),
@@ -232,36 +217,26 @@ fn main() {
                 LedgerStore::new()
             }
         };
-        let mut checked = 0usize;
-        for rec in [&rec_probe, &rec_par] {
-            let hash = rec.config_hash();
-            if let Some(prev) = store.get(hash) {
-                if prev.stats_digest != rec.stats_digest {
-                    let msg = format!(
-                        "ledger cross-check failed for config {hash:016x} ({label}): \
-                         ledger has digest {:016x}, this run produced {:016x}",
-                        prev.stats_digest, rec.stats_digest
-                    );
-                    if check {
-                        panic!("{msg}");
-                    }
-                    eprintln!("warning: {msg}");
-                } else {
-                    checked += 1;
+        let hash = rec.config_hash();
+        if let Some(prev) = store.get(hash) {
+            if prev.stats_digest != rec.stats_digest {
+                let msg = format!(
+                    "ledger cross-check failed for config {hash:016x} ({label}): \
+                     ledger has digest {:016x}, this run produced {:016x}",
+                    prev.stats_digest, rec.stats_digest
+                );
+                if check {
+                    panic!("{msg}");
+                }
+                eprintln!("warning: {msg}");
+            } else {
+                println!("[ledger] record cross-checked against {}", path.display());
+                if check {
+                    println!("[check] rendered stats match the ledger's recorded digest");
                 }
             }
         }
-        if checked > 0 {
-            println!(
-                "[ledger] {checked} record(s) cross-checked against {}",
-                path.display()
-            );
-            if check {
-                println!("[check] rendered stats match the ledger's recorded digests");
-            }
-        }
-        append_ledger_to(&rec_probe, &path);
-        append_ledger_to(&rec_par, &path);
-        println!("[ledger] {} (+2 records)", path.display());
+        append_ledger_to(&rec, &path);
+        println!("[ledger] {} (+1 record)", path.display());
     }
 }

@@ -3,7 +3,7 @@
 //! Joins two `hwgc-ledger-v1` JSONL files on `config_hash` and
 //! classifies every configuration as identical / changed / one-sided
 //! via stats digests, SB fingerprints and efficacy counters, rendering
-//! a markdown + JSON report (cycle deltas, window-funnel drift, host
+//! a markdown + JSON report (cycle deltas, efficacy-counter drift, host
 //! time trend). Under `--check`, exits nonzero when any configuration
 //! *changed* — one-sided coverage differences never fail the gate.
 //!

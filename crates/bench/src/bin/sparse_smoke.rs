@@ -1,6 +1,6 @@
 //! CI parity smoke for the sparse active-set engine: runs a preset ×
-//! core-count × memory-latency matrix twice — sparse engine forced on,
-//! then the fully naive per-cycle loop (sparse and fast-forward off) —
+//! core-count × memory-latency matrix twice — sparse engine pinned,
+//! then the fully naive per-cycle loop (naive pinned, fast-forward off) —
 //! and requires bit-identical `GcStats` and allocation frontier on every
 //! combo, plus identical cycle-stamped SB event streams on a traced
 //! sub-matrix. A machine-parseable parity report (one JSON line per
@@ -8,15 +8,15 @@
 //! for upload.
 //!
 //! ```text
-//! sparse_smoke [--out <path>] [--expect-default <on|off>]
+//! sparse_smoke [--out <path>] [--expect-engine <none|naive|sparse>]
 //!              [--expect-backend <fixed|dram>]
 //! ```
 //!
 //! * `--out` — report path (default `target/sparse_smoke.json`),
-//! * `--expect-default` — assert the `HWGC_SPARSE` escape hatch: the
-//!   process-default `GcConfig` must have the sparse engine in exactly
-//!   this state. CI runs one leg with the variable unset (`on`) and one
-//!   with `HWGC_SPARSE=0` (`off`), so the hatch is exercised end to end.
+//! * `--expect-engine` — assert the `HWGC_ENGINE` escape hatch: the
+//!   process-default `GcConfig::engine` must be exactly this pin. CI runs
+//!   one leg with the variable unset (`none`, the automatic choice) and
+//!   one with `HWGC_ENGINE=naive`, so the hatch is exercised end to end.
 //! * `--expect-backend` — assert the `HWGC_MEM_BACKEND` hatch the same
 //!   way: the process-default `MemConfig` must resolve to this memory
 //!   backend.
@@ -26,7 +26,7 @@
 //! regimes) and under two bank/row DRAM backends (open- and closed-page),
 //! each pinned explicitly on both the sparse and the naive side.
 //!
-//! The matrix itself pins `sparse` explicitly on both sides, so parity
+//! The matrix itself pins the engine explicitly on both sides, so parity
 //! coverage is identical in both CI legs; only the default is asserted.
 //! Any divergence prints the combo and exits nonzero.
 
@@ -38,6 +38,14 @@ use hwgc_heap::Snapshot;
 use hwgc_jobs::ConfigMatrix;
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
 use hwgc_workloads::{Preset, WorkloadSpec};
+
+/// The values of `GcConfig::engine`, as `--expect-engine` and the report
+/// name them.
+const ENGINE_PINS: [(&str, Option<EngineKind>); 3] = [
+    ("none", None),
+    ("naive", Some(EngineKind::Naive)),
+    ("sparse", Some(EngineKind::Sparse)),
+];
 
 fn fail(msg: &str) -> ! {
     eprintln!("sparse_smoke: FAIL: {msg}");
@@ -51,7 +59,6 @@ fn sparse_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig 
             .with_extra_latency(extra)
             .with_backend(backend),
         engine: Some(EngineKind::Sparse),
-        sparse: true,
         ..GcConfig::default()
     }
 }
@@ -59,7 +66,6 @@ fn sparse_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig 
 fn naive_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig {
     GcConfig {
         engine: Some(EngineKind::Naive),
-        sparse: false,
         fast_forward: false,
         ..sparse_config(cores, extra, backend)
     }
@@ -103,21 +109,21 @@ fn main() {
     };
     let out_path = flag_value("--out").unwrap_or_else(|| "target/sparse_smoke.json".to_string());
 
-    if let Some(expect) = flag_value("--expect-default") {
-        let want = match expect.as_str() {
-            "on" => true,
-            "off" => false,
-            other => fail(&format!("--expect-default takes on|off, got {other:?}")),
-        };
-        let got = GcConfig::default().sparse;
-        if got != want {
+    let default_engine = GcConfig::default().engine;
+    if let Some(expect) = flag_value("--expect-engine") {
+        let Some(&(_, want)) = ENGINE_PINS.iter().find(|(name, _)| *name == expect) else {
             fail(&format!(
-                "HWGC_SPARSE hatch broken: default sparse is {got}, expected {want} \
-                 (HWGC_SPARSE={:?})",
-                std::env::var("HWGC_SPARSE").ok()
+                "--expect-engine takes none|naive|sparse, got {expect:?}"
+            ))
+        };
+        if default_engine != want {
+            fail(&format!(
+                "HWGC_ENGINE hatch broken: default engine is {default_engine:?}, expected \
+                 {want:?} (HWGC_ENGINE={:?})",
+                std::env::var("HWGC_ENGINE").ok()
             ));
         }
-        println!("sparse_smoke: default sparse = {got} (as expected)");
+        println!("sparse_smoke: default engine = {default_engine:?} (as expected)");
     }
 
     if let Some(expect) = flag_value("--expect-backend") {
@@ -181,7 +187,6 @@ fn main() {
         let t = Instant::now();
         let naive = SimCollector::new(GcConfig {
             engine: Some(EngineKind::Naive),
-            sparse: false,
             fast_forward: false,
             ..job.cfg
         })
@@ -279,8 +284,12 @@ fn main() {
     let _ = writeln!(report, "  \"traced_combos\": {traced},");
     let _ = writeln!(
         report,
-        "  \"default_sparse\": {}",
-        GcConfig::default().sparse
+        "  \"default_engine\": \"{}\"",
+        ENGINE_PINS
+            .iter()
+            .find(|(_, pin)| *pin == default_engine)
+            .expect("every pin is named")
+            .0
     );
     report.push_str("}\n");
 

@@ -10,10 +10,9 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use hwgc_check::{cache_path_from_env, ResultCache};
 use hwgc_core::{GcConfig, GcOutcome, GcStats, SignalTrace, SimCollector, StallReason};
 use hwgc_heap::{verify_collection, Heap, Snapshot};
-use hwgc_jobs::ArtifactStore;
+use hwgc_jobs::{cache_path_from_env, ArtifactStore, ResultCache};
 use hwgc_obs::{
     chrome_trace_json, derive_metrics, Fanout, FoldedStacks, HostProfiler, Json, LedgerRecord,
     MetricsRegistry, Recorder, Recording, RunMeta, RunReport, SweepProgress, SweepSummary,

@@ -1,18 +1,14 @@
 //! Golden-file tests for the host profiler's *deterministic* efficacy
-//! counters on the two reference regimes of the par-window engine and
-//! on the sparse engine's DRAM regime:
+//! counters on the sparse engine's three reference regimes at 16 cores:
 //!
-//! * **compress/16c, +20 latency** — the window-rich configuration (the
-//!   one `par_smoke`'s traced leg fingerprints): the funnel fires, the
-//!   window-length and copy-words histograms fill, and the park/wake
-//!   counters show the copy streams the windows are carved from;
-//! * **javac/16c, +0 latency** — the zero-window configuration: the
-//!   committed golden *is* the quantitative answer to "why does javac
-//!   fire no windows at 16 cores" — every attempt shows up under a
-//!   `win.veto.*` reason instead of `win.fired`;
-//! * **db/16c on the default DRAM backend, sparse engine** — sixteen
-//!   cores parked on body traffic queued behind eight banks: the golden
-//!   pins how much of that the all-parked jump skips
+//! * **compress/16c, +20 latency** — memory-bound copy streams: almost
+//!   every cycle is an all-parked jump or a calendar pop, and the
+//!   park/wake counters show the body-load/empty-spin mix behind it;
+//! * **javac/16c, +0 latency** — lock-bound: header-lock and scan-lock
+//!   parks dominate and the all-parked jump almost never fires;
+//! * **db/16c on the default DRAM backend** — sixteen cores parked on
+//!   body traffic queued behind eight banks: the golden pins how much of
+//!   that the all-parked jump skips
 //!   (`engine.jump.all_parked{,_cycles}`, `engine.cycles_executed`,
 //!   `engine.calendar.pops`) and the park/wake mix that gets it there.
 //!
@@ -34,16 +30,11 @@ use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::{validate_hostprof_json, Json};
 use hwgc_workloads::{Preset, WorkloadSpec};
 
-fn par_config(extra: u32) -> GcConfig {
+fn config(extra: u32) -> GcConfig {
     GcConfig {
         n_cores: 16,
         mem: MemConfig::default().with_extra_latency(extra),
-        sparse: true,
-        engine: Some(EngineKind::Par),
-        // One host thread and threshold 1 so the dispatch/inline split is
-        // machine-independent and every fired window reaches the pool.
-        host_threads: 1,
-        par_copy_threshold: 1,
+        engine: Some(EngineKind::Sparse),
         ..GcConfig::default()
     }
 }
@@ -87,12 +78,12 @@ fn golden(name: &str, actual: &str) {
 }
 
 #[test]
-fn window_rich_compress_counters_match_golden() {
+fn compress_counters_match_golden() {
     let spec = WorkloadSpec::new(Preset::Compress, 42);
-    let (_, prof) = run_hostprof(&spec, par_config(20));
+    let (_, prof) = run_hostprof(&spec, config(20));
     assert!(
-        prof.counter("win.fired") > 0,
-        "compress/16c +20 must fire windows — the golden would be vacuous"
+        prof.counter("engine.jump.all_parked") > 0,
+        "compress/16c +20 must jump memory waits — the golden would be vacuous"
     );
     validate_hostprof_json(&prof.to_json_string()).expect("hostprof JSON validates");
     golden(
@@ -102,17 +93,12 @@ fn window_rich_compress_counters_match_golden() {
 }
 
 #[test]
-fn zero_window_javac_counters_match_golden() {
+fn javac_counters_match_golden() {
     let spec = WorkloadSpec::new(Preset::Javac, 42);
-    let (_, prof) = run_hostprof(&spec, par_config(0));
-    assert_eq!(
-        prof.counter("win.fired"),
-        0,
-        "javac/16c +0 is the zero-window reference regime"
-    );
+    let (_, prof) = run_hostprof(&spec, config(0));
     assert!(
-        prof.counter_prefix_sum("win.veto.") > 0 || prof.counter("win.attempted") == 0,
-        "zero fired windows must be explained by veto counters (or zero attempts)"
+        prof.counter("engine.park.header_lock") > 0,
+        "javac/16c +0 must contend on header locks — the golden would be vacuous"
     );
     golden(
         "hostprof_golden_javac16.txt",
@@ -125,8 +111,7 @@ fn dram_db_counters_match_golden() {
     let spec = WorkloadSpec::new(Preset::Db, 42);
     let cfg = GcConfig {
         mem: MemConfig::default().with_backend(MemBackendKind::Dram(DramConfig::default())),
-        engine: Some(EngineKind::Sparse),
-        ..par_config(0)
+        ..config(0)
     };
     let (_, prof) = run_hostprof(&spec, cfg);
     assert!(

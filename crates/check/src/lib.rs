@@ -21,26 +21,11 @@
 //!   simulated collector across configurations and the four real-thread
 //!   software collectors on clones of the same heap.
 
-//! * [`par`] — the scoped-thread worker pool (`HWGC_JOBS`) that fans the
-//!   sweep combinations, oracle configurations and experiment binaries
-//!   across cores with deterministic result order,
-//! * [`cache`] — the content-addressed result cache (`HWGC_CACHE`) that
-//!   sits under the pool: jobs keyed by ledger `config_hash` reuse
-//!   recorded results bit-exactly or turn recorded digests into
-//!   regression assertions.
-
-pub mod cache;
 pub mod graphs;
 pub mod lint;
 pub mod oracle;
-pub mod par;
 pub mod sweep;
 
-pub use cache::{
-    cache_path_from_env, outcome_from_json, outcome_to_json, stats_from_json, stats_to_json,
-    CacheCounters, CacheError, CacheMode, ResultCache,
-};
 pub use lint::{lint_events, lint_trace, TraceLint, Violation};
 pub use oracle::{differential, sim_configs, OracleOutcome};
-pub use par::{jobs, jobs_from, par_map, par_map_profiled, ParMapStats};
 pub use sweep::{run_sweep, PolicyKind, SweepConfig, SweepOutcome};

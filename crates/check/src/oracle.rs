@@ -19,10 +19,9 @@
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy};
 use hwgc_core::{GcConfig, SeqCheney, SimCollector};
 use hwgc_heap::{verify_collection, verify_collection_relaxed, Heap, Snapshot};
+use hwgc_jobs::par_map;
 use hwgc_memsim::MemConfig;
 use hwgc_swgc::{Chunked, FineGrained, Packets, SwCollector, WorkStealing};
-
-use crate::par::par_map;
 
 /// Summary of one differential run.
 #[derive(Debug, Clone)]

@@ -24,10 +24,10 @@
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy, StaticPriority};
 use hwgc_core::{GcConfig, SeqCheney, SignalTrace, SimCollector};
 use hwgc_heap::{verify_collection, Heap, Snapshot};
+use hwgc_jobs::par_map;
 use hwgc_memsim::MemConfig;
 
 use crate::lint::lint_trace;
-use crate::par::par_map;
 
 /// Which arbitration policy a sweep combination uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,8 +16,8 @@
 //! *intentional*, re-run `bench_baseline` to refresh the baseline and
 //! update the pinned fingerprint printed in the failure message.
 
-use hwgc_check::par_map;
 use hwgc_core::{GcConfig, SignalTrace, SimCollector};
+use hwgc_jobs::par_map;
 use hwgc_workloads::{Preset, WorkloadSpec};
 use std::fmt::Write as _;
 

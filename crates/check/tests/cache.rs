@@ -13,8 +13,8 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hwgc_check::{outcome_from_json, outcome_to_json, par_map, CacheError, CacheMode, ResultCache};
 use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector};
+use hwgc_jobs::{outcome_from_json, outcome_to_json, par_map, CacheError, CacheMode, ResultCache};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::json::Json;
 use hwgc_obs::{JobOutcome, LedgerRecord, LedgerStore};
@@ -40,7 +40,6 @@ fn config(cores: usize, dram: bool) -> GcConfig {
     GcConfig {
         mem,
         engine: Some(EngineKind::Sparse),
-        sparse: true,
         ..GcConfig::with_cores(cores)
     }
 }

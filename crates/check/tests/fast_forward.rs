@@ -8,9 +8,10 @@
 //! The workload matrix rides the `HWGC_JOBS` worker pool; every pair is
 //! an independent simulation.
 
-use hwgc_check::{graphs, par_map};
+use hwgc_check::graphs;
 use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::{GraphBuilder, Heap};
+use hwgc_jobs::par_map;
 use hwgc_memsim::{MemBackendKind, MemConfig};
 use hwgc_obs::{HostProfiler, Recorder};
 use hwgc_workloads::{Preset, WorkloadSpec};
@@ -20,7 +21,7 @@ fn ff_config(cores: usize) -> GcConfig {
     // isolates the event-horizon fast-forward against the naive loop
     // (the sparse engine has its own matrix in `tests/sparse.rs`).
     let cfg = GcConfig {
-        sparse: false,
+        engine: Some(EngineKind::Naive),
         ..GcConfig::with_cores(cores)
     };
     assert!(cfg.fast_forward, "fast-forward must be the default");
@@ -190,7 +191,6 @@ fn stream_config(cores: usize, mem: MemConfig, line_split: Option<u32>, ff: bool
         mem,
         line_split,
         engine: Some(EngineKind::Naive),
-        sparse: false,
         fast_forward: ff,
         ..GcConfig::with_cores(cores)
     }

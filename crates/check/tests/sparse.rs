@@ -9,13 +9,14 @@
 //! with (unlike the PR 2 fast-forward, which they suppress).
 //!
 //! The matrix rides the `HWGC_JOBS` worker pool; every pair is an
-//! independent simulation. `sparse: true` is explicit everywhere so the
-//! differential still bites when CI exports `HWGC_SPARSE=0`.
+//! independent simulation. Both engines are pinned everywhere so the
+//! differential still bites when CI exports `HWGC_ENGINE=naive`.
 
-use hwgc_check::{graphs, par_map};
+use hwgc_check::graphs;
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy};
 use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::Heap;
+use hwgc_jobs::par_map;
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
 use hwgc_obs::Recorder;
 use hwgc_workloads::{Preset, WorkloadSpec};
@@ -27,7 +28,6 @@ fn sparse_config(cores: usize, extra: u32) -> GcConfig {
         // single core (see `GcConfig::effective_engine`), which would
         // quietly turn the 1-core legs into naive-vs-naive.
         engine: Some(EngineKind::Sparse),
-        sparse: true,
         ..GcConfig::with_cores(cores)
     }
 }
@@ -35,7 +35,6 @@ fn sparse_config(cores: usize, extra: u32) -> GcConfig {
 fn naive_config(cores: usize, extra: u32) -> GcConfig {
     GcConfig {
         engine: Some(EngineKind::Naive),
-        sparse: false,
         fast_forward: false,
         ..sparse_config(cores, extra)
     }
@@ -135,7 +134,6 @@ fn scan_hand_off_axes_are_bit_exact_under_sparse() {
         let sparse = SimCollector::new(cfg).collect(&mut sparse_heap);
         let naive = SimCollector::new(GcConfig {
             engine: Some(EngineKind::Naive),
-            sparse: false,
             fast_forward: false,
             ..cfg
         })

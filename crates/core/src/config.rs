@@ -50,37 +50,14 @@ pub struct GcConfig {
     /// tracing could observe the skipped cycles. `false` forces the
     /// naive per-cycle loop (the differential tests compare both).
     pub fast_forward: bool,
-    /// Sparse active-set engine (default on, `HWGC_SPARSE=0` in the
-    /// environment flips the default off): cores whose next retry provably
-    /// fails park on per-resource wake conditions — SB lock releases,
-    /// memory retirements, or a computed wake cycle — and the clock jumps
-    /// to the earliest wake instead of ticking every core every cycle.
-    /// Per-cycle work becomes O(runnable) instead of O(n_cores). Bit-exact
-    /// — identical `GcStats`, SB event stamps and trace rows, including
-    /// under schedule policies — and automatically suppressed when a
-    /// mutator runs (its ticks observe every cycle). `false` forces the
-    /// naive per-cycle loop (the differential tests compare both).
-    pub sparse: bool,
-    /// Engine selection override. `None` (the default) derives the
-    /// engine from the legacy `sparse` flag — [`EngineKind::Sparse`]
-    /// when it is set, [`EngineKind::Naive`] otherwise — after
-    /// consulting the `HWGC_ENGINE` environment knob (see
-    /// [`engine_from`]). [`EngineKind::Par`] runs the sparse loop
-    /// extended with conservative time windows executed by a host
-    /// thread pool (see `engine::par` and DESIGN §10); like the other
-    /// engines it is bit-exact, and it degrades to the plain sparse
-    /// loop whenever a window cannot soundly open.
+    /// Which loop runs the collection. `None` (the default, unless the
+    /// `HWGC_ENGINE` environment knob names an engine — see
+    /// [`engine_from`]) chooses from what the configuration shows: see
+    /// [`GcConfig::effective_engine`]. The engines are bit-exact —
+    /// identical `GcStats`, SB event stamps and trace rows, including
+    /// under schedule policies — so the choice only moves host time; the
+    /// differential tests pin one engine on each side.
     pub engine: Option<EngineKind>,
-    /// Host worker threads for [`EngineKind::Par`] (`HWGC_HOST_THREADS`
-    /// in the environment): `0` (the default) means auto — one worker
-    /// per available host core; `1` keeps every window on the
-    /// coordinating thread.
-    pub host_threads: usize,
-    /// Minimum total words a window must copy before the par engine
-    /// dispatches the copy to the worker pool instead of doing it
-    /// inline (`HWGC_PAR_COPY_THRESHOLD`); windows below it are not
-    /// worth a handshake.
-    pub par_copy_threshold: usize,
 }
 
 /// Which simulation loop advances the collection.
@@ -89,43 +66,25 @@ pub enum EngineKind {
     /// Tick every core every cycle (with event-horizon fast-forward
     /// unless `fast_forward` is off).
     Naive,
-    /// The sparse active-set loop (PR 5): O(runnable) per cycle.
+    /// The sparse active-set loop: cores whose next retry provably fails
+    /// park on per-resource wake conditions — SB lock releases, memory
+    /// retirements, or a computed wake cycle — and the clock jumps to the
+    /// earliest wake, so per-cycle work is O(runnable) instead of
+    /// O(n_cores). Suppressed when a mutator runs (its ticks observe
+    /// every cycle).
     Sparse,
-    /// The sparse loop plus host-thread-parallel conservative windows:
-    /// when every core is parked mid-copy, the engine advances the
-    /// copy streams to the window horizon in one step and fans the
-    /// heap writes out across host threads.
-    Par,
 }
 
-/// Parse the `HWGC_ENGINE` environment knob: `naive`, `sparse` or `par`
-/// (ASCII case-insensitive, trimmed) select an engine; unset, empty or
-/// anything unrecognized yields `None`, which defers to the legacy
-/// `sparse` flag (`HWGC_SPARSE`).
+/// Parse the `HWGC_ENGINE` environment knob: `naive` or `sparse` (ASCII
+/// case-insensitive, trimmed) pin an engine; unset, empty or anything
+/// unrecognized yields `None`, the automatic choice of
+/// [`GcConfig::effective_engine`].
 pub fn engine_from(var: Option<&str>) -> Option<EngineKind> {
     match var.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
         Some("naive") => Some(EngineKind::Naive),
         Some("sparse") => Some(EngineKind::Sparse),
-        Some("par") => Some(EngineKind::Par),
         _ => None,
     }
-}
-
-/// Parse the `HWGC_HOST_THREADS` environment knob: a positive integer
-/// pins the worker count; unset, `0`, `auto` or anything unrecognized
-/// means auto-size to the host.
-pub fn host_threads_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse().ok()).unwrap_or(0)
-}
-
-/// Parse the `HWGC_SPARSE` escape hatch: unset keeps the sparse engine
-/// on; `0` / `false` / `off` / `no` (trimmed) disable it; anything else
-/// leaves it on.
-pub fn sparse_from(var: Option<&str>) -> bool {
-    !matches!(
-        var.map(str::trim),
-        Some("0") | Some("false") | Some("off") | Some("no")
-    )
 }
 
 impl Default for GcConfig {
@@ -139,13 +98,7 @@ impl Default for GcConfig {
             multiport_sb: false,
             max_cycles: 2_000_000_000,
             fast_forward: true,
-            sparse: sparse_from(std::env::var("HWGC_SPARSE").ok().as_deref()),
             engine: engine_from(std::env::var("HWGC_ENGINE").ok().as_deref()),
-            host_threads: host_threads_from(std::env::var("HWGC_HOST_THREADS").ok().as_deref()),
-            par_copy_threshold: std::env::var("HWGC_PAR_COPY_THRESHOLD")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(256),
         }
     }
 }
@@ -159,27 +112,22 @@ impl GcConfig {
         }
     }
 
-    /// The engine this configuration actually runs: the explicit
-    /// [`GcConfig::engine`] override when present, else the legacy
-    /// `sparse` flag's choice — with one measured exception. At a single
-    /// simulated core the sparse loop's wake-admission bookkeeping costs
-    /// more than it saves (the active set *is* the core), and only the
-    /// naive loop has the stream jump: one core of `compress` at scale
-    /// 60 collects in 0.59 s on the sparse loop against 0.48 s on the
-    /// naive loop with the horizon jump alone (≈ 20 %) and 0.27 s with
-    /// the stream jump. So an unpinned single-core configuration runs
-    /// the naive loop with fast-forward instead. The engines are
-    /// bit-exact, so the swap is invisible to every stat; pin
-    /// `engine: Some(EngineKind::Sparse)` (or `HWGC_ENGINE=sparse`) to
-    /// defeat the heuristic, e.g. in differential tests.
+    /// The engine this configuration actually runs: the pinned
+    /// [`GcConfig::engine`] when present, else the sparse loop — with one
+    /// measured exception. At a single simulated core the sparse loop's
+    /// wake-admission bookkeeping costs more than it saves (the active
+    /// set *is* the core), and only the naive loop has the stream jump:
+    /// one core of `compress` at scale 60 collects in 0.59 s on the
+    /// sparse loop against 0.48 s on the naive loop with the horizon jump
+    /// alone (≈ 20 %) and 0.27 s with the stream jump. So an unpinned
+    /// single-core configuration runs the naive loop — only while
+    /// fast-forward is on: without it the naive loop grinds every hollow
+    /// cycle and loses by far more.
     pub fn effective_engine(&self) -> EngineKind {
         match self.engine {
             Some(kind) => kind,
-            // Only while fast-forward is on: without it the naive loop
-            // grinds every hollow cycle and loses by far more.
-            None if self.sparse && self.n_cores == 1 && self.fast_forward => EngineKind::Naive,
-            None if self.sparse => EngineKind::Sparse,
-            None => EngineKind::Naive,
+            None if self.n_cores == 1 && self.fast_forward => EngineKind::Naive,
+            None => EngineKind::Sparse,
         }
     }
 }
@@ -203,92 +151,49 @@ mod tests {
     }
 
     #[test]
-    fn sparse_from_documents_every_input_class() {
-        // Unset: on by default.
-        assert!(sparse_from(None));
-        // Explicit off spellings, with surrounding whitespace tolerated.
-        for off in ["0", "false", "off", "no", " 0 ", "\tfalse\n"] {
-            assert!(!sparse_from(Some(off)), "{off:?} should disable");
-        }
-        // Anything else (including empty and affirmative values): on.
-        for on in ["", "1", "true", "on", "yes", "sparse", "OFF"] {
-            assert!(sparse_from(Some(on)), "{on:?} should keep the default");
-        }
-    }
-
-    #[test]
     fn engine_from_documents_every_input_class() {
-        // The three engines, case-insensitive, whitespace-tolerant.
+        // The two engines, case-insensitive, whitespace-tolerant.
         assert_eq!(engine_from(Some("naive")), Some(EngineKind::Naive));
         assert_eq!(engine_from(Some("sparse")), Some(EngineKind::Sparse));
-        assert_eq!(engine_from(Some("par")), Some(EngineKind::Par));
-        assert_eq!(engine_from(Some(" PAR \n")), Some(EngineKind::Par));
-        // Unset, empty, or unrecognized: defer to the legacy flag.
+        assert_eq!(engine_from(Some(" SPARSE \n")), Some(EngineKind::Sparse));
+        // Unset, empty, a removed engine, or garbage: the automatic choice.
         assert_eq!(engine_from(None), None);
         assert_eq!(engine_from(Some("")), None);
-        assert_eq!(engine_from(Some("parallel")), None);
+        assert_eq!(engine_from(Some("par")), None);
+        assert_eq!(engine_from(Some("sparsely")), None);
     }
 
     #[test]
-    fn effective_engine_defers_to_the_sparse_flag() {
-        let base = GcConfig {
-            engine: None,
-            ..GcConfig::default()
-        };
-        let sparse_on = GcConfig {
-            sparse: true,
-            ..base
-        };
-        let sparse_off = GcConfig {
-            sparse: false,
-            ..base
-        };
-        // Single-core default: the naive loop wins (see
-        // `effective_engine`), unless fast-forward is off or the engine
-        // is pinned.
-        assert_eq!(sparse_on.effective_engine(), EngineKind::Naive);
-        assert_eq!(
-            GcConfig {
-                fast_forward: false,
-                ..sparse_on
-            }
-            .effective_engine(),
-            EngineKind::Sparse
-        );
-        assert_eq!(
-            GcConfig {
-                n_cores: 2,
-                ..sparse_on
-            }
-            .effective_engine(),
-            EngineKind::Sparse
-        );
-        assert_eq!(
-            GcConfig {
-                engine: Some(EngineKind::Sparse),
-                ..sparse_on
-            }
-            .effective_engine(),
-            EngineKind::Sparse
-        );
-        assert_eq!(sparse_off.effective_engine(), EngineKind::Naive);
-        // The explicit override wins regardless of the legacy flag.
-        for kind in [EngineKind::Naive, EngineKind::Sparse, EngineKind::Par] {
-            let c = GcConfig {
-                engine: Some(kind),
-                ..sparse_off
+    fn effective_engine_chooses_from_cores_and_fast_forward_unless_pinned() {
+        use EngineKind::{Naive, Sparse};
+        // Only the single-core fast-forward configuration — where the
+        // naive loop's stream jump wins — leaves the sparse loop.
+        for (n_cores, fast_forward, auto) in [
+            (1, true, Naive),
+            (1, false, Sparse),
+            (2, true, Sparse),
+            (2, false, Sparse),
+            (16, true, Sparse),
+            (16, false, Sparse),
+        ] {
+            let cfg = GcConfig {
+                fast_forward,
+                engine: None,
+                ..GcConfig::with_cores(n_cores)
             };
-            assert_eq!(c.effective_engine(), kind);
-        }
-    }
-
-    #[test]
-    fn host_threads_from_documents_every_input_class() {
-        assert_eq!(host_threads_from(None), 0);
-        assert_eq!(host_threads_from(Some("4")), 4);
-        assert_eq!(host_threads_from(Some(" 8 ")), 8);
-        for auto in ["", "0", "auto", "-1", "many"] {
-            assert_eq!(host_threads_from(Some(auto)), 0, "{auto:?}");
+            assert_eq!(
+                cfg.effective_engine(),
+                auto,
+                "{n_cores} cores, ff {fast_forward}"
+            );
+            // A pin wins regardless.
+            for kind in [Naive, Sparse] {
+                let pinned = GcConfig {
+                    engine: Some(kind),
+                    ..cfg
+                };
+                assert_eq!(pinned.effective_engine(), kind);
+            }
         }
     }
 }

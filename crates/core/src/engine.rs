@@ -32,8 +32,6 @@
 //! `ACTIVE == false` compiles every emission site away, keeping the
 //! steady-state loop allocation-free at its current cycle costs.
 
-pub(crate) mod par;
-
 use hwgc_heap::header::Header;
 use hwgc_heap::{Addr, Heap, NULL};
 use hwgc_memsim::{DramMemorySystem, HeaderFifo, MemBackend, MemBackendKind, MemorySystem};
@@ -42,7 +40,6 @@ use hwgc_sync::{LockKind, SyncBlock};
 
 use crate::concurrent::{MutatorConfig, MutatorSm, MutatorStats};
 use crate::config::{EngineKind, GcConfig};
-use crate::engine::par::{ParPool, Windower};
 use crate::machine::{CoreSm, Ctx, State, TickOutcome, WorkCounters};
 use crate::schedule::{CoreView, RandomOrder, SchedulePolicy, ScheduleView};
 use crate::stats::{GcStats, StallReason};
@@ -214,13 +211,10 @@ impl SimCollector {
     }
 
     /// Run one collection cycle with `host` collecting *host-time*
-    /// self-profiling: wall-clock phase timers, engine loop and window
-    /// funnel counters, pool scatter/gather latency. Unlike the event
-    /// bus, a hostprof does **not** disable the parallel engine's
-    /// windows — its deterministic counters are aggregates, invariant
-    /// under window splits — so `GcStats` stay bit-identical to
-    /// [`SimCollector::collect`] (the differential tests compare them).
-    /// Wall-clock quantities never flow back into the simulation.
+    /// self-profiling: wall-clock phase timers and engine loop counters
+    /// (parks, wakes, jumps, calendar pops). `GcStats` stay bit-identical
+    /// to [`SimCollector::collect`] (the differential tests compare
+    /// them): wall-clock quantities never flow back into the simulation.
     pub fn collect_hostprof<H: HostProf>(&self, heap: &mut Heap, host: &mut H) -> GcOutcome {
         let (free, stats, _) = self.run(heap, None, None, &mut NullProbe, host);
         GcOutcome { free, stats }
@@ -473,11 +467,9 @@ impl SimCollector {
         // cycles replay `arrange` against the frozen view, so policy RNG
         // streams stay aligned); only a mutator — which ticks every cycle
         // and can touch any SB resource — forces the naive loop. The wake
-        // lists use one u64 bitmask, hence the 64-core bound. The parallel
-        // engine is the sparse loop plus conservative windows, so it
-        // shares the gate.
-        let kind = cfg.effective_engine();
-        let use_sparse = kind != EngineKind::Naive && mutator.is_none() && cfg.n_cores <= 64;
+        // lists use one u64 bitmask, hence the 64-core bound.
+        let use_sparse =
+            cfg.effective_engine() == EngineKind::Sparse && mutator.is_none() && cfg.n_cores <= 64;
 
         if use_sparse {
             // ===========================================================
@@ -558,42 +550,6 @@ impl SimCollector {
             // drains the last transaction — the same cycle the naive
             // loop's check first passes.
             let mut done_count: usize = 0;
-            // Conservative time windows (EngineKind::Par): legal only in
-            // *quiet mode* — nothing that observes or perturbs individual
-            // cycles may be attached. Probes and event logs would miss
-            // the windowed ticks; a schedule policy (including the
-            // tick_permutation_seed fallback) advances per-cycle RNG; a
-            // line split claim consults the SB chunk counter mid-copy.
-            // The windowed stall bookkeeping also *relies* on probes
-            // being off (park stamps are split-invariant only for the
-            // aggregate tallies, not for span streams). A hostprof is
-            // deliberately *not* part of this gate: its deterministic
-            // counters are aggregates (counts and totals, never
-            // per-cycle streams), invariant under window splits, so
-            // windows stay enabled and hostprof-on `GcStats` remain
-            // bit-identical — which is also what lets it observe the
-            // window funnel at all.
-            let windowed = kind == EngineKind::Par
-                && policy.is_none()
-                && !P::ACTIVE
-                && !sb.event_log_enabled()
-                && !mem.event_log_enabled()
-                && cfg.line_split.is_none();
-            let mut windower = if windowed {
-                Some(Windower::new())
-            } else {
-                None
-            };
-            let mut pool: Option<ParPool> = None;
-            // O(1) window-candidate gate: number of cores currently parked
-            // on a body load inside an eligible pure copy run (>= 2 words
-            // left). Maintained at the three park-state transitions below;
-            // purely an optimization — the planner re-filters.
-            let mut win_cands: u32 = 0;
-            let is_win_cand = |sm: &CoreSm| {
-                sm.copy_run()
-                    .is_some_and(|r| !r.in_store && r.end - r.idx >= 2)
-            };
 
             // Wake core `$w` if parked: replay the stalls its skipped
             // retries would have recorded, then re-admit it — into the
@@ -638,9 +594,6 @@ impl SimCollector {
                                     }
                                 }
                             }
-                        }
-                        if windowed && reason == StallReason::BodyLoad && is_win_cand(&cores[w]) {
-                            win_cands -= 1;
                         }
                         park_reason[w] = None;
                         sb.cancel_park(w);
@@ -762,12 +715,6 @@ impl SimCollector {
                             if H::ACTIVE {
                                 host.count(park_key(reason), 1);
                             }
-                            if windowed
-                                && reason == StallReason::BodyLoad
-                                && is_win_cand(&cores[idx])
-                            {
-                                win_cands += 1;
-                            }
                             park_reason[idx] = Some(reason);
                             park_since[idx] = cycles + 1;
                             awake &= !(1u64 << idx);
@@ -838,113 +785,6 @@ impl SimCollector {
 
             loop {
                 if awake == 0 {
-                    // Parallel-engine window: with every core parked and
-                    // the memory system window-ready, try to advance the
-                    // pure copy streams to a conservatively safe horizon
-                    // in one step (see `engine::par` and DESIGN §10). On
-                    // success the heap writes fan out across the host
-                    // pool; on failure fall through to the ordinary jump.
-                    if win_cands > 0 {
-                        if let Some(wd) = windower.as_mut() {
-                            if cycles < wd.snooze_until {
-                                // Throttled after a failed attempt; the
-                                // funnel counts the skipped instants too.
-                                if H::ACTIVE {
-                                    host.count("win.snoozed", 1);
-                                }
-                            } else {
-                                if H::ACTIVE {
-                                    host.count("win.attempted", 1);
-                                }
-                                let plan = wd.plan(
-                                    cycles,
-                                    cfg.max_cycles,
-                                    cfg.mem.bandwidth,
-                                    u64::from(cfg.mem.latency),
-                                    u64::from(cfg.mem.extra_latency),
-                                    &cores,
-                                    &park_reason,
-                                    &park_since,
-                                    &mem,
-                                );
-                                if plan.is_none() {
-                                    if H::ACTIVE {
-                                        host.count(wd.last_veto(), 1);
-                                    }
-                                    // Failed attempts are throttled: windows
-                                    // open in chains (each fire re-parks the
-                                    // streams straight into the next attempt),
-                                    // so between chains a short cooldown costs
-                                    // at most a clipped first window.
-                                    wd.snooze_until = wd.snooze_until.max(cycles + 64);
-                                }
-                                if let Some(win) = plan {
-                                    let w = win.end_cycle - cycles;
-                                    if H::ACTIVE {
-                                        host.count("win.fired", 1);
-                                        host.sample("win.len", w);
-                                        host.sample(
-                                            "win.copy_words",
-                                            wd.copies().iter().map(|s| u64::from(s.len)).sum(),
-                                        );
-                                    }
-                                    for f in wd.finishes() {
-                                        // The consumed-but-unstored boundary
-                                        // word is read from fromspace, which
-                                        // no window copy writes.
-                                        let store_val = if f.in_store {
-                                            heap.word(f.copy_src + f.copy_len)
-                                        } else {
-                                            0
-                                        };
-                                        cores[f.core]
-                                            .set_copy_run_parked(f.new_idx, f.in_store, store_val);
-                                        if f.load_stalls > 0 {
-                                            cores[f.core]
-                                                .stalls
-                                                .record_n(StallReason::BodyLoad, f.load_stalls);
-                                        }
-                                        if f.store_stalls > 0 {
-                                            cores[f.core]
-                                                .stalls
-                                                .record_n(StallReason::BodyStore, f.store_stalls);
-                                        }
-                                        park_reason[f.core] = Some(if f.in_store {
-                                            StallReason::BodyStore
-                                        } else {
-                                            StallReason::BodyLoad
-                                        });
-                                        park_since[f.core] = f.park_since;
-                                        if f.in_store || !is_win_cand(&cores[f.core]) {
-                                            win_cands -= 1;
-                                        }
-                                    }
-                                    mem.apply_body_window(
-                                        win.end_cycle,
-                                        win.busy_ticks,
-                                        win.occupancy_sum,
-                                        wd.patches(),
-                                    );
-                                    cycles = win.end_cycle;
-                                    sb.fast_forward(w);
-                                    if sb.scan() == sb.free() {
-                                        stats.empty_worklist_cycles += w;
-                                    }
-                                    let p = pool.get_or_insert_with(|| {
-                                        ParPool::new_profiled(cfg.host_threads, H::ACTIVE)
-                                    });
-                                    if H::ACTIVE {
-                                        let t0 = host.now();
-                                        p.copy(heap, wd.copies(), cfg.par_copy_threshold);
-                                        host.time("pool.copy", host.now() - t0);
-                                    } else {
-                                        p.copy(heap, wd.copies(), cfg.par_copy_threshold);
-                                    }
-                                    continue;
-                                }
-                            }
-                        }
-                    }
                     // Every core is parked: jump the clock to the earliest
                     // wake. SB wakes need a core tick, so the only future
                     // activity is the memory system's.
@@ -1138,20 +978,6 @@ impl SimCollector {
                 );
             }
             debug_assert!(cores.iter().all(|c| c.state() == State::Done));
-            if H::ACTIVE {
-                if let Some(p) = &pool {
-                    // Host-thread-count-dependent quantities are *notes*
-                    // (quarantined with the wall-clock timers), never
-                    // deterministic counters: `host_threads = 0` sizes
-                    // the pool to the machine.
-                    host.note("pool.dispatches", p.dispatches());
-                    host.note("pool.inline_copies", p.inline_copies());
-                    host.time("pool.gather_wait", p.gather_wait_ns());
-                    for (stripe, busy) in p.worker_busy_ns().into_iter().enumerate() {
-                        host.time_slot("pool.worker_busy", stripe as u32, busy);
-                    }
-                }
-            }
         } else {
             // Cores whose tick in the executing cycle was a stream tick
             // (preallocated like every per-cycle buffer).
@@ -1861,12 +1687,12 @@ mod tests {
         // replication error in stall/stat accounting would surface.
         use hwgc_memsim::MemConfig;
         for cores in [1, 2, 4, 16] {
-            // Pin the sparse engine off: this differential isolates the
-            // PR 2 fast-forward against the naive loop (the sparse engine
-            // has its own differentials below).
+            // Pin the naive engine: this differential isolates the PR 2
+            // fast-forward against the plain per-cycle loop (the sparse
+            // engine has its own differentials below).
             let cfg = GcConfig {
                 mem: MemConfig::default().with_extra_latency(20),
-                sparse: false,
+                engine: Some(EngineKind::Naive),
                 ..GcConfig::with_cores(cores)
             };
             let mut h1 = diamond(500);
@@ -1887,7 +1713,7 @@ mod tests {
         use hwgc_memsim::MemConfig;
         let cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(20),
-            sparse: false,
+            engine: Some(EngineKind::Naive),
             ..GcConfig::with_cores(4)
         };
         // Sparse sampling leaves room to skip between samples; the rows
@@ -1940,7 +1766,7 @@ mod tests {
         use hwgc_obs::{OwnedEvent, Recorder, Recording};
         let cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(20),
-            sparse: false,
+            engine: Some(EngineKind::Naive),
             ..GcConfig::with_cores(4)
         };
         let run = |cfg: GcConfig| {
@@ -1999,8 +1825,8 @@ mod tests {
         // The sparse active-set loop must replicate the naive loop's
         // stats exactly in both the contended low-latency regime (parks
         // are mostly lock waits) and the Figure 6 regime (+20 cycles per
-        // access, parks are mostly memory waits). `sparse: true` is
-        // explicit so the differential survives `HWGC_SPARSE=0` in CI.
+        // access, parks are mostly memory waits). Both engines are
+        // pinned so the differential survives `HWGC_ENGINE` in CI.
         use hwgc_memsim::MemConfig;
         for extra in [0u32, 20] {
             for cores in [1, 2, 4, 16] {
@@ -2009,7 +1835,6 @@ mod tests {
                     // Pinned: the unpinned 1-core default auto-selects
                     // the naive loop, degrading this leg to naive-vs-naive.
                     engine: Some(EngineKind::Sparse),
-                    sparse: true,
                     ..GcConfig::with_cores(cores)
                 };
                 let mut h1 = diamond(500);
@@ -2017,7 +1842,6 @@ mod tests {
                 let mut h2 = diamond(500);
                 let naive = SimCollector::new(GcConfig {
                     engine: Some(EngineKind::Naive),
-                    sparse: false,
                     fast_forward: false,
                     ..cfg
                 })
@@ -2037,7 +1861,7 @@ mod tests {
         use hwgc_memsim::MemConfig;
         let cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(20),
-            sparse: true,
+            engine: Some(EngineKind::Sparse),
             ..GcConfig::with_cores(4)
         };
         for sample_every in [1u64, 7, 1 << 40] {
@@ -2047,7 +1871,7 @@ mod tests {
             let mut h2 = diamond(500);
             let mut t2 = crate::trace::SignalTrace::with_events(sample_every);
             let naive = SimCollector::new(GcConfig {
-                sparse: false,
+                engine: Some(EngineKind::Naive),
                 fast_forward: false,
                 ..cfg
             })
@@ -2070,7 +1894,7 @@ mod tests {
         for extra in [0u32, 20] {
             let cfg = GcConfig {
                 mem: MemConfig::default().with_extra_latency(extra),
-                sparse: true,
+                engine: Some(EngineKind::Sparse),
                 ..GcConfig::with_cores(4)
             };
             for seed in [1u64, 42, 0xDEAD_BEEF] {
@@ -2085,7 +1909,7 @@ mod tests {
                     let mut p2 = mk(seed);
                     let mut h2 = diamond(500);
                     let naive = SimCollector::new(GcConfig {
-                        sparse: false,
+                        engine: Some(EngineKind::Naive),
                         ..cfg
                     })
                     .collect_scheduled(&mut h2, p2.as_mut());
@@ -2111,7 +1935,7 @@ mod tests {
         use hwgc_obs::Recorder;
         let cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(20),
-            sparse: true,
+            engine: Some(EngineKind::Sparse),
             ..GcConfig::with_cores(4)
         };
         for sample in [Some(8u64), None] {
@@ -2125,7 +1949,7 @@ mod tests {
             let mut r2 = mk();
             let mut h2 = diamond(500);
             let naive = SimCollector::new(GcConfig {
-                sparse: false,
+                engine: Some(EngineKind::Naive),
                 fast_forward: false,
                 ..cfg
             })
@@ -2401,7 +2225,6 @@ mod tests {
                 ..Default::default()
             },
             engine: Some(EngineKind::Sparse),
-            sparse: true,
             ..GcConfig::with_cores(cores)
         }
     }
@@ -2460,7 +2283,6 @@ mod tests {
         let sparse = SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
         let naive = SimCollector::new(GcConfig {
             engine: Some(EngineKind::Naive),
-            sparse: false,
             fast_forward: false,
             ..cfg
         })

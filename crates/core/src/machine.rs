@@ -221,28 +221,6 @@ struct ObjRegs {
     fifo_ok: bool,
 }
 
-/// A core's position inside a pure data-copy run — the slice of
-/// [`ObjRegs`] the decoupled-window machinery (`engine::par`) needs to
-/// advance the copy without the rest of the engine. All remaining words
-/// of the claim are data words (`idx >= pi` is checked by
-/// [`CoreSm::copy_run`]), loaded from `backlink + 2 + i` and stored to
-/// `frame + 2 + i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CopyRun {
-    /// Tospace frame the words are stored into.
-    pub frame: Addr,
-    /// Fromspace original the words are loaded from.
-    pub backlink: Addr,
-    /// Next body word index.
-    pub idx: u32,
-    /// One past the last body word of the claim.
-    pub end: u32,
-    /// `true` when the core is parked in [`State::StoreWord`] (its next
-    /// retry issues the store for `idx`), `false` for [`State::CopyWait`]
-    /// (its next retry consumes the load for `idx`).
-    pub in_store: bool,
-}
-
 /// One microprogrammed core.
 pub struct CoreSm {
     id: usize,
@@ -278,50 +256,6 @@ impl CoreSm {
     /// contention-aware scheduling policies ([`crate::schedule`]).
     pub fn pending_header(&self) -> Option<Addr> {
         (self.state == State::ChildLock).then_some(self.regs.child)
-    }
-
-    /// The pure data-copy run this core is inside, if any — the window
-    /// detector's eligibility view (see `engine::par`). `Some` only when
-    /// the core sits in [`State::CopyWait`] or [`State::StoreWord`] with
-    /// every remaining body word of the claim a data word (`idx >= pi`):
-    /// from here until the claim's last word is stored the core touches
-    /// only its own body-port transactions and its disjoint tospace /
-    /// fromspace word ranges — never the SB, the FIFO or another core's
-    /// memory. Split claims are excluded (their `ClaimDone` consults the
-    /// SB chunk counter).
-    pub(crate) fn copy_run(&self) -> Option<CopyRun> {
-        if self.regs.split || self.regs.idx < self.regs.pi {
-            return None;
-        }
-        match self.state {
-            State::CopyWait | State::StoreWord => Some(CopyRun {
-                frame: self.regs.frame,
-                backlink: self.regs.backlink,
-                idx: self.regs.idx,
-                end: self.regs.end,
-                in_store: self.state == State::StoreWord,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Writeback after a decoupled window advanced this core's data run
-    /// (see `engine::par`): the kernel copied words `idx..new_idx` and
-    /// left the core parked either in [`State::CopyWait`] (waiting on
-    /// the body load for word `new_idx`) or, with `in_store`, in
-    /// [`State::StoreWord`] (word `new_idx` already consumed into
-    /// `store_val`, the store issue stalled on a busy body-store port).
-    /// Only legal while [`CoreSm::copy_run`] is `Some`.
-    pub(crate) fn set_copy_run_parked(&mut self, new_idx: u32, in_store: bool, store_val: u32) {
-        debug_assert!(self.copy_run().is_some());
-        debug_assert!(self.regs.idx <= new_idx && new_idx < self.regs.end);
-        self.regs.idx = new_idx;
-        if in_store {
-            self.regs.store_val = store_val;
-            self.state = State::StoreWord;
-        } else {
-            self.state = State::CopyWait;
-        }
     }
 
     /// How many of this core's coming ticks (at most `cap`) are

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hwgc_core::{GcConfig, SignalTrace, SimCollector};
+use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::{GraphBuilder, Heap};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 
@@ -83,17 +83,17 @@ fn collect_counting(heap: &mut Heap, cfg: GcConfig) -> (u64, u64) {
 #[test]
 fn steady_state_cycles_do_not_allocate() {
     // Both steady-state engines are covered: the naive per-cycle loop
-    // (sparse and fast-forward pinned off so every simulated cycle runs
+    // (pinned, with fast-forward off, so every simulated cycle runs
     // the loop body) and the sparse active-set loop, whose park/wake
     // machinery — wake lists, wake feed, retirement calendar, replay
     // scratch — must likewise be preallocated before cycle 0.
     let naive = GcConfig {
-        sparse: false,
+        engine: Some(EngineKind::Naive),
         fast_forward: false,
         ..GcConfig::with_cores(4)
     };
     let sparse = GcConfig {
-        sparse: true,
+        engine: Some(EngineKind::Sparse),
         ..GcConfig::with_cores(4)
     };
     // The naive loop with all three fast-forward flavours on, over

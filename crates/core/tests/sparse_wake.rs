@@ -130,12 +130,10 @@ proptest! {
             // Pinned so the 1-core draws still differential sparse vs
             // naive (the unpinned single-core default is the naive loop).
             engine: Some(hwgc_core::EngineKind::Sparse),
-            sparse: true,
             ..GcConfig::with_cores(cores)
         };
         let naive_cfg = GcConfig {
             engine: Some(hwgc_core::EngineKind::Naive),
-            sparse: false,
             fast_forward: false,
             ..sparse_cfg
         };
@@ -164,7 +162,6 @@ proptest! {
             // Pinned so the 1-core draws still differential sparse vs
             // naive (the unpinned single-core default is the naive loop).
             engine: Some(hwgc_core::EngineKind::Sparse),
-            sparse: true,
             ..GcConfig::with_cores(cores)
         };
         let mut h1 = build(&shape);
@@ -174,7 +171,6 @@ proptest! {
         let mut t2 = hwgc_core::trace::SignalTrace::with_events(1 << 40);
         let naive = SimCollector::new(GcConfig {
             engine: Some(hwgc_core::EngineKind::Naive),
-            sparse: false,
             fast_forward: false,
             ..sparse_cfg
         })

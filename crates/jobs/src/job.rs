@@ -87,7 +87,6 @@ pub fn engine_label(cfg: &GcConfig) -> &'static str {
     match cfg.effective_engine() {
         EngineKind::Naive => "naive",
         EngineKind::Sparse => "sparse",
-        EngineKind::Par => "par",
     }
 }
 
@@ -132,18 +131,15 @@ pub fn ledger_config_pairs(cfg: &GcConfig) -> Vec<(String, String)> {
             "header_fifo_capacity",
             cfg.mem.header_fifo_capacity.to_string(),
         ),
-        kv("host_threads", cfg.host_threads.to_string()),
         kv("latency", cfg.mem.latency.to_string()),
         kv("line_split", format!("{:?}", cfg.line_split)),
         kv("max_cycles", cfg.max_cycles.to_string()),
         kv("multiport_sb", cfg.multiport_sb.to_string()),
         kv("n_cores", cfg.n_cores.to_string()),
-        kv("par_copy_threshold", cfg.par_copy_threshold.to_string()),
         kv(
             "service_reorder_seed",
             format!("{:?}", cfg.mem.service_reorder_seed),
         ),
-        kv("sparse", cfg.sparse.to_string()),
         kv("test_before_lock", cfg.test_before_lock.to_string()),
         kv(
             "tick_permutation_seed",
@@ -153,37 +149,19 @@ pub fn ledger_config_pairs(cfg: &GcConfig) -> Vec<(String, String)> {
     pairs
 }
 
-/// `HWGC_*` environment knobs that shape simulation behaviour, captured
-/// for the ledger's provenance field. Output-only knobs (`HWGC_LEDGER`,
-/// `HWGC_HOSTPROF`, `HWGC_UPDATE_GOLDENS`), harness parallelism
-/// (`HWGC_JOBS`, `HWGC_WORKERS`, `HWGC_WORKER_BIN`,
-/// `HWGC_WORKER_ABORT_AFTER`) and the observatory's own knobs
-/// (`HWGC_CACHE*`, `HWGC_TELEMETRY`, `HWGC_JOURNAL`, `HWGC_ARTIFACTS`)
-/// are excluded — they cannot change a simulation result, and a cache
-/// knob that perturbed the config hash would invalidate the very cache
-/// it configures.
+/// The `HWGC_*` environment knobs that shape simulation behaviour,
+/// captured for the ledger's provenance field (and hashed into
+/// [`LedgerRecord::config_hash`] with it). An allow list: every other
+/// variable — output paths, profiling toggles, harness parallelism, the
+/// cache's own knobs, a stale name in someone's shell — cannot change a
+/// simulation result and so must not change its identity. Both listed
+/// knobs are also resolved into [`ledger_config_pairs`].
 pub fn ledger_env_pairs() -> Vec<(String, String)> {
-    const EXCLUDE: [&str; 14] = [
-        "HWGC_LEDGER",
-        "HWGC_HOSTPROF",
-        "HWGC_UPDATE_GOLDENS",
-        "HWGC_JOBS",
-        "HWGC_CACHE",
-        "HWGC_CACHE_PATH",
-        "HWGC_CACHE_VERIFY_PCT",
-        "HWGC_CACHE_LEDGER",
-        "HWGC_TELEMETRY",
-        "HWGC_WORKERS",
-        "HWGC_WORKER_BIN",
-        "HWGC_WORKER_ABORT_AFTER",
-        "HWGC_JOURNAL",
-        "HWGC_ARTIFACTS",
-    ];
-    let mut pairs: Vec<(String, String)> = std::env::vars()
-        .filter(|(k, _)| k.starts_with("HWGC_") && !EXCLUDE.contains(&k.as_str()))
-        .collect();
-    pairs.sort();
-    pairs
+    const SHAPES_A_SIMULATION: [&str; 2] = ["HWGC_ENGINE", "HWGC_MEM_BACKEND"];
+    SHAPES_A_SIMULATION
+        .iter()
+        .filter_map(|&k| std::env::var(k).ok().map(|v| (k.to_string(), v)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -349,7 +327,6 @@ fn engine_to_json(e: Option<EngineKind>) -> Json {
         None => Json::Null,
         Some(EngineKind::Naive) => Json::Str("naive".into()),
         Some(EngineKind::Sparse) => Json::Str("sparse".into()),
-        Some(EngineKind::Par) => Json::Str("par".into()),
     }
 }
 
@@ -359,7 +336,6 @@ fn engine_from_json(j: Option<&Json>) -> Result<Option<EngineKind>, String> {
         Some(Json::Str(s)) => match s.as_str() {
             "naive" => Ok(Some(EngineKind::Naive)),
             "sparse" => Ok(Some(EngineKind::Sparse)),
-            "par" => Ok(Some(EngineKind::Par)),
             other => Err(format!("bad `engine` {other:?}")),
         },
         Some(_) => Err("`engine` is neither null nor a string".to_string()),
@@ -392,16 +368,7 @@ pub fn config_to_json(cfg: &GcConfig) -> Json {
         ),
         ("multiport_sb".to_string(), Json::Bool(cfg.multiport_sb)),
         ("fast_forward".to_string(), Json::Bool(cfg.fast_forward)),
-        ("sparse".to_string(), Json::Bool(cfg.sparse)),
         ("engine".to_string(), engine_to_json(cfg.engine)),
-        (
-            "host_threads".to_string(),
-            Json::Int(cfg.host_threads as i128),
-        ),
-        (
-            "par_copy_threshold".to_string(),
-            Json::Int(cfg.par_copy_threshold as i128),
-        ),
     ])
 }
 
@@ -427,10 +394,7 @@ pub fn config_from_json(j: &Json) -> Result<GcConfig, String> {
         max_cycles: req_u64(j, "max_cycles")?,
         multiport_sb: req_bool(j, "multiport_sb")?,
         fast_forward: req_bool(j, "fast_forward")?,
-        sparse: req_bool(j, "sparse")?,
         engine: engine_from_json(j.get("engine"))?,
-        host_threads: req_usize(j, "host_threads")?,
-        par_copy_threshold: req_usize(j, "par_copy_threshold")?,
     })
 }
 
@@ -496,8 +460,7 @@ mod tests {
                 },
                 line_split: Some(8),
                 tick_permutation_seed: Some(3),
-                engine: Some(EngineKind::Par),
-                host_threads: 2,
+                engine: Some(EngineKind::Sparse),
                 ..GcConfig::with_cores(4)
             },
         };
@@ -544,6 +507,40 @@ mod tests {
         );
     }
 
+    #[test]
+    fn config_hash_ignores_env_knobs_that_cannot_shape_a_simulation() {
+        let job = SimJob {
+            spec: WorkloadSpec::new(Preset::Compress, 42),
+            cfg: GcConfig::with_cores(2),
+        };
+        let before = job.config_hash();
+        // An output path, a harness knob and a name nothing reads. None
+        // of them can change what another test computes, so no lock.
+        let noise = [
+            ("HWGC_TRACE_OUT", "/some/path"),
+            ("HWGC_SWEEP_LINT", "1"),
+            ("HWGC_NO_SUCH_KNOB", "on"),
+        ];
+        let saved = noise.map(|(k, _)| std::env::var_os(k));
+        for (k, v) in noise {
+            std::env::set_var(k, v);
+        }
+        let during = job.config_hash();
+        let env = job.cache_key("").env;
+        for ((k, _), old) in noise.iter().zip(saved) {
+            match old {
+                Some(v) => std::env::set_var(k, v),
+                None => std::env::remove_var(k),
+            }
+        }
+        assert_eq!(during, before);
+        assert!(
+            env.iter()
+                .all(|(k, _)| k == "HWGC_ENGINE" || k == "HWGC_MEM_BACKEND"),
+            "{env:?}"
+        );
+    }
+
     /// `cfg`'s wire form with the field at `path` replaced.
     fn frame_with(cfg: &GcConfig, path: &[&str], value: Json) -> Json {
         fn set(j: &mut Json, path: &[&str], value: Json) {
@@ -576,7 +573,7 @@ mod tests {
         };
         let zero = Json::Int(0);
         let big = |n: u64| Json::Int(i128::from(n));
-        let cases: [(&GcConfig, &[&str], Json, &str); 12] = [
+        let cases: [(&GcConfig, &[&str], Json, &str); 13] = [
             (&fixed, &["n_cores"], zero.clone(), "`n_cores`"),
             (&fixed, &["line_split"], zero.clone(), "`line_split`"),
             (&fixed, &["mem", "bandwidth"], zero.clone(), "`bandwidth`"),
@@ -633,6 +630,9 @@ mod tests {
                 big(u64::from(u32::MAX)),
                 "`t_ras` + `t_rp` + `t_rcd` + `t_cas` + `extra_latency`",
             ),
+            // A removed engine: what a stale `HWGC_WORKER_BIN` or an old
+            // journal line would send.
+            (&fixed, &["engine"], Json::Str("par".into()), "`engine`"),
         ];
         for (cfg, path, value, named) in cases {
             let err = config_from_json(&frame_with(cfg, path, value))
@@ -686,14 +686,21 @@ mod tests {
             })),
             ..base
         });
-        cfgs.push(GcConfig {
-            line_split: Some(1),
-            multiport_sb: true,
-            test_before_lock: true,
-            tick_permutation_seed: Some(9),
-            engine: Some(EngineKind::Naive),
-            ..base
-        });
+        for engine in [None, Some(EngineKind::Naive), Some(EngineKind::Sparse)] {
+            cfgs.push(GcConfig {
+                line_split: Some(1),
+                multiport_sb: true,
+                test_before_lock: true,
+                tick_permutation_seed: Some(9),
+                engine,
+                ..base
+            });
+        }
+        // The automatic choice travels as an explicit `null`.
+        assert_eq!(
+            config_from_json(&frame_with(&base, &["engine"], Json::Null)).map(|c| c.engine),
+            Ok(None)
+        );
         for cfg in cfgs {
             let wire = config_to_json(&cfg).to_string_compact();
             let back = config_from_json(&Json::parse(&wire).unwrap());

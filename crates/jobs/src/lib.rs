@@ -20,8 +20,7 @@
 //! * [`exec`] — the in-process and multi-process execution engines
 //! * [`protocol`] — the coordinator ↔ `sweep_worker` wire format
 //! * [`journal`] — the append-only resumption journal (journal ∪ cache)
-//! * [`cache`] — the content-addressed result cache (moved here from
-//!   `hwgc-check`, which re-exports it)
+//! * [`cache`] — the content-addressed result cache
 //! * [`par`] — the scoped-thread in-process pool (`HWGC_JOBS`) and the
 //!   worker-fleet sizing knob (`HWGC_WORKERS`)
 //! * [`artifacts`] — the typed artifact store (`HWGC_ARTIFACTS`)

@@ -83,7 +83,7 @@ pub enum MemBackendKind {
 }
 
 /// Parse the `HWGC_MEM_BACKEND` environment knob (mirrors
-/// `hwgc_core::config::sparse_from` / `hwgc_check`'s `jobs_from`).
+/// `hwgc_core::config::engine_from` / `hwgc_jobs`' `jobs_from`).
 ///
 /// Grammar (ASCII case-insensitive, surrounding whitespace ignored):
 ///
@@ -124,52 +124,6 @@ pub fn backend_from(var: Option<&str>) -> MemBackendKind {
         }
     }
     MemBackendKind::Dram(cfg)
-}
-
-/// A body-port transaction as seen by the parallel engine's window
-/// planner: its target address and absolute retirement cycle. Only
-/// in-service transactions are viewable — a backend must refuse the view
-/// (return `None` from [`MemBackend::body_ports_view`]) while a body
-/// transaction is still queued, blocked, or completed-but-unconsumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InflightTxnView {
-    pub addr: u32,
-    pub done_at: u64,
-    pub issued_at: u64,
-}
-
-/// Snapshot of one core's two body ports plus their burst trackers (the
-/// last *serviced* body address per direction), enough for the window
-/// planner to extrapolate the core's copy stream without ticking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BodyPortsView {
-    pub load: Option<InflightTxnView>,
-    pub store: Option<InflightTxnView>,
-    pub last_load_addr: Option<u32>,
-    pub last_store_addr: Option<u32>,
-}
-
-/// Final state of one body-port transaction at the end of a conservative
-/// window: in service, retiring strictly after the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FinalTxn {
-    pub addr: u32,
-    pub done_at: u64,
-    pub issued_at: u64,
-}
-
-/// Per-core patch applied by [`MemBackend::apply_body_window`]: the body
-/// ports' replacement transactions, the advanced burst trackers, and the
-/// issue counts the skipped ticks would have accumulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BodyWindowPatch {
-    pub core: usize,
-    pub issued_loads: u64,
-    pub issued_stores: u64,
-    pub load: Option<FinalTxn>,
-    pub store: Option<FinalTxn>,
-    pub last_load_addr: Option<u32>,
-    pub last_store_addr: Option<u32>,
 }
 
 /// The memory-timing backend the engine drives (see the module docs for
@@ -292,68 +246,6 @@ pub trait MemBackend {
 
     /// Age of the oldest in-flight transaction (deadlock diagnostics).
     fn oldest_inflight_age(&self) -> Option<u64>;
-
-    // --- Conservative-window support (the parallel engine) ----------
-    //
-    // The four methods below are the optional fast path the `Par`
-    // engine's window planner uses to advance all-parked copy phases
-    // without ticking. A backend that cannot replicate its per-tick
-    // statistics in closed form keeps the defaults: `window_ready`
-    // stays `false`, windows never open on it, and the engine falls
-    // back to the (bit-exact) sparse per-cycle loop. The DRAM backend
-    // does exactly that — bank/row state makes the closed form
-    // unprofitable, and the contract stays trivially satisfied.
-
-    /// May a conservative window open at the current instant? `true`
-    /// only when the backend is in a pure in-service state: no queued
-    /// or blocked requests, no completed-unconsumed loads, no pending
-    /// comparator re-check, and no service-order randomization — i.e.
-    /// every future tick up to the next retirement is closed-form
-    /// predictable. The default (`false`) opts the backend out of
-    /// windows entirely.
-    fn window_ready(&self) -> bool {
-        false
-    }
-
-    /// Snapshot `core`'s body ports for the window planner, or `None`
-    /// if either body port holds a transaction that is not in service.
-    /// Only called after [`MemBackend::window_ready`] returned `true`;
-    /// the default panics to keep opted-out backends honest.
-    fn body_ports_view(&self, core: usize) -> Option<BodyPortsView> {
-        let _ = core;
-        unreachable!("body_ports_view on a backend without window support")
-    }
-
-    /// Earliest retirement cycle over *all* of `core`'s in-flight
-    /// transactions (any port), or `None` if the core has nothing in
-    /// flight. Blocked header stores contribute nothing — they retire
-    /// with (and are bounded by) the store that blocks them. Only
-    /// called after [`MemBackend::window_ready`] returned `true`.
-    fn earliest_retire(&self, core: usize) -> Option<u64> {
-        let _ = core;
-        unreachable!("earliest_retire on a backend without window support")
-    }
-
-    /// Commit a planned window ending at `end_cycle`: advance the
-    /// clock, replicate the per-tick statistics the skipped ticks
-    /// would have accumulated (`busy_ticks` ticks with a non-empty
-    /// queue, `occupancy_sum` total queue occupancy, per-patch issue
-    /// counts), and replace each patched core's body-port transactions
-    /// and burst trackers with their end-of-window state. Every
-    /// replacement transaction must still be in service
-    /// (`done_at > end_cycle`) — the planner's gap rule guarantees no
-    /// retirement lands inside the window. Only called after
-    /// [`MemBackend::window_ready`] returned `true`.
-    fn apply_body_window(
-        &mut self,
-        end_cycle: u64,
-        busy_ticks: u64,
-        occupancy_sum: u64,
-        patches: &[BodyWindowPatch],
-    ) {
-        let _ = (end_cycle, busy_ticks, occupancy_sum, patches);
-        unreachable!("apply_body_window on a backend without window support")
-    }
 }
 
 /// The fixed latency/bandwidth model *is* the reference backend: pure
@@ -492,31 +384,6 @@ impl MemBackend for MemorySystem {
     fn oldest_inflight_age(&self) -> Option<u64> {
         MemorySystem::oldest_inflight_age(self)
     }
-
-    #[inline]
-    fn window_ready(&self) -> bool {
-        MemorySystem::window_ready(self)
-    }
-
-    #[inline]
-    fn body_ports_view(&self, core: usize) -> Option<BodyPortsView> {
-        MemorySystem::body_ports_view(self, core)
-    }
-
-    #[inline]
-    fn earliest_retire(&self, core: usize) -> Option<u64> {
-        MemorySystem::earliest_retire(self, core)
-    }
-
-    fn apply_body_window(
-        &mut self,
-        end_cycle: u64,
-        busy_ticks: u64,
-        occupancy_sum: u64,
-        patches: &[BodyWindowPatch],
-    ) {
-        MemorySystem::apply_body_window(self, end_cycle, busy_ticks, occupancy_sum, patches)
-    }
 }
 
 #[cfg(test)]
@@ -526,7 +393,7 @@ mod tests {
 
     /// Every input class the parser distinguishes, in one place — the
     /// documentation test for the `HWGC_MEM_BACKEND` grammar (the
-    /// `sparse_from`/`jobs_from` convention).
+    /// `engine_from`/`jobs_from` convention).
     #[test]
     fn backend_from_documents_every_input_class() {
         // Unset, empty, and explicit `fixed` are the fixed backend.

@@ -34,10 +34,7 @@ pub mod fifo;
 pub mod system;
 mod wheel;
 
-pub use backend::{
-    backend_from, BodyPortsView, BodyWindowPatch, FinalTxn, InflightTxnView, MemBackend,
-    MemBackendKind,
-};
+pub use backend::{backend_from, MemBackend, MemBackendKind};
 pub use dram::{DramConfig, DramMemorySystem, DramStats, PagePolicy, MAX_BANKS};
 pub use fifo::{FifoStats, HeaderFifo};
 pub use system::{

@@ -2,9 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::backend::{
-    backend_from, BodyPortsView, BodyWindowPatch, InflightTxnView, MemBackendKind,
-};
+use crate::backend::{backend_from, MemBackendKind};
 use crate::dram::DramStats;
 use crate::wheel::RetireWheel;
 
@@ -952,157 +950,6 @@ impl MemorySystem {
             .map(|t| self.cycle.saturating_sub(t.issued_at))
             .max()
     }
-
-    // --- conservative-window support (parallel engine) -----------------
-
-    /// May a conservative window open at the current instant? True only
-    /// in a *pure in-service* state, where every coming tick up to the
-    /// next retirement is closed-form predictable:
-    ///
-    /// * no request queued for service (a service start changes burst
-    ///   trackers and can retire a zero-latency burst within the tick),
-    /// * no comparator re-check pending (an unblocking moves a load into
-    ///   the queue),
-    /// * no completed load waiting (its owner consumes it next tick),
-    /// * FIFO service order (the xorshift reorderer makes skipped ticks
-    ///   depend on queue contents the planner does not model), and
-    /// * the event log off (skipped ticks would have logged transitions
-    ///   that [`MemorySystem::apply_body_window`] cannot replicate).
-    ///
-    /// Blocked header loads are fine: with no store retiring inside the
-    /// window they merely re-count, replicated in bulk on apply.
-    pub fn window_ready(&self) -> bool {
-        self.queue.is_empty()
-            && !self.pending_stores_dirty
-            && self.complete == 0
-            && self.reorder_state.is_none()
-            && self.events.is_none()
-    }
-
-    /// Snapshot `core`'s body ports for the window planner, or `None` if
-    /// either body port holds a transaction that is not in service.
-    pub fn body_ports_view(&self, core: usize) -> Option<BodyPortsView> {
-        let view = |port: Port| match self.ports[core][port as usize] {
-            None => Some(None),
-            Some(Txn {
-                addr,
-                state: TxnState::InService { done_at },
-                issued_at,
-            }) => Some(Some(InflightTxnView {
-                addr,
-                done_at,
-                issued_at,
-            })),
-            Some(_) => None,
-        };
-        Some(BodyPortsView {
-            load: view(Port::BodyLoad)?,
-            store: view(Port::BodyStore)?,
-            last_load_addr: self.last_body_addr[core][0],
-            last_store_addr: self.last_body_addr[core][1],
-        })
-    }
-
-    /// Earliest retirement cycle over all of `core`'s in-flight
-    /// transactions, or `None` if nothing of `core`'s is in service.
-    /// Blocked header loads contribute nothing: they only move when the
-    /// matching store retires, and that store is itself in service on
-    /// its owning core, whose bound covers the unblocking.
-    pub fn earliest_retire(&self, core: usize) -> Option<u64> {
-        self.ports[core]
-            .iter()
-            .flatten()
-            .filter_map(|t| match t.state {
-                TxnState::InService { done_at } => Some(done_at),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Commit a planned conservative window ending at `end_cycle`:
-    /// advance the clock and replicate, in bulk, exactly the statistics
-    /// the skipped ticks would have accumulated, then replace each
-    /// patched core's body-port transactions and burst trackers with
-    /// their end-of-window state.
-    ///
-    /// The planner guarantees (gap rule) that no transaction retires at
-    /// or after `end_cycle` within the window, so every replacement
-    /// transaction is still in service (`done_at > end_cycle`) and the
-    /// wake feed — empty on entry, because windows only open with every
-    /// core parked and the feed drained — stays empty: in-window wakes
-    /// were all self-wakes of the planned cores, accounted for by the
-    /// planner's stall tallies.
-    pub fn apply_body_window(
-        &mut self,
-        end_cycle: u64,
-        busy_ticks: u64,
-        occupancy_sum: u64,
-        patches: &[BodyWindowPatch],
-    ) {
-        debug_assert!(self.window_ready(), "window applied on a non-ready system");
-        debug_assert!(end_cycle > self.cycle, "window must advance the clock");
-        debug_assert!(
-            self.wake_feed.as_ref().is_none_or(|f| f.is_empty()),
-            "window applied with undrained wakes"
-        );
-        let w = end_cycle - self.cycle;
-        self.cycle = end_cycle;
-        self.stats.cycles += w;
-        // Each skipped tick re-counted every still-blocked header load
-        // (no store retires inside the window, so none unblocks).
-        self.stats.comparator_blocked_cycles += w * self.blocked as u64;
-        self.stats.queue_busy_cycles += busy_ticks;
-        self.stats.queue_occupancy_sum += occupancy_sum;
-        for patch in patches {
-            self.stats.issued[Port::BodyLoad as usize] += patch.issued_loads;
-            self.stats.issued[Port::BodyStore as usize] += patch.issued_stores;
-            for (port, done) in [(Port::BodyLoad, patch.load), (Port::BodyStore, patch.store)] {
-                let slot = &mut self.ports[patch.core][port as usize];
-                match *slot {
-                    None => {}
-                    Some(Txn {
-                        state: TxnState::InService { done_at },
-                        ..
-                    }) => {
-                        // Consumed by the window (or superseded below).
-                        self.retire_cal.remove(done_at, patch.core, port as usize);
-                        self.occupied -= 1;
-                        self.in_service -= 1;
-                    }
-                    Some(_) => unreachable!("patched body port was not in service"),
-                }
-                *slot = done.map(|t| {
-                    debug_assert!(t.done_at > end_cycle, "final txn retires inside window");
-                    self.retire_cal
-                        .insert(end_cycle, t.done_at, patch.core, port as usize);
-                    self.occupied += 1;
-                    self.in_service += 1;
-                    Txn {
-                        addr: t.addr,
-                        state: TxnState::InService { done_at: t.done_at },
-                        issued_at: t.issued_at,
-                    }
-                });
-            }
-            self.last_body_addr[patch.core][0] = patch.last_load_addr;
-            self.last_body_addr[patch.core][1] = patch.last_store_addr;
-        }
-        // The gap rule, seen from the calendar: the window jumped over no
-        // occupied slot — every entry left is still ahead of the clock.
-        debug_assert!(
-            self.ports
-                .iter()
-                .flatten()
-                .flatten()
-                .all(|t| match t.state {
-                    TxnState::InService { done_at } =>
-                        done_at > end_cycle && done_at - end_cycle < self.retire_cal.horizon(),
-                    _ => true,
-                }),
-            "window jumped over a scheduled retirement"
-        );
-        self.next_retire = self.retire_cal.next_after(end_cycle);
-    }
 }
 
 pub(crate) fn remove_one(v: &mut Vec<u32>, value: u32) {
@@ -1742,219 +1589,5 @@ mod cache_tests {
             m.stats().header_cache_hits + m.stats().header_cache_misses,
             0
         );
-    }
-}
-
-#[cfg(test)]
-mod window_tests {
-    use super::*;
-    use crate::backend::FinalTxn;
-
-    fn mem(n: usize) -> MemorySystem {
-        MemorySystem::new(
-            n,
-            MemConfig {
-                latency: 3,
-                bandwidth: 2,
-                header_fifo_capacity: 16,
-                ..MemConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn window_ready_only_in_pure_in_service_states() {
-        let mut m = mem(1);
-        // Fresh system: trivially pure (nothing in flight at all).
-        assert!(m.window_ready());
-
-        // Queued request: not ready (service would start next tick).
-        assert!(m.try_issue(0, Port::BodyLoad, 100));
-        assert!(!m.window_ready());
-
-        // In service: ready again.
-        m.tick();
-        assert!(m.window_ready());
-
-        // Completed, unconsumed: not ready.
-        m.tick();
-        m.tick();
-        m.tick();
-        assert!(m.load_ready(0, Port::BodyLoad));
-        assert!(!m.window_ready());
-        m.consume_load(0, Port::BodyLoad);
-        assert!(m.window_ready());
-
-        // Service-order randomization opts out wholesale.
-        let cfg = MemConfig {
-            service_reorder_seed: Some(7),
-            ..MemConfig::default()
-        };
-        assert!(!MemorySystem::new(1, cfg).window_ready());
-
-        // So does the event log.
-        let mut logged = mem(1);
-        logged.enable_event_log();
-        assert!(!logged.window_ready());
-    }
-
-    #[test]
-    fn window_ready_false_while_header_store_retirement_unprocessed() {
-        // A normally-retiring header store is re-checked within the same
-        // tick, but a zero-latency store retires *at service start*,
-        // after the re-check already ran — the dirty flag then persists
-        // to the next tick, and the window must wait for it.
-        let mut m = MemorySystem::new(
-            1,
-            MemConfig {
-                latency: 0,
-                ..MemConfig::default()
-            },
-        );
-        assert!(m.try_issue(0, Port::HeaderStore, 50));
-        m.tick(); // service starts and retires in-tick: dirty flag set
-        assert!(!m.window_ready());
-        m.tick(); // re-check processed
-        assert!(m.window_ready());
-    }
-
-    #[test]
-    fn body_ports_view_reports_in_service_transactions() {
-        let mut m = mem(1);
-        assert!(m.try_issue(0, Port::BodyLoad, 100));
-        assert!(m.try_issue(0, Port::BodyStore, 200));
-        // Queued transactions refuse the view.
-        assert_eq!(m.body_ports_view(0), None);
-        m.tick(); // both start service (bandwidth 2), done at 4
-        assert_eq!(
-            m.body_ports_view(0),
-            Some(BodyPortsView {
-                load: Some(InflightTxnView {
-                    addr: 100,
-                    done_at: 4,
-                    issued_at: 0,
-                }),
-                store: Some(InflightTxnView {
-                    addr: 200,
-                    done_at: 4,
-                    issued_at: 0,
-                }),
-                last_load_addr: Some(100),
-                last_store_addr: Some(200),
-            })
-        );
-        // An idle core's view is empty but present.
-        for _ in 0..4 {
-            m.tick();
-        }
-        m.consume_load(0, Port::BodyLoad);
-        assert_eq!(
-            m.body_ports_view(0),
-            Some(BodyPortsView {
-                load: None,
-                store: None,
-                last_load_addr: Some(100),
-                last_store_addr: Some(200),
-            })
-        );
-    }
-
-    #[test]
-    fn earliest_retire_is_min_over_in_service_ports() {
-        let mut m = mem(2);
-        assert!(m.try_issue(0, Port::BodyLoad, 100));
-        m.tick(); // load in service, done at 4
-        assert!(m.try_issue(0, Port::BodyStore, 200));
-        m.tick(); // store in service, done at 5
-        assert_eq!(m.earliest_retire(0), Some(4));
-        assert_eq!(m.earliest_retire(1), None);
-        // A blocked header load contributes nothing.
-        assert!(m.try_issue(1, Port::HeaderStore, 50));
-        m.tick(); // store in service, done at 6
-        assert!(m.try_issue(0, Port::HeaderLoad, 50)); // blocked behind it
-        assert_eq!(m.earliest_retire(0), Some(4));
-        assert_eq!(m.earliest_retire(1), Some(6));
-    }
-
-    #[test]
-    fn apply_body_window_replicates_skipped_tick_statistics() {
-        let mut m = mem(2);
-        m.enable_wake_feed(2);
-        // Core 1's header store is in service past the window's end.
-        assert!(m.try_issue(1, Port::HeaderStore, 50));
-        m.tick(); // cycle 1: service starts, retires at 4
-        m.clear_wakes();
-        // A blocked header load re-counts once per skipped tick.
-        assert!(m.try_issue(0, Port::HeaderLoad, 50));
-        assert!(m.window_ready());
-        let before = m.stats().clone();
-        let cycle0 = m.cycle();
-
-        // Window [2, 3]: core 0 "ran" a copy plan that issued two body
-        // loads and one body store, consumed one load, and parked on the
-        // second load, still in flight at the window's end.
-        let patch = BodyWindowPatch {
-            core: 0,
-            issued_loads: 2,
-            issued_stores: 1,
-            load: Some(FinalTxn {
-                addr: 101,
-                done_at: 9,
-                issued_at: 2,
-            }),
-            store: None,
-            last_load_addr: Some(101),
-            last_store_addr: Some(200),
-        };
-        m.apply_body_window(3, 2, 3, &[patch]);
-
-        assert_eq!(m.cycle(), 3);
-        let s = m.stats();
-        assert_eq!(s.cycles, before.cycles + (3 - cycle0));
-        assert_eq!(
-            s.comparator_blocked_cycles,
-            before.comparator_blocked_cycles + (3 - cycle0)
-        );
-        assert_eq!(s.queue_busy_cycles, before.queue_busy_cycles + 2);
-        assert_eq!(s.queue_occupancy_sum, before.queue_occupancy_sum + 3);
-        assert_eq!(
-            s.issued[Port::BodyLoad as usize],
-            before.issued[Port::BodyLoad as usize] + 2
-        );
-        assert_eq!(
-            s.issued[Port::BodyStore as usize],
-            before.issued[Port::BodyStore as usize] + 1
-        );
-        assert_eq!(
-            m.body_ports_view(0),
-            Some(BodyPortsView {
-                load: Some(InflightTxnView {
-                    addr: 101,
-                    done_at: 9,
-                    issued_at: 2,
-                }),
-                store: None,
-                last_load_addr: Some(101),
-                last_store_addr: Some(200),
-            })
-        );
-
-        // The patched calendar retires the untouched header store first
-        // (cycle 4, which also unblocks and serves core 0's header
-        // load), then the patched-in body load (cycle 9), with wakes.
-        m.tick();
-        assert_eq!(m.wakes(), &[1]);
-        m.clear_wakes();
-        for _ in 0..3 {
-            m.tick(); // header load: service at 4, retires at 7
-        }
-        assert_eq!(m.wakes(), &[0]);
-        m.clear_wakes();
-        assert_eq!(m.consume_load(0, Port::HeaderLoad), 50);
-        m.tick();
-        m.tick(); // cycle 9: the patched-in body load retires
-        assert_eq!(m.wakes(), &[0]);
-        assert!(m.load_ready(0, Port::BodyLoad));
-        assert_eq!(m.consume_load(0, Port::BodyLoad), 101);
     }
 }

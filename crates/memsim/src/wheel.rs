@@ -10,8 +10,6 @@
 //! tie order of the old full port scan, the order the wake feed and the
 //! event log are pinned to; and the next retirement is the next
 //! non-empty slot, a find-first-set over a one-bit-per-slot summary.
-//! Unlike a heap, an entry can also be removed, which is what lets the
-//! window patch of the parallel engine edit the calendar in place.
 
 use crate::system::PORT_COUNT;
 
@@ -99,19 +97,6 @@ impl RetireWheel {
         debug_assert_eq!(words[id / 64] & (1 << (id % 64)), 0, "port scheduled twice");
         words[id / 64] |= 1 << (id % 64);
         summary[slot / 64] |= 1 << (slot % 64);
-    }
-
-    /// Unschedule the entry [`RetireWheel::insert`] made for `(core,
-    /// port)` at `done_at`.
-    pub(crate) fn remove(&mut self, done_at: u64, core: usize, port: usize) {
-        let slot = self.slot_of(done_at);
-        let id = core * PORT_COUNT + port;
-        let (summary, words) = self.parts(slot);
-        debug_assert_ne!(words[id / 64] & (1 << (id % 64)), 0, "no such entry");
-        words[id / 64] &= !(1 << (id % 64));
-        if words.iter().all(|&w| w == 0) {
-            summary[slot / 64] &= !(1 << (slot % 64));
-        }
     }
 
     /// Pop the lowest `(core, port)` retiring at `cycle`, if any. Called
@@ -214,21 +199,6 @@ mod tests {
         }
         assert_eq!(order, [(0, 2), (3, 0), (3, 1), (16, 0), (16, 3)]);
         assert_eq!(w.next_after(12), u64::MAX);
-    }
-
-    #[test]
-    fn remove_unschedules_and_clears_the_summary() {
-        let mut w = RetireWheel::new(2, 5);
-        w.insert(0, 3, 0, 0);
-        w.insert(0, 3, 1, 3);
-        w.insert(0, 6, 1, 1);
-        w.remove(3, 0, 0);
-        assert_eq!(w.next_after(0), 3);
-        w.remove(3, 1, 3);
-        assert_eq!(w.next_after(0), 6);
-        assert_eq!(w.pop_due(3), None);
-        w.remove(6, 1, 1);
-        assert_eq!(w.next_after(0), u64::MAX);
     }
 
     /// One step of the model test: schedule a transaction `latency`

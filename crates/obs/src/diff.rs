@@ -10,8 +10,6 @@
 //! * `sb_fingerprint` — compared when both sides carry it (a run that
 //!   didn't log SB events is *less covered*, not different);
 //! * efficacy counters — every counter present on both sides must agree;
-//!   window-funnel counters (`win.*`) that drift are reported separately
-//!   because funnel shape is the paper's efficacy story;
 //! * `total_cycles` — rendered as a delta headline when both sides carry
 //!   it (it is implied by the digest, but a number beats a hash in a
 //!   report).
@@ -69,9 +67,6 @@ pub struct DiffEntry {
     pub cycles: (Option<u64>, Option<u64>),
     /// Why the entry is `Changed` (empty otherwise).
     pub reasons: Vec<String>,
-    /// Window-funnel counters (`win.*`) present on both sides with
-    /// differing values: `(counter, left, right)`.
-    pub funnel_drift: Vec<(String, u64, u64)>,
     /// Informational host-time trend: summed `*.total_ns` host timer
     /// fields on each side, when both carry any.
     pub host_ns: Option<(u64, u64)>,
@@ -118,23 +113,12 @@ fn compare(hash: u64, left: &LedgerRecord, right: &LedgerRecord) -> DiffEntry {
             reasons.push(format!("sb_fingerprint {a:016x} -> {b:016x}"));
         }
     }
-    let mut funnel_drift = Vec::new();
     for (k, a) in &left.efficacy {
         if let Some((_, b)) = right.efficacy.iter().find(|(rk, _)| rk == k) {
             if a != b {
-                if k.starts_with("win.") {
-                    funnel_drift.push((k.clone(), *a, *b));
-                } else {
-                    reasons.push(format!("efficacy {k} {a} -> {b}"));
-                }
+                reasons.push(format!("efficacy {k} {a} -> {b}"));
             }
         }
-    }
-    if !funnel_drift.is_empty() {
-        reasons.push(format!(
-            "window funnel drifted on {} counter(s)",
-            funnel_drift.len()
-        ));
     }
     if let (Some(a), Some(b)) = (left.total_cycles, right.total_cycles) {
         if a != b && !reasons.iter().any(|r| r.starts_with("stats_digest")) {
@@ -158,7 +142,6 @@ fn compare(hash: u64, left: &LedgerRecord, right: &LedgerRecord) -> DiffEntry {
         status,
         cycles: (left.total_cycles, right.total_cycles),
         reasons,
-        funnel_drift,
         host_ns,
     }
 }
@@ -183,7 +166,6 @@ impl LedgerDiff {
                     status: DiffStatus::OnlyLeft,
                     cycles: (a.total_cycles, None),
                     reasons: Vec::new(),
-                    funnel_drift: Vec::new(),
                     host_ns: None,
                 },
                 (None, Some(b)) => DiffEntry {
@@ -192,7 +174,6 @@ impl LedgerDiff {
                     status: DiffStatus::OnlyRight,
                     cycles: (None, b.total_cycles),
                     reasons: Vec::new(),
-                    funnel_drift: Vec::new(),
                     host_ns: None,
                 },
                 (None, None) => unreachable!("hash came from one of the stores"),
@@ -252,25 +233,6 @@ impl LedgerDiff {
                         Json::Arr(e.reasons.iter().map(|r| Json::Str(r.clone())).collect()),
                     ));
                 }
-                if !e.funnel_drift.is_empty() {
-                    fields.push((
-                        "funnel_drift".to_string(),
-                        Json::Obj(
-                            e.funnel_drift
-                                .iter()
-                                .map(|(k, a, b)| {
-                                    (
-                                        k.clone(),
-                                        Json::Arr(vec![
-                                            Json::Int(i128::from(*a)),
-                                            Json::Int(i128::from(*b)),
-                                        ]),
-                                    )
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
                 if let Some((a, b)) = e.host_ns {
                     fields.push((
                         "host_ns".to_string(),
@@ -328,19 +290,6 @@ impl LedgerDiff {
                     cycles,
                     e.reasons.join("; ")
                 );
-            }
-            for e in self.changed() {
-                if e.funnel_drift.is_empty() {
-                    continue;
-                }
-                let _ = writeln!(out);
-                let _ = writeln!(out, "### Window-funnel drift — {}", e.label);
-                let _ = writeln!(out);
-                let _ = writeln!(out, "| counter | left | right |");
-                let _ = writeln!(out, "|---|---|---|");
-                for (k, a, b) in &e.funnel_drift {
-                    let _ = writeln!(out, "| `{k}` | {a} | {b} |");
-                }
             }
         }
         let one_sided: Vec<&DiffEntry> = self
@@ -448,7 +397,7 @@ mod tests {
     }
 
     #[test]
-    fn digest_and_funnel_changes_classify_as_changed() {
+    fn digest_and_efficacy_changes_classify_as_changed() {
         let left = store(vec![record("a", 7, 100)]);
         let mut r = record("a", 8, 120);
         r.efficacy = vec![("win.fired".to_string(), 4), ("ff.jumps".to_string(), 2)];
@@ -457,7 +406,9 @@ mod tests {
         assert_eq!(diff.counts(), (0, 1, 0, 0));
         let e = diff.changed().next().unwrap();
         assert!(e.reasons.iter().any(|r| r.contains("stats_digest")));
-        assert_eq!(e.funnel_drift, vec![("win.fired".to_string(), 10, 4)]);
+        assert!(e
+            .reasons
+            .contains(&"efficacy win.fired 10 -> 4".to_string()));
         assert_eq!(e.cycles, (Some(100), Some(120)));
         let md = diff.render_markdown("L", "R");
         assert!(md.contains("100 -> 120 (+20)"), "{md}");

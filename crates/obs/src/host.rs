@@ -13,13 +13,12 @@
 //! is load-bearing:
 //!
 //! * **deterministic efficacy counters and histograms** — park/wake
-//!   tallies by class, all-parked jumps, fast-forward jumps, the window
-//!   funnel (attempted / vetoed-by-reason / fired, window-length and
-//!   copy-words histograms). These are pure functions of simulation
-//!   state, identical on every host, and therefore golden-testable.
-//! * **host timings** — wall-clock nanoseconds per phase, `mem.tick`
-//!   cost, pool scatter/gather latency, per-worker busy time. These are
-//!   nondeterministic and must never leak into simulation artifacts:
+//!   tallies by class, all-parked jumps and their length histogram,
+//!   fast-forward jumps. These are pure functions of simulation state,
+//!   identical on every host, and therefore golden-testable.
+//! * **host timings** — wall-clock nanoseconds per phase and `mem.tick`
+//!   cost. These are nondeterministic and must never leak into
+//!   simulation artifacts:
 //!   the JSON schema quarantines them under a separate `"host"` object,
 //!   and the ledger prefixes every such field `host_`.
 //!
@@ -236,7 +235,7 @@ impl HostProfiler {
     }
 
     /// Sum of all deterministic counters whose key starts with `prefix`
-    /// (e.g. every `win.veto.` reason).
+    /// (e.g. every `engine.park.` class).
     pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
         self.counters
             .iter()

@@ -44,7 +44,7 @@ pub struct LedgerRecord {
     pub binary: String,
     /// Workload / preset label.
     pub workload: String,
-    /// Engine kind actually run (`naive` / `sparse` / `par`).
+    /// Engine kind actually run (`naive` / `sparse`).
     pub engine: String,
     /// Memory backend kind (`fixed` / `dram`).
     pub backend: String,
@@ -292,13 +292,13 @@ mod tests {
         LedgerRecord {
             binary: "bench_baseline".to_string(),
             workload: "compress".to_string(),
-            engine: "par".to_string(),
+            engine: "sparse".to_string(),
             backend: "fixed".to_string(),
             config: vec![
                 ("n_cores".to_string(), "16".to_string()),
                 ("extra_latency".to_string(), "20".to_string()),
             ],
-            env: vec![("HWGC_HOST_THREADS".to_string(), "1".to_string())],
+            env: vec![("HWGC_ENGINE".to_string(), "sparse".to_string())],
             stats_digest: 0xdead_beef,
             total_cycles: Some(124_483),
             sb_fingerprint: Some(0x1234),

@@ -20,17 +20,17 @@ use crate::whatif::{predict, Prediction, WhatIfInputs};
 /// JSON schema tag of [`render_report_json`].
 pub const REPORT_SCHEMA: &str = "hwgc-report-v1";
 
-/// Host-performance section of a report: the window-engine funnel and
-/// engine loop counters from a hostprof run of the same workload, with
+/// Host-performance section of a report: the engine loop counters from
+/// a hostprof run of the same workload, with
 /// wall-clock quantities kept strictly apart from the deterministic
 /// counters (only the latter may appear in goldens).
 #[derive(Debug, Clone, Default)]
 pub struct HostSection {
-    /// Deterministic counters (sorted by key): `win.*`, `engine.*`.
+    /// Deterministic counters (sorted by key): `engine.*`.
     pub counters: Vec<(String, u64)>,
     /// Wall-clock timers as `(key, count, total_ns)` — nondeterministic.
     pub timers: Vec<(String, u64, u64)>,
-    /// Machine-dependent notes (pool dispatch decisions etc.).
+    /// Machine-dependent notes.
     pub notes: Vec<(String, u64)>,
 }
 
@@ -45,87 +45,6 @@ impl HostSection {
                 .collect(),
             notes: prof.notes().map(|(k, v)| (k.to_string(), v)).collect(),
         }
-    }
-
-    /// The named deterministic counter (0 when never touched).
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |&(_, v)| v)
-    }
-
-    /// The `win.veto.*` rows, heaviest first.
-    pub fn vetoes(&self) -> Vec<(&str, u64)> {
-        let mut v: Vec<(&str, u64)> = self
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("win.veto."))
-            .map(|(k, n)| (k.as_str(), *n))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
-        v
-    }
-
-    /// One-sentence window-engine verdict: why windows did (not) open on
-    /// this workload. This is the committed answer to "why does javac/16c
-    /// fire zero windows": the veto counters name the binding constraint.
-    pub fn window_explanation(&self) -> String {
-        let attempted = self.counter("win.attempted");
-        let fired = self.counter("win.fired");
-        if fired > 0 {
-            return format!(
-                "the window engine fired {fired} of {attempted} attempted windows \
-                 (median and total lengths in the win.len histogram)."
-            );
-        }
-        if attempted == 0 {
-            return "the window engine never found an eligible instant: no all-parked \
-                    moment had a core parked on a body load inside a pure copy run \
-                    with two or more words left, so no plan was ever attempted."
-                .to_string();
-        }
-        match self.vetoes().first() {
-            Some(&(reason, n)) => format!(
-                "the window engine attempted {attempted} windows and fired none; the \
-                 dominant veto was {reason} ({n} of {attempted}), i.e. {}",
-                veto_gloss(reason)
-            ),
-            None => format!(
-                "the window engine attempted {attempted} windows and fired none, \
-                 with no veto recorded (unexpected — counters may be incomplete)."
-            ),
-        }
-    }
-}
-
-/// Human gloss for a `win.veto.*` counter key.
-fn veto_gloss(key: &str) -> &'static str {
-    match key {
-        "win.veto.no_bandwidth" => "the memory model has zero bandwidth, so windows never open.",
-        "win.veto.mem_not_ready" => {
-            "the memory system was never in plain flight at an all-parked instant \
-             (queued, completed or blocked transactions pin the cycle-by-cycle loop)."
-        }
-        "win.veto.retire_bound" => {
-            "a non-kernel core's imminent transaction retirement kept capping the \
-             window below the minimum length — other cores wake too soon for a \
-             safe horizon to exist."
-        }
-        "win.veto.no_kernels" => {
-            "no parked core qualified as a pure copy-stream kernel (header ports \
-             busy, or the copy run too short)."
-        }
-        "win.veto.stream_bound" => {
-            "the copy streams themselves were too short: the final word's consume \
-             capped the window below the minimum length."
-        }
-        "win.veto.clean_cut" => {
-            "feasibility truncation and the clean-cut walk left less than the \
-             minimum window length."
-        }
-        "win.veto.no_words" => "no stream completed a single word inside the legal window.",
-        _ => "an unrecognized veto reason.",
     }
 }
 
@@ -144,7 +63,7 @@ pub struct RunReport {
     pub path: CritPath,
     /// What-if resource-relaxation estimates.
     pub predictions: Vec<Prediction>,
-    /// Host-performance section (window funnel, engine loop, host time),
+    /// Host-performance section (engine loop counters, host time),
     /// present when the harness also ran the workload under a hostprof.
     pub host: Option<HostSection>,
 }
@@ -266,22 +185,11 @@ pub fn render_report_markdown(r: &RunReport) -> String {
 
     if let Some(host) = &r.host {
         let _ = writeln!(out, "\n## Host performance\n");
-        let _ = writeln!(out, "{}\n", host.window_explanation());
-        let _ = writeln!(out, "### Window funnel (deterministic)\n");
+        let _ = writeln!(out, "### Engine loop (deterministic)\n");
         let _ = writeln!(out, "| counter | value |");
         let _ = writeln!(out, "|---|---:|");
         for (k, v) in &host.counters {
-            if k.starts_with("win.") {
-                let _ = writeln!(out, "| {k} | {v} |");
-            }
-        }
-        let _ = writeln!(out, "\n### Engine loop (deterministic)\n");
-        let _ = writeln!(out, "| counter | value |");
-        let _ = writeln!(out, "|---|---:|");
-        for (k, v) in &host.counters {
-            if !k.starts_with("win.") {
-                let _ = writeln!(out, "| {k} | {v} |");
-            }
+            let _ = writeln!(out, "| {k} | {v} |");
         }
         if !host.timers.is_empty() {
             let _ = writeln!(
@@ -295,7 +203,7 @@ pub fn render_report_markdown(r: &RunReport) -> String {
             }
         }
         if !host.notes.is_empty() {
-            let _ = writeln!(out, "\n### Pool notes (machine-dependent)\n");
+            let _ = writeln!(out, "\n### Notes (machine-dependent)\n");
             let _ = writeln!(out, "| note | value |");
             let _ = writeln!(out, "|---|---:|");
             for (k, v) in &host.notes {
@@ -408,10 +316,6 @@ pub fn render_report_json(r: &RunReport) -> String {
         fields.push((
             "host".to_string(),
             Json::Obj(vec![
-                (
-                    "explanation".to_string(),
-                    Json::Str(host.window_explanation()),
-                ),
                 (
                     "counters".to_string(),
                     Json::Obj(
@@ -598,32 +502,24 @@ mod tests {
     }
 
     #[test]
-    fn host_section_renders_and_explains_zero_windows() {
+    fn host_section_renders_counters_apart_from_wall_clock() {
         let host = HostSection {
             counters: vec![
                 ("engine.cycles_executed".to_string(), 1234),
-                ("win.attempted".to_string(), 40),
-                ("win.veto.mem_not_ready".to_string(), 5),
-                ("win.veto.retire_bound".to_string(), 35),
+                ("engine.park.body_load".to_string(), 40),
             ],
             timers: vec![("phase.steady".to_string(), 1, 2_500_000)],
-            notes: vec![("pool.dispatches".to_string(), 0)],
+            notes: vec![("host.cores".to_string(), 2)],
         };
-        // Zero fired: the explanation names the dominant veto.
-        let expl = host.window_explanation();
-        assert!(expl.contains("win.veto.retire_bound"), "{expl}");
-        assert!(expl.contains("fired none"), "{expl}");
         let report = RunReport::analyze(&recording(), &meta(), 10).with_host(host);
         let md = render_report_markdown(&report);
         for section in [
             "## Host performance",
-            "### Window funnel (deterministic)",
-            "win.veto.retire_bound",
             "### Engine loop (deterministic)",
             "engine.cycles_executed",
             "### Host time (wall clock",
             "phase.steady",
-            "pool.dispatches",
+            "host.cores",
         ] {
             assert!(md.contains(section), "missing {section:?} in:\n{md}");
         }
@@ -632,7 +528,7 @@ mod tests {
         assert_eq!(
             host_doc
                 .get("counters")
-                .and_then(|c| c.get("win.attempted"))
+                .and_then(|c| c.get("engine.park.body_load"))
                 .and_then(Json::as_int),
             Some(40)
         );
@@ -642,24 +538,6 @@ mod tests {
             .get("counters")
             .and_then(|c| c.get("phase.steady"))
             .is_none());
-    }
-
-    #[test]
-    fn fired_windows_change_the_explanation() {
-        let host = HostSection {
-            counters: vec![
-                ("win.attempted".to_string(), 10),
-                ("win.fired".to_string(), 7),
-            ],
-            ..HostSection::default()
-        };
-        let expl = host.window_explanation();
-        assert!(expl.contains("fired 7 of 10"), "{expl}");
-        // Never-eligible runs are distinguished from vetoed runs.
-        let idle = HostSection::default();
-        assert!(idle
-            .window_explanation()
-            .contains("never found an eligible instant"));
     }
 
     #[test]

@@ -23,10 +23,8 @@
 //! order.
 
 pub mod barrier;
-pub mod gate;
 pub mod sb;
 pub mod sw;
 
 pub use barrier::Barrier;
-pub use gate::WindowGate;
 pub use sb::{event_fingerprint, LockKind, SbEvent, SbEventRecord, SyncBlock, SyncStats};
