@@ -41,7 +41,7 @@ use hwgc_bench::{
     append_ledger_to, assert_blame_reconciles, experiments_dir, ledger_path, ledger_record,
     report_for_run, run_hostprof_heap, run_probed_heap, run_verified_heap,
 };
-use hwgc_core::GcConfig;
+use hwgc_core::{GcConfig, MAX_CORES};
 use hwgc_memsim::MemConfig;
 use hwgc_obs::{
     render_report_json, render_report_markdown, validate_hostprof_json, HostSection, LedgerStore,
@@ -70,6 +70,10 @@ fn main() {
         match args[i].as_str() {
             "--cores" => {
                 cores = value(i).parse().expect("--cores must be a number");
+                assert!(
+                    (1..=MAX_CORES).contains(&cores),
+                    "--cores must lie in 1..={MAX_CORES}"
+                );
                 i += 2;
             }
             "--scale" => {

@@ -1,11 +1,12 @@
-//! CI parity smoke for the sparse active-set engine: runs a preset ×
-//! core-count × memory-latency matrix twice — sparse engine pinned,
-//! then the fully naive per-cycle loop (naive pinned, fast-forward off) —
-//! and requires bit-identical `GcStats` and allocation frontier on every
+//! CI parity smoke for the engine's park rules: runs a preset ×
+//! core-count × memory-latency matrix three times — the sparse rule
+//! pinned, the naive rule with jumps (the one-core default), then the
+//! per-cycle reference loop (naive rule, `fast_forward` off) — and
+//! requires bit-identical `GcStats` and allocation frontier on every
 //! combo, plus identical cycle-stamped SB event streams on a traced
 //! sub-matrix. A machine-parseable parity report (one JSON line per
-//! combo, with both wall clocks and the resulting speedup) is written
-//! for upload.
+//! combo, with all three wall clocks and the sparse speedup over the
+//! reference) is written for upload.
 //!
 //! ```text
 //! sparse_smoke [--out <path>] [--expect-engine <none|naive|sparse>]
@@ -24,9 +25,9 @@
 //! The parity matrix itself carries a backend axis: every preset × cores
 //! combo runs under the fixed-latency backend (both `extra_latency`
 //! regimes) and under two bank/row DRAM backends (open- and closed-page),
-//! each pinned explicitly on both the sparse and the naive side.
+//! each pinned explicitly on every side.
 //!
-//! The matrix itself pins the engine explicitly on both sides, so parity
+//! The matrix itself pins the park rule explicitly on every side, so parity
 //! coverage is identical in both CI legs; only the default is asserted.
 //! Any divergence prints the combo and exits nonzero.
 
@@ -162,19 +163,21 @@ fn main() {
     report.push_str("{\n  \"schema\": \"hwgc-sparse-smoke-v1\",\n  \"combos\": [\n");
     let mut first = true;
     println!(
-        "{:>10}  {:>5}  {:>11}  {:>6}  {:>12}  {:>10}  {:>10}  {:>8}",
-        "preset", "cores", "backend", "extra", "cycles", "sparse ms", "naive ms", "speedup"
+        "    preset  cores      backend   extra        cycles   sparse ms  naive+ff ms    naive ms   speedup"
     );
     for job in set.jobs() {
         let (preset, cores) = (job.spec.preset, job.cfg.n_cores);
         let (extra, backend_name) = (job.cfg.mem.extra_latency, backend_name(job.cfg.mem.backend));
         let base = job.spec.build();
         let snap = Snapshot::capture(&base);
+        let timed = |cfg: GcConfig| {
+            let mut heap = base.clone();
+            let t = Instant::now();
+            let out = SimCollector::new(cfg).collect(&mut heap);
+            (out, heap, t.elapsed().as_secs_f64())
+        };
 
-        let mut sparse_heap = base.clone();
-        let t = Instant::now();
-        let sparse = SimCollector::new(job.cfg).collect(&mut sparse_heap);
-        let sparse_s = t.elapsed().as_secs_f64();
+        let (sparse, sparse_heap, sparse_s) = timed(job.cfg);
         hwgc_heap::verify_collection(&sparse_heap, sparse.free, &snap).unwrap_or_else(|e| {
             fail(&format!(
                 "{}/{cores}c/{backend_name} +{extra}: sparse run failed \
@@ -183,24 +186,27 @@ fn main() {
             ))
         });
 
-        let mut naive_heap = base;
-        let t = Instant::now();
-        let naive = SimCollector::new(GcConfig {
+        let naive_cfg = GcConfig {
             engine: Some(EngineKind::Naive),
             fast_forward: false,
             ..job.cfg
-        })
-        .collect(&mut naive_heap);
-        let naive_s = t.elapsed().as_secs_f64();
+        };
+        let (naive_ff, _, naive_ff_s) = timed(GcConfig {
+            fast_forward: true,
+            ..naive_cfg
+        });
+        let (naive, _, naive_s) = timed(naive_cfg);
 
-        if sparse.stats != naive.stats || sparse.free != naive.free {
-            fail(&format!(
-                "{}/{cores}c/{backend_name} +{extra}: sparse diverged from naive \
-                 ({} vs {} total cycles)",
-                preset.name(),
-                sparse.stats.total_cycles,
-                naive.stats.total_cycles
-            ));
+        for (side, out) in [("sparse", &sparse), ("naive+ff", &naive_ff)] {
+            if out.stats != naive.stats || out.free != naive.free {
+                fail(&format!(
+                    "{}/{cores}c/{backend_name} +{extra}: {side} diverged from naive \
+                     ({} vs {} total cycles)",
+                    preset.name(),
+                    out.stats.total_cycles,
+                    naive.stats.total_cycles
+                ));
+            }
         }
         hwgc_bench::append_ledger(&hwgc_bench::ledger_record(
             "sparse_smoke",
@@ -214,16 +220,17 @@ fn main() {
         session.progress.job(
             &format!("{}@{cores}c/{backend_name}+{extra}", preset.name()),
             hwgc_obs::JobOutcome::Miss,
-            ((sparse_s + naive_s) * 1e9) as u64,
+            ((sparse_s + naive_ff_s + naive_s) * 1e9) as u64,
         );
 
         let speedup = naive_s / sparse_s.max(1e-9);
         println!(
             "{:>10}  {cores:>5}  {backend_name:>11}  {extra:>6}  {:>12}  {:>10.3}  \
-             {:>10.3}  {speedup:>7.2}x",
+             {:>11.3}  {:>10.3}  {speedup:>7.2}x",
             preset.name(),
             sparse.stats.total_cycles,
             sparse_s * 1e3,
+            naive_ff_s * 1e3,
             naive_s * 1e3,
         );
         let sep = if first { "" } else { ",\n" };
@@ -233,7 +240,8 @@ fn main() {
             "{sep}    {{\"preset\": \"{}\", \"cores\": {cores}, \
              \"backend\": \"{backend_name}\", \"extra_latency\": {extra}, \
              \"cycles\": {}, \"sparse_wall_s\": {sparse_s:.6}, \
-             \"naive_wall_s\": {naive_s:.6}, \"speedup\": {speedup:.2}, \"parity\": true}}",
+             \"naive_ff_wall_s\": {naive_ff_s:.6}, \"naive_wall_s\": {naive_s:.6}, \
+             \"speedup\": {speedup:.2}, \"parity\": true}}",
             preset.name(),
             sparse.stats.total_cycles,
         );
@@ -251,28 +259,35 @@ fn main() {
     for cores in core_counts {
         for (backend_name, backend, extra) in traced_backends {
             let base = WorkloadSpec::new(Preset::Javac, 42).build();
-            let mut h1 = base.clone();
-            let mut t1 = SignalTrace::with_events(1 << 40);
-            let sparse = SimCollector::new(sparse_config(cores, extra, backend))
-                .collect_traced(&mut h1, &mut t1);
-            let mut h2 = base;
-            let mut t2 = SignalTrace::with_events(1 << 40);
-            let naive = SimCollector::new(naive_config(cores, extra, backend))
-                .collect_traced(&mut h2, &mut t2);
-            if sparse.stats != naive.stats {
-                fail(&format!(
-                    "javac/{cores}c/{backend_name} (traced): stats diverged"
-                ));
-            }
-            if t1.events() != t2.events() {
-                fail(&format!(
-                    "javac/{cores}c/{backend_name}: SB event streams diverged"
-                ));
-            }
-            if t1.rows() != t2.rows() {
-                fail(&format!(
-                    "javac/{cores}c/{backend_name}: trace rows diverged"
-                ));
+            let traced_run = |cfg: GcConfig| {
+                let mut trace = SignalTrace::with_events(1 << 40);
+                let out = SimCollector::new(cfg).collect_traced(&mut base.clone(), &mut trace);
+                (out.stats, trace)
+            };
+            let naive_cfg = naive_config(cores, extra, backend);
+            let (naive, naive_trace) = traced_run(naive_cfg);
+            let sides = [
+                ("sparse", sparse_config(cores, extra, backend)),
+                (
+                    "naive+ff",
+                    GcConfig {
+                        fast_forward: true,
+                        ..naive_cfg
+                    },
+                ),
+            ];
+            for (side, cfg) in sides {
+                let (stats, trace) = traced_run(cfg);
+                let combo = format!("javac/{cores}c/{backend_name} {side}");
+                if stats != naive {
+                    fail(&format!("{combo} (traced): stats diverged"));
+                }
+                if trace.events() != naive_trace.events() {
+                    fail(&format!("{combo}: SB event streams diverged"));
+                }
+                if trace.rows() != naive_trace.rows() {
+                    fail(&format!("{combo}: trace rows diverged"));
+                }
             }
             traced += 1;
         }

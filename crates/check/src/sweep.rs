@@ -22,7 +22,7 @@
 //! and `HWGC_SWEEP_LINT` for the nightly full sweep.
 
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy, StaticPriority};
-use hwgc_core::{GcConfig, SeqCheney, SignalTrace, SimCollector};
+use hwgc_core::{GcConfig, SeqCheney, SignalTrace, SimCollector, MAX_CORES};
 use hwgc_heap::{verify_collection, Heap, Snapshot};
 use hwgc_jobs::par_map;
 use hwgc_memsim::MemConfig;
@@ -95,7 +95,8 @@ impl SweepConfig {
     /// [`SweepConfig::from_env`] on explicit values — separable for tests,
     /// since the process environment is shared mutable state. Unset,
     /// unparseable or zero/empty values fall back to the documented
-    /// defaults; core counts of `0` are dropped individually.
+    /// defaults; core counts outside `1..=MAX_CORES` are dropped
+    /// individually.
     pub fn from_env_values(
         seeds: Option<&str>,
         cores: Option<&str>,
@@ -109,7 +110,7 @@ impl SweepConfig {
             .map(|s| {
                 s.split(',')
                     .filter_map(|c| c.trim().parse().ok())
-                    .filter(|&c: &usize| c >= 1)
+                    .filter(|c: &usize| (1..=MAX_CORES).contains(c))
                     .collect()
             })
             .filter(|v: &Vec<usize>| !v.is_empty())
@@ -268,11 +269,11 @@ mod tests {
         let c = SweepConfig::from_env_values(Some(" 7 "), None, None);
         assert_eq!(c.seeds.len(), 7, "whitespace is trimmed");
 
-        // Core lists: parse what parses, drop zeros, default when nothing
-        // survives.
-        let c = SweepConfig::from_env_values(None, Some("2, 4,junk,0,16"), None);
-        assert_eq!(c.core_counts, vec![2, 4, 16]);
-        for bad in ["", "junk", "0,0"] {
+        // Core lists: parse what parses, drop zeros and counts beyond
+        // MAX_CORES, default when nothing survives.
+        let c = SweepConfig::from_env_values(None, Some("2, 4,junk,0,16,65,64"), None);
+        assert_eq!(c.core_counts, vec![2, 4, 16, 64]);
+        for bad in ["", "junk", "0,0", "65"] {
             let c = SweepConfig::from_env_values(None, Some(bad), None);
             assert_eq!(
                 c.core_counts,

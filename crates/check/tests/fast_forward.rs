@@ -1,25 +1,29 @@
-//! Differential check of the event-horizon fast-forward: on every
-//! workload preset and every adversarial graph in the catalog, the
-//! fast-forwarding engine must report *exactly* what the naive per-cycle
-//! loop reports — the same `GcStats` (total cycles, stall attribution,
-//! memory and SB counters), the same allocation frontier, and, where the
-//! SB event log is captured, the same cycle-stamped event stream.
+//! Differential check of the naive park rule's jumps: on every workload
+//! preset and every adversarial graph in the catalog, on both memory
+//! backends and under every schedule policy, the naive rule with
+//! `fast_forward` on must report *exactly* what the per-cycle loop
+//! (`fast_forward` off) reports — the same `GcStats` (total cycles, stall
+//! attribution, memory and SB counters), the same allocation frontier,
+//! and, where the SB event log is captured, the same cycle-stamped event
+//! stream.
 //!
 //! The workload matrix rides the `HWGC_JOBS` worker pool; every pair is
 //! an independent simulation.
 
 use hwgc_check::graphs;
-use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
+use hwgc_core::{
+    Adversarial, EngineKind, GcConfig, RandomOrder, SignalTrace, SimCollector, StaticPriority,
+};
 use hwgc_heap::{GraphBuilder, Heap};
 use hwgc_jobs::par_map;
-use hwgc_memsim::{MemBackendKind, MemConfig};
+use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
 use hwgc_obs::{HostProfiler, Recorder};
 use hwgc_workloads::{Preset, WorkloadSpec};
 
 fn ff_config(cores: usize) -> GcConfig {
-    // The sparse engine is pinned off on both sides: this differential
-    // isolates the event-horizon fast-forward against the naive loop
-    // (the sparse engine has its own matrix in `tests/sparse.rs`).
+    // The naive park rule is pinned on both sides: this differential
+    // isolates its jumps against the per-cycle loop (the sparse rule has
+    // its own matrix in `tests/sparse.rs`).
     let cfg = GcConfig {
         engine: Some(EngineKind::Naive),
         ..GcConfig::with_cores(cores)
@@ -100,6 +104,106 @@ fn every_catalog_graph_preserves_the_sb_event_stream() {
             );
         }
     });
+}
+
+/// Run `heap` under `cfg` with jumps on and off, traced with the SB event
+/// log and sampled every 7 cycles, under the named arbiter (`None`: static
+/// priority without a policy object), and require identical stats,
+/// frontier, SB event streams and trace rows.
+fn assert_traced_parity(label: &str, heap: &Heap, cfg: GcConfig, arbiter: Option<&str>) {
+    let run = |fast_forward: bool| {
+        let (mut heap, mut trace) = (heap.clone(), SignalTrace::with_events(7));
+        let collector = SimCollector::new(GcConfig {
+            fast_forward,
+            ..cfg
+        });
+        // Built fresh per run: the RNG streams must start aligned.
+        let out = match arbiter {
+            Some("static") => {
+                collector.collect_scheduled_traced(&mut heap, &mut StaticPriority, &mut trace)
+            }
+            Some("random") => {
+                collector.collect_scheduled_traced(&mut heap, &mut RandomOrder::new(7), &mut trace)
+            }
+            Some(_) => {
+                collector.collect_scheduled_traced(&mut heap, &mut Adversarial::new(7), &mut trace)
+            }
+            None => collector.collect_traced(&mut heap, &mut trace),
+        };
+        (out, trace)
+    };
+    let ((fast, fast_trace), (naive, naive_trace)) = (run(true), run(false));
+    assert_eq!(fast.stats, naive.stats, "{label}: stats diverged");
+    assert_eq!(fast.free, naive.free, "{label}: frontier diverged");
+    assert_eq!(
+        fast_trace.events(),
+        naive_trace.events(),
+        "{label}: SB events"
+    );
+    assert_eq!(fast_trace.rows(), naive_trace.rows(), "{label}: trace rows");
+}
+
+/// The naive rule's all-parked jump on the DRAM backend goes to the exact
+/// bank horizon: requests queue behind busy banks through the skipped
+/// cycles, and closed-page banks re-arm after their data retired.
+#[test]
+fn dram_jumps_are_bit_exact() {
+    let mut combos: Vec<(PagePolicy, usize, u32)> = Vec::new();
+    for page_policy in [PagePolicy::Open, PagePolicy::Closed] {
+        for cores in [1usize, 2, 16] {
+            for extra in [0u32, 3] {
+                combos.push((page_policy, cores, extra));
+            }
+        }
+    }
+    par_map(&combos, |_, &(page_policy, cores, extra)| {
+        let dram = DramConfig {
+            page_policy,
+            ..DramConfig::default()
+        };
+        let cfg = GcConfig {
+            mem: MemConfig::default()
+                .with_backend(MemBackendKind::Dram(dram))
+                .with_extra_latency(extra),
+            ..ff_config(cores)
+        };
+        for preset in [Preset::Compress, Preset::Javac, Preset::Db] {
+            let label = format!("{}/{cores}c {page_policy:?} +{extra}", preset.name());
+            assert_traced_parity(&label, &WorkloadSpec::new(preset, 42).build(), cfg, None);
+        }
+    });
+}
+
+/// Jumps compose with schedule policies: a jump replays the skipped
+/// cycles' `arrange`s against the frozen view, so every later cycle's
+/// order — and therefore the whole run — matches the per-cycle loop.
+#[test]
+fn jumps_are_bit_exact_under_schedule_policies() {
+    let mut heaps: Vec<(&'static str, Heap)> = graphs::catalog();
+    heaps.push(("javac", WorkloadSpec::new(Preset::Javac, 42).build()));
+    heaps.push(("compress", WorkloadSpec::new(Preset::Compress, 42).build()));
+    par_map(&heaps, |_, (name, heap)| {
+        for cores in [2usize, 4] {
+            for arbiter in ["static", "random", "adversarial"] {
+                let label = format!("{name}/{cores}c {arbiter}");
+                assert_traced_parity(&label, heap, ff_config(cores), Some(arbiter));
+            }
+        }
+    });
+}
+
+/// The policy matrix above is only a test of jumps under a policy if
+/// they fire there (`tick_permutation_seed` is the `RandomOrder` arbiter).
+#[test]
+fn jumps_fire_under_a_random_order() {
+    let cfg = GcConfig {
+        tick_permutation_seed: Some(7),
+        ..ff_config(4)
+    };
+    let mut heap = WorkloadSpec::new(Preset::Javac, 42).build();
+    let mut prof = HostProfiler::new();
+    SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
+    assert!(prof.counter("engine.jump.all_parked") > 0);
 }
 
 // --- the stream jump ------------------------------------------------------

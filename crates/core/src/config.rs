@@ -2,6 +2,12 @@
 
 use hwgc_memsim::MemConfig;
 
+/// Largest supported [`GcConfig::n_cores`]: the engine keeps its awake
+/// and wake sets as one `u64` bit mask over the cores.
+/// [`crate::SimCollector::new`] asserts the bound; the job codec rejects
+/// frames beyond it.
+pub const MAX_CORES: usize = 64;
+
 /// Configuration of a simulated collection cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcConfig {
@@ -39,39 +45,39 @@ pub struct GcConfig {
     /// unchanged — claim and evacuation atomicity still rely on them.
     /// Not a paper configuration; used to validate the what-if predictor.
     pub multiport_sb: bool,
-    /// Event-horizon fast-forward (default on): when every core is
-    /// stalled on in-flight memory transactions and nothing else can
-    /// change, the engine jumps to the next memory completion in one step
-    /// instead of ticking every dead cycle; and when the only progress is
-    /// body words streaming through at burst speed, it replays that run
-    /// in closed form (DESIGN.md §5 lists the three flavours). Bit-exact
-    /// — identical `GcStats`, SB event stamps and trace rows — and
-    /// automatically suppressed whenever a schedule policy, a mutator or
-    /// tracing could observe the skipped cycles. `false` forces the
-    /// naive per-cycle loop (the differential tests compare both).
+    /// The jump rule (default on): when every core is parked, the engine
+    /// jumps the clock to the memory system's next activity in one step
+    /// instead of ticking every hollow cycle; and under the naive park
+    /// rule, when the only progress is body words streaming through at
+    /// burst speed, it replays that run in closed form (DESIGN.md §5).
+    /// Bit-exact — identical `GcStats`, SB event stamps and trace rows —
+    /// under either park rule, with or without a schedule policy; jumps
+    /// stop at every sampled trace cycle, and a mutator suppresses them.
+    /// `false` executes every cycle: with the naive rule, that is the
+    /// per-cycle reference loop the differential tests compare against.
     pub fast_forward: bool,
-    /// Which loop runs the collection. `None` (the default, unless the
-    /// `HWGC_ENGINE` environment knob names an engine — see
-    /// [`engine_from`]) chooses from what the configuration shows: see
-    /// [`GcConfig::effective_engine`]. The engines are bit-exact —
+    /// The engine's park rule. `None` (the default, unless the
+    /// `HWGC_ENGINE` environment knob names one — see [`engine_from`])
+    /// chooses from what the configuration shows: see
+    /// [`GcConfig::effective_engine`]. The rules are bit-exact —
     /// identical `GcStats`, SB event stamps and trace rows, including
     /// under schedule policies — so the choice only moves host time; the
-    /// differential tests pin one engine on each side.
+    /// differential tests pin one rule on each side.
     pub engine: Option<EngineKind>,
 }
 
-/// Which simulation loop advances the collection.
+/// When the engine's one loop parks a stalled core (DESIGN.md §8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Tick every core every cycle (with event-horizon fast-forward
-    /// unless `fast_forward` is off).
+    /// The degenerate rule: no core parks alone. After a cycle in which
+    /// nothing moved, every stalled core parks until the memory system's
+    /// next activity; after one in which only body streams moved, the
+    /// stream jump replays them (with `fast_forward` on).
     Naive,
-    /// The sparse active-set loop: cores whose next retry provably fails
-    /// park on per-resource wake conditions — SB lock releases, memory
-    /// retirements, or a computed wake cycle — and the clock jumps to the
-    /// earliest wake, so per-cycle work is O(runnable) instead of
-    /// O(n_cores). Suppressed when a mutator runs (its ticks observe
-    /// every cycle).
+    /// Cores whose next retry provably fails park on per-resource wake
+    /// conditions — SB lock releases or their own memory retirements — so
+    /// per-cycle work is O(runnable) instead of O(n_cores). A mutator
+    /// forces the naive rule (its ticks observe every cycle).
     Sparse,
 }
 
@@ -112,21 +118,19 @@ impl GcConfig {
         }
     }
 
-    /// The engine this configuration actually runs: the pinned
-    /// [`GcConfig::engine`] when present, else the sparse loop — with one
-    /// measured exception. At a single simulated core the sparse loop's
+    /// The park rule this configuration actually runs: the pinned
+    /// [`GcConfig::engine`] when present, else the sparse rule — with one
+    /// measured exception. At a single simulated core the sparse rule's
     /// wake-admission bookkeeping costs more than it saves (the active
-    /// set *is* the core), and only the naive loop has the stream jump:
-    /// one core of `compress` at scale 60 collects in 0.59 s on the
-    /// sparse loop against 0.48 s on the naive loop with the horizon jump
-    /// alone (≈ 20 %) and 0.27 s with the stream jump. So an unpinned
-    /// single-core configuration runs the naive loop — only while
-    /// fast-forward is on: without it the naive loop grinds every hollow
-    /// cycle and loses by far more.
+    /// set *is* the core), and only the naive rule has the stream jump:
+    /// pinning the sparse rule on one core of `compress` at scale 60
+    /// doubles the collection's wall time, and costs 4–16 % on `javac`
+    /// and `db`. So an unpinned single-core configuration runs the naive
+    /// rule.
     pub fn effective_engine(&self) -> EngineKind {
         match self.engine {
             Some(kind) => kind,
-            None if self.n_cores == 1 && self.fast_forward => EngineKind::Naive,
+            None if self.n_cores == 1 => EngineKind::Naive,
             None => EngineKind::Sparse,
         }
     }
@@ -164,13 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn effective_engine_chooses_from_cores_and_fast_forward_unless_pinned() {
+    fn effective_engine_chooses_from_cores_unless_pinned() {
         use EngineKind::{Naive, Sparse};
-        // Only the single-core fast-forward configuration — where the
-        // naive loop's stream jump wins — leaves the sparse loop.
+        // Only a single core — where the naive rule's stream jump wins —
+        // leaves the sparse rule; `fast_forward` is the jump rule of both
+        // and plays no part in the choice.
         for (n_cores, fast_forward, auto) in [
             (1, true, Naive),
-            (1, false, Sparse),
+            (1, false, Naive),
             (2, true, Sparse),
             (2, false, Sparse),
             (16, true, Sparse),

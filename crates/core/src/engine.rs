@@ -10,6 +10,16 @@
 //! released by core *i* can be re-acquired by a later-ticking core in the
 //! same cycle — both exactly as in the paper's hardware.
 //!
+//! One loop simulates every configuration. Cycles in which a core's
+//! retry provably fails again are not ticked: the core *parks*, and the
+//! stalls it would have recorded are replayed in bulk when it wakes. When
+//! it parks is the park rule ([`EngineKind`]): the sparse rule parks each
+//! stalled core on its own wake condition; the naive rule parks all of
+//! them only after a cycle in which nothing moved. When no core is awake
+//! the clock jumps to the memory system's next activity
+//! ([`GcConfig::fast_forward`]). Either way the run is bit-identical to
+//! ticking every core every cycle.
+//!
 //! A collection cycle has three phases, mirroring Section V-E:
 //!
 //! 1. **Root phase**: core 1 (index 0 here) stops the main processor,
@@ -39,7 +49,7 @@ use hwgc_obs::{Event, HostProf, NullHostProf, NullProbe, Probe, SampleRec};
 use hwgc_sync::{LockKind, SyncBlock};
 
 use crate::concurrent::{MutatorConfig, MutatorSm, MutatorStats};
-use crate::config::{EngineKind, GcConfig};
+use crate::config::{EngineKind, GcConfig, MAX_CORES};
 use crate::machine::{CoreSm, Ctx, State, TickOutcome, WorkCounters};
 use crate::schedule::{CoreView, RandomOrder, SchedulePolicy, ScheduleView};
 use crate::stats::{GcStats, StallReason};
@@ -116,54 +126,15 @@ fn flush_stall_run<P: Probe>(
     }
 }
 
-/// Did any core's tick end in a failed lock acquisition? Each retry of
-/// one emits a cycle-stamped SB event while the event log is on, which
-/// no fast-forward can replicate outside `core.tick()`.
-fn any_lock_stall(outcomes: &[TickOutcome]) -> bool {
-    outcomes.iter().any(|o| {
-        matches!(
-            o,
-            TickOutcome::Stalled(
-                StallReason::ScanLock | StallReason::FreeLock | StallReason::HeaderLock
-            )
-        )
-    })
-}
-
-/// Replay `k` skipped cycles, the first stamped `first`, for every core
-/// whose frozen `outcomes` entry is a stall: the retry fails identically
-/// each cycle, so the stall counters, the SB's failed-attempt counters
-/// and (probe on) the open stall run grow by `k` without a tick — the
-/// run emits nothing until the stall resolves.
-fn replay_stalls<P: Probe>(
-    cores: &mut [CoreSm],
-    outcomes: &[TickOutcome],
-    stall_runs: &mut [Option<(StallReason, u64, u64)>],
-    probe: &mut P,
-    sb: &mut SyncBlock,
-    first: u64,
-    k: u64,
-) {
-    for (i, (core, outcome)) in cores.iter_mut().zip(outcomes).enumerate() {
-        let TickOutcome::Stalled(reason) = *outcome else {
-            continue;
-        };
-        core.stalls.record_n(reason, k);
-        if P::ACTIVE {
-            match &mut stall_runs[i] {
-                Some((r, _, len)) if *r == reason => *len += k,
-                run => {
-                    flush_stall_run(probe, i, run);
-                    *run = Some((reason, first, k));
-                }
-            }
-        }
-        match reason {
-            StallReason::ScanLock => sb.bulk_fail(LockKind::Scan, k),
-            StallReason::FreeLock => sb.bulk_fail(LockKind::Free, k),
-            StallReason::HeaderLock => sb.bulk_fail(LockKind::Header, k),
-            _ => {}
-        }
+/// The SB lock a stall of class `reason` failed to acquire, if any. Each
+/// failed attempt counts, and logs a cycle-stamped event while the SB
+/// event log is on.
+fn lock_of(reason: StallReason) -> Option<LockKind> {
+    match reason {
+        StallReason::ScanLock => Some(LockKind::Scan),
+        StallReason::FreeLock => Some(LockKind::Free),
+        StallReason::HeaderLock => Some(LockKind::Header),
+        _ => None,
     }
 }
 
@@ -191,10 +162,40 @@ fn scan_hand_off(waiters: u64, releaser: usize, acquirable: bool, wake_all: bool
     (now, lowest(waiters) & !now)
 }
 
+/// Fill `views` from the cores and the SB: the cycle-boundary snapshot a
+/// schedule policy arranges against.
+fn schedule_view<'v>(
+    views: &'v mut [CoreView],
+    cores: &[CoreSm],
+    sb: &SyncBlock,
+) -> ScheduleView<'v> {
+    for (i, (view, core)) in views.iter_mut().zip(cores).enumerate() {
+        *view = CoreView {
+            pending_header: core.pending_header(),
+            holds_header: sb.header_lock_of(i),
+            holds_scan: sb.holds_scan(i),
+            holds_free: sb.holds_free(i),
+            busy: sb.is_busy(i),
+        };
+    }
+    ScheduleView {
+        scan: sb.scan(),
+        free: sb.free(),
+        cores: views,
+    }
+}
+
 impl SimCollector {
     /// Collector with the given configuration.
+    ///
+    /// # Panics
+    /// Panics unless `cfg.n_cores` lies in `1..=MAX_CORES`.
     pub fn new(cfg: GcConfig) -> SimCollector {
-        assert!(cfg.n_cores > 0, "need at least one GC core");
+        assert!(
+            (1..=MAX_CORES).contains(&cfg.n_cores),
+            "n_cores = {} is outside the supported range 1..={MAX_CORES}",
+            cfg.n_cores
+        );
         SimCollector { cfg }
     }
 
@@ -295,9 +296,9 @@ impl SimCollector {
     /// The shared collection loop, generic over the bus subscriber. With
     /// [`NullProbe`] every `P::ACTIVE` block compiles away; with an
     /// active probe, observation is passive (identical `GcStats`): bus
-    /// events are *transitions*, fast-forward windows are by construction
-    /// transition-free, per-cycle SB lock-failure events pin the skip via
-    /// `events_pinned`, and sampled cycles cap it via
+    /// events are *transitions*, skipped cycles are by construction
+    /// transition-free, per-cycle SB lock-failure events keep their
+    /// cores ticking, and sampled cycles cap every jump via
     /// [`Probe::next_sample`].
     fn run<P: Probe, H: HostProf>(
         &self,
@@ -307,17 +308,25 @@ impl SimCollector {
         probe: &mut P,
         host: &mut H,
     ) -> (Addr, GcStats, Option<MutatorStats>) {
-        // Static dispatch on the memory backend: each instantiation of
-        // `run_backend` is monomorphized against its concrete backend, so
-        // the fixed-latency hot loop compiles exactly as before the trait
-        // was introduced.
+        // Static dispatch on the memory backend and the park rule: each
+        // instantiation of `run_backend` is monomorphized against its
+        // concrete backend, and the loop's per-rule branches fold away, so
+        // neither rule pays for the other's bookkeeping on the hot path.
+        // A mutator forces the naive rule (see the catalog in
+        // `run_backend`).
+        let sparse = mutator_cfg.is_none() && self.cfg.effective_engine() == EngineKind::Sparse;
+        macro_rules! dispatch {
+            ($b:ty) => {
+                if sparse {
+                    self.run_backend::<P, H, $b, true>(heap, mutator_cfg, policy, probe, host)
+                } else {
+                    self.run_backend::<P, H, $b, false>(heap, mutator_cfg, policy, probe, host)
+                }
+            };
+        }
         match self.cfg.mem.backend {
-            MemBackendKind::Fixed => {
-                self.run_backend::<P, H, MemorySystem>(heap, mutator_cfg, policy, probe, host)
-            }
-            MemBackendKind::Dram(_) => {
-                self.run_backend::<P, H, DramMemorySystem>(heap, mutator_cfg, policy, probe, host)
-            }
+            MemBackendKind::Fixed => dispatch!(MemorySystem),
+            MemBackendKind::Dram(_) => dispatch!(DramMemorySystem),
         }
     }
 
@@ -325,7 +334,7 @@ impl SimCollector {
     /// is the hostprof sink ([`NullHostProf`] on every probe door): like
     /// the probe, each `H::ACTIVE` site compiles away when inactive, so
     /// the quiet hot loop is unchanged.
-    fn run_backend<P: Probe, H: HostProf, B: MemBackend>(
+    fn run_backend<P: Probe, H: HostProf, B: MemBackend, const SPARSE: bool>(
         &self,
         heap: &mut Heap,
         mutator_cfg: Option<MutatorConfig>,
@@ -398,10 +407,10 @@ impl SimCollector {
             Vec::new()
         };
         // Open stall run per core: `(reason, first stalled stamp, length)`.
-        // Grown by naive stalled ticks (+1), horizon jumps (+k) and
-        // service-start replication (+1); flushed as one `StallSpan` when
-        // the cause resolves — so fast-forward emits nothing mid-window
-        // and probe-on streams stay identical to the naive loop's.
+        // Grown by stalled ticks (+1) and by the replay at a parked core's
+        // wake (+k); flushed as one `StallSpan` when the cause resolves —
+        // so skipped cycles emit nothing and probe-on streams stay
+        // identical to a run that ticks every cycle.
         let mut stall_runs: Vec<Option<(StallReason, u64, u64)>> = if P::ACTIVE {
             vec![None; cfg.n_cores]
         } else {
@@ -455,253 +464,445 @@ impl SimCollector {
         // Preallocated per-cycle scratch: the steady-state loop must not
         // allocate.
         let mut views: Vec<CoreView> = vec![CoreView::default(); cfg.n_cores];
-        let mut outcomes: Vec<TickOutcome> = vec![TickOutcome::Progress; cfg.n_cores];
-        // Event-horizon fast-forward is only sound when nothing outside
-        // the cores can observe or perturb individual cycles: no mutator
-        // (it ticks every cycle) and no schedule policy (stateful
-        // arbiters advance their RNG per cycle). Tracing is handled
-        // per-jump by capping the skip at the next wanted sample.
-        let ff_enabled = cfg.fast_forward && mutator.is_none() && policy.is_none();
-        // The sparse active-set engine composes with schedule policies
-        // (parked cores keep their slot in the arranged order, and skipped
-        // cycles replay `arrange` against the frozen view, so policy RNG
-        // streams stay aligned); only a mutator — which ticks every cycle
-        // and can touch any SB resource — forces the naive loop. The wake
-        // lists use one u64 bitmask, hence the 64-core bound.
-        let use_sparse =
-            cfg.effective_engine() == EngineKind::Sparse && mutator.is_none() && cfg.n_cores <= 64;
 
-        if use_sparse {
-            // ===========================================================
-            // Sparse active-set loop. Contract: bit-identical GcStats, SB
-            // event log, probe streams and trace rows to the naive loop
-            // below (the differential tests compare both). A core ticks
-            // only while its next retry could succeed; otherwise it parks
-            // on the wake condition of its stall class:
-            //
-            //   ScanLock, holder-held ... SB scan-waiter list, handed off
-            //                             at a release (below)
-            //   ScanLock, write-port .... stays awake (port re-arms next
-            //                             cycle, the retry may succeed)
-            //   FreeLock ................ stays awake (the free lock never
-            //                             crosses a cycle boundary, so
-            //                             every failure is a same-cycle
-            //                             conflict)
-            //   HeaderLock .............. SB per-address header list
-            //   EmptySpin ............... SB empty list (set_free or a
-            //                             busy-bit clear re-arms the
-            //                             termination test it polls)
-            //   memory stalls, Drain .... memory wake feed (only a
-            //                             retirement of one of the core's
-            //                             own transactions can change its
-            //                             retry, and the feed reports
-            //                             every retirement)
-            //
-            // Lock-failure retries are impure (each failed attempt counts,
-            // and logs an event when the SB log is on): the skipped
-            // attempts are replayed in bulk at wake time, and with the
-            // event log on the lock classes simply stay awake so every
-            // per-cycle fail event is a real tick. All other parked
-            // retries are provably side-effect-free self-loops, so a
-            // skipped cycle replays as `record_n` alone.
-            //
-            // Scan-lock waiters are the one class a wake condition does
-            // not drain. Static priority elects exactly one of them, so a
-            // release wakes only the cores that can win (`scan_hand_off`)
-            // and the losers stay parked with `park_since` untouched —
-            // every failure they would have ticked through is still
-            // replayed, in bulk, at their eventual wake. Everyone wakes
-            // where the winner is not computable or the retry changes
-            // class: under a schedule policy (the next cycle's order is
-            // not known at release time), when the release leaves the
-            // work list empty (waiters fall through to the termination
-            // test) and once `done` is up.
-            //
-            // When every core is parked, the clock jumps straight to the
-            // earliest wake: the memory system's next activity (its
-            // retirement horizon — the event calendar of this engine; all
-            // SB wakes are caused by core ticks, which cannot happen while
-            // every core sleeps), capped at the next wanted trace sample.
-            // ===========================================================
+        // ===============================================================
+        // The loop. Every core is *awake* (it ticks in every executed
+        // cycle) or *parked*: its coming retries provably fail until a
+        // wake condition fires, so it does not tick, and the stalls those
+        // retries would have recorded are replayed in bulk when it wakes.
+        // Contract: bit-identical GcStats, SB event log, probe streams and
+        // trace rows to ticking every core every cycle (the naive rule
+        // without jumps, the reference side of the differential tests).
+        //
+        // When a stalled core parks is the park rule, `EngineKind`:
+        //
+        // * `Sparse` parks it on the wake condition of its stall class:
+        //
+        //   ScanLock, holder-held ... SB scan-waiter list, handed off
+        //                             at a release (below)
+        //   ScanLock, write-port .... stays awake (port re-arms next
+        //                             cycle, the retry may succeed)
+        //   FreeLock ................ stays awake (the free lock never
+        //                             crosses a cycle boundary, so
+        //                             every failure is a same-cycle
+        //                             conflict)
+        //   HeaderLock .............. SB per-address header list
+        //   EmptySpin ............... SB empty list (set_free or a
+        //                             busy-bit clear re-arms the
+        //                             termination test it polls)
+        //   memory stalls, Drain .... memory wake feed (only a
+        //                             retirement of one of the core's
+        //                             own transactions can change its
+        //                             retry, and the feed reports
+        //                             every retirement)
+        //
+        // * `Naive`, the degenerate rule, parks no core alone. After an
+        //   executed cycle that *moved* nothing, every stalled core parks
+        //   on "memory moves" and the next executed cycle wakes them all —
+        //   unless memory is quiet forever (the watchdog must see the
+        //   cycles) or moves in the very next one anyway. A tick moved if
+        //   it progressed, if it stalled after changing state (it may have
+        //   released a header lock, advanced `free` or raised `done` after
+        //   a core waiting for exactly that had ticked; one chain touches
+        //   the core alone: a body word consumed whose store found the
+        //   port busy, `CopyWait → StoreWord`), or if it failed a lock
+        //   while the SB event log is on.
+        //
+        // Lock-failure retries are impure (each failed attempt counts, and
+        // logs an event when the SB log is on): the skipped attempts are
+        // replayed in bulk at wake time, and with the event log on the lock
+        // classes never park, so every per-cycle fail event is a real tick.
+        // All other parked retries are provably side-effect-free
+        // self-loops, so a skipped cycle replays as `record_n` alone.
+        //
+        // Scan-lock waiters are the one class a wake condition does not
+        // drain. Static priority elects exactly one of them, so a release
+        // wakes only the cores that can win (`scan_hand_off`) and the
+        // losers stay parked with `park_since` untouched — every failure
+        // they would have ticked through is still replayed, in bulk, at
+        // their eventual wake. Everyone wakes where the winner is not
+        // computable or the retry changes class: under a schedule policy
+        // (the next cycle's order is not known at release time), when the
+        // release leaves the work list empty (waiters fall through to the
+        // termination test) and once `done` is up.
+        //
+        // The jump rule is `fast_forward`, the same under both park rules:
+        //
+        // * all-parked jump: when nobody is awake, the clock jumps to one
+        //   short of the memory system's next activity (its retirement or
+        //   service-start horizon, the event calendar of this engine; every
+        //   SB wake is caused by a core tick, which cannot happen while
+        //   every core sleeps), replaying policy `arrange`s against the
+        //   frozen view;
+        // * stream jump (naive rule, static order): every core that moved
+        //   consumed a pass-through body word, stored it and issued the
+        //   next load (`CoreSm::stream_len`), and memory holds nothing but
+        //   those zero-latency burst pairs (`MemBackend::stream_window`):
+        //   `k` such cycles replay in closed form while the stalled cores
+        //   park as above. A streaming core touches neither the SB nor the
+        //   FIFO, a stalled core's cause cannot resolve before the next
+        //   retirement (which bounds `k`), and the queue pins the order.
+        //
+        // Both stop at the next cycle the probe wants sampled and one short
+        // of `max_cycles`, so the real cycle after them trips the watchdog
+        // exactly where the reference loop does. Without jumps every cycle
+        // executes. A mutator ticks every cycle and can touch any SB
+        // resource: it forces the naive rule without jumps.
+        // ===============================================================
+        let static_order = policy.is_none();
+        let jumps = cfg.fast_forward && mutator.is_none();
+        if SPARSE {
             sb.enable_wake_tracking();
             mem.enable_wake_feed(cfg.n_cores);
-            let n = cfg.n_cores;
-            // Cores not parked. Parked ⇒ `park_reason` is `Some`, except
-            // for Done cores, which never wake (their naive ticks are
-            // no-op `Parked` outcomes).
-            let mut awake: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-            // Cores ticking in the cycle currently executing.
-            let mut cur: u64;
-            let mut park_reason: Vec<Option<StallReason>> = vec![None; n];
-            // Cycle stamp of each core's parking tick (which recorded its
-            // own stall); replay at wake covers the cycles after it.
-            let mut park_since: Vec<u64> = vec![0; n];
-            // Position of each core in this cycle's arranged tick order.
-            let mut pos_of: Vec<usize> = vec![0; n];
-            // Drain buffer for SB wake notifications (the macro below
-            // needs `sb` mutably). A core sits on at most one list.
-            let mut wake_scratch: Vec<usize> = Vec::with_capacity(sb_slots);
-            let mut done_announced = false;
-            // O(1) termination: `Done` is entered only inside a tick and
-            // is permanent, so counting the transitions replaces the
-            // per-cycle all-cores scan. `mem.all_idle()` is still
-            // re-checked on every executed cycle, and with all cores
-            // `Done` the clock jumps straight to the retirement that
-            // drains the last transaction — the same cycle the naive
-            // loop's check first passes.
-            let mut done_count: usize = 0;
+        }
+        let n = cfg.n_cores;
+        // Cores not parked. Parked ⇒ `park_reason` is `Some`, except for
+        // Done cores, which never wake (their ticks would be no-op
+        // `Parked` outcomes).
+        let mut awake: u64 = u64::MAX >> (64 - n);
+        // Slots (below) ticking in the cycle currently executing.
+        let mut cur: u64;
+        let mut park_reason: Vec<Option<StallReason>> = vec![None; n];
+        // Cycle stamp of each core's parking tick (which recorded its own
+        // stall); replay at wake covers the cycles after it.
+        let mut park_since: Vec<u64> = vec![0; n];
+        // Slot of each core in this cycle's tick order, the inverse of
+        // `order`; both stay the identity under static priority.
+        let mut pos_of: Vec<usize> = (0..n).collect();
+        // Drain buffer for SB wake notifications (the macro below needs
+        // `sb` mutably). A core sits on at most one list.
+        let mut wake_scratch: Vec<usize> = Vec::with_capacity(sb_slots);
+        let mut done_announced = false;
+        // O(1) termination: `Done` is permanent, so counting the entries
+        // replaces an all-cores scan; with every core `Done` the clock
+        // jumps to the retirement that drains the last transaction.
+        let mut done_count: usize = 0;
+        // Naive rule: this cycle's outcome per ticked core, its stream
+        // ticks, whether any other tick moved, and the cores parked until
+        // the next executed cycle.
+        let mut outcomes: Vec<TickOutcome> = vec![TickOutcome::Progress; n];
+        let mut streams: Vec<usize> = Vec::with_capacity(n);
+        let mut moved: bool;
+        let mut held: u64 = 0;
 
-            // Wake core `$w` if parked: replay the stalls its skipped
-            // retries would have recorded, then re-admit it — into the
-            // executing cycle when `$this_cycle` (its slot in the tick
-            // order is still ahead, or the wake arrived with the memory
-            // tick at cycle start), else from the next cycle. `cycles` is
-            // pre-increment here, so the executing cycle is `cycles + 1`:
-            // a core ticking this cycle replays `cycles - park_since`
-            // skipped stalls, one more if its retry this cycle already
-            // failed behind the waker's back. `$wake_key` is the hostprof
-            // counter of the wake's cause class (`engine.wake.*`).
-            macro_rules! wake_parked {
-                ($w:expr, $this_cycle:expr, $wake_key:expr) => {{
-                    let w: usize = $w;
-                    if let Some(reason) = park_reason[w] {
-                        if H::ACTIVE {
-                            host.count($wake_key, 1);
+        // Wake core `$w` if parked: replay the stalls its skipped retries
+        // would have recorded, then re-admit it — into the executing cycle
+        // when `$this_cycle` (its slot in the tick order is still ahead, or
+        // the wake arrived at cycle start), else from the next cycle.
+        // `cycles` is pre-increment here, so the executing cycle is
+        // `cycles + 1`: a core ticking this cycle replays
+        // `cycles - park_since` skipped stalls, one more if its retry this
+        // cycle already failed behind the waker's back. `$wake_key` is the
+        // hostprof counter of the wake's cause class (`engine.wake.*`),
+        // kept, like `engine.park.*`, for the sparse rule: the naive
+        // rule's whole-machine parks are its jumps (`engine.jump.*`).
+        macro_rules! wake_parked {
+            ($w:expr, $this_cycle:expr, $wake_key:expr) => {{
+                let w: usize = $w;
+                if let Some(reason) = park_reason[w] {
+                    if H::ACTIVE && SPARSE {
+                        host.count($wake_key, 1);
+                    }
+                    let this_cycle: bool = $this_cycle;
+                    let k = if this_cycle {
+                        cycles - park_since[w]
+                    } else {
+                        cycles + 1 - park_since[w]
+                    };
+                    if k > 0 {
+                        cores[w].stalls.record_n(reason, k);
+                        // Parked lock waiters fail their acquisition every
+                        // skipped cycle (and only park while the SB event
+                        // log is off).
+                        if let Some(lock) = lock_of(reason) {
+                            sb.bulk_fail(lock, k);
                         }
-                        let this_cycle: bool = $this_cycle;
-                        let k = if this_cycle {
-                            cycles - park_since[w]
-                        } else {
-                            cycles + 1 - park_since[w]
-                        };
-                        if k > 0 {
-                            cores[w].stalls.record_n(reason, k);
-                            // Parked lock waiters fail their acquisition
-                            // every skipped cycle (and only park while the
-                            // SB event log is off — see the catalog).
-                            match reason {
-                                StallReason::ScanLock => sb.bulk_fail(LockKind::Scan, k),
-                                StallReason::FreeLock => sb.bulk_fail(LockKind::Free, k),
-                                StallReason::HeaderLock => sb.bulk_fail(LockKind::Header, k),
-                                _ => {}
-                            }
-                            if P::ACTIVE {
-                                match &mut stall_runs[w] {
-                                    Some((r, _, len)) if *r == reason => *len += k,
-                                    run => {
-                                        flush_stall_run(probe, w, run);
-                                        *run = Some((reason, park_since[w] + 1, k));
-                                    }
+                        if P::ACTIVE {
+                            match &mut stall_runs[w] {
+                                Some((r, _, len)) if *r == reason => *len += k,
+                                run => {
+                                    flush_stall_run(probe, w, run);
+                                    *run = Some((reason, park_since[w] + 1, k));
                                 }
                             }
                         }
-                        park_reason[w] = None;
-                        sb.cancel_park(w);
-                        awake |= 1u64 << w;
-                        if this_cycle {
-                            cur |= 1u64 << w;
+                    }
+                    park_reason[w] = None;
+                    sb.cancel_park(w);
+                    awake |= 1u64 << w;
+                    if this_cycle {
+                        cur |= 1u64 << pos_of[w];
+                    }
+                }
+            }};
+        }
+
+        // A `Sample` of the current, frozen or just-ticked, state.
+        macro_rules! record_sample {
+            () => {
+                probe.record(
+                    cycles,
+                    &Event::Sample(SampleRec {
+                        scan: sb.scan(),
+                        free: sb.free(),
+                        gray_words: sb.free() - sb.scan(),
+                        busy_cores: sb.busy_count() as u32,
+                        fifo_len: fifo.len() as u32,
+                        queue_depth: mem.queue_len() as u32,
+                        states: &prev_states,
+                        state_name: State::name_of,
+                    }),
+                )
+            };
+        }
+
+        loop {
+            if awake == 0 && jumps {
+                // Every core is parked: jump the clock to the earliest
+                // wake. SB wakes need a core tick, so the only future
+                // activity is the memory system's.
+                let wake_target = mem.next_activity_cycle().unwrap_or(u64::MAX);
+                assert!(
+                    wake_target != u64::MAX,
+                    "deadlock: every core parked with no wake condition; \
+                     park reasons {:?}; oldest in-flight txn age {:?}; core states {:?}",
+                    park_reason,
+                    mem.oldest_inflight_age(),
+                    cores.iter().map(|c| c.state()).collect::<Vec<_>>()
+                );
+                // Cores resume at `wake_target`; the skip covers the hollow
+                // cycles before it — unless the probe wants a cycle sampled
+                // first, in which case land exactly on it (state is frozen,
+                // so the sample replays bit for bit) and keep jumping from
+                // there.
+                let mut k = wake_target - 1 - cycles;
+                let mut sample_landing = false;
+                if P::ACTIVE {
+                    if let Some(ns) = probe.next_sample(cycles + 1) {
+                        if ns < wake_target {
+                            k = ns - cycles;
+                            sample_landing = true;
                         }
                     }
-                }};
+                }
+                let cap = cfg.max_cycles - 1 - cycles;
+                if k > cap {
+                    k = cap;
+                    sample_landing = false;
+                }
+                if k > 0 {
+                    if H::ACTIVE {
+                        host.count("engine.jump.all_parked", 1);
+                        host.count("engine.jump.all_parked_cycles", k);
+                        host.sample("engine.jump.len", k);
+                    }
+                    if let Some(p) = policy.as_deref_mut() {
+                        // Replay the per-cycle arranges against the frozen
+                        // state so the policy's RNG stream (and therefore
+                        // every later cycle's order) stays aligned.
+                        let view = schedule_view(&mut views, &cores, &sb);
+                        for x in 1..=k {
+                            p.arrange(cycles + x, &view, &mut order);
+                        }
+                    }
+                    cycles += k;
+                    sb.fast_forward(k);
+                    mem.fast_forward(k);
+                    if sb.scan() == sb.free() {
+                        stats.empty_worklist_cycles += k;
+                    }
+                    if P::ACTIVE && sample_landing {
+                        record_sample!();
+                        continue;
+                    }
+                }
+                // The very next tick has memory work (a retirement, a
+                // queued service start or a comparator re-check) or the
+                // watchdog bound: run it for real below — with no cores
+                // ticking, it is cheap.
+                if H::ACTIVE {
+                    host.count("engine.calendar.pops", 1);
+                }
             }
 
-            // One core's tick plus all its bookkeeping — shared by the
-            // policy-ordered scan and the static-priority bit iteration
-            // below. `$wake_this_cycle` is a predicate closure over a
-            // woken core's index: does its slot in this cycle's arranged
-            // order still lie ahead of the one ticking now?
-            // `$static_order`: is the tick order ascending core index,
-            // this cycle and the next?
-            macro_rules! tick_core {
-                ($idx:expr, $wake_this_cycle:expr, $static_order:expr) => {{
-                    let idx: usize = $idx;
-                    let wake_this_cycle = $wake_this_cycle;
-                    let scan_before = if P::ACTIVE { sb.scan() } else { 0 };
-                    let core = &mut cores[idx];
-                    let was_done = core.state() == State::Done;
-                    let mut ctx = Ctx {
-                        heap,
-                        sb: &mut sb,
-                        mem: &mut mem,
-                        fifo: &mut fifo,
-                        done: &mut done,
-                        counters: &mut counters,
-                        test_before_lock: cfg.test_before_lock,
-                        line_split: cfg.line_split,
-                    };
-                    let outcome = core.tick(&mut ctx);
-                    if !was_done && cores[idx].state() == State::Done {
-                        done_count += 1;
-                    }
-                    if P::ACTIVE {
-                        // Identical per-tick bookkeeping to the naive loop:
-                        // ticks are real here, only skipped retries differ.
-                        let run = &mut stall_runs[idx];
-                        if let TickOutcome::Stalled(reason) = outcome {
-                            match run {
-                                Some((r, _, len)) if *r == reason => *len += 1,
-                                _ => {
-                                    flush_stall_run(probe, idx, run);
-                                    *run = Some((reason, cycles + 1, 1));
-                                }
-                            }
-                        } else {
-                            flush_stall_run(probe, idx, run);
-                        }
-                        let state = cores[idx].state().index();
-                        if prev_states[idx] != state {
-                            prev_states[idx] = state;
-                            probe.record(
-                                cycles + 1,
-                                &Event::CoreState {
-                                    core: idx as u32,
-                                    state,
-                                    name: State::name_of(state),
-                                },
-                            );
-                        }
-                        let scan_after = sb.scan();
-                        if scan_after != scan_before {
-                            probe.record(
-                                cycles + 1,
-                                &Event::WorklistClaim {
-                                    core: idx as u32,
-                                    from: scan_before,
-                                    to: scan_after,
-                                },
-                            );
-                        }
-                    }
-                    // Park decision (see the wake-condition catalog above).
+            if H::ACTIVE {
+                host.count("engine.cycles_executed", 1);
+                let t0 = host.now();
+                mem.tick();
+                host.time("mem.tick", host.now() - t0);
+            } else {
+                mem.tick();
+            }
+            sb.begin_cycle();
+            if let Some(m) = mutator.as_mut() {
+                m.tick(heap, &mut sb, &mut fifo);
+            }
+            if let Some(p) = policy.as_deref_mut() {
+                p.arrange(
+                    cycles + 1,
+                    &schedule_view(&mut views, &cores, &sb),
+                    &mut order,
+                );
+                for (pos, &idx) in order.iter().enumerate() {
+                    pos_of[idx] = pos;
+                }
+                cur = 0;
+                let mut rem = awake;
+                while rem != 0 {
+                    let c = rem.trailing_zeros() as usize;
+                    rem &= rem - 1;
+                    cur |= 1u64 << pos_of[c];
+                }
+            } else {
+                cur = awake;
+            }
+            if SPARSE {
+                // Retirements in this memory tick wake their owners into
+                // this cycle — exactly the cycle a per-cycle run would
+                // first see the retry succeed.
+                for i in 0..mem.wakes().len() {
+                    let w = mem.wakes()[i];
+                    wake_parked!(w, true, "engine.wake.mem");
+                }
+                mem.clear_wakes();
+            } else {
+                // Naive rule: the memory tick the held cores waited for has
+                // run, so every one of them retries this cycle.
+                while held != 0 {
+                    let w = held.trailing_zeros() as usize;
+                    held &= held - 1;
+                    wake_parked!(w, true, "engine.wake.mem");
+                }
+            }
+            moved = false;
+            streams.clear();
+            // Tick the awake cores in this cycle's order: `cur` holds one
+            // bit per slot (the core index itself under static priority,
+            // the paper's arbiter), so the walk visits only the cores that
+            // tick — no O(n_cores) scan. A core woken during the tick in
+            // `slot` ticks in this cycle exactly when its own slot lies
+            // after it, and the re-OR after each tick folds such additions
+            // into the walk (`(!1u64) << slot` is the bits strictly above
+            // `slot`).
+            let mut rem = cur;
+            while rem != 0 {
+                let slot = rem.trailing_zeros() as usize;
+                rem &= rem - 1;
+                let idx = if static_order { slot } else { order[slot] };
+                let scan_before = if P::ACTIVE { sb.scan() } else { 0 };
+                let before = cores[idx].state();
+                let mut ctx = Ctx {
+                    heap,
+                    sb: &mut sb,
+                    mem: &mut mem,
+                    fifo: &mut fifo,
+                    done: &mut done,
+                    counters: &mut counters,
+                    test_before_lock: cfg.test_before_lock,
+                    line_split: cfg.line_split,
+                };
+                let outcome = cores[idx].tick(&mut ctx);
+                let after = cores[idx].state();
+                if P::ACTIVE {
+                    // A stalled tick extends the open run (stamped
+                    // `cycles + 1`, like every stall this tick records);
+                    // progress closes it.
+                    let run = &mut stall_runs[idx];
                     if let TickOutcome::Stalled(reason) = outcome {
-                        let park = match reason {
-                            StallReason::ScanLock => match sb.scan_owner() {
-                                Some(_) if !sb.event_log_enabled() => {
-                                    sb.park_on_scan_release(idx);
-                                    true
-                                }
-                                // Write-port conflict (owner already gone)
-                                // clears at the next cycle boundary; with
-                                // the event log on, every per-cycle
-                                // FailScan must be a real tick.
-                                _ => false,
-                            },
-                            StallReason::FreeLock => false,
-                            StallReason::HeaderLock => {
-                                if sb.event_log_enabled() {
-                                    false
-                                } else {
-                                    let addr = cores[idx]
-                                        .pending_header()
-                                        .expect("header-lock stall without a pending header");
-                                    sb.park_on_header(idx, addr);
-                                    true
-                                }
+                        match run {
+                            Some((r, _, len)) if *r == reason => *len += 1,
+                            _ => {
+                                flush_stall_run(probe, idx, run);
+                                *run = Some((reason, cycles + 1, 1));
                             }
+                        }
+                    } else {
+                        flush_stall_run(probe, idx, run);
+                    }
+                    // Transition events are stamped with the cycle the
+                    // tick completes.
+                    let state = after.index();
+                    if prev_states[idx] != state {
+                        prev_states[idx] = state;
+                        probe.record(
+                            cycles + 1,
+                            &Event::CoreState {
+                                core: idx as u32,
+                                state,
+                                name: State::name_of(state),
+                            },
+                        );
+                    }
+                    let scan_after = sb.scan();
+                    if scan_after != scan_before {
+                        probe.record(
+                            cycles + 1,
+                            &Event::WorklistClaim {
+                                core: idx as u32,
+                                from: scan_before,
+                                to: scan_after,
+                            },
+                        );
+                    }
+                }
+                match outcome {
+                    TickOutcome::Parked => {
+                        // Done core: it never ticks again, and the
+                        // termination check below fires on the very cycle
+                        // the last core arrives — `Parked` ticks record
+                        // nothing, so nothing is replayed either.
+                        awake &= !(1u64 << idx);
+                    }
+                    TickOutcome::Progress => {
+                        // `Done` is entered only by a productive tick.
+                        if after == State::Done {
+                            done_count += 1;
+                        }
+                        // Naive rule: did this tick move (see the catalog)?
+                        // The only productive paths from `CopyWait` or
+                        // `StoreWord` back to `CopyWait` are the stream
+                        // tick and its second half alone, retried after a
+                        // busy store port: the SB and the FIFO untouched.
+                        if !SPARSE {
+                            outcomes[idx] = outcome;
+                            if matches!(before, State::CopyWait | State::StoreWord)
+                                && after == State::CopyWait
+                            {
+                                streams.push(idx);
+                            } else {
+                                moved = true;
+                            }
+                        }
+                    }
+                    TickOutcome::Stalled(reason) if !SPARSE => {
+                        outcomes[idx] = outcome;
+                        moved |= (after != before
+                            && (before, after) != (State::CopyWait, State::StoreWord))
+                            || (lock_of(reason).is_some() && sb.event_log_enabled());
+                    }
+                    TickOutcome::Stalled(reason) => {
+                        // Sparse rule: park on the wake condition (catalog).
+                        // A scan-lock write-port conflict (owner already gone)
+                        // clears next cycle, and with the event log on every
+                        // lock failure must be a real tick; the empty-worklist
+                        // retry is pure (no lock, no stats, no events).
+                        let log = sb.event_log_enabled();
+                        let park = match reason {
+                            StallReason::ScanLock if !log && sb.scan_owner().is_some() => {
+                                sb.park_on_scan_release(idx);
+                                true
+                            }
+                            StallReason::HeaderLock if !log => {
+                                let addr = cores[idx]
+                                    .pending_header()
+                                    .expect("header-lock stall without a pending header");
+                                sb.park_on_header(idx, addr);
+                                true
+                            }
+                            StallReason::ScanLock
+                            | StallReason::FreeLock
+                            | StallReason::HeaderLock => false,
                             StallReason::EmptySpin => {
-                                // The empty-worklist retry is pure (no
-                                // lock, no stats, no events), so this park
-                                // is legal even with the event log on.
                                 sb.park_on_empty(idx);
                                 true
                             }
@@ -719,35 +920,29 @@ impl SimCollector {
                             park_since[idx] = cycles + 1;
                             awake &= !(1u64 << idx);
                         }
-                    } else if outcome == TickOutcome::Parked {
-                        // Done core: it never ticks again, and the
-                        // termination check below fires on the very cycle
-                        // the last core arrives — `Parked` naive ticks
-                        // record nothing, so nothing is replayed either.
-                        awake &= !(1u64 << idx);
                     }
+                }
+                if SPARSE {
                     // SB operations in this tick may have woken parked
-                    // cores. A woken core whose slot in the arranged order
-                    // is still ahead ticks this cycle (its retry now
-                    // succeeds, as in the naive loop); one whose slot
-                    // already passed failed once more behind the waker's
-                    // back and resumes next cycle.
+                    // cores. A woken core whose slot is still ahead ticks
+                    // this cycle (its retry now succeeds, as in a per-cycle
+                    // run); one whose slot already passed failed once more
+                    // behind the waker's back and resumes next cycle.
                     if !sb.wakes().is_empty() {
                         wake_scratch.clear();
                         wake_scratch.extend_from_slice(sb.wakes());
                         sb.clear_wakes();
-                        for i in 0..wake_scratch.len() {
-                            let w = wake_scratch[i];
-                            wake_parked!(w, wake_this_cycle(w), "engine.wake.sb");
+                        for &w in &wake_scratch {
+                            wake_parked!(w, pos_of[w] > slot, "engine.wake.sb");
                         }
                     }
                     // Scan-lock hand-off (see the catalog). A candidate
-                    // admitted from the next cycle has this cycle's
-                    // failure — behind the releaser's back, or against
-                    // the spent write port — accounted in bulk.
+                    // admitted from the next cycle has this cycle's failure
+                    // (behind the releaser's back, or against the spent
+                    // write port) accounted in bulk.
                     let waiters = sb.take_scan_release();
                     if waiters != 0 {
-                        let (now, next) = if $static_order {
+                        let (now, next) = if static_order {
                             scan_hand_off(
                                 waiters,
                                 idx,
@@ -763,528 +958,61 @@ impl SimCollector {
                             woken &= woken - 1;
                             wake_parked!(
                                 w,
-                                now & (1u64 << w) != 0 && wake_this_cycle(w),
+                                now & (1u64 << w) != 0 && pos_of[w] > slot,
                                 "engine.wake.sb"
                             );
                         }
                     }
                     if done && !done_announced {
-                        // Termination broadcast: the done flag is read by
-                        // every poll retry, so no park may outlive it.
-                        // (Every parked core also has an ordinary wake
-                        // pending — this is one-shot insurance.)
+                        // Termination broadcast: every poll retry reads the
+                        // done flag, so no park may outlive it. (Every parked
+                        // core also has an ordinary wake pending: this is
+                        // one-shot insurance.)
                         done_announced = true;
                         for c in 0..n {
                             if park_reason[c].is_some() {
-                                wake_parked!(c, wake_this_cycle(c), "engine.wake.done");
+                                wake_parked!(c, pos_of[c] > slot, "engine.wake.done");
                             }
                         }
                     }
-                }};
+                    rem |= cur & ((!1u64) << slot);
+                }
             }
-
-            loop {
-                if awake == 0 {
-                    // Every core is parked: jump the clock to the earliest
-                    // wake. SB wakes need a core tick, so the only future
-                    // activity is the memory system's.
-                    let wake_target = mem.next_activity_cycle().unwrap_or(u64::MAX);
-                    assert!(
-                        wake_target != u64::MAX,
-                        "deadlock: every core parked with no wake condition; \
-                         park reasons {:?}; oldest in-flight txn age {:?}; core states {:?}",
-                        park_reason,
-                        mem.oldest_inflight_age(),
-                        cores.iter().map(|c| c.state()).collect::<Vec<_>>()
-                    );
-                    // Cores resume at `wake_target`; the skip covers the
-                    // hollow cycles before it — unless the probe wants a
-                    // cycle sampled first, in which case land exactly on
-                    // it (state is frozen, so the sample replays bit for
-                    // bit) and keep jumping from there.
-                    let mut k = wake_target - 1 - cycles;
-                    let mut sample_landing = false;
-                    if P::ACTIVE {
-                        if let Some(ns) = probe.next_sample(cycles + 1) {
-                            if ns < wake_target {
-                                k = ns - cycles;
-                                sample_landing = true;
-                            }
-                        }
-                    }
-                    // Run out of cycles exactly where the naive loop would
-                    // panic: cap the jump one short of the bound, so the
-                    // following (hollow) real cycle trips the epilogue
-                    // assert with the exact naive cycle count.
-                    let cap = cfg.max_cycles - 1 - cycles;
-                    if k > cap {
-                        k = cap;
-                        sample_landing = false;
-                    }
-                    if k > 0 {
-                        if H::ACTIVE {
-                            host.count("engine.jump.all_parked", 1);
-                            host.count("engine.jump.all_parked_cycles", k);
-                            host.sample("engine.jump.len", k);
-                        }
-                        if let Some(p) = policy.as_deref_mut() {
-                            // Replay the per-cycle arranges against the
-                            // frozen state so the policy's RNG stream (and
-                            // therefore every later cycle's order) matches
-                            // the naive loop.
-                            for (i, (view, core)) in views.iter_mut().zip(&cores).enumerate() {
-                                *view = CoreView {
-                                    pending_header: core.pending_header(),
-                                    holds_header: sb.header_lock_of(i),
-                                    holds_scan: sb.holds_scan(i),
-                                    holds_free: sb.holds_free(i),
-                                    busy: sb.is_busy(i),
-                                };
-                            }
-                            let view = ScheduleView {
-                                scan: sb.scan(),
-                                free: sb.free(),
-                                cores: &views,
-                            };
-                            for x in 1..=k {
-                                p.arrange(cycles + x, &view, &mut order);
-                            }
-                        }
-                        cycles += k;
-                        sb.fast_forward(k);
-                        mem.fast_forward(k);
-                        if sb.scan() == sb.free() {
-                            stats.empty_worklist_cycles += k;
-                        }
-                        if P::ACTIVE && sample_landing {
-                            probe.record(
-                                cycles,
-                                &Event::Sample(SampleRec {
-                                    scan: sb.scan(),
-                                    free: sb.free(),
-                                    gray_words: sb.free() - sb.scan(),
-                                    busy_cores: sb.busy_count() as u32,
-                                    fifo_len: fifo.len() as u32,
-                                    queue_depth: mem.queue_len() as u32,
-                                    states: &prev_states,
-                                    state_name: State::name_of,
-                                }),
-                            );
-                        }
-                        continue;
-                    }
-                    // k == 0: the very next tick has memory work (a queued
-                    // service start or a comparator re-check); run it for
-                    // real below — with no cores ticking, it is cheap.
-                    if H::ACTIVE {
-                        host.count("engine.calendar.pops", 1);
-                    }
-                }
-
-                if H::ACTIVE {
-                    host.count("engine.cycles_executed", 1);
-                    let t0 = host.now();
-                    mem.tick();
-                    host.time("mem.tick", host.now() - t0);
-                } else {
-                    mem.tick();
-                }
-                sb.begin_cycle();
-                cur = awake;
-                // Retirements in this memory tick wake their owners into
-                // this cycle — exactly the cycle the naive loop would
-                // first see the retry succeed.
-                for i in 0..mem.wakes().len() {
-                    let w = mem.wakes()[i];
-                    wake_parked!(w, true, "engine.wake.mem");
-                }
-                mem.clear_wakes();
-                if let Some(p) = policy.as_deref_mut() {
-                    for (i, (view, core)) in views.iter_mut().zip(&cores).enumerate() {
-                        *view = CoreView {
-                            pending_header: core.pending_header(),
-                            holds_header: sb.header_lock_of(i),
-                            holds_scan: sb.holds_scan(i),
-                            holds_free: sb.holds_free(i),
-                            busy: sb.is_busy(i),
-                        };
-                    }
-                    let view = ScheduleView {
-                        scan: sb.scan(),
-                        free: sb.free(),
-                        cores: &views,
-                    };
-                    p.arrange(cycles + 1, &view, &mut order);
-                    for (pos, &idx) in order.iter().enumerate() {
-                        pos_of[idx] = pos;
-                    }
-                    for (pos, &idx) in order.iter().enumerate() {
-                        if cur & (1u64 << idx) == 0 {
-                            continue;
-                        }
-                        tick_core!(idx, |w: usize| pos_of[w] > pos, false);
-                    }
-                } else {
-                    // Static priority (the paper's arbiter): walk only the
-                    // set bits of `cur`, ascending — identical order, no
-                    // O(n_cores) scan. A wake during core `idx`'s tick
-                    // lands this cycle exactly when the woken index is
-                    // higher, and the re-OR after each tick folds any such
-                    // still-unvisited additions back into the iteration
-                    // (`(!1u64) << idx` is the bits strictly above `idx`).
-                    let mut rem = cur;
-                    while rem != 0 {
-                        let idx = rem.trailing_zeros() as usize;
-                        rem &= rem - 1;
-                        tick_core!(idx, |w: usize| w > idx, true);
-                        rem |= cur & ((!1u64) << idx);
-                    }
-                }
-                cycles += 1;
-                if sb.scan() == sb.free() {
-                    stats.empty_worklist_cycles += 1;
-                }
-                if P::ACTIVE {
-                    let fifo_len = fifo.len() as u32;
-                    if fifo_len != prev_fifo_len {
-                        prev_fifo_len = fifo_len;
-                        probe.record(cycles, &Event::FifoDepth { depth: fifo_len });
-                    }
-                    if probe.next_sample(cycles) == Some(cycles) {
-                        probe.record(
-                            cycles,
-                            &Event::Sample(SampleRec {
-                                scan: sb.scan(),
-                                free: sb.free(),
-                                gray_words: sb.free() - sb.scan(),
-                                busy_cores: sb.busy_count() as u32,
-                                fifo_len,
-                                queue_depth: mem.queue_len() as u32,
-                                states: &prev_states,
-                                state_name: State::name_of,
-                            }),
-                        );
-                    }
-                }
-                if done_count == n && mem.all_idle() {
-                    break;
-                }
-                assert!(
-                    cycles < cfg.max_cycles,
-                    "simulation exceeded {} cycles; oldest in-flight txn age {:?}; core states {:?}",
-                    cfg.max_cycles,
-                    mem.oldest_inflight_age(),
-                    cores.iter().map(|c| c.state()).collect::<Vec<_>>()
-                );
+            cycles += 1;
+            if sb.scan() == sb.free() {
+                stats.empty_worklist_cycles += 1;
             }
-            debug_assert!(cores.iter().all(|c| c.state() == State::Done));
-        } else {
-            // Cores whose tick in the executing cycle was a stream tick
-            // (preallocated like every per-cycle buffer).
-            let mut streams: Vec<usize> = Vec::with_capacity(cfg.n_cores);
-            loop {
-                if H::ACTIVE {
-                    host.count("engine.cycles_executed", 1);
-                    let t0 = host.now();
-                    mem.tick();
-                    host.time("mem.tick", host.now() - t0);
-                } else {
-                    mem.tick();
+            if P::ACTIVE {
+                let fifo_len = fifo.len() as u32;
+                if fifo_len != prev_fifo_len {
+                    prev_fifo_len = fifo_len;
+                    probe.record(cycles, &Event::FifoDepth { depth: fifo_len });
                 }
-                sb.begin_cycle();
-                if let Some(m) = mutator.as_mut() {
-                    m.tick(heap, &mut sb, &mut fifo);
+                if probe.next_sample(cycles) == Some(cycles) {
+                    record_sample!();
                 }
-                if let Some(p) = policy.as_deref_mut() {
-                    for (i, (view, core)) in views.iter_mut().zip(&cores).enumerate() {
-                        *view = CoreView {
-                            pending_header: core.pending_header(),
-                            holds_header: sb.header_lock_of(i),
-                            holds_scan: sb.holds_scan(i),
-                            holds_free: sb.holds_free(i),
-                            busy: sb.is_busy(i),
-                        };
-                    }
-                    let view = ScheduleView {
-                        scan: sb.scan(),
-                        free: sb.free(),
-                        cores: &views,
-                    };
-                    p.arrange(cycles + 1, &view, &mut order);
-                }
-                // Cores whose tick was more than a failed retry. The rest
-                // are *frozen*: their coming ticks replay this one until
-                // the stall's cause resolves.
-                let mut active = 0usize;
-                streams.clear();
-                for &idx in &order {
-                    let scan_before = if P::ACTIVE { sb.scan() } else { 0 };
-                    let core = &mut cores[idx];
-                    let before = core.state();
-                    let mut ctx = Ctx {
-                        heap,
-                        sb: &mut sb,
-                        mem: &mut mem,
-                        fifo: &mut fifo,
-                        done: &mut done,
-                        counters: &mut counters,
-                        test_before_lock: cfg.test_before_lock,
-                        line_split: cfg.line_split,
-                    };
-                    let outcome = core.tick(&mut ctx);
-                    outcomes[idx] = outcome;
-                    let after = cores[idx].state();
-                    match outcome {
-                        TickOutcome::Progress => {
-                            active += 1;
-                            // The only productive paths from `CopyWait`
-                            // or `StoreWord` to `CopyWait` within one tick
-                            // are the stream tick (a pass-through word
-                            // consumed, stored, the next load issued) and
-                            // its second half alone, retried after a busy
-                            // store port: the SB and the FIFO untouched.
-                            if matches!(before, State::CopyWait | State::StoreWord)
-                                && after == State::CopyWait
-                            {
-                                streams.push(idx);
-                            }
-                        }
-                        // A tick that chained through other states before
-                        // it stalled may have changed what another core's
-                        // stall waits for (released a header lock,
-                        // advanced `free`, raised `done`) after that core
-                        // ticked: nobody is frozen behind it. One chain is
-                        // known to touch only the core itself: a body word
-                        // consumed, its store finding the port busy.
-                        TickOutcome::Stalled(_)
-                            if after != before
-                                && (before, after) != (State::CopyWait, State::StoreWord) =>
-                        {
-                            active += 1;
-                        }
-                        _ => {}
-                    }
-                    if P::ACTIVE {
-                        // Stall-run bookkeeping: a stalled tick extends the
-                        // open run (stamped `cycles + 1`, like every stall
-                        // this tick records); progress or parking closes it.
-                        let run = &mut stall_runs[idx];
-                        if let TickOutcome::Stalled(reason) = outcome {
-                            match run {
-                                Some((r, _, len)) if *r == reason => *len += 1,
-                                _ => {
-                                    flush_stall_run(probe, idx, run);
-                                    *run = Some((reason, cycles + 1, 1));
-                                }
-                            }
-                        } else {
-                            flush_stall_run(probe, idx, run);
-                        }
-                        // Transition events are stamped with the cycle the
-                        // tick completes (`cycles` increments just below).
-                        let state = cores[idx].state().index();
-                        if prev_states[idx] != state {
-                            prev_states[idx] = state;
-                            probe.record(
-                                cycles + 1,
-                                &Event::CoreState {
-                                    core: idx as u32,
-                                    state,
-                                    name: State::name_of(state),
-                                },
-                            );
-                        }
-                        let scan_after = sb.scan();
-                        if scan_after != scan_before {
-                            probe.record(
-                                cycles + 1,
-                                &Event::WorklistClaim {
-                                    core: idx as u32,
-                                    from: scan_before,
-                                    to: scan_after,
-                                },
-                            );
-                        }
-                    }
-                }
-                cycles += 1;
-                if sb.scan() == sb.free() {
-                    stats.empty_worklist_cycles += 1;
-                }
-                if P::ACTIVE {
-                    let fifo_len = fifo.len() as u32;
-                    if fifo_len != prev_fifo_len {
-                        prev_fifo_len = fifo_len;
-                        probe.record(cycles, &Event::FifoDepth { depth: fifo_len });
-                    }
-                    if probe.next_sample(cycles) == Some(cycles) {
-                        probe.record(
-                            cycles,
-                            &Event::Sample(SampleRec {
-                                scan: sb.scan(),
-                                free: sb.free(),
-                                gray_words: sb.free() - sb.scan(),
-                                busy_cores: sb.busy_count() as u32,
-                                fifo_len,
-                                queue_depth: mem.queue_len() as u32,
-                                states: &prev_states,
-                                state_name: State::name_of,
-                            }),
-                        );
-                    }
-                }
-                if cores.iter().all(|c| c.state() == State::Done) && mem.all_idle() {
-                    break;
-                }
-                assert!(
+            }
+            if done_count == n && mem.all_idle() {
+                break;
+            }
+            assert!(
                 cycles < cfg.max_cycles,
                 "simulation exceeded {} cycles; oldest in-flight txn age {:?}; core states {:?}",
                 cfg.max_cycles,
                 mem.oldest_inflight_age(),
                 cores.iter().map(|c| c.state()).collect::<Vec<_>>()
             );
-                // --- event-horizon fast-forward ----------------------------
-                // Every core is frozen (or parked): with frozen SB
-                // registers, FIFO and heap, the coming cycles replay
-                // identically until memory changes something a core can see.
-                // Two flavors of skip alternate until the next core-visible
-                // event; a third (below them) covers the cycles in which
-                // the only progress is a body word streaming through:
-                //  * horizon jump — nothing in the memory system moves until
-                //    the earliest in-service completion; jump there in one
-                //    step, replicating the skipped per-cycle statistics in
-                //    bulk;
-                //  * service-start replication — a queued request enters DRAM
-                //    service next tick, which no core can observe; run
-                //    `mem.tick()` for real and replay the cores' stalled
-                //    cycle without ticking them.
-                //  * stream jump — every core that progressed is mid-stream
-                //    (`CoreSm::stream_len`: it consumed a pass-through body
-                //    word, stored it and issued the next load) and the memory
-                //    system holds nothing but those zero-latency burst pairs
-                //    (`MemBackend::stream_window`); the coming ticks repeat
-                //    that cycle one word further, so replay `k` of them in
-                //    closed form: `k` words copied per stream, the queued
-                //    pairs shifted, the frozen cores' stalls in bulk. Sound
-                //    because a streaming core touches neither the SB nor the
-                //    FIFO, a frozen core's cause cannot resolve before the
-                //    next retirement (which bounds `k`), and the queue
-                //    pattern pins the service order.
-                // The second bridges the one-cycle gap between "request
-                // queued" and "request in service" that would otherwise cost
-                // a full n-core tick in every stall window.
-                if ff_enabled && active == 0 {
-                    // Each failed lock attempt emits a cycle-stamped event;
-                    // those cannot be replicated outside `core.tick()`.
-                    let events_pinned = sb.event_log_enabled() && any_lock_stall(&outcomes);
-                    loop {
-                        if let Some(done_at) = mem.next_event_cycle() {
-                            // `mem`'s clock equals `cycles` here (aligned
-                            // after the root phase, ticked in lock step).
-                            let mut k = (done_at - 1).saturating_sub(mem.cycle());
-                            if P::ACTIVE {
-                                // Do not skip over a cycle the probe wants
-                                // sampled.
-                                if let Some(ns) = probe.next_sample(cycles + 1) {
-                                    k = k.min(ns.saturating_sub(cycles + 1));
-                                }
-                            }
-                            if events_pinned {
-                                k = 0;
-                            }
-                            // Run out of cycles exactly where the naive loop
-                            // would panic.
-                            k = k.min(cfg.max_cycles - 1 - cycles);
-                            if k > 0 {
-                                if H::ACTIVE {
-                                    host.count("engine.ff.horizon_jumps", 1);
-                                    host.count("engine.ff.horizon_cycles", k);
-                                }
-                                cycles += k;
-                                sb.fast_forward(k);
-                                mem.fast_forward(k);
-                                if sb.scan() == sb.free() {
-                                    stats.empty_worklist_cycles += k;
-                                }
-                                replay_stalls(
-                                    &mut cores,
-                                    &outcomes,
-                                    &mut stall_runs,
-                                    probe,
-                                    &mut sb,
-                                    cycles - k + 1,
-                                    k,
-                                );
-                            }
-                            break;
-                        }
-                        if events_pinned
-                            || cycles + 1 >= cfg.max_cycles
-                            || !mem.next_tick_starts_service_only()
-                        {
-                            break;
-                        }
-                        // Replicate one cycle bit for bit: the real memory
-                        // tick (it only starts DRAM services, which no core
-                        // observes), the cores' unchanged stall outcomes, and
-                        // the loop epilogue.
-                        if H::ACTIVE {
-                            host.count("engine.ff.service_replays", 1);
-                            let t0 = host.now();
-                            mem.tick();
-                            host.time("mem.tick", host.now() - t0);
-                        } else {
-                            mem.tick();
-                        }
-                        sb.begin_cycle();
-                        replay_stalls(
-                            &mut cores,
-                            &outcomes,
-                            &mut stall_runs,
-                            probe,
-                            &mut sb,
-                            cycles + 1,
-                            1,
-                        );
-                        cycles += 1;
-                        if sb.scan() == sb.free() {
-                            stats.empty_worklist_cycles += 1;
-                        }
-                        if P::ACTIVE {
-                            // The replicated cycle is transition-free for the
-                            // cores, the FIFO and the SB registers, so only a
-                            // wanted sample can be due.
-                            if probe.next_sample(cycles) == Some(cycles) {
-                                probe.record(
-                                    cycles,
-                                    &Event::Sample(SampleRec {
-                                        scan: sb.scan(),
-                                        free: sb.free(),
-                                        gray_words: sb.free() - sb.scan(),
-                                        busy_cores: sb.busy_count() as u32,
-                                        fifo_len: fifo.len() as u32,
-                                        queue_depth: mem.queue_len() as u32,
-                                        states: &prev_states,
-                                        state_name: State::name_of,
-                                    }),
-                                );
-                            }
-                        }
-                        // The queue may now have drained into service, opening
-                        // a horizon jump on the next pass.
-                    }
-                } else if ff_enabled && streams.len() == active {
-                    // Stream jump: every core that progressed ran a stream
-                    // tick. The shortest remaining run bounds the jump, as
-                    // do the watchdog (run out of cycles exactly where the
-                    // naive loop would panic), the next cycle the probe
-                    // wants sampled, and what the backend can replay.
-                    let mut k = cfg.max_cycles - 1 - cycles;
+
+            if !SPARSE && jumps && !moved {
+                // Naive rule, after a cycle whose only movers (if any) ran
+                // stream ticks. The stream jump's length is bounded by the
+                // shortest remaining run, the watchdog, the next cycle the
+                // probe wants sampled, and what the backend can replay.
+                let mut k = 0;
+                if !streams.is_empty() && policy.is_none() {
+                    k = cfg.max_cycles - 1 - cycles;
                     for &i in &streams {
                         k = cores[i].stream_len(heap, k);
-                    }
-                    if sb.event_log_enabled() && any_lock_stall(&outcomes) {
-                        k = 0;
                     }
                     if P::ACTIVE {
                         if let Some(ns) = probe.next_sample(cycles + 1) {
@@ -1294,33 +1022,45 @@ impl SimCollector {
                     if k > 0 {
                         k = k.min(mem.stream_window(&streams).unwrap_or(0));
                     }
-                    if k > 0 {
-                        if H::ACTIVE {
-                            host.count("engine.ff.stream_jumps", 1);
-                            host.count("engine.ff.stream_cycles", k);
+                }
+                let park = if streams.is_empty() {
+                    mem.next_activity_cycle().is_some_and(|at| at > cycles + 1)
+                } else {
+                    k > 0
+                };
+                if park {
+                    // Every stalled core parks until the next executed
+                    // cycle; the stream cores stay awake.
+                    let mut rem = awake;
+                    while rem != 0 {
+                        let c = rem.trailing_zeros() as usize;
+                        rem &= rem - 1;
+                        if let TickOutcome::Stalled(reason) = outcomes[c] {
+                            park_reason[c] = Some(reason);
+                            park_since[c] = cycles;
+                            held |= 1u64 << c;
                         }
-                        for &i in &streams {
-                            cores[i].stream_advance(heap, &mut counters, k as u32);
-                        }
-                        mem.apply_stream_window(&streams, k);
-                        sb.fast_forward(k);
-                        if sb.scan() == sb.free() {
-                            stats.empty_worklist_cycles += k;
-                        }
-                        replay_stalls(
-                            &mut cores,
-                            &outcomes,
-                            &mut stall_runs,
-                            probe,
-                            &mut sb,
-                            cycles + 1,
-                            k,
-                        );
-                        cycles += k;
                     }
+                    awake &= !held;
+                }
+                if k > 0 {
+                    if H::ACTIVE {
+                        host.count("engine.ff.stream_jumps", 1);
+                        host.count("engine.ff.stream_cycles", k);
+                    }
+                    for &i in &streams {
+                        cores[i].stream_advance(heap, &mut counters, k as u32);
+                    }
+                    mem.apply_stream_window(&streams, k);
+                    sb.fast_forward(k);
+                    if sb.scan() == sb.free() {
+                        stats.empty_worklist_cycles += k;
+                    }
+                    cycles += k;
                 }
             }
         }
+        debug_assert!(cores.iter().all(|c| c.state() == State::Done));
 
         if H::ACTIVE {
             let t = host.now();
@@ -1510,6 +1250,26 @@ mod tests {
     }
 
     #[test]
+    fn max_cores_fill_the_core_masks_under_either_rule() {
+        for engine in [EngineKind::Naive, EngineKind::Sparse] {
+            let mut heap = diamond(500);
+            let snap = Snapshot::capture(&heap);
+            let cfg = GcConfig {
+                engine: Some(engine),
+                ..GcConfig::with_cores(MAX_CORES)
+            };
+            let out = SimCollector::new(cfg).collect(&mut heap);
+            verify_collection(&heap, out.free, &snap).unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n_cores = 65 is outside the supported range 1..=64")]
+    fn one_core_past_max_cores_is_refused() {
+        SimCollector::new(GcConfig::with_cores(MAX_CORES + 1));
+    }
+
+    #[test]
     fn matches_sequential_reference() {
         let mut h1 = diamond(500);
         let mut h2 = diamond(500);
@@ -1687,9 +1447,9 @@ mod tests {
         // replication error in stall/stat accounting would surface.
         use hwgc_memsim::MemConfig;
         for cores in [1, 2, 4, 16] {
-            // Pin the naive engine: this differential isolates the PR 2
-            // fast-forward against the plain per-cycle loop (the sparse
-            // engine has its own differentials below).
+            // Pin the naive park rule: this differential isolates its
+            // jumps against the plain per-cycle loop (the sparse rule has
+            // its own differentials below).
             let cfg = GcConfig {
                 mem: MemConfig::default().with_extra_latency(20),
                 engine: Some(EngineKind::Naive),
@@ -1884,17 +1644,18 @@ mod tests {
 
     #[test]
     fn sparse_is_bit_exact_under_schedule_policies() {
-        // Unlike the PR 2 fast-forward (which a policy suppresses), the
-        // sparse engine composes with `SchedulePolicy`: policies reorder
+        // Both park rules compose with `SchedulePolicy`: policies reorder
         // only runnable cores, and the per-cycle `arrange` stream is
         // replayed through jumps, so the whole run — cycle counts and
-        // stall attribution included — is identical to the naive loop.
+        // stall attribution included — is identical to the per-cycle
+        // reference loop (naive rule, no jumps) under either rule.
         use crate::schedule::{Adversarial, RandomOrder, SchedulePolicy};
         use hwgc_memsim::MemConfig;
         for extra in [0u32, 20] {
             let cfg = GcConfig {
                 mem: MemConfig::default().with_extra_latency(extra),
-                engine: Some(EngineKind::Sparse),
+                engine: Some(EngineKind::Naive),
+                fast_forward: false,
                 ..GcConfig::with_cores(4)
             };
             for seed in [1u64, 42, 0xDEAD_BEEF] {
@@ -1903,23 +1664,22 @@ mod tests {
                     |s| Box::new(Adversarial::new(s)),
                 ];
                 for mk in make {
-                    let mut p1 = mk(seed);
-                    let mut h1 = diamond(500);
-                    let sparse = SimCollector::new(cfg).collect_scheduled(&mut h1, p1.as_mut());
-                    let mut p2 = mk(seed);
-                    let mut h2 = diamond(500);
-                    let naive = SimCollector::new(GcConfig {
-                        engine: Some(EngineKind::Naive),
-                        ..cfg
-                    })
-                    .collect_scheduled(&mut h2, p2.as_mut());
-                    assert_eq!(
-                        sparse.stats,
-                        naive.stats,
-                        "{} seed {seed} +{extra}",
-                        p1.name()
-                    );
-                    assert_eq!(sparse.free, naive.free, "{} seed {seed}", p1.name());
+                    let mut p0 = mk(seed);
+                    let mut h0 = diamond(500);
+                    let reference = SimCollector::new(cfg).collect_scheduled(&mut h0, p0.as_mut());
+                    for engine in [EngineKind::Sparse, EngineKind::Naive] {
+                        let mut p1 = mk(seed);
+                        let mut h1 = diamond(500);
+                        let jumping = SimCollector::new(GcConfig {
+                            engine: Some(engine),
+                            fast_forward: true,
+                            ..cfg
+                        })
+                        .collect_scheduled(&mut h1, p1.as_mut());
+                        let what = format!("{engine:?} {} seed {seed} +{extra}", p1.name());
+                        assert_eq!(jumping.stats, reference.stats, "{what}");
+                        assert_eq!(jumping.free, reference.free, "{what}");
+                    }
                 }
             }
         }

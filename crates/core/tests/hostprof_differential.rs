@@ -8,7 +8,7 @@
 //! honest: they describe exactly the run the plain door would have
 //! executed.
 
-use hwgc_core::{EngineKind, GcConfig, SimCollector};
+use hwgc_core::{EngineKind, GcConfig, GcStats, SimCollector};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::HostProfiler;
 use hwgc_sync::LockKind;
@@ -21,6 +21,18 @@ fn config(engine: EngineKind, cores: usize, extra: u32) -> GcConfig {
         engine: Some(engine),
         ..GcConfig::default()
     }
+}
+
+/// Every simulated cycle is the root phase's, executed, or skipped by
+/// exactly one jump: nothing skipped twice, nothing skipped unaccounted.
+fn assert_every_cycle_accounted_for(stats: &GcStats, prof: &HostProfiler) {
+    assert_eq!(
+        stats.root_phase_cycles
+            + prof.counter("engine.cycles_executed")
+            + prof.counter("engine.jump.all_parked_cycles")
+            + prof.counter("engine.ff.stream_cycles"),
+        stats.total_cycles
+    );
 }
 
 #[test]
@@ -80,6 +92,42 @@ fn hostprof_on_equals_hostprof_off_across_engines() {
 }
 
 #[test]
+fn fast_forward_off_executes_every_cycle_under_either_park_rule() {
+    // `fast_forward` is the jump rule of both park rules: off, not one
+    // cycle is skipped — and not one simulated number moves.
+    for engine in [EngineKind::Naive, EngineKind::Sparse] {
+        let run = |fast_forward: bool| {
+            let cfg = GcConfig {
+                fast_forward,
+                ..config(engine, 4, 20)
+            };
+            let mut heap = WorkloadSpec::new(Preset::Javac, 42).build();
+            let mut prof = HostProfiler::new();
+            let out = SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
+            (out, prof)
+        };
+        let (jumping, jumping_prof) = run(true);
+        let (every, every_prof) = run(false);
+        assert!(
+            jumping_prof.counter("engine.jump.all_parked") > 0,
+            "{engine:?}"
+        );
+        assert_eq!(
+            every_prof.counter("engine.jump.all_parked"),
+            0,
+            "{engine:?}"
+        );
+        assert_eq!(
+            every.stats.root_phase_cycles + every_prof.counter("engine.cycles_executed"),
+            every.stats.total_cycles,
+            "{engine:?}: a cycle skipped with fast_forward off"
+        );
+        assert_eq!(every.stats, jumping.stats, "{engine:?}");
+        assert_eq!(every.free, jumping.free, "{engine:?}");
+    }
+}
+
+#[test]
 fn deterministic_counters_are_stable_across_reruns() {
     // Two profiled runs of the same configuration must agree on every
     // deterministic counter and histogram — this is what makes them
@@ -127,18 +175,18 @@ fn scan_lock_releases_wake_no_thundering_herd() {
         parks <= 2 * acquired,
         "{parks} scan-lock parks for {acquired} acquisitions: the herd is back"
     );
+    assert_every_cycle_accounted_for(&out.stats, &prof);
 }
 
 #[test]
 fn one_core_compress_streams_and_every_cycle_is_accounted_for() {
-    // The default one-core engine is the naive loop with fast-forward
-    // on the fixed-latency backend (both pinned here against
-    // `HWGC_ENGINE` / `HWGC_MEM_BACKEND`). On compress (long data bodies behind a null-padded spine) the
-    // stream jump must carry a real share of the run — this is the
-    // vacuity guard of `check/tests/fast_forward.rs`'s stream matrix —
-    // and the three fast-forward flavours plus the executed cycles must
-    // add up to the simulated total: nothing skipped twice, nothing
-    // skipped unaccounted.
+    // The default one-core park rule is the naive one, with jumps on, on
+    // the fixed-latency backend (both pinned here against `HWGC_ENGINE`
+    // / `HWGC_MEM_BACKEND`). On compress (long data bodies behind a
+    // null-padded spine) the stream jump must carry a real share of the
+    // run — this is the vacuity guard of `check/tests/fast_forward.rs`'s
+    // stream matrix — and the all-parked jumps, the stream jumps and the
+    // executed cycles must add up to the simulated total.
     let mut cfg = config(EngineKind::Naive, 1, 0);
     cfg.mem = cfg.mem.with_backend(MemBackendKind::Fixed);
     let mut heap = WorkloadSpec::new(Preset::Compress, 42).build();
@@ -151,14 +199,8 @@ fn one_core_compress_streams_and_every_cycle_is_accounted_for() {
         4 * stream_cycles >= total,
         "stream jumps cover {stream_cycles} of {total} cycles: under a quarter"
     );
-    assert_eq!(
-        out.stats.root_phase_cycles
-            + prof.counter("engine.cycles_executed")
-            + prof.counter("engine.ff.service_replays")
-            + prof.counter("engine.ff.horizon_cycles")
-            + stream_cycles,
-        total
-    );
+    assert!(prof.counter("engine.jump.all_parked") > 0);
+    assert_every_cycle_accounted_for(&out.stats, &prof);
 }
 
 #[test]
@@ -191,9 +233,6 @@ fn sixteen_core_db_on_dram_jumps_over_bank_busy_windows() {
         100 * executed <= 85 * steady,
         "{executed} of {steady} steady-state cycles executed: over 85 %"
     );
-    assert_eq!(
-        executed + prof.counter("engine.jump.all_parked_cycles"),
-        steady,
-        "a cycle neither executed nor jumped"
-    );
+    assert_eq!(prof.counter("engine.ff.stream_cycles"), 0, "sparse rule");
+    assert_every_cycle_accounted_for(&out.stats, &prof);
 }

@@ -8,7 +8,7 @@
 //! moved here from `hwgc-bench` so the job layer and the harness derive
 //! byte-identical ledger records; `hwgc-bench` re-exports them.
 
-use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector};
+use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector, MAX_CORES};
 use hwgc_heap::{verify_collection, Snapshot};
 use hwgc_memsim::{
     DramConfig, MemBackendKind, MemConfig, PagePolicy, MAX_BANKS, MAX_SERVICE_LATENCY,
@@ -374,12 +374,18 @@ pub fn config_to_json(cfg: &GcConfig) -> Json {
 
 /// Decode [`config_to_json`] output. Exact inverse on everything
 /// [`SimCollector::new`] and the memory backends accept; a frame they
-/// would assert on (a zero count or divisor, a service latency past
-/// [`MAX_SERVICE_LATENCY`], more than [`MAX_BANKS`] banks) is an `Err`
-/// naming the field.
+/// would assert on (a zero count or divisor, more than [`MAX_CORES`]
+/// cores, a service latency past [`MAX_SERVICE_LATENCY`], more than
+/// [`MAX_BANKS`] banks) is an `Err` naming the field.
 pub fn config_from_json(j: &Json) -> Result<GcConfig, String> {
+    let n_cores = positive("n_cores", req_usize(j, "n_cores")?)?;
+    if n_cores > MAX_CORES {
+        return Err(format!(
+            "`n_cores` = {n_cores} exceeds the supported {MAX_CORES} cores"
+        ));
+    }
     Ok(GcConfig {
-        n_cores: positive("n_cores", req_usize(j, "n_cores")?)?,
+        n_cores,
         mem: mem_from_json(j.get("mem").ok_or("missing `mem`")?)?,
         test_before_lock: req_bool(j, "test_before_lock")?,
         line_split: opt_u64_back(j.get("line_split"), "line_split")?
@@ -573,8 +579,12 @@ mod tests {
         };
         let zero = Json::Int(0);
         let big = |n: u64| Json::Int(i128::from(n));
-        let cases: [(&GcConfig, &[&str], Json, &str); 13] = [
+        let cases: [(&GcConfig, &[&str], Json, &str); 15] = [
             (&fixed, &["n_cores"], zero.clone(), "`n_cores`"),
+            // One core past the mask width, and the largest count a frame
+            // can carry.
+            (&fixed, &["n_cores"], big(MAX_CORES as u64 + 1), "`n_cores`"),
+            (&fixed, &["n_cores"], big(usize::MAX as u64), "`n_cores`"),
             (&fixed, &["line_split"], zero.clone(), "`line_split`"),
             (&fixed, &["mem", "bandwidth"], zero.clone(), "`bandwidth`"),
             (
@@ -647,7 +657,8 @@ mod tests {
     #[test]
     fn every_config_the_repo_builds_still_round_trips() {
         let mut cfgs = vec![GcConfig::default()];
-        for cores in [1usize, 2, 4, 8, 16, 64] {
+        // Up to the core bound (accepted: it is inclusive).
+        for cores in [1usize, 2, 4, 8, 16, MAX_CORES] {
             cfgs.push(GcConfig::with_cores(cores));
         }
         let base = GcConfig::with_cores(16);

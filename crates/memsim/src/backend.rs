@@ -2,9 +2,8 @@
 //!
 //! [`MemBackend`] is the `DelaySimulator`-style trait the engine is
 //! generic over: it owns request service timing, retirement scheduling,
-//! and the calendar/fast-forward contracts that the event-horizon
-//! fast-forward (naive loop) and the sparse active-set engine both lean
-//! on. Two implementations ship:
+//! and the calendar/fast-forward contracts that the engine's clock jumps
+//! lean on. Two implementations ship:
 //!
 //! * [`MemorySystem`](crate::MemorySystem) — the fixed latency/bandwidth
 //!   model the repo has always had (the paper's regime). The trait impl
@@ -22,38 +21,33 @@
 //! `crates/memsim/tests/backend_contracts.rs` exercise each point on
 //! both implementations against a shadow-naive run:
 //!
-//! 1. **Horizon soundness** ([`MemBackend::next_event_cycle`]): when it
-//!    returns `Some(c)`, every tick strictly before `c` is
-//!    *observationally identical* for the cores — no retirement, no
-//!    comparator unblocking that a core could read, no service start.
-//!    `None` whenever the next tick is not a pure wait.
-//! 2. **Activity lower bound** ([`MemBackend::next_activity_cycle`]):
+//! 1. **Activity lower bound** ([`MemBackend::next_activity_cycle`]):
 //!    when it returns `Some(c)`, nothing happens before cycle `c`
 //!    (assuming no new requests arrive): no state a core reads changes,
 //!    and the backend makes no move of its own either — no retirement,
 //!    no service start, no comparator re-check — so every tick before
 //!    `c` is a pure wait that [`MemBackend::fast_forward`] replicates
-//!    (obligation 4), requests queued or not. `None` means the memory
-//!    system is quiet forever absent new requests. It may be
-//!    conservative (earlier than the real next move) but never late —
-//!    the sparse engine jumps straight to `c` when every core is parked.
-//! 3. **Service-only ticks** ([`MemBackend::next_tick_starts_service_only`]):
-//!    `true` only if the coming tick's effects are core-invisible (no
-//!    retirement, no completed load waiting, every service start has a
-//!    nonzero latency).
-//! 4. **Fast-forward replication** ([`MemBackend::fast_forward`]): after
-//!    `fast_forward(k)` with `cycle + k` short of the bound of (1) or
-//!    (2), the statistics and event log must equal a `k`-fold naive
+//!    (obligation 2), requests queued or not. A completed load waiting
+//!    for its owner is no activity: only the owner's own tick consumes
+//!    it. `None` means the memory system is quiet forever absent new
+//!    requests. It may be conservative (earlier than the real next move)
+//!    but never late — the engine jumps straight to `c` when every core
+//!    is parked. It is the one horizon of both park rules: a
+//!    global-quiescence horizon and a core-invisible service-start tick
+//!    are special cases of it.
+//! 2. **Fast-forward replication** ([`MemBackend::fast_forward`]): after
+//!    `fast_forward(k)` with `cycle + k` short of the bound of (1), the
+//!    statistics and event log must equal a `k`-fold naive
 //!    `tick()` sequence bit for bit (dead-wait windows are
 //!    transition-free, so the log gains nothing; per-cycle counters —
 //!    on the DRAM backend the queue-occupancy ones too, since its banks
 //!    can keep requests waiting across such a window — are replicated in
 //!    bulk).
-//! 5. **Wake completeness** ([`MemBackend::wakes`]): with the feed
+//! 3. **Wake completeness** ([`MemBackend::wakes`]): with the feed
 //!    enabled, every retirement that can change the outcome of a core's
 //!    retry pushes that core's id before the engine drains the feed — a
 //!    parked core is woken by the feed or not at all.
-//! 6. **Stream replication** ([`MemBackend::stream_window`] /
+//! 4. **Stream replication** ([`MemBackend::stream_window`] /
 //!    [`MemBackend::apply_stream_window`]): when the window is
 //!    `Some(limit)`, `apply_stream_window(streams, k)` for any
 //!    `k <= limit` must leave the backend — ports, queue, burst
@@ -162,25 +156,17 @@ pub trait MemBackend {
     /// Is a header store to `addr` pending (comparator-array view)?
     fn header_store_pending(&self, addr: u32) -> bool;
 
-    /// Global event horizon for the naive fast-forward (contract
-    /// obligation 1). See [`MemorySystem::next_event_cycle`].
-    fn next_event_cycle(&self) -> Option<u64>;
-
     /// Conservative lower bound on the next core-visible change
-    /// (contract obligation 2). See
+    /// (contract obligation 1). See
     /// [`MemorySystem::next_activity_cycle`].
     fn next_activity_cycle(&self) -> Option<u64>;
 
-    /// Is the coming tick core-invisible (contract obligation 3)? See
-    /// [`MemorySystem::next_tick_starts_service_only`].
-    fn next_tick_starts_service_only(&self) -> bool;
-
-    /// Skip `k` dead-wait cycles in one jump (contract obligation 4).
+    /// Skip `k` dead-wait cycles in one jump (contract obligation 2).
     fn fast_forward(&mut self, k: u64);
 
     /// How many of the coming ticks are pure body-stream ticks for
     /// `streams` (cores in tick order), replayable in closed form
-    /// (contract obligation 6)? See [`MemorySystem::stream_window`]. The
+    /// (contract obligation 4)? See [`MemorySystem::stream_window`]. The
     /// default declines: a backend whose body accesses never complete
     /// within the tick that starts them has no such ticks.
     fn stream_window(&self, streams: &[usize]) -> Option<u64> {
@@ -188,7 +174,7 @@ pub trait MemBackend {
         None
     }
 
-    /// Replay `k` stream ticks in one step (contract obligation 6).
+    /// Replay `k` stream ticks in one step (contract obligation 4).
     /// Only called with `k` at most what [`MemBackend::stream_window`]
     /// just returned for the same `streams`.
     fn apply_stream_window(&mut self, streams: &[usize], k: u64) {
@@ -202,9 +188,6 @@ pub trait MemBackend {
 
     /// Current cycle number.
     fn cycle(&self) -> u64;
-
-    /// The active configuration.
-    fn config(&self) -> &MemConfig;
 
     /// Latency, in cycles, of one uncontended random read — what the
     /// sequential root phase charges per root header fetch (the
@@ -223,7 +206,7 @@ pub trait MemBackend {
     /// Take ownership of the recorded events.
     fn take_event_log(&mut self) -> Vec<MemEventRecord>;
 
-    /// Turn on the sparse-engine wake feed (contract obligation 5).
+    /// Turn on the sparse-rule wake feed (contract obligation 3).
     fn enable_wake_feed(&mut self, n_cores: usize);
 
     /// Core ids whose transactions retired since the last
@@ -291,18 +274,8 @@ impl MemBackend for MemorySystem {
     }
 
     #[inline]
-    fn next_event_cycle(&self) -> Option<u64> {
-        MemorySystem::next_event_cycle(self)
-    }
-
-    #[inline]
     fn next_activity_cycle(&self) -> Option<u64> {
         MemorySystem::next_activity_cycle(self)
-    }
-
-    #[inline]
-    fn next_tick_starts_service_only(&self) -> bool {
-        MemorySystem::next_tick_starts_service_only(self)
     }
 
     #[inline]
@@ -331,13 +304,8 @@ impl MemBackend for MemorySystem {
     }
 
     #[inline]
-    fn config(&self) -> &MemConfig {
-        MemorySystem::config(self)
-    }
-
-    #[inline]
     fn uncontended_read_latency(&self) -> u32 {
-        self.config().latency
+        MemorySystem::uncontended_read_latency(self)
     }
 
     fn enable_event_log(&mut self) {

@@ -49,17 +49,12 @@
 //!   pure wait, and `fast_forward` is legal across them with requests
 //!   queued: it replicates the queue-occupancy counters in bulk, and
 //!   nothing else drifts — bank stamps are absolute and
-//!   `bank_busy_cycles` is charged at service start. The sparse engine's
+//!   `bank_busy_cycles` is charged at service start. The engine's
 //!   all-parked jump therefore skips bank-busy windows on this backend
-//!   exactly as it skips retirement waits on the fixed one.
-//! * `next_event_cycle` requires global quiescence (no queued request,
-//!   no unconsumed load, no pending re-check) — then ticks up to the
-//!   horizon are pure waits: banks only change state at service starts
-//!   and the absolute `ready_at`/`active_since` stamps do not drift.
-//! * `next_tick_starts_service_only` holds whenever requests are queued
-//!   but nothing retires next tick and no load data waits: every
-//!   possible service start has latency `>= tCAS >= 1`, and a tick in
-//!   which busy banks start nothing at all is equally core-invisible.
+//!   exactly as it skips retirement waits on the fixed one, under either
+//!   park rule.
+//! * A completed load waiting for its owner is not activity: only the
+//!   owner's tick consumes it, and no memory tick changes it.
 
 use std::collections::VecDeque;
 
@@ -289,7 +284,6 @@ pub struct DramMemorySystem {
     occupied: usize,
     in_service: usize,
     blocked: usize,
-    complete: usize,
     next_retire: u64,
     retire_cal: RetireWheel,
     pending_stores_dirty: bool,
@@ -358,7 +352,6 @@ impl DramMemorySystem {
             occupied: 0,
             in_service: 0,
             blocked: 0,
-            complete: 0,
             next_retire: u64::MAX,
             retire_cal: RetireWheel::new(n_cores, worst_latency),
             pending_stores_dirty: false,
@@ -484,7 +477,6 @@ impl DramMemorySystem {
                 self.in_service -= 1;
                 if port.is_load() {
                     txn.state = TxnState::Complete;
-                    self.complete += 1;
                 } else {
                     if port == Port::HeaderStore {
                         let addr = txn.addr;
@@ -670,7 +662,6 @@ impl DramMemorySystem {
                 });
             }
             TxnState::Complete => {
-                self.complete += 1;
                 self.log(MemEvent::CacheHit {
                     core: core as u32,
                     addr,
@@ -726,7 +717,6 @@ impl MemBackend for DramMemorySystem {
             "load consumed before completion"
         );
         self.occupied -= 1;
-        self.complete -= 1;
         self.log(MemEvent::Consume {
             core: core as u32,
             port,
@@ -742,17 +732,6 @@ impl MemBackend for DramMemorySystem {
     #[inline]
     fn header_store_pending(&self, addr: u32) -> bool {
         self.pending_header_stores.contains(&addr)
-    }
-
-    fn next_event_cycle(&self) -> Option<u64> {
-        if self.queued_total > 0
-            || self.complete > 0
-            || self.pending_stores_dirty
-            || self.in_service == 0
-        {
-            return None;
-        }
-        Some(self.next_retire)
     }
 
     fn next_activity_cycle(&self) -> Option<u64> {
@@ -779,14 +758,6 @@ impl MemBackend for DramMemorySystem {
             }
         }
         Some(horizon)
-    }
-
-    fn next_tick_starts_service_only(&self) -> bool {
-        // Every possible service start has latency >= tCAS >= 1 (no
-        // burst-continuation path), and ticks in which busy banks start
-        // nothing are equally core-invisible — so unlike the fixed
-        // model, no per-request latency peek is needed.
-        self.queued_total > 0 && self.complete == 0 && self.next_retire > self.cycle + 1
     }
 
     fn fast_forward(&mut self, k: u64) {
@@ -827,11 +798,6 @@ impl MemBackend for DramMemorySystem {
     #[inline]
     fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    #[inline]
-    fn config(&self) -> &MemConfig {
-        &self.cfg
     }
 
     #[inline]
@@ -1086,27 +1052,26 @@ mod tests {
     #[test]
     fn horizon_contracts_match_the_fixed_model_shape() {
         let mut m = mem(1);
-        assert_eq!(m.next_event_cycle(), None, "idle system has no horizon");
         assert_eq!(m.next_activity_cycle(), None, "idle system is quiet");
         assert!(m.try_issue(0, Port::BodyLoad, 0));
-        assert_eq!(m.next_event_cycle(), None, "queued request blocks skipping");
-        assert_eq!(m.next_activity_cycle(), Some(m.cycle() + 1));
+        assert_eq!(m.next_activity_cycle(), Some(m.cycle() + 1), "bank free");
         m.tick(); // start at 1, done at 5
-        assert_eq!(m.next_event_cycle(), Some(5));
-        assert_eq!(m.next_activity_cycle(), Some(5));
-        assert!(!m.next_tick_starts_service_only(), "nothing queued");
+        assert_eq!(m.next_activity_cycle(), Some(5), "in service");
         // A second request behind the access in service (same bank, same
         // row) cannot start before the bank frees at that retirement:
         // the horizon stays there, and the wait can be skipped.
         assert!(m.try_issue(0, Port::BodyStore, 1));
-        assert_eq!(m.next_event_cycle(), None, "queued request blocks skipping");
         assert_eq!(m.next_activity_cycle(), Some(5), "not cycle + 1");
         m.fast_forward(5 - 1 - m.cycle());
         assert_eq!(m.stats().queue_occupancy_sum, 1 + 3, "one request, 3 ticks");
         assert_eq!(m.stats().queue_busy_cycles, 1 + 3);
         m.tick(); // load retires, store starts (row hit): done at 7
         assert!(m.load_ready(0, Port::BodyLoad));
-        assert_eq!(m.next_activity_cycle(), Some(7));
+        assert_eq!(
+            m.next_activity_cycle(),
+            Some(7),
+            "the completed load does not block the jump"
+        );
         m.fast_forward(7 - 1 - m.cycle());
         m.tick();
         assert!(!m.port_busy(0, Port::BodyStore));
@@ -1181,7 +1146,7 @@ mod tests {
             assert!(m.try_issue(1, Port::HeaderLoad, 42));
             m.tick(); // store starts; load blocked
             if ff {
-                let horizon = MemBackend::next_event_cycle(&m).expect("in service");
+                let horizon = MemBackend::next_activity_cycle(&m).expect("in service");
                 let jump = horizon - 1 - m.cycle();
                 MemBackend::fast_forward(&mut m, jump);
             }

@@ -465,9 +465,11 @@ impl MemorySystem {
         self.header_cache[set] = Some(addr);
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &MemConfig {
-        &self.cfg
+    /// Latency of one uncontended random read: `latency`, without the
+    /// artificial `extra_latency` (what the sequential root phase charges
+    /// per root header fetch).
+    pub fn uncontended_read_latency(&self) -> u32 {
+        self.cfg.latency
     }
 
     /// Current cycle number.
@@ -766,45 +768,19 @@ impl MemorySystem {
         self.pending_header_stores.contains(&addr)
     }
 
-    /// The event horizon for fast-forwarding: the cycle at which the
-    /// earliest in-service transaction completes, provided nothing else
-    /// can happen before then. Returns `None` when the next cycle is not a
-    /// pure wait — a request is still queued for service (DRAM would start
-    /// it next tick), completed load data is waiting to be consumed, or no
-    /// transaction is in service at all.
-    ///
-    /// When `Some(done_at)` is returned, every tick up to `done_at - 1`
-    /// is observationally identical for the cores (no retirement, no
-    /// unblocking, no service start), so the engine may skip them —
-    /// replicating per-cycle statistics via [`MemorySystem::fast_forward`].
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        // Queued requests start service next tick; completed load data is
-        // consumed by the owning core's next tick — neither is a dead
-        // cycle. Blocked header loads only move when the matching store
-        // retires, which is itself an in-service completion — covered by
-        // the horizon — except for a zero-latency store retiring at
-        // service start, which leaves the dirty flag set for the next
-        // tick's comparator re-check. All tracked by counter/flag, O(1).
-        if !self.queue.is_empty()
-            || self.complete > 0
-            || self.pending_stores_dirty
-            || self.in_service == 0
-        {
-            return None;
-        }
-        Some(self.next_retire)
-    }
-
     /// The next cycle at which this memory system can change any state a
-    /// core reads, assuming no new requests arrive in between. `None`
-    /// means never: nothing queued, nothing in service, no comparator
-    /// re-check pending — the memory system is quiet until a core acts.
+    /// core reads, assuming no new requests arrive in between: the
+    /// earliest in-service completion, or the very next tick while a
+    /// request is queued (it starts service then) or a comparator
+    /// re-check is pending (a zero-latency header store retired at
+    /// service start). `None` means never: nothing queued, nothing in
+    /// service, no re-check pending — the memory system is quiet until a
+    /// core acts. Every tick before the returned cycle is a pure wait
+    /// that [`MemorySystem::fast_forward`] replicates.
     ///
-    /// Unlike [`MemorySystem::next_event_cycle`] this does not demand
-    /// global quiescence, so the sparse engine can jump while some cores
-    /// still run: completed loads are ignored (their owners were already
-    /// woken when the data arrived), and a non-empty queue or a pending
-    /// re-check simply bounds the jump at the very next tick.
+    /// Completed loads are ignored: their owners saw the data arrive, and
+    /// a load waiting for its owner changes nothing until the owner's own
+    /// tick consumes it. All tracked by counter/flag, O(1).
     pub fn next_activity_cycle(&self) -> Option<u64> {
         if !self.queue.is_empty() || self.pending_stores_dirty {
             return Some(self.cycle + 1);
@@ -815,39 +791,18 @@ impl MemorySystem {
         Some(self.next_retire)
     }
 
-    /// Is the coming tick *core-invisible*? True when its only effects
-    /// are internal bookkeeping: nothing retires (`next_retire` is past
-    /// the next cycle), no completed load is waiting, and every queued
-    /// request would enter service with a nonzero latency (a zero-latency
-    /// burst start completes within the tick, which the owning core sees
-    /// immediately). Header-load unblocking may still happen — Blocked →
-    /// Queued changes nothing a core reads. The latency peek is exact for
-    /// every queued entry because distinct entries occupy distinct
-    /// `(core, port)` buffers and thus distinct burst trackers.
-    ///
-    /// When true, the engine may run [`MemorySystem::tick`] for real and
-    /// replicate the cores' stalled cycle without ticking them — every
-    /// input the cores read is unchanged.
-    pub fn next_tick_starts_service_only(&self) -> bool {
-        if self.queue.is_empty() || self.complete > 0 || self.next_retire <= self.cycle + 1 {
-            return false;
-        }
-        self.queue
-            .iter()
-            .all(|&(core, port)| self.peek_latency(core, port) > 0)
-    }
-
-    /// Skip `k` cycles in one jump. Only legal when
-    /// [`MemorySystem::next_event_cycle`] returned `Some(done_at)` and
-    /// `cycle + k < done_at`: the skipped ticks would each have retired
-    /// nothing, started no service (empty queue ⇒ zero occupancy, not
-    /// busy) and merely re-counted every comparator-blocked header load.
+    /// Skip `k` cycles in one jump. Only legal while `cycle + k` stays
+    /// short of [`MemorySystem::next_activity_cycle`]: the skipped ticks
+    /// would each have retired nothing, started no service (the queue is
+    /// empty, or the horizon would be the very next tick: zero
+    /// occupancy, not busy) and merely re-counted every
+    /// comparator-blocked header load.
     pub fn fast_forward(&mut self, k: u64) {
-        debug_assert!(self.queue.is_empty(), "fast-forward with queued requests");
         debug_assert!(
-            k < self.next_retire - self.cycle,
-            "fast-forward over the retirement at {}",
-            self.next_retire
+            self.next_activity_cycle()
+                .is_none_or(|at| self.cycle + k < at),
+            "fast-forward of {k} cycles from {} over a retirement, service start or re-check",
+            self.cycle
         );
         self.cycle += k;
         self.stats.cycles += k;
@@ -868,9 +823,11 @@ impl MemorySystem {
     /// pending, no completed load waiting for a frozen core, and the
     /// queue holding precisely the stream pairs, within the bandwidth,
     /// both halves continuing their burst. The bound stops one tick
-    /// short of the next retirement — the no-retirement argument of
-    /// [`MemorySystem::next_event_cycle`]: until then nothing but the
-    /// streams moves, and blocked header loads merely re-count.
+    /// short of the next retirement — with the queue holding only the
+    /// stream pairs and no re-check pending, that is the
+    /// [`MemorySystem::next_activity_cycle`] the streams leave behind:
+    /// until then nothing but the streams moves, and blocked header loads
+    /// merely re-count.
     pub fn stream_window(&self, streams: &[usize]) -> Option<u64> {
         if self.cfg.extra_latency != 0
             || self.events.is_some()
@@ -1108,38 +1065,47 @@ mod tests {
     #[test]
     fn horizon_is_earliest_completion() {
         let mut m = mem(2); // latency 3, bandwidth 2
-        assert_eq!(m.next_event_cycle(), None, "idle system has no horizon");
+        assert_eq!(m.next_activity_cycle(), None, "idle system is quiet");
         assert!(m.try_issue(0, Port::BodyLoad, 10));
-        assert_eq!(m.next_event_cycle(), None, "queued request blocks skipping");
+        assert_eq!(m.next_activity_cycle(), Some(m.cycle() + 1), "queued");
         m.tick(); // service starts at cycle 1, completes at 4
         assert!(m.try_issue(1, Port::BodyStore, 20));
-        assert_eq!(m.next_event_cycle(), None, "new request is queued");
+        assert_eq!(m.next_activity_cycle(), Some(2), "new request is queued");
         m.tick(); // second service starts: done at 5
-        assert_eq!(m.next_event_cycle(), Some(4));
+        assert_eq!(m.next_activity_cycle(), Some(4));
         // Fast-forward to just before the horizon, then tick normally.
         m.fast_forward(4 - 1 - m.cycle());
         assert_eq!(m.cycle(), 3);
         m.tick();
         assert!(m.load_ready(0, Port::BodyLoad));
         m.consume_load(0, Port::BodyLoad);
-        assert_eq!(m.next_event_cycle(), Some(5));
+        assert_eq!(m.next_activity_cycle(), Some(5));
         m.tick();
         assert!(m.all_idle());
     }
 
     #[test]
-    fn horizon_blocked_on_complete_load() {
-        let mut m = mem(1);
+    fn completed_load_does_not_block_the_horizon() {
+        let mut m = mem(2); // latency 3, bandwidth 2
         assert!(m.try_issue(0, Port::BodyLoad, 10));
-        for _ in 0..4 {
-            m.tick();
+        for _ in 0..3 {
+            m.tick(); // in service from 1, done at 4
         }
+        assert!(m.try_issue(1, Port::BodyStore, 20));
+        m.tick(); // the load retires, the store starts: done at 7
         assert!(m.load_ready(0, Port::BodyLoad));
-        assert_eq!(
-            m.next_event_cycle(),
-            None,
-            "unconsumed load data is not a dead cycle"
-        );
+        // The load waits for its owner's tick, which no memory tick
+        // changes: the store's retirement is the next activity, and the
+        // wait up to it is a jump.
+        assert_eq!(m.next_activity_cycle(), Some(7));
+        let mut ticked = m.clone();
+        ticked.tick();
+        ticked.tick();
+        m.fast_forward(2);
+        assert_eq!(m.stats(), ticked.stats());
+        m.tick();
+        assert!(m.load_ready(0, Port::BodyLoad));
+        assert!(!m.port_busy(1, Port::BodyStore), "the store retired at 7");
     }
 
     #[test]
@@ -1159,7 +1125,7 @@ mod tests {
             n.stats().clone()
         };
         // Fast-forwarded: skip to one cycle before the store retires.
-        let horizon = m.next_event_cycle().expect("store in service");
+        let horizon = m.next_activity_cycle().expect("store in service");
         m.fast_forward(horizon - 1 - m.cycle());
         while !m.load_ready(1, Port::HeaderLoad) {
             m.tick();
@@ -1265,7 +1231,7 @@ mod tests {
             assert!(m.try_issue(0, Port::BodyLoad, 9));
             m.tick(); // service starts; done at 1 + 3 = 4
             if ff {
-                let horizon = m.next_event_cycle().expect("in service");
+                let horizon = m.next_activity_cycle().expect("in service");
                 m.fast_forward(horizon - 1 - m.cycle());
             }
             while !m.load_ready(0, Port::BodyLoad) {
@@ -1424,7 +1390,7 @@ mod tests {
     fn next_activity_bounds_jump_at_pending_comparator_recheck() {
         // Under zero DRAM latency a header store retires within the tick
         // that starts its service, leaving the dirty flag set for the
-        // *next* tick's comparator re-check; neither horizon may jump
+        // *next* tick's comparator re-check; the horizon may not jump
         // past that tick.
         let mut m = MemorySystem::new(
             1,
@@ -1438,11 +1404,10 @@ mod tests {
         assert!(m.try_issue(0, Port::HeaderStore, 42));
         m.tick(); // service starts and retires in one tick
         assert!(m.all_idle());
-        assert_eq!(m.next_activity_cycle(), Some(m.cycle() + 1));
         assert_eq!(
-            m.next_event_cycle(),
-            None,
-            "global horizon is equally conservative about the re-check"
+            m.next_activity_cycle(),
+            Some(m.cycle() + 1),
+            "the re-check is activity even with every buffer idle"
         );
         m.tick();
         assert_eq!(m.next_activity_cycle(), None);
