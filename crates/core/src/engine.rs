@@ -14,8 +14,11 @@
 //! retry provably fails again are not ticked: the core *parks*, and the
 //! stalls it would have recorded are replayed in bulk when it wakes. When
 //! it parks is the park rule ([`EngineKind`]): the sparse rule parks each
-//! stalled core on its own wake condition; the naive rule parks all of
-//! them only after a cycle in which nothing moved. When no core is awake
+//! stalled core on its own wake condition — a memory stall on the one
+//! port whose retirement can change its retry, and a core that just
+//! issued a random-address load at once, on that load's port — while the
+//! naive rule parks all of them only after a cycle in which nothing
+//! moved. When no core is awake
 //! the clock jumps to the memory system's next activity
 //! ([`GcConfig::fast_forward`]). Either way the run is bit-identical to
 //! ticking every core every cycle.
@@ -44,7 +47,9 @@
 
 use hwgc_heap::header::Header;
 use hwgc_heap::{Addr, Heap, NULL};
-use hwgc_memsim::{DramMemorySystem, HeaderFifo, MemBackend, MemBackendKind, MemorySystem};
+use hwgc_memsim::{
+    DramMemorySystem, HeaderFifo, MemBackend, MemBackendKind, MemorySystem, Port, PORT_COUNT,
+};
 use hwgc_obs::{Event, HostProf, NullHostProf, NullProbe, Probe, SampleRec};
 use hwgc_sync::{LockKind, SyncBlock};
 
@@ -136,6 +141,28 @@ fn lock_of(reason: StallReason) -> Option<LockKind> {
         StallReason::HeaderLock => Some(LockKind::Header),
         _ => None,
     }
+}
+
+/// Park `core` on the memory ports whose retirement can change its retry
+/// after a stall of class `reason` (`waiting[p]` holds the cores parked
+/// on `Port::ALL[p]`). A load stall retries `load_ready` and a store
+/// stall `try_issue` on one port, which no other retirement changes;
+/// `Drain` polls all four.
+fn await_ports(waiting: &mut [u64; PORT_COUNT], core: usize, reason: StallReason) {
+    let port = match reason {
+        StallReason::HeaderLoad => Port::HeaderLoad,
+        StallReason::HeaderStore => Port::HeaderStore,
+        StallReason::BodyLoad => Port::BodyLoad,
+        StallReason::BodyStore => Port::BodyStore,
+        StallReason::Drain => {
+            for mask in waiting.iter_mut() {
+                *mask |= 1 << core;
+            }
+            return;
+        }
+        _ => unreachable!("{} is not a memory stall", reason.name()),
+    };
+    waiting[port as usize] |= 1 << core;
 }
 
 /// Whom a scan-lock release by `releaser` wakes among the parked
@@ -490,11 +517,17 @@ impl SimCollector {
         //   EmptySpin ............... SB empty list (set_free or a
         //                             busy-bit clear re-arms the
         //                             termination test it polls)
-        //   memory stalls, Drain .... memory wake feed (only a
-        //                             retirement of one of the core's
-        //                             own transactions can change its
-        //                             retry, and the feed reports
-        //                             every retirement)
+        //   memory stalls ........... the awaited port's retirement
+        //                             (`await_ports`: a retry reads one
+        //                             port of the core's own, which only
+        //                             a retirement on it changes, and
+        //                             the feed masks report each one
+        //                             per port); Drain awaits all four
+        //   issued a random load .... parks at issue, on that load's
+        //                             port (`TickOutcome::Awaiting`:
+        //                             every retry until it retires
+        //                             stalls; a header-cache hit is
+        //                             plain progress)
         //
         // * `Naive`, the degenerate rule, parks no core alone. After an
         //   executed cycle that *moved* nothing, every stalled core parks
@@ -553,7 +586,7 @@ impl SimCollector {
         let jumps = cfg.fast_forward && mutator.is_none();
         if SPARSE {
             sb.enable_wake_tracking();
-            mem.enable_wake_feed(cfg.n_cores);
+            mem.enable_wake_feed();
         }
         let n = cfg.n_cores;
         // Cores not parked. Parked ⇒ `park_reason` is `Some`, except for
@@ -564,8 +597,11 @@ impl SimCollector {
         let mut cur: u64;
         let mut park_reason: Vec<Option<StallReason>> = vec![None; n];
         // Cycle stamp of each core's parking tick (which recorded its own
-        // stall); replay at wake covers the cycles after it.
+        // stall, or issued the load it awaits); replay at wake covers the
+        // cycles after it.
         let mut park_since: Vec<u64> = vec![0; n];
+        // Sparse rule: per port, the cores parked on its next retirement.
+        let mut waiting = [0u64; PORT_COUNT];
         // Slot of each core in this cycle's tick order, the inverse of
         // `order`; both stay the identity under static priority.
         let mut pos_of: Vec<usize> = (0..n).collect();
@@ -629,6 +665,11 @@ impl SimCollector {
                     }
                     park_reason[w] = None;
                     sb.cancel_park(w);
+                    if SPARSE {
+                        for mask in waiting.iter_mut() {
+                            *mask &= !(1u64 << w);
+                        }
+                    }
                     awake |= 1u64 << w;
                     if this_cycle {
                         cur |= 1u64 << pos_of[w];
@@ -757,14 +798,19 @@ impl SimCollector {
                 cur = awake;
             }
             if SPARSE {
-                // Retirements in this memory tick wake their owners into
-                // this cycle — exactly the cycle a per-cycle run would
-                // first see the retry succeed.
-                for i in 0..mem.wakes().len() {
-                    let w = mem.wakes()[i];
+                // Retirements in this memory tick wake the cores parked on
+                // their ports into this cycle — exactly the cycle a
+                // per-cycle run would first see the retry succeed.
+                let retired = mem.take_wakes();
+                let mut woken = 0;
+                for (r, w) in retired.iter().zip(&waiting) {
+                    woken |= r & w;
+                }
+                while woken != 0 {
+                    let w = woken.trailing_zeros() as usize;
+                    woken &= woken - 1;
                     wake_parked!(w, true, "engine.wake.mem");
                 }
-                mem.clear_wakes();
             } else {
                 // Naive rule: the memory tick the held cores waited for has
                 // run, so every one of them retries this cycle.
@@ -845,15 +891,24 @@ impl SimCollector {
                         );
                     }
                 }
-                match outcome {
+                // The sparse rule's park, if this tick ends in one.
+                let park = match outcome {
                     TickOutcome::Parked => {
                         // Done core: it never ticks again, and the
                         // termination check below fires on the very cycle
                         // the last core arrives — `Parked` ticks record
                         // nothing, so nothing is replayed either.
                         awake &= !(1u64 << idx);
+                        None
                     }
-                    TickOutcome::Progress => {
+                    TickOutcome::Awaiting(reason) if SPARSE => {
+                        // Park at issue (catalog): the replay at the load's
+                        // retirement records the stalls of every skipped
+                        // retry, as it does for a core that stalled once.
+                        await_ports(&mut waiting, idx, reason);
+                        Some(reason)
+                    }
+                    TickOutcome::Progress | TickOutcome::Awaiting(_) => {
                         // `Done` is entered only by a productive tick.
                         if after == State::Done {
                             done_count += 1;
@@ -873,12 +928,14 @@ impl SimCollector {
                                 moved = true;
                             }
                         }
+                        None
                     }
                     TickOutcome::Stalled(reason) if !SPARSE => {
                         outcomes[idx] = outcome;
                         moved |= (after != before
                             && (before, after) != (State::CopyWait, State::StoreWord))
                             || (lock_of(reason).is_some() && sb.event_log_enabled());
+                        None
                     }
                     TickOutcome::Stalled(reason) => {
                         // Sparse rule: park on the wake condition (catalog).
@@ -887,40 +944,43 @@ impl SimCollector {
                         // lock failure must be a real tick; the empty-worklist
                         // retry is pure (no lock, no stats, no events).
                         let log = sb.event_log_enabled();
-                        let park = match reason {
+                        match reason {
                             StallReason::ScanLock if !log && sb.scan_owner().is_some() => {
                                 sb.park_on_scan_release(idx);
-                                true
+                                Some(reason)
                             }
                             StallReason::HeaderLock if !log => {
                                 let addr = cores[idx]
                                     .pending_header()
                                     .expect("header-lock stall without a pending header");
                                 sb.park_on_header(idx, addr);
-                                true
+                                Some(reason)
                             }
                             StallReason::ScanLock
                             | StallReason::FreeLock
-                            | StallReason::HeaderLock => false,
+                            | StallReason::HeaderLock => None,
                             StallReason::EmptySpin => {
                                 sb.park_on_empty(idx);
-                                true
+                                Some(reason)
                             }
                             StallReason::BodyLoad
                             | StallReason::BodyStore
                             | StallReason::HeaderLoad
                             | StallReason::HeaderStore
-                            | StallReason::Drain => true,
-                        };
-                        if park {
-                            if H::ACTIVE {
-                                host.count(park_key(reason), 1);
+                            | StallReason::Drain => {
+                                await_ports(&mut waiting, idx, reason);
+                                Some(reason)
                             }
-                            park_reason[idx] = Some(reason);
-                            park_since[idx] = cycles + 1;
-                            awake &= !(1u64 << idx);
                         }
                     }
+                };
+                if let Some(reason) = park {
+                    if H::ACTIVE {
+                        host.count(park_key(reason), 1);
+                    }
+                    park_reason[idx] = Some(reason);
+                    park_since[idx] = cycles + 1;
+                    awake &= !(1u64 << idx);
                 }
                 if SPARSE {
                     // SB operations in this tick may have woken parked
@@ -1609,6 +1669,42 @@ mod tests {
                 assert_eq!(sparse.stats, naive.stats, "{cores} cores +{extra}");
                 assert_eq!(sparse.free, naive.free, "{cores} cores +{extra}");
             }
+        }
+    }
+
+    #[test]
+    fn parks_at_issue_are_bit_exact_with_the_probe_and_the_header_cache() {
+        // Two park-at-issue paths need a knob: the ablation-C probe load
+        // (`test_before_lock`), and a header load that hits the header
+        // cache, completes at issue and must not park (no retirement is
+        // coming to wake it).
+        use hwgc_memsim::MemConfig;
+        use hwgc_workloads::{Preset, WorkloadSpec};
+        let spec = WorkloadSpec {
+            preset: Preset::Javac,
+            seed: 1,
+            scale: 0.2,
+        };
+        for (cores, extra) in [(2, 0u32), (16, 0), (16, 20)] {
+            let cfg = GcConfig {
+                mem: MemConfig {
+                    header_cache_entries: 64,
+                    ..MemConfig::default().with_extra_latency(extra)
+                },
+                test_before_lock: true,
+                engine: Some(EngineKind::Sparse),
+                ..GcConfig::with_cores(cores)
+            };
+            let sparse = SimCollector::new(cfg).collect(&mut spec.build());
+            let naive = SimCollector::new(GcConfig {
+                engine: Some(EngineKind::Naive),
+                fast_forward: false,
+                ..cfg
+            })
+            .collect(&mut spec.build());
+            assert!(sparse.stats.mem.header_cache_hits > 0, "{cores} cores");
+            assert_eq!(sparse.stats, naive.stats, "{cores} cores +{extra}");
+            assert_eq!(sparse.free, naive.free, "{cores} cores +{extra}");
         }
     }
 

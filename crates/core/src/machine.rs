@@ -7,7 +7,10 @@
 //! operations and initiates up to four memory operations per clock cycle,
 //! and uncontended lock acquisitions are free — but any incomplete memory
 //! access or contended lock consumes the cycle and is recorded as a stall
-//! with its cause (the basis of Table II).
+//! with its cause (the basis of Table II). A tick that ends by issuing a
+//! random-address load into the port its next state waits on reports
+//! [`TickOutcome::Awaiting`]: every retry until the load retires would
+//! stall, so the engine's sparse rule parks the core at issue.
 //!
 //! The main scanning loop (paper Section IV):
 //!
@@ -172,6 +175,10 @@ enum Step {
     Chain(State),
     /// Productive work consumed the cycle; resume in `State` next cycle.
     Yield(State),
+    /// [`Step::Yield`] after issuing a load that `State` waits for and
+    /// that did not complete at issue: `State` stalls with the given
+    /// reason until the load retires.
+    Await(State, StallReason),
     /// No progress; record the stall and retry `State` next cycle.
     Stall(State, StallReason),
 }
@@ -184,6 +191,12 @@ enum Step {
 pub enum TickOutcome {
     /// The core did productive work (or transitioned state) this cycle.
     Progress,
+    /// Progress that ended by issuing a random-address load into the
+    /// port the next state waits on: every retry stalls with the given
+    /// reason, against frozen inputs, until that load retires. Only
+    /// reported when the load did not complete at issue (a header-cache
+    /// hit has no retirement coming).
+    Awaiting(StallReason),
     /// The tick ended in a stall: the core will retry the same failing
     /// step, against the same frozen inputs, every cycle until the cause
     /// resolves.
@@ -311,6 +324,10 @@ impl CoreSm {
                     self.state = next;
                     return TickOutcome::Progress;
                 }
+                Step::Await(next, reason) => {
+                    self.state = next;
+                    return TickOutcome::Awaiting(reason);
+                }
                 Step::Stall(next, reason) => {
                     self.stalls.record(reason);
                     self.state = next;
@@ -322,6 +339,19 @@ impl CoreSm {
             "core {} chained too many micro-steps in state {:?}",
             self.id, state
         );
+    }
+
+    /// Yield into `next`, whose retry waits for the load this tick just
+    /// issued on `port`: [`Step::Await`] unless it completed at issue.
+    fn await_load<B: MemBackend>(&self, ctx: &Ctx<'_, B>, port: Port, next: State) -> Step {
+        if ctx.mem.load_ready(self.id, port) {
+            return Step::Yield(next);
+        }
+        let reason = match port {
+            Port::HeaderLoad => StallReason::HeaderLoad,
+            _ => StallReason::BodyLoad,
+        };
+        Step::Await(next, reason)
     }
 
     fn step<B: MemBackend>(&mut self, state: State, ctx: &mut Ctx<'_, B>) -> Step {
@@ -388,7 +418,7 @@ impl CoreSm {
         ctx.fifo.count_miss();
         let ok = ctx.mem.try_issue(self.id, Port::HeaderLoad, scan);
         debug_assert!(ok, "header-load buffer must be free here");
-        Step::Yield(State::ScanHeaderWait)
+        self.await_load(ctx, Port::HeaderLoad, State::ScanHeaderWait)
     }
 
     fn scan_header_wait<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {
@@ -485,7 +515,7 @@ impl CoreSm {
         // `copy_wait` reads once the load retires: start the host's own
         // fetch now (the words after it are sequential).
         ctx.heap.prefetch(addr);
-        Step::Yield(State::CopyWait)
+        self.await_load(ctx, Port::BodyLoad, State::CopyWait)
     }
 
     fn copy_wait<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {
@@ -511,7 +541,7 @@ impl CoreSm {
                 let ok = ctx.mem.try_issue(self.id, Port::HeaderLoad, val);
                 debug_assert!(ok);
                 ctx.heap.prefetch(val);
-                return Step::Yield(State::ChildProbeWait);
+                return self.await_load(ctx, Port::HeaderLoad, State::ChildProbeWait);
             }
             return Step::Chain(State::ChildLock);
         }
@@ -550,7 +580,7 @@ impl CoreSm {
         // The child header is the other random read of the microprogram:
         // `child_header_wait` wants it when the simulated load retires.
         ctx.heap.prefetch(self.regs.child);
-        Step::Yield(State::ChildHeaderWait)
+        self.await_load(ctx, Port::HeaderLoad, State::ChildHeaderWait)
     }
 
     fn child_header_wait<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {

@@ -151,12 +151,13 @@ fn deterministic_counters_are_stable_across_reruns() {
 fn scan_lock_releases_wake_no_thundering_herd() {
     // A scan-lock release hands the lock to the waiters that can win it
     // and leaves the losers parked, so scan-lock parks stay within a
-    // small multiple of the acquisitions they queue for (1.1 here; the
-    // rest are waiters re-parking after a retirement of their own woke
-    // them). Waking every waiter at every release — static priority
-    // lets exactly one win, the others tick, fail and re-park — put this
-    // run at 5.1 parks per acquisition. Scale 4 is the smallest javac
-    // graph on which 16 cores queue up behind the scan lock at all.
+    // small multiple of the acquisitions they queue for (0.77 here; no
+    // memory retirement wakes an SB-parked core, so a waiter re-parks
+    // only after a hand-off it did not win). Waking every waiter at every
+    // release — static priority lets exactly one win, the others tick,
+    // fail and re-park — put this run at 5.1 parks per acquisition.
+    // Scale 4 is the smallest javac graph on which 16 cores queue up
+    // behind the scan lock at all.
     let spec = WorkloadSpec {
         scale: 4.0,
         ..WorkloadSpec::new(Preset::Javac, 42)
@@ -176,6 +177,45 @@ fn scan_lock_releases_wake_no_thundering_herd() {
         "{parks} scan-lock parks for {acquired} acquisitions: the herd is back"
     );
     assert_every_cycle_accounted_for(&out.stats, &prof);
+}
+
+#[test]
+fn memory_wakes_never_outnumber_memory_parks() {
+    // A core parked on a memory stall, or at the issue of a random load,
+    // awaits one port (`Drain`: all four) and is woken by that port's
+    // retirement, never by traffic on its other ports: each memory park
+    // ends in at most one memory wake. Waking a parked core on every
+    // retirement of any of its buffers broke this on all three hostprof
+    // golden regimes (compress16 192 498 wakes for 172 500 parks, javac16
+    // 79 385 for 76 289, db16 on DRAM 334 809 for 334 525).
+    let dram = MemBackendKind::Dram(DramConfig::default());
+    for (preset, extra, backend) in [
+        (Preset::Compress, 20, MemBackendKind::Fixed),
+        (Preset::Javac, 0, MemBackendKind::Fixed),
+        (Preset::Db, 0, dram),
+    ] {
+        let mut cfg = config(EngineKind::Sparse, 16, extra);
+        cfg.mem = cfg.mem.with_backend(backend);
+        let mut heap = WorkloadSpec::new(preset, 42).build();
+        let mut prof = HostProfiler::new();
+        SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
+        let parks: u64 = [
+            "header_load",
+            "header_store",
+            "body_load",
+            "body_store",
+            "drain",
+        ]
+        .iter()
+        .map(|class| prof.counter(&format!("engine.park.{class}")))
+        .sum();
+        let wakes = prof.counter("engine.wake.mem");
+        assert!(
+            wakes <= parks,
+            "{}: {wakes} memory wakes for {parks} memory parks",
+            preset.name()
+        );
+    }
 }
 
 #[test]
@@ -210,7 +250,7 @@ fn sixteen_core_db_on_dram_jumps_over_bank_busy_windows() {
     // queue behind 8 banks; with the exact activity horizon the sparse
     // loop (pinned here, like the backend, against `HWGC_ENGINE` /
     // `HWGC_MEM_BACKEND`) jumps those windows instead of ticking through
-    // them: 56 194 jumps in 415 305 cycles (13.5 %), 75.8 % of the
+    // them: 60 546 jumps in 415 305 cycles (14.6 %), 73.9 % of the
     // steady-state cycles executed. Under the old `cycle + 1` horizon a
     // jump needed every bank queue empty: 7 jumps, and every cycle
     // outside them executed.

@@ -89,6 +89,7 @@ impl Header {
     /// Gray tospace frame header: sizes plus a backlink to the fromspace
     /// original, installed at evacuation time so that the scanning core can
     /// find the body to copy and advance `scan` by the correct size.
+    #[inline]
     pub fn gray(pi: u32, delta: u32, backlink: Addr) -> Header {
         Header {
             pi,
@@ -102,6 +103,7 @@ impl Header {
     /// Black tospace header: the final state written when the body copy is
     /// complete (paper: "writes pi and delta into the header of the tospace
     /// copy").
+    #[inline]
     pub fn black(pi: u32, delta: u32) -> Header {
         Header {
             pi,
@@ -113,6 +115,7 @@ impl Header {
     }
 
     /// Marked fromspace header with the forwarding pointer installed.
+    #[inline]
     pub fn forwarded(pi: u32, delta: u32, fwd: Addr) -> Header {
         Header {
             pi,
@@ -124,11 +127,13 @@ impl Header {
     }
 
     /// Total size of the object in words (header + body).
+    #[inline]
     pub fn size_words(&self) -> u32 {
         2 + self.pi + self.delta
     }
 
     /// Encode into the two header words.
+    #[inline]
     pub fn encode(&self) -> (Word, Word) {
         debug_assert!(self.pi <= MAX_FIELD && self.delta <= MAX_FIELD);
         let mut w0 = (self.pi << PI_SHIFT)
@@ -141,6 +146,7 @@ impl Header {
     }
 
     /// Decode from the two header words. The software-lock bit is ignored.
+    #[inline]
     pub fn decode(w0: Word, w1: Word) -> Header {
         Header {
             pi: (w0 >> PI_SHIFT) & MAX_FIELD,

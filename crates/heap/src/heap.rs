@@ -64,6 +64,7 @@ impl Heap {
     }
 
     /// Base address of the current fromspace.
+    #[inline]
     pub fn from_base(&self) -> Addr {
         if self.from_is_lo {
             RESERVED_WORDS
@@ -73,6 +74,7 @@ impl Heap {
     }
 
     /// Base address of the current tospace.
+    #[inline]
     pub fn to_base(&self) -> Addr {
         if self.from_is_lo {
             RESERVED_WORDS + self.semi_size
@@ -87,11 +89,13 @@ impl Heap {
     }
 
     /// One past the last word of the current tospace.
+    #[inline]
     pub fn to_limit(&self) -> Addr {
         self.to_base() + self.semi_size
     }
 
     /// Does `addr` fall inside the current fromspace?
+    #[inline]
     pub fn in_fromspace(&self, addr: Addr) -> bool {
         addr >= self.from_base() && addr < self.from_limit()
     }
@@ -186,11 +190,13 @@ impl Heap {
     }
 
     /// Read and decode the header of the object at `addr`.
+    #[inline]
     pub fn header(&self, addr: Addr) -> Header {
         Header::decode(self.word(addr), self.word(addr + 1))
     }
 
     /// Encode and write the header of the object at `addr`.
+    #[inline]
     pub fn set_header(&mut self, addr: Addr, h: Header) {
         let (w0, w1) = h.encode();
         self.set_word(addr, w0);

@@ -143,7 +143,7 @@ impl Journal {
                 ("total".to_string(), Json::Int(set.len() as i128)),
                 ("jobset".to_string(), Json::Str(format!("{expected:016x}"))),
             ]);
-            writeln!(file, "{}", plan.to_string_compact())?;
+            plan.write_line(&mut file)?;
         }
         let resumed = done.len();
         Ok(Journal {
@@ -197,7 +197,7 @@ impl Journal {
             ("outcome".to_string(), Json::Str(how.label().to_string())),
             ("worker".to_string(), Json::Int(worker as i128)),
         ]);
-        writeln!(inner.file, "{}", line.to_string_compact())?;
+        line.write_line(&mut inner.file)?;
         inner.file.flush()?;
         Ok(())
     }

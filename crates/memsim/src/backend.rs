@@ -43,10 +43,14 @@
 //!    on the DRAM backend the queue-occupancy ones too, since its banks
 //!    can keep requests waiting across such a window — are replicated in
 //!    bulk).
-//! 3. **Wake completeness** ([`MemBackend::wakes`]): with the feed
-//!    enabled, every retirement that can change the outcome of a core's
-//!    retry pushes that core's id before the engine drains the feed — a
-//!    parked core is woken by the feed or not at all.
+//! 3. **Per-port wake exactness** ([`MemBackend::take_wakes`]): with the
+//!    feed enabled, the masks a tick leaves behind have bit `c` of entry
+//!    `p` set if and only if a transaction of core `c` on port `p`
+//!    retired in that tick — the zero-latency retire-at-service-start
+//!    path included. A retirement is the only memory event that changes
+//!    `load_ready` or frees a store buffer for `try_issue` on that port,
+//!    so a core parked on one port is woken by that port's bit or not at
+//!    all, and never by traffic on its other ports.
 //! 4. **Stream replication** ([`MemBackend::stream_window`] /
 //!    [`MemBackend::apply_stream_window`]): when the window is
 //!    `Some(limit)`, `apply_stream_window(streams, k)` for any
@@ -60,7 +64,7 @@
 //!    stream never has a tick of this shape.
 
 use crate::dram::DramConfig;
-use crate::system::{MemConfig, MemEventRecord, MemStats, MemorySystem, Port};
+use crate::system::{MemConfig, MemEventRecord, MemStats, MemorySystem, Port, PORT_COUNT};
 
 /// Which memory-timing backend the engine instantiates. Carried inside
 /// [`MemConfig`] so every existing config-construction site (struct
@@ -206,15 +210,15 @@ pub trait MemBackend {
     /// Take ownership of the recorded events.
     fn take_event_log(&mut self) -> Vec<MemEventRecord>;
 
-    /// Turn on the sparse-rule wake feed (contract obligation 3).
-    fn enable_wake_feed(&mut self, n_cores: usize);
+    /// Turn on the sparse-rule wake feed (contract obligation 3). At most
+    /// 64 cores: a mask holds one bit per core.
+    fn enable_wake_feed(&mut self);
 
-    /// Core ids whose transactions retired since the last
-    /// [`MemBackend::clear_wakes`].
-    fn wakes(&self) -> &[usize];
-
-    /// Forget the drained wake notifications.
-    fn clear_wakes(&mut self);
+    /// Per port, the cores with a transaction on it that retired since
+    /// the last call — bit `c` of entry `p` is core `c` on
+    /// `Port::ALL[p]` — and clear them. See
+    /// [`MemorySystem::take_wakes`].
+    fn take_wakes(&mut self) -> [u64; PORT_COUNT];
 
     /// Statistics so far.
     fn stats(&self) -> &MemStats;
@@ -321,18 +325,13 @@ impl MemBackend for MemorySystem {
         MemorySystem::take_event_log(self)
     }
 
-    fn enable_wake_feed(&mut self, n_cores: usize) {
-        MemorySystem::enable_wake_feed(self, n_cores)
+    fn enable_wake_feed(&mut self) {
+        MemorySystem::enable_wake_feed(self)
     }
 
     #[inline]
-    fn wakes(&self) -> &[usize] {
-        MemorySystem::wakes(self)
-    }
-
-    #[inline]
-    fn clear_wakes(&mut self) {
-        MemorySystem::clear_wakes(self)
+    fn take_wakes(&mut self) -> [u64; PORT_COUNT] {
+        MemorySystem::take_wakes(self)
     }
 
     #[inline]

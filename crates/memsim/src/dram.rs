@@ -287,7 +287,9 @@ pub struct DramMemorySystem {
     next_retire: u64,
     retire_cal: RetireWheel,
     pending_stores_dirty: bool,
-    wake_feed: Option<Vec<usize>>,
+    /// The wake feed and its per-port masks, as in the fixed model.
+    wake_feed: bool,
+    wakes: [u64; PORT_COUNT],
     events: Option<Vec<MemEventRecord>>,
 }
 
@@ -355,7 +357,8 @@ impl DramMemorySystem {
             next_retire: u64::MAX,
             retire_cal: RetireWheel::new(n_cores, worst_latency),
             pending_stores_dirty: false,
-            wake_feed: None,
+            wake_feed: false,
+            wakes: [0; PORT_COUNT],
             events: None,
         }
     }
@@ -383,9 +386,9 @@ impl DramMemorySystem {
     }
 
     #[inline]
-    fn push_wake(&mut self, core: usize) {
-        if let Some(feed) = &mut self.wake_feed {
-            feed.push(core);
+    fn push_wake(&mut self, core: usize, port: Port) {
+        if self.wake_feed {
+            self.wakes[port as usize] |= 1 << core;
         }
     }
 
@@ -490,7 +493,7 @@ impl DramMemorySystem {
                     core: core as u32,
                     port,
                 });
-                self.push_wake(core);
+                self.push_wake(core, port);
             }
             self.next_retire = self.retire_cal.next_after(self.cycle);
         }
@@ -821,20 +824,14 @@ impl MemBackend for DramMemorySystem {
         self.events.take().unwrap_or_default()
     }
 
-    fn enable_wake_feed(&mut self, n_cores: usize) {
-        self.wake_feed = Some(Vec::with_capacity(n_cores * PORT_COUNT));
+    fn enable_wake_feed(&mut self) {
+        assert!(self.ports.len() <= 64, "wake masks hold at most 64 cores");
+        self.wake_feed = true;
     }
 
     #[inline]
-    fn wakes(&self) -> &[usize] {
-        self.wake_feed.as_deref().unwrap_or(&[])
-    }
-
-    #[inline]
-    fn clear_wakes(&mut self) {
-        if let Some(feed) = &mut self.wake_feed {
-            feed.clear();
-        }
+    fn take_wakes(&mut self) -> [u64; PORT_COUNT] {
+        std::mem::take(&mut self.wakes)
     }
 
     #[inline]
@@ -1162,16 +1159,19 @@ mod tests {
     #[test]
     fn wake_feed_reports_retirements() {
         let mut m = mem(2);
-        m.enable_wake_feed(2);
+        m.enable_wake_feed();
         assert!(m.try_issue(0, Port::BodyLoad, 0)); // bank 0
         assert!(m.try_issue(1, Port::BodyStore, 16)); // bank 1
         m.tick(); // both start (bandwidth 2): done at 5
-        assert!(m.wakes().is_empty(), "nothing retired yet");
+        assert_eq!(m.take_wakes(), [0; PORT_COUNT], "nothing retired yet");
         for _ in 0..4 {
             m.tick();
         }
-        assert_eq!(m.wakes(), &[0, 1]);
-        m.clear_wakes();
+        let mut expected = [0; PORT_COUNT];
+        expected[Port::BodyLoad as usize] = 1 << 0;
+        expected[Port::BodyStore as usize] = 1 << 1;
+        assert_eq!(m.take_wakes(), expected);
+        assert_eq!(m.take_wakes(), [0; PORT_COUNT], "taking clears");
         m.consume_load(0, Port::BodyLoad);
         assert!(m.all_idle());
     }

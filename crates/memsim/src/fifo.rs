@@ -55,6 +55,7 @@ impl HeaderFifo {
 
     /// Buffer a freshly written gray header. Returns `false` on overflow:
     /// the caller must fall back to a memory header store.
+    #[inline]
     pub fn push(&mut self, addr: u32, w0: u32, w1: u32) -> bool {
         if self.q.len() >= self.capacity {
             self.stats.overflows += 1;
@@ -70,6 +71,7 @@ impl HeaderFifo {
     /// and return its header words (same-cycle, no memory access).
     /// Otherwise the header was pushed around an overflow and must be read
     /// from memory.
+    #[inline]
     pub fn try_pop(&mut self, scan_addr: u32) -> Option<(u32, u32)> {
         match self.q.front() {
             Some(&(addr, w0, w1)) if addr == scan_addr => {
@@ -91,6 +93,7 @@ impl HeaderFifo {
     /// matching [`HeaderFifo::try_pop`] accounts the hit and
     /// [`HeaderFifo::count_miss`] accounts a scan-side read that had to go
     /// to memory.
+    #[inline]
     pub fn peek(&self, scan_addr: u32) -> Option<(u32, u32)> {
         match self.q.front() {
             Some(&(addr, w0, w1)) if addr == scan_addr => Some((w0, w1)),
@@ -101,16 +104,19 @@ impl HeaderFifo {
     /// Record a scan-side header read that missed the FIFO (the header
     /// was pushed around an overflow, or the frame is a mid-cycle
     /// allocation) and therefore went to memory.
+    #[inline]
     pub fn count_miss(&mut self) {
         self.stats.misses += 1;
     }
 
     /// Current occupancy.
+    #[inline]
     pub fn len(&self) -> usize {
         self.q.len()
     }
 
     /// Is the FIFO empty?
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.q.is_empty()
     }

@@ -123,6 +123,7 @@ impl Port {
     ];
 
     /// Is this a load port?
+    #[inline]
     pub fn is_load(self) -> bool {
         matches!(self, Port::HeaderLoad | Port::BodyLoad)
     }
@@ -308,11 +309,14 @@ pub struct MemorySystem {
     /// Set when a pending header store retired; the comparator re-check
     /// can only unblock a load on such a cycle.
     pending_stores_dirty: bool,
-    /// Sparse-engine wake feed (`None` = off): core ids whose transactions
-    /// retired since the engine last drained. A core parked on a memory
-    /// stall re-ticks when its id appears here — retirement is the only
-    /// event that can make its retry succeed.
-    wake_feed: Option<Vec<usize>>,
+    /// Sparse-engine wake feed, on or off.
+    wake_feed: bool,
+    /// With the feed on: bit `c` of entry `p` is set when a transaction
+    /// of core `c` on port `p` retired since the engine last took the
+    /// masks. A core parked on a memory stall re-ticks when the port it
+    /// waits on shows up here — that retirement is the only event that
+    /// can make its retry succeed.
+    wakes: [u64; PORT_COUNT],
     /// Cycle-stamped transition log; `None` (the default) records nothing
     /// and costs nothing.
     events: Option<Vec<MemEventRecord>>,
@@ -348,7 +352,8 @@ impl MemorySystem {
             next_retire: u64::MAX,
             retire_cal: RetireWheel::new(n_cores, worst_latency),
             pending_stores_dirty: false,
-            wake_feed: None,
+            wake_feed: false,
+            wakes: [0; PORT_COUNT],
             events: None,
         }
     }
@@ -373,32 +378,28 @@ impl MemorySystem {
 
     // --- sparse-engine wake feed ---------------------------------------
 
-    /// Turn on the wake feed (see the `wake_feed` field). Off by default;
+    /// Turn on the wake feed (see the `wakes` field). Off by default;
     /// the naive loop pays nothing.
-    pub fn enable_wake_feed(&mut self, n_cores: usize) {
-        // One outstanding transaction per (core, port): a single tick can
-        // retire at most PORT_COUNT entries per core.
-        self.wake_feed = Some(Vec::with_capacity(n_cores * PORT_COUNT));
+    ///
+    /// # Panics
+    /// Panics with more than 64 cores: a mask holds one bit per core.
+    pub fn enable_wake_feed(&mut self) {
+        assert!(self.ports.len() <= 64, "wake masks hold at most 64 cores");
+        self.wake_feed = true;
     }
 
-    /// Core ids whose transactions retired since the last
-    /// [`MemorySystem::clear_wakes`] (duplicates possible — one entry per
-    /// retirement).
-    pub fn wakes(&self) -> &[usize] {
-        self.wake_feed.as_deref().unwrap_or(&[])
-    }
-
-    /// Forget the drained wake notifications.
-    pub fn clear_wakes(&mut self) {
-        if let Some(feed) = &mut self.wake_feed {
-            feed.clear();
-        }
+    /// Per port, the cores whose transactions on it retired since the
+    /// last call (bit `c` of entry `p`: core `c`, `Port::ALL[p]`), and
+    /// clear them. All zero while the feed is off.
+    #[inline]
+    pub fn take_wakes(&mut self) -> [u64; PORT_COUNT] {
+        std::mem::take(&mut self.wakes)
     }
 
     #[inline]
-    fn push_wake(&mut self, core: usize) {
-        if let Some(feed) = &mut self.wake_feed {
-            feed.push(core);
+    fn push_wake(&mut self, core: usize, port: Port) {
+        if self.wake_feed {
+            self.wakes[port as usize] |= 1 << core;
         }
     }
 
@@ -428,6 +429,7 @@ impl MemorySystem {
 
     /// Pop the next request to serve: FIFO normally, a seeded random pick
     /// under `service_reorder_seed`.
+    #[inline]
     fn pop_service(&mut self) -> Option<(usize, Port)> {
         match self.reorder_state.as_mut() {
             None => self.queue.pop_front(),
@@ -443,6 +445,7 @@ impl MemorySystem {
         }
     }
 
+    #[inline]
     fn cache_lookup(&mut self, addr: u32) -> bool {
         if self.header_cache.is_empty() {
             return false;
@@ -457,6 +460,7 @@ impl MemorySystem {
         }
     }
 
+    #[inline]
     fn cache_fill(&mut self, addr: u32) {
         if self.header_cache.is_empty() {
             return;
@@ -473,6 +477,7 @@ impl MemorySystem {
     }
 
     /// Current cycle number.
+    #[inline]
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
@@ -481,6 +486,7 @@ impl MemorySystem {
     /// whose matching stores retired, and start service for up to
     /// `bandwidth` queued requests. Call once per engine cycle, before the
     /// cores tick.
+    #[inline]
     pub fn tick(&mut self) {
         self.cycle += 1;
         self.stats.cycles += 1;
@@ -522,7 +528,7 @@ impl MemorySystem {
                     core: core as u32,
                     port,
                 });
-                self.push_wake(core);
+                self.push_wake(core, port);
             }
             self.next_retire = self.retire_cal.next_after(self.cycle);
         }
@@ -596,7 +602,7 @@ impl MemorySystem {
                         core: core as u32,
                         port,
                     });
-                    self.push_wake(core);
+                    self.push_wake(core, port);
                     continue;
                 }
                 let done_at = self.cycle + latency as u64;
@@ -618,6 +624,7 @@ impl MemorySystem {
     /// speed (0 = ready next cycle); header accesses and stream starts pay
     /// the full random-access latency. The Figure 6 artificial latency is
     /// added to everything.
+    #[inline]
     fn access_latency(&mut self, core: usize, port: Port) -> u32 {
         let latency = self.peek_latency(core, port);
         if let Port::BodyLoad | Port::BodyStore = port {
@@ -633,6 +640,7 @@ impl MemorySystem {
     /// Exact for every queued transaction, because distinct queue entries
     /// occupy distinct `(core, port)` buffers and therefore distinct burst
     /// trackers.
+    #[inline]
     fn peek_latency(&self, core: usize, port: Port) -> u32 {
         let txn = self.ports[core][port as usize].as_ref().expect("txn");
         let base = match port {
@@ -654,6 +662,7 @@ impl MemorySystem {
     ///
     /// Header loads to an address with a pending header store enter the
     /// blocked state and are only queued once the store retires.
+    #[inline]
     pub fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> bool {
         if self.ports[core][port as usize].is_some() {
             return false;
@@ -713,6 +722,7 @@ impl MemorySystem {
 
     /// Is the buffer `(core, port)` occupied (request in flight or load
     /// data not yet consumed)?
+    #[inline]
     pub fn port_busy(&self, core: usize, port: Port) -> bool {
         self.ports[core][port as usize].is_some()
     }
@@ -721,6 +731,7 @@ impl MemorySystem {
     ///
     /// # Panics
     /// Panics when called on a store port.
+    #[inline]
     pub fn load_ready(&self, core: usize, port: Port) -> bool {
         assert!(port.is_load());
         matches!(
@@ -738,6 +749,7 @@ impl MemorySystem {
     /// # Panics
     /// Panics if the load is not complete — the core must check
     /// [`MemorySystem::load_ready`] and stall otherwise.
+    #[inline]
     pub fn consume_load(&mut self, core: usize, port: Port) -> u32 {
         assert!(port.is_load());
         let txn = self.ports[core][port as usize]
@@ -759,11 +771,13 @@ impl MemorySystem {
 
     /// True when every buffer of every core is empty (all stores committed,
     /// all loads consumed) — the end-of-cycle flush condition.
+    #[inline]
     pub fn all_idle(&self) -> bool {
         self.occupied == 0
     }
 
     /// Is a header store to `addr` pending (comparator array view)?
+    #[inline]
     pub fn header_store_pending(&self, addr: u32) -> bool {
         self.pending_header_stores.contains(&addr)
     }
@@ -781,6 +795,7 @@ impl MemorySystem {
     /// Completed loads are ignored: their owners saw the data arrive, and
     /// a load waiting for its owner changes nothing until the owner's own
     /// tick consumes it. All tracked by counter/flag, O(1).
+    #[inline]
     pub fn next_activity_cycle(&self) -> Option<u64> {
         if !self.queue.is_empty() || self.pending_stores_dirty {
             return Some(self.cycle + 1);
@@ -797,6 +812,7 @@ impl MemorySystem {
     /// empty, or the horizon would be the very next tick: zero
     /// occupancy, not busy) and merely re-counted every
     /// comparator-blocked header load.
+    #[inline]
     pub fn fast_forward(&mut self, k: u64) {
         debug_assert!(
             self.next_activity_cycle()
@@ -831,7 +847,7 @@ impl MemorySystem {
     pub fn stream_window(&self, streams: &[usize]) -> Option<u64> {
         if self.cfg.extra_latency != 0
             || self.events.is_some()
-            || self.wake_feed.is_some()
+            || self.wake_feed
             || self.reorder_state.is_some()
             || self.pending_stores_dirty
             || self.complete > 0
@@ -893,6 +909,7 @@ impl MemorySystem {
     }
 
     /// Requests currently waiting for DRAM service (monitoring).
+    #[inline]
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
@@ -909,6 +926,7 @@ impl MemorySystem {
     }
 }
 
+#[inline]
 pub(crate) fn remove_one(v: &mut Vec<u32>, value: u32) {
     let idx = v
         .iter()
@@ -1327,18 +1345,20 @@ mod tests {
     #[test]
     fn wake_feed_reports_retirements() {
         let mut m = mem(2); // latency 3, bandwidth 2
-        m.enable_wake_feed(2);
-        assert!(m.wakes().is_empty());
+        m.enable_wake_feed();
+        assert_eq!(m.take_wakes(), [0; PORT_COUNT]);
         assert!(m.try_issue(0, Port::BodyLoad, 10));
         assert!(m.try_issue(1, Port::BodyStore, 20));
         m.tick(); // both start service: done at cycle 4
-        assert!(m.wakes().is_empty(), "nothing retired yet");
+        assert_eq!(m.take_wakes(), [0; PORT_COUNT], "nothing retired yet");
         m.tick();
         m.tick();
         m.tick(); // cycle 4: both retire
-        assert_eq!(m.wakes(), &[0, 1]);
-        m.clear_wakes();
-        assert!(m.wakes().is_empty());
+        let mut expected = [0; PORT_COUNT];
+        expected[Port::BodyLoad as usize] = 1 << 0;
+        expected[Port::BodyStore as usize] = 1 << 1;
+        assert_eq!(m.take_wakes(), expected);
+        assert_eq!(m.take_wakes(), [0; PORT_COUNT], "taking clears");
         m.consume_load(0, Port::BodyLoad);
         assert!(m.all_idle());
     }
@@ -1348,16 +1368,17 @@ mod tests {
         // Sequential body stores: the second continues the burst and
         // retires within the tick that starts its service.
         let mut m = mem(1);
-        m.enable_wake_feed(1);
+        m.enable_wake_feed();
+        let mut store = [0; PORT_COUNT];
+        store[Port::BodyStore as usize] = 1;
         assert!(m.try_issue(0, Port::BodyStore, 100));
         for _ in 0..4 {
             m.tick();
         }
-        assert_eq!(m.wakes(), &[0]);
-        m.clear_wakes();
+        assert_eq!(m.take_wakes(), store);
         assert!(m.try_issue(0, Port::BodyStore, 101));
         m.tick(); // burst continuation: latency 0, retires at service start
-        assert_eq!(m.wakes(), &[0]);
+        assert_eq!(m.take_wakes(), store);
         assert!(m.all_idle());
     }
 

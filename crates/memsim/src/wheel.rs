@@ -117,6 +117,7 @@ impl RetireWheel {
     /// The earliest scheduled retirement strictly after `cycle`
     /// (`u64::MAX` when the wheel is empty): the next set bit of the
     /// slot summary in circular order from `cycle + 1`.
+    #[inline]
     pub(crate) fn next_after(&self, cycle: u64) -> u64 {
         let summary = &self.words[..self.summary_words];
         let start = self.slot_of(cycle + 1);

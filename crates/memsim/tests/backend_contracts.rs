@@ -16,14 +16,16 @@
 //!    within a bank consecutive service starts are separated by the
 //!    earlier access's full occupancy (one access in flight per bank,
 //!    plus the closed-page precharge re-arm).
-//! 3. **Wake completeness** — with the wake feed on, every core whose
-//!    load became ready or whose store freed its buffer in a tick
-//!    appears in that tick's `wakes()` (shadow comparison against
-//!    polling, the naive engine's view).
+//! 3. **Per-port wake exactness** — with the wake feed on, the masks
+//!    `take_wakes()` returns after a tick have bit `c` of entry `p` set
+//!    exactly when core `c`'s load on port `p` became ready or its store
+//!    on port `p` freed the buffer in that tick (shadow comparison
+//!    against polling, the naive engine's view), and nothing outside a
+//!    tick sets a bit.
 //! 4. **Tie order** — transactions retiring in the same cycle reach the
-//!    wake feed and the event log in `(core, port)` order, whatever
-//!    order they were issued or served in (the engine's wake order and
-//!    every committed event-stream fingerprint are pinned to it).
+//!    event log in `(core, port)` order, whatever order they were issued
+//!    or served in (every committed event-stream fingerprint is pinned
+//!    to it), and every one of them reaches the wake masks.
 //! 5. **Bank scheduling** — (DRAM) the division-free address map equals
 //!    `(addr / row_words) % n_banks`, free banks start in index order
 //!    under the bandwidth cap, and a busy bank starts exactly at
@@ -234,7 +236,7 @@ proptest! {
         // Two spare cores carry the header store and the load it blocks.
         let mut m = DramMemorySystem::new(CORES + 2, cfg);
         m.enable_event_log();
-        m.enable_wake_feed(CORES + 2);
+        m.enable_wake_feed();
         assert!(m.try_issue(CORES, Port::HeaderStore, 77));
         m.tick();
         assert!(m.try_issue(CORES + 1, Port::HeaderLoad, 77));
@@ -334,10 +336,10 @@ proptest! {
         prop_assert!(in_service.iter().all(Option::is_none), "unretired service");
     }
 
-    /// Contract 3 on the fixed backend: the wake feed reports every core
-    /// whose visible state improved in a tick.
+    /// Contract 3 on the fixed backend: the wake masks report exactly
+    /// the `(core, port)` pairs that retired in a tick.
     #[test]
-    fn fixed_wake_feed_is_complete(
+    fn fixed_wake_feed_is_exact_per_port(
         ops in ops(CORES),
         lat in 0u32..6,
         bw in 1u32..4,
@@ -349,7 +351,7 @@ proptest! {
 
     /// Contract 3 on the DRAM backend.
     #[test]
-    fn dram_wake_feed_is_complete(
+    fn dram_wake_feed_is_exact_per_port(
         ops in ops(CORES),
         dram in dram_configs(),
         bw in 1u32..4,
@@ -362,11 +364,13 @@ proptest! {
 }
 
 /// Shadow-naive comparison: before each tick poll the full visible
-/// state (as the naive engine would); after it, every improvement —
-/// a load turning ready, a busy port freeing — must have its owner in
-/// `wakes()`. A parked core relies on exactly this to resume.
+/// state (as the naive engine would); after it, the retirements it
+/// shows — a load turning ready, a store freeing its buffer — must be
+/// exactly the bits of `take_wakes()`, port by port. A core parked on
+/// one port relies on the completeness to resume, and on the exactness
+/// not to be woken by its other ports.
 fn check_wake_feed<B: MemBackend>(mut m: B, ops: Vec<Op>, worst_latency: u32) {
-    m.enable_wake_feed(CORES);
+    m.enable_wake_feed();
     let mut script = ops.clone();
     // Append draining ticks so late-issued traffic also exercises the feed.
     script.extend(std::iter::repeat_n(
@@ -374,36 +378,30 @@ fn check_wake_feed<B: MemBackend>(mut m: B, ops: Vec<Op>, worst_latency: u32) {
         drain_bound(ops.len(), worst_latency),
     ));
     for op in script {
-        if matches!(op, Op::Tick) {
-            let before = (0..CORES)
-                .map(|c| {
-                    Port::ALL
-                        .iter()
-                        .map(|&p| (p.is_load() && m.load_ready(c, p), m.port_busy(c, p)))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>();
-            m.clear_wakes();
-            m.tick();
-            for (c, ports) in before.iter().enumerate() {
-                let improved = Port::ALL.iter().enumerate().any(|(i, &p)| {
-                    let (was_ready, was_busy) = ports[i];
-                    let now_ready = p.is_load() && m.load_ready(c, p);
-                    let now_busy = m.port_busy(c, p);
-                    (now_ready && !was_ready) || (was_busy && !now_busy)
-                });
-                if improved {
-                    prop_assert!(
-                        m.wakes().contains(&c),
-                        "core {}'s state improved but the wake feed missed it (wakes: {:?})",
-                        c,
-                        m.wakes()
-                    );
-                }
-            }
-        } else {
+        if !matches!(op, Op::Tick) {
             apply(&mut m, op);
+            continue;
         }
+        let before = visible_state(&m);
+        prop_assert_eq!(m.take_wakes(), [0; PORT_COUNT], "a wake outside a tick");
+        m.tick();
+        let mut retired = [0u64; PORT_COUNT];
+        for (slot, &(was_ready, was_busy)) in before.iter().enumerate() {
+            let (c, p) = (slot / PORT_COUNT, Port::ALL[slot % PORT_COUNT]);
+            let now = if p.is_load() {
+                !was_ready && m.load_ready(c, p)
+            } else {
+                was_busy && !m.port_busy(c, p)
+            };
+            if now {
+                retired[p as usize] |= 1 << c;
+            }
+        }
+        prop_assert_eq!(
+            m.take_wakes(),
+            retired,
+            "wake masks against the retirements"
+        );
     }
 }
 
@@ -411,22 +409,30 @@ fn check_wake_feed<B: MemBackend>(mut m: B, ops: Vec<Op>, worst_latency: u32) {
 /// in one cycle. They are issued in descending order and `addr_of`
 /// spreads them so that every one starts service in the same tick with
 /// the same latency; the retirement calendar alone decides the order in
-/// which they come back.
+/// which they come back. The wake masks carry no order: they must hold
+/// all twelve.
 fn check_same_cycle_retire_order<B: MemBackend>(mut m: B, addr_of: impl Fn(usize) -> u32) {
-    m.enable_wake_feed(CORES);
+    m.enable_wake_feed();
     m.enable_event_log();
     for id in (0..CORES * PORT_COUNT).rev() {
         assert!(m.try_issue(id / PORT_COUNT, Port::ALL[id % PORT_COUNT], addr_of(id)));
     }
-    while m.wakes().is_empty() {
+    let wakes = loop {
         m.tick();
         assert!(m.cycle() < 64, "nothing retired");
-    }
+        let wakes = m.take_wakes();
+        if wakes != [0; PORT_COUNT] {
+            break wakes;
+        }
+    };
+    assert_eq!(
+        wakes,
+        [(1 << CORES) - 1; PORT_COUNT],
+        "a retirement missing from the masks"
+    );
     let in_order: Vec<(usize, Port)> = (0..CORES * PORT_COUNT)
         .map(|id| (id / PORT_COUNT, Port::ALL[id % PORT_COUNT]))
         .collect();
-    let woken: Vec<usize> = in_order.iter().map(|&(core, _)| core).collect();
-    assert_eq!(m.wakes(), woken, "wake feed out of (core, port) order");
     let retire_cycle = m.cycle();
     let retired: Vec<(usize, Port)> = m
         .take_event_log()
@@ -878,11 +884,7 @@ fn stream_window_refuses_whatever_it_cannot_replay() {
         "reordered service"
     );
     assert_eq!(accepted(good, &|m| m.enable_event_log()), None, "event log");
-    assert_eq!(
-        accepted(good, &|m| m.enable_wake_feed(N + 2)),
-        None,
-        "wake feed"
-    );
+    assert_eq!(accepted(good, &|m| m.enable_wake_feed()), None, "wake feed");
 
     // Traffic that is not the stream's.
     assert_eq!(

@@ -17,7 +17,6 @@
 //! are quarantined by construction: they live in
 //! [`LedgerRecord::host`] and serialize under keys prefixed `host_`.
 
-use std::io::Write as _;
 use std::path::Path;
 
 use crate::json::{Json, JsonError};
@@ -268,7 +267,7 @@ impl LedgerRecord {
             .create(true)
             .append(true)
             .open(path)?;
-        writeln!(f, "{}", self.to_json().to_string_compact())
+        self.to_json().write_line(&mut f)
     }
 }
 

@@ -22,10 +22,10 @@
 //! regardless of telemetry being on or off.
 //!
 //! Multiple processes may share one stream file (`reproduce_all` forwards
-//! the path to its children): lines are appended with a single `writeln!`
-//! each under `O_APPEND`, so concurrent writers interleave whole lines.
+//! the path to its children): each line, newline included, is appended
+//! with a single `write_all` ([`Json::write_line`]) under `O_APPEND`, so
+//! concurrent writers interleave whole lines.
 
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -365,7 +365,7 @@ impl SweepProgress {
 
     fn emit(&self, line: Json) {
         if let Some(f) = self.stream.lock().unwrap().as_mut() {
-            let _ = writeln!(f, "{}", line.to_string_compact());
+            let _ = line.write_line(f);
         }
     }
 

@@ -283,6 +283,7 @@ impl SyncBlock {
     /// Is the cycle-stamped operation log enabled? The engine must not
     /// fast-forward over lock-contention cycles while it is: every failed
     /// attempt emits a per-cycle event.
+    #[inline]
     pub fn event_log_enabled(&self) -> bool {
         self.events.is_some()
     }
@@ -293,6 +294,7 @@ impl SyncBlock {
     /// (The ports *may* be armed on entry — e.g. a core sets `free` and
     /// then stalls on a memory port in the same tick — which is exactly
     /// the state the first skipped `begin_cycle` would have cleared.)
+    #[inline]
     pub fn fast_forward(&mut self, k: u64) {
         if k > 0 {
             self.scan_written = false;
@@ -305,6 +307,7 @@ impl SyncBlock {
     /// stalled on a lock whose holder cannot move retries — and fails —
     /// identically every skipped cycle. Illegal while the event log is on
     /// (each failure would need its own cycle-stamped record).
+    #[inline]
     pub fn bulk_fail(&mut self, kind: LockKind, k: u64) {
         debug_assert!(
             self.events.is_none(),
@@ -313,6 +316,7 @@ impl SyncBlock {
         self.stats.failed_attempts[SyncStats::idx(kind)] += k;
     }
 
+    #[inline]
     fn log(&mut self, event: SbEvent) {
         if let Some(events) = &mut self.events {
             events.push(SbEventRecord {
@@ -349,11 +353,13 @@ impl SyncBlock {
     // --- scan/free registers -------------------------------------------
 
     /// Read the `scan` register (all cores may read simultaneously).
+    #[inline]
     pub fn scan(&self) -> u32 {
         self.scan
     }
 
     /// Read the `free` register (all cores may read simultaneously).
+    #[inline]
     pub fn free(&self) -> u32 {
         self.free
     }
@@ -367,6 +373,7 @@ impl SyncBlock {
 
     /// Write `scan`; only the lock owner may do this, at most once per
     /// clock cycle.
+    #[inline]
     pub fn set_scan(&mut self, core: usize, value: u32) {
         assert_eq!(self.scan_owner, Some(core), "scan write without lock");
         debug_assert!(
@@ -384,6 +391,7 @@ impl SyncBlock {
 
     /// Write `free`; only the lock owner may do this, at most once per
     /// clock cycle.
+    #[inline]
     pub fn set_free(&mut self, core: usize, value: u32) {
         assert_eq!(self.free_owner, Some(core), "free write without lock");
         debug_assert!(
@@ -404,6 +412,7 @@ impl SyncBlock {
 
     /// Cycle boundary: the engine calls this once per clock to re-arm the
     /// single write port of each register.
+    #[inline]
     pub fn begin_cycle(&mut self) {
         self.scan_written = false;
         self.free_written = false;
@@ -413,6 +422,7 @@ impl SyncBlock {
     /// Attempt to acquire the `scan` lock. Zero-cost when uncontended,
     /// but the register's write port admits one writer per cycle: after a
     /// same-cycle write the next acquirer stalls until the next cycle.
+    #[inline]
     pub fn try_acquire_scan(&mut self, core: usize) -> bool {
         if !self.multiport && self.scan_written && self.scan_owner.is_none() {
             self.stats.failed_attempts[0] += 1;
@@ -439,6 +449,7 @@ impl SyncBlock {
     /// hardware holds every loser of the arbitration at no cost, so the
     /// release only arms [`SyncBlock::take_scan_release`] for the engine
     /// to hand the lock to the waiters that can win it.
+    #[inline]
     pub fn release_scan(&mut self, core: usize) {
         assert_eq!(self.scan_owner, Some(core), "scan release without lock");
         self.scan_owner = None;
@@ -449,6 +460,7 @@ impl SyncBlock {
     }
 
     /// The core currently holding the `scan` lock, if any.
+    #[inline]
     pub fn scan_owner(&self) -> Option<usize> {
         self.scan_owner
     }
@@ -457,12 +469,14 @@ impl SyncBlock {
     /// while it is held, and not after a write to `scan` used up the
     /// register's single write port — a release that wrote nothing (a
     /// line-split chunk claim) or a multiport SB leaves it open.
+    #[inline]
     pub fn scan_acquirable(&self) -> bool {
         self.scan_owner.is_none() && (self.multiport || !self.scan_written)
     }
 
     /// Attempt to acquire the `free` lock. Zero-cost when uncontended,
     /// with the same one-write-per-cycle port limit as `scan`.
+    #[inline]
     pub fn try_acquire_free(&mut self, core: usize) -> bool {
         if !self.multiport && self.free_written && self.free_owner.is_none() {
             self.stats.failed_attempts[1] += 1;
@@ -486,6 +500,7 @@ impl SyncBlock {
     }
 
     /// Release the `free` lock.
+    #[inline]
     pub fn release_free(&mut self, core: usize) {
         assert_eq!(self.free_owner, Some(core), "free release without lock");
         self.free_owner = None;
@@ -493,11 +508,13 @@ impl SyncBlock {
     }
 
     /// Does `core` currently hold the `scan` lock?
+    #[inline]
     pub fn holds_scan(&self, core: usize) -> bool {
         self.scan_owner == Some(core)
     }
 
     /// Does `core` currently hold the `free` lock?
+    #[inline]
     pub fn holds_free(&self, core: usize) -> bool {
         self.free_owner == Some(core)
     }
@@ -512,6 +529,7 @@ impl SyncBlock {
     /// Panics if the core already holds a (different) header lock — each
     /// core owns exactly one header-lock register in hardware, and the
     /// algorithm never needs two.
+    #[inline]
     pub fn try_lock_header(&mut self, core: usize, addr: u32) -> bool {
         assert!(
             self.header_regs[core].is_none() || self.header_regs[core] == Some(addr),
@@ -545,6 +563,7 @@ impl SyncBlock {
     }
 
     /// Release `core`'s header lock.
+    #[inline]
     pub fn unlock_header(&mut self, core: usize) {
         let addr = self.header_regs[core].expect("header unlock without lock");
         self.header_regs[core] = None;
@@ -561,6 +580,7 @@ impl SyncBlock {
     }
 
     /// The address currently locked by `core`, if any.
+    #[inline]
     pub fn header_lock_of(&self, core: usize) -> Option<u32> {
         self.header_regs[core]
     }
@@ -568,6 +588,7 @@ impl SyncBlock {
     // --- ScanState busy bits -------------------------------------------
 
     /// Set `core`'s busy bit (entering the main scanning loop).
+    #[inline]
     pub fn set_busy(&mut self, core: usize) {
         if !self.busy[core] {
             self.busy[core] = true;
@@ -577,6 +598,7 @@ impl SyncBlock {
     }
 
     /// Clear `core`'s busy bit.
+    #[inline]
     pub fn clear_busy(&mut self, core: usize) {
         if self.busy[core] {
             self.busy[core] = false;
@@ -589,6 +611,7 @@ impl SyncBlock {
     }
 
     /// Is `core` busy?
+    #[inline]
     pub fn is_busy(&self, core: usize) -> bool {
         self.busy[core]
     }
@@ -596,11 +619,13 @@ impl SyncBlock {
     /// Atomic read of the whole `ScanState` register: true when *no* core
     /// other than `observer` is busy. Used together with the `scan == free`
     /// comparison for termination detection.
+    #[inline]
     pub fn none_busy_except(&self, observer: usize) -> bool {
         self.busy_n == 0 || (self.busy_n == 1 && self.busy[observer])
     }
 
     /// Number of busy cores (monitoring).
+    #[inline]
     pub fn busy_count(&self) -> usize {
         self.busy_n
     }
@@ -609,11 +634,13 @@ impl SyncBlock {
 
     /// Claimed-body offset within the object currently at `scan`; only
     /// meaningful (and only mutated) under the scan lock.
+    #[inline]
     pub fn scan_chunk_off(&self) -> u32 {
         self.scan_chunk_off
     }
 
     /// Set the claimed-body offset (scan-lock holder only).
+    #[inline]
     pub fn set_scan_chunk_off(&mut self, core: usize, off: u32) {
         assert_eq!(
             self.scan_owner,
@@ -625,6 +652,7 @@ impl SyncBlock {
 
     /// Register a split object with `chunks` outstanding chunks (called by
     /// the first claimant, under the scan lock).
+    #[inline]
     pub fn split_begin(&mut self, core: usize, frame: u32, chunks: u32) {
         assert_eq!(self.scan_owner, Some(core), "split_begin without scan lock");
         debug_assert!(chunks >= 2, "single-chunk objects are not split");
@@ -634,6 +662,7 @@ impl SyncBlock {
 
     /// Report one finished chunk of `frame`; returns `true` for the last
     /// finisher, which must blacken the object.
+    #[inline]
     pub fn split_finish(&mut self, frame: u32) -> bool {
         let idx = self
             .splits
@@ -685,6 +714,7 @@ impl SyncBlock {
 
     /// Park `core` on the scan lock. It stays listed across releases
     /// until the engine wakes it ([`SyncBlock::cancel_park`]).
+    #[inline]
     pub fn park_on_scan_release(&mut self, core: usize) {
         let w = self.wake.as_mut().expect("wake tracking off");
         w.scan_waiters |= 1u64 << core;
@@ -694,6 +724,7 @@ impl SyncBlock {
     /// if it has been released since the last call, else `0`. One-shot:
     /// the engine asks after every core tick (a tick releases at most
     /// once) and picks whom to wake from the mask.
+    #[inline]
     pub fn take_scan_release(&mut self) -> u64 {
         let Some(w) = &mut self.wake else { return 0 };
         if std::mem::take(&mut w.scan_released) {
@@ -704,6 +735,7 @@ impl SyncBlock {
     }
 
     /// Park `core` until the header lock on `addr` is released.
+    #[inline]
     pub fn park_on_header(&mut self, core: usize, addr: u32) {
         let w = self.wake.as_mut().expect("wake tracking off");
         if w.header[core].replace(addr).is_none() {
@@ -714,6 +746,7 @@ impl SyncBlock {
     /// Park `core` in the empty-worklist spin: woken when `free` moves or
     /// a busy bit clears (either can change the termination test it is
     /// polling).
+    #[inline]
     pub fn park_on_empty(&mut self, core: usize) {
         let w = self.wake.as_mut().expect("wake tracking off");
         w.empty |= 1u64 << core;
@@ -722,6 +755,7 @@ impl SyncBlock {
     /// Remove `core` from every wake list (the engine woke it by other
     /// means — a timer, a memory retirement, or the done broadcast). A
     /// no-op if the core is not parked here or tracking is off.
+    #[inline]
     pub fn cancel_park(&mut self, core: usize) {
         if let Some(w) = &mut self.wake {
             w.scan_waiters &= !(1u64 << core);
@@ -735,11 +769,13 @@ impl SyncBlock {
     /// Cores woken by SB operations since the last
     /// [`SyncBlock::clear_wakes`], in ascending-core order per wake event.
     /// Woken cores have already been removed from their lists.
+    #[inline]
     pub fn wakes(&self) -> &[usize] {
         self.wake.as_ref().map_or(&[], |w| &w.woken)
     }
 
     /// Forget the drained wake notifications.
+    #[inline]
     pub fn clear_wakes(&mut self) {
         if let Some(w) = &mut self.wake {
             w.woken.clear();
@@ -787,6 +823,7 @@ impl WakeLists {
         }
     }
 
+    #[inline]
     fn wake_empty(&mut self) {
         let mut mask = std::mem::take(&mut self.empty);
         while mask != 0 {
@@ -795,6 +832,7 @@ impl WakeLists {
         }
     }
 
+    #[inline]
     fn wake_header(&mut self, addr: u32) {
         if self.header_n == 0 {
             return;
