@@ -16,9 +16,9 @@
 //! it parks is the park rule ([`EngineKind`]): the sparse rule parks each
 //! stalled core on its own wake condition — a memory stall on the one
 //! port whose retirement can change its retry, and a core that just
-//! issued a random-address load at once, on that load's port — while the
-//! naive rule parks all of them only after a cycle in which nothing
-//! moved. When no core is awake
+//! issued an access it waits on and that cannot retire by the next tick
+//! at once, on that access's port — while the naive rule parks all of
+//! them only after a cycle in which nothing moved. When no core is awake
 //! the clock jumps to the memory system's next activity
 //! ([`GcConfig::fast_forward`]). Either way the run is bit-identical to
 //! ticking every core every cycle.
@@ -523,11 +523,19 @@ impl SimCollector {
         //                             a retirement on it changes, and
         //                             the feed masks report each one
         //                             per port); Drain awaits all four
-        //   issued a random load .... parks at issue, on that load's
-        //                             port (`TickOutcome::Awaiting`:
-        //                             every retry until it retires
-        //                             stalls; a header-cache hit is
-        //                             plain progress)
+        //   issued an access that ... parks at issue, on that access's
+        //   cannot retire by the      port (`TickOutcome::Awaiting`:
+        //   next tick                 every retry until it retires
+        //                             stalls). Six sites: the four
+        //                             random loads, the copy's next
+        //                             body load and the fromspace
+        //                             header store an overflowing gray
+        //                             header waits behind. The backend
+        //                             answers at issue (`Issue::Later`);
+        //                             a header-cache hit and a fixed-
+        //                             backend zero-latency burst are
+        //                             plain progress (parking a burst
+        //                             cost more than the tick it saves)
         //
         // * `Naive`, the degenerate rule, parks no core alone. After an
         //   executed cycle that *moved* nothing, every stalled core parks
@@ -902,9 +910,10 @@ impl SimCollector {
                         None
                     }
                     TickOutcome::Awaiting(reason) if SPARSE => {
-                        // Park at issue (catalog): the replay at the load's
-                        // retirement records the stalls of every skipped
-                        // retry, as it does for a core that stalled once.
+                        // Park at issue (catalog): the replay at the
+                        // access's retirement records the stalls of every
+                        // skipped retry, as it does for a core that
+                        // stalled once.
                         await_ports(&mut waiting, idx, reason);
                         Some(reason)
                     }

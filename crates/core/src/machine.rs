@@ -7,10 +7,18 @@
 //! operations and initiates up to four memory operations per clock cycle,
 //! and uncontended lock acquisitions are free — but any incomplete memory
 //! access or contended lock consumes the cycle and is recorded as a stall
-//! with its cause (the basis of Table II). A tick that ends by issuing a
-//! random-address load into the port its next state waits on reports
-//! [`TickOutcome::Awaiting`]: every retry until the load retires would
-//! stall, so the engine's sparse rule parks the core at issue.
+//! with its cause (the basis of Table II). A tick that ends by issuing an
+//! access its next state waits on, and that the memory system says
+//! cannot retire by the next tick ([`Issue::Later`]), reports
+//! [`TickOutcome::Awaiting`]: every retry until the access retires would
+//! stall, so the engine's sparse rule parks the core at issue. Six sites
+//! do this: the four random-address loads (the scan header, a claim's
+//! first body word, the ablation-C probe and the child header), the
+//! pipelined next body load of a copy, and the fromspace header store
+//! whose gray twin overflowed the FIFO (the overflow store waits for its
+//! port). A zero-latency burst continuation on the fixed backend may
+//! retire within the next tick ([`Issue::Soon`]) and yields as plain
+//! progress.
 //!
 //! The main scanning loop (paper Section IV):
 //!
@@ -34,7 +42,7 @@
 
 use hwgc_heap::header::{self, Header};
 use hwgc_heap::{Addr, Color, Heap, NULL};
-use hwgc_memsim::{HeaderFifo, MemBackend, MemorySystem, Port};
+use hwgc_memsim::{HeaderFifo, Issue, MemBackend, MemorySystem, Port};
 use hwgc_sync::SyncBlock;
 
 use crate::stats::{StallBreakdown, StallReason};
@@ -175,12 +183,25 @@ enum Step {
     Chain(State),
     /// Productive work consumed the cycle; resume in `State` next cycle.
     Yield(State),
-    /// [`Step::Yield`] after issuing a load that `State` waits for and
-    /// that did not complete at issue: `State` stalls with the given
-    /// reason until the load retires.
+    /// [`Step::Yield`] after issuing an access that `State` waits for and
+    /// that cannot retire by the next tick: `State` stalls with the given
+    /// reason until the access retires.
     Await(State, StallReason),
     /// No progress; record the stall and retry `State` next cycle.
     Stall(State, StallReason),
+}
+
+/// Yield into `next`, whose retry waits for the access this tick just
+/// issued and stalls with `reason` until it retires: [`Step::Await`] when
+/// the access cannot retire by the next tick.
+#[inline]
+fn await_issue(issue: Issue, next: State, reason: StallReason) -> Step {
+    debug_assert!(issue.issued(), "the awaited buffer must be free here");
+    if issue == Issue::Later {
+        Step::Await(next, reason)
+    } else {
+        Step::Yield(next)
+    }
 }
 
 /// What a full tick amounted to, as seen by the engine's quiescence
@@ -191,11 +212,10 @@ enum Step {
 pub enum TickOutcome {
     /// The core did productive work (or transitioned state) this cycle.
     Progress,
-    /// Progress that ended by issuing a random-address load into the
-    /// port the next state waits on: every retry stalls with the given
-    /// reason, against frozen inputs, until that load retires. Only
-    /// reported when the load did not complete at issue (a header-cache
-    /// hit has no retirement coming).
+    /// Progress that ended by issuing an access the next state waits on
+    /// and that cannot retire by the next tick ([`Issue::Later`]): every
+    /// retry stalls with the given reason, against frozen inputs, until
+    /// that access retires.
     Awaiting(StallReason),
     /// The tick ended in a stall: the core will retry the same failing
     /// step, against the same frozen inputs, every cycle until the cause
@@ -341,19 +361,6 @@ impl CoreSm {
         );
     }
 
-    /// Yield into `next`, whose retry waits for the load this tick just
-    /// issued on `port`: [`Step::Await`] unless it completed at issue.
-    fn await_load<B: MemBackend>(&self, ctx: &Ctx<'_, B>, port: Port, next: State) -> Step {
-        if ctx.mem.load_ready(self.id, port) {
-            return Step::Yield(next);
-        }
-        let reason = match port {
-            Port::HeaderLoad => StallReason::HeaderLoad,
-            _ => StallReason::BodyLoad,
-        };
-        Step::Await(next, reason)
-    }
-
     fn step<B: MemBackend>(&mut self, state: State, ctx: &mut Ctx<'_, B>) -> Step {
         match state {
             State::Poll => self.poll(ctx),
@@ -416,9 +423,8 @@ impl CoreSm {
             return self.claim_object(ctx, scan, w0, w1, true);
         }
         ctx.fifo.count_miss();
-        let ok = ctx.mem.try_issue(self.id, Port::HeaderLoad, scan);
-        debug_assert!(ok, "header-load buffer must be free here");
-        self.await_load(ctx, Port::HeaderLoad, State::ScanHeaderWait)
+        let issue = ctx.mem.try_issue(self.id, Port::HeaderLoad, scan);
+        await_issue(issue, State::ScanHeaderWait, StallReason::HeaderLoad)
     }
 
     fn scan_header_wait<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {
@@ -509,13 +515,12 @@ impl CoreSm {
             return Step::Chain(State::ClaimDone);
         }
         let addr = self.regs.backlink + 2 + self.regs.idx;
-        let ok = ctx.mem.try_issue(self.id, Port::BodyLoad, addr);
-        debug_assert!(ok, "body-load buffer must be free here");
+        let issue = ctx.mem.try_issue(self.id, Port::BodyLoad, addr);
         // A claim's first body word is a random fromspace address that
         // `copy_wait` reads once the load retires: start the host's own
         // fetch now (the words after it are sequential).
         ctx.heap.prefetch(addr);
-        self.await_load(ctx, Port::BodyLoad, State::CopyWait)
+        await_issue(issue, State::CopyWait, StallReason::BodyLoad)
     }
 
     fn copy_wait<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {
@@ -538,10 +543,9 @@ impl CoreSm {
             self.regs.child = val;
             if ctx.test_before_lock {
                 // Ablation C: probe the mark bit without the header lock.
-                let ok = ctx.mem.try_issue(self.id, Port::HeaderLoad, val);
-                debug_assert!(ok);
+                let issue = ctx.mem.try_issue(self.id, Port::HeaderLoad, val);
                 ctx.heap.prefetch(val);
-                return self.await_load(ctx, Port::HeaderLoad, State::ChildProbeWait);
+                return await_issue(issue, State::ChildProbeWait, StallReason::HeaderLoad);
             }
             return Step::Chain(State::ChildLock);
         }
@@ -573,14 +577,13 @@ impl CoreSm {
         if !ctx.sb.try_lock_header(self.id, self.regs.child) {
             return Step::Stall(State::ChildLock, StallReason::HeaderLock);
         }
-        let ok = ctx
+        let issue = ctx
             .mem
             .try_issue(self.id, Port::HeaderLoad, self.regs.child);
-        debug_assert!(ok, "header-load buffer must be free here");
         // The child header is the other random read of the microprogram:
         // `child_header_wait` wants it when the simulated load retires.
         ctx.heap.prefetch(self.regs.child);
-        self.await_load(ctx, Port::HeaderLoad, State::ChildHeaderWait)
+        await_issue(issue, State::ChildHeaderWait, StallReason::HeaderLoad)
     }
 
     fn child_header_wait<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {
@@ -642,21 +645,22 @@ impl CoreSm {
 
     fn child_evac_store<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {
         // Mark + forwarding pointer to the fromspace header.
-        if !ctx
+        let issue = ctx
             .mem
-            .try_issue(self.id, Port::HeaderStore, self.regs.child)
-        {
+            .try_issue(self.id, Port::HeaderStore, self.regs.child);
+        if !issue.issued() {
             return Step::Stall(State::ChildEvacStore, StallReason::HeaderStore);
         }
         // Gray frame header: buffered on-chip at evacuation time when it
         // fit — then no memory access is needed for it at all (paper
-        // Section V-D). On overflow it must be written to memory.
+        // Section V-D). On overflow it must be written to memory, behind
+        // the store just issued.
         if self.regs.fifo_ok {
             ctx.sb.unlock_header(self.id);
             self.regs.store_val = self.regs.child_dst;
             return Step::Chain(State::StoreWord);
         }
-        Step::Yield(State::ChildEvacOverflow)
+        await_issue(issue, State::ChildEvacOverflow, StallReason::HeaderStore)
     }
 
     fn child_evac_overflow<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {
@@ -665,6 +669,7 @@ impl CoreSm {
         if !ctx
             .mem
             .try_issue(self.id, Port::HeaderStore, self.regs.child_dst)
+            .issued()
         {
             return Step::Stall(State::ChildEvacOverflow, StallReason::HeaderStore);
         }
@@ -677,7 +682,7 @@ impl CoreSm {
 
     fn store_word<B: MemBackend>(&mut self, ctx: &mut Ctx<'_, B>) -> Step {
         let addr = self.regs.frame + 2 + self.regs.idx;
-        if !ctx.mem.try_issue(self.id, Port::BodyStore, addr) {
+        if !ctx.mem.try_issue(self.id, Port::BodyStore, addr).issued() {
             return Step::Stall(State::StoreWord, StallReason::BodyStore);
         }
         ctx.heap.set_word(addr, self.regs.store_val);
@@ -687,9 +692,8 @@ impl CoreSm {
         }
         // Pipeline: initiate the next body load in the same cycle.
         let next = self.regs.backlink + 2 + self.regs.idx;
-        let ok = ctx.mem.try_issue(self.id, Port::BodyLoad, next);
-        debug_assert!(ok, "body-load buffer must be free here");
-        Step::Yield(State::CopyWait)
+        let issue = ctx.mem.try_issue(self.id, Port::BodyLoad, next);
+        await_issue(issue, State::CopyWait, StallReason::BodyLoad)
     }
 
     /// A claim's copy work is complete. For whole-object claims this leads
@@ -711,6 +715,7 @@ impl CoreSm {
         if !ctx
             .mem
             .try_issue(self.id, Port::HeaderStore, self.regs.frame)
+            .issued()
         {
             return Step::Stall(State::Blacken, StallReason::HeaderStore);
         }

@@ -250,8 +250,8 @@ fn sixteen_core_db_on_dram_jumps_over_bank_busy_windows() {
     // queue behind 8 banks; with the exact activity horizon the sparse
     // loop (pinned here, like the backend, against `HWGC_ENGINE` /
     // `HWGC_MEM_BACKEND`) jumps those windows instead of ticking through
-    // them: 60 546 jumps in 415 305 cycles (14.6 %), 73.9 % of the
-    // steady-state cycles executed. Under the old `cycle + 1` horizon a
+    // them: 76 432 jumps in 415 305 cycles (18.4 %), 284 653 cycles
+    // (68.5 % of the total) executed. Under the old `cycle + 1` horizon a
     // jump needed every bank queue empty: 7 jumps, and every cycle
     // outside them executed.
     let mut cfg = config(EngineKind::Sparse, 16, 0);

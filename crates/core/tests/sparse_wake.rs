@@ -18,12 +18,14 @@
 //! what a scan-lock release means for the cores parked behind it:
 //! `multiport_sb` and `line_split` (the released lock can be retaken in
 //! the same cycle) and a tiny header FIFO (the lock is held across a
-//! header load, so waiters actually pile up).
+//! header load, so waiters actually pile up). And so is the memory
+//! backend: on DRAM no access retires in the tick after its issue, so
+//! every body word of a copy parks at issue.
 
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy};
 use hwgc_core::{GcConfig, SimCollector};
 use hwgc_heap::{verify_collection, GraphBuilder, Heap, Snapshot};
-use hwgc_memsim::MemConfig;
+use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
 use proptest::prelude::*;
 
 /// One object: `pi` pointer slots, `delta` data words.
@@ -76,6 +78,36 @@ fn build(shape: &Shape) -> Heap {
     heap
 }
 
+/// The fixed backend, or DRAM with random timings in the shape of
+/// `backend_contracts`' `dram_configs()`: `tCAS >= 1`, 1–16 banks, rows
+/// of one word to 128, open or closed page.
+fn backends() -> impl Strategy<Value = MemBackendKind> {
+    prop_oneof![
+        Just(MemBackendKind::Fixed),
+        (
+            (1u32..3, 1u32..3, 1u32..4, 2u32..8),
+            (
+                1u32..=16,
+                prop_oneof![Just(1u32), Just(3), Just(16), Just(128)],
+                prop_oneof![Just(PagePolicy::Open), Just(PagePolicy::Closed)],
+            ),
+        )
+            .prop_map(
+                |((t_rcd, t_cas, t_rp, t_ras), (n_banks, row_words, page_policy))| {
+                    MemBackendKind::Dram(DramConfig {
+                        t_rcd,
+                        t_cas,
+                        t_rp,
+                        t_ras,
+                        n_banks,
+                        row_words,
+                        page_policy,
+                    })
+                }
+            ),
+    ]
+}
+
 fn policy_for(choice: u8, seed: u64) -> Option<Box<dyn SchedulePolicy>> {
     match choice % 3 {
         0 => None,
@@ -104,8 +136,8 @@ proptest! {
 
     /// No missed and no spurious wakeups, across graphs × cores ×
     /// latency × schedule policy × SB ports × claim granularity × FIFO
-    /// depth: the sparse engine's stats are bit-identical to the
-    /// always-awake shadow engine's.
+    /// depth × memory backend: the sparse engine's stats are
+    /// bit-identical to the always-awake shadow engine's.
     #[test]
     fn sparse_never_oversleeps(
         shape in shapes(),
@@ -119,11 +151,12 @@ proptest! {
         multiport in 0u8..2,
         split_choice in 0usize..3,
         fifo_choice in 0usize..3,
+        backend in backends(),
     ) {
         let sparse_cfg = GcConfig {
             mem: MemConfig {
                 header_fifo_capacity: [0, 2, 4096][fifo_choice],
-                ..MemConfig::default().with_extra_latency(extra)
+                ..MemConfig::default().with_extra_latency(extra).with_backend(backend)
             },
             multiport_sb: multiport == 1,
             line_split: [None, Some(2), Some(5)][split_choice],
@@ -142,7 +175,8 @@ proptest! {
         prop_assert_eq!(
             &s_stats, &n_stats,
             "sparse diverged from shadow naive engine ({cores} cores, +{extra} latency, \
-             policy {policy_choice}, multiport {multiport}, split {split_choice}, fifo {fifo_choice})"
+             policy {policy_choice}, multiport {multiport}, split {split_choice}, \
+             fifo {fifo_choice}, {backend:?})"
         );
         prop_assert_eq!(s_free, n_free);
         // The collection itself must also be correct, not just consistent.

@@ -62,9 +62,19 @@
 //!    keeps the declining default: `tCAS >= 1` means no body access
 //!    completes within the tick that starts its service, so a DRAM
 //!    stream never has a tick of this shape.
+//! 5. **Issue bound** ([`MemBackend::try_issue`]): a request taken with
+//!    [`Issue::Later`] does not retire in the next tick — after it, a
+//!    load is still not ready and a store still holds its buffer — so
+//!    the core that waits on it parks at issue instead of retrying once.
+//!    [`Issue::Soon`] promises nothing beyond "maybe" (a header-cache hit
+//!    has already completed). The fixed backend decides each access's
+//!    latency at issue and answers `Later` for every nonzero one, so only
+//!    a zero-latency burst continuation is `Soon`; the DRAM backend
+//!    answers `Later` for everything but a cache hit (service starts a
+//!    tick after issue at the earliest and `tCAS >= 1`).
 
 use crate::dram::DramConfig;
-use crate::system::{MemConfig, MemEventRecord, MemStats, MemorySystem, Port, PORT_COUNT};
+use crate::system::{Issue, MemConfig, MemEventRecord, MemStats, MemorySystem, Port, PORT_COUNT};
 
 /// Which memory-timing backend the engine instantiates. Carried inside
 /// [`MemConfig`] so every existing config-construction site (struct
@@ -141,9 +151,11 @@ pub trait MemBackend {
     /// service). See [`MemorySystem::tick`].
     fn tick(&mut self);
 
-    /// Issue a request; `false` means the `(core, port)` buffer is busy.
-    /// See [`MemorySystem::try_issue`].
-    fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> bool;
+    /// Issue a request: [`Issue::Busy`] means the `(core, port)` buffer
+    /// is busy; a taken request says whether it can retire within the
+    /// next tick (contract obligation 5). See
+    /// [`MemorySystem::try_issue`].
+    fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue;
 
     /// Is the `(core, port)` buffer occupied?
     fn port_busy(&self, core: usize, port: Port) -> bool;
@@ -248,7 +260,7 @@ impl MemBackend for MemorySystem {
     }
 
     #[inline]
-    fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> bool {
+    fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue {
         MemorySystem::try_issue(self, core, port, addr)
     }
 

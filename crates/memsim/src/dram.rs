@@ -24,19 +24,25 @@
 //! extends by `tRP`, the next access is always a row empty).
 //!
 //! The scheduler is event-driven. Two bit sets over the banks — those
-//! with a queued request, and those that may still be busy — make a
-//! tick's service starts a find-first-set walk over `queued & !busy`:
-//! work per start, not per bank. The busy set is refreshed lazily: it
-//! always contains every bank with `ready_at` in the future, `next_ready`
-//! is a lower bound on the `ready_at` of its members, and only a tick
-//! that has requests queued and has reached `next_ready` walks the set
-//! to drop the banks that came free. Row and bank of a request are
-//! computed once, when it joins its bank queue, through precomputed
-//! reciprocals (see [`Reciprocal`]); the row rides in the queue entry.
+//! with a queued request, and those busy until a `ready_at` in the
+//! future — make a tick's service starts a find-first-set walk over
+//! `queued & !busy`: work per start, not per bank. The busy set is
+//! exact, kept so by a bank-ready calendar: a second timing wheel (see
+//! [`crate::wheel`]) holding each busy bank in the slot of its
+//! `ready_at`, whose horizon covers the worst service latency plus the
+//! closed-page `tRP`. Every tick takes its own slot whole and clears
+//! exactly the banks that came free, and a `fast_forward` does the same
+//! for every cycle it crosses — nothing walks the busy set. Row and bank
+//! of a request are computed once, when it joins its bank queue, through
+//! precomputed reciprocals (see [`Reciprocal`]); the row rides in the
+//! queue entry.
 //!
 //! The Figure 6 `extra_latency` knob still applies to every access.
 //! `tCAS >= 1` is asserted, so no access retires within its service
-//! start tick — the calendar contracts below need no zero-latency path.
+//! start tick — the calendar contracts below need no zero-latency path,
+//! and since service starts one tick after issue at the earliest,
+//! `try_issue` can answer [`Issue::Later`] for every access that did not
+//! complete at issue (a header-cache hit).
 //!
 //! # Calendar/fast-forward contracts (see [`crate::MemBackend`])
 //!
@@ -60,8 +66,8 @@ use std::collections::VecDeque;
 
 use crate::backend::{MemBackend, MemBackendKind};
 use crate::system::{
-    remove_one, MemConfig, MemEvent, MemEventRecord, MemStats, Port, RowOutcome, Txn, TxnState,
-    PORT_COUNT,
+    assert_core_ids_fit, remove_one, Issue, MemConfig, MemEvent, MemEventRecord, MemStats, Port,
+    RowOutcome, TxnState, PORT_COUNT,
 };
 use crate::wheel::RetireWheel;
 
@@ -235,10 +241,20 @@ impl DramStats {
 struct BankGroup {
     /// Banks whose queue is non-empty.
     queued: u64,
-    /// A superset of the banks with `ready_at` in the future: set at
-    /// service start, cleared lazily by
-    /// [`DramMemorySystem::refresh_busy`].
+    /// Banks with `ready_at` in the future: set at service start,
+    /// cleared by the bank-ready calendar when the clock reaches it.
     busy: u64,
+}
+
+/// A DRAM-backend transaction: its address and state. The latency is
+/// decided at service start, against the bank's row buffer, so unlike
+/// the fixed backend's record this one carries none — and stays 8 bytes,
+/// four ports to half a cache line: with the fixed record's 12 the
+/// all-port microkernel ran 9 % slower.
+#[derive(Debug, Clone, Copy)]
+struct Txn {
+    addr: u32,
+    state: TxnState,
 }
 
 /// Per-bank row-buffer and availability state. Timestamps are absolute
@@ -261,8 +277,10 @@ pub struct DramMemorySystem {
     cycle: u64,
     /// `ports[core][port]` — identical protocol to the fixed model.
     ports: Vec<[Option<Txn>; PORT_COUNT]>,
+    /// Issue stamps, as in the fixed model (deadlock diagnostic only).
+    issued_at: Vec<u64>,
     /// Per-bank service queues, FIFO within a bank: `(core, port, row)`.
-    bank_queues: Vec<VecDeque<(usize, Port, u32)>>,
+    bank_queues: Vec<VecDeque<(u16, Port, u32)>>,
     /// Total requests across all bank queues.
     queued_total: usize,
     /// The scheduler's two bit sets, bank `b` at bit `b % 64` of group
@@ -270,9 +288,10 @@ pub struct DramMemorySystem {
     /// reads them every tick — with only the first `n_groups` in use.
     bank_groups: [BankGroup; (MAX_BANKS / 64) as usize],
     n_groups: usize,
-    /// Lower bound on `ready_at` over the busy set (`u64::MAX` when it
-    /// is empty): while it lies in the future the set is exact.
-    next_ready: u64,
+    /// The bank-ready calendar: every busy bank in the slot of its
+    /// `ready_at`. Its slot words line up with `bank_groups`, so freeing
+    /// a slot's banks is one AND-NOT per group.
+    bank_ready: RetireWheel,
     /// `addr / row_words`.
     row_of: Reciprocal,
     /// `row % n_banks`.
@@ -311,10 +330,17 @@ impl DramMemorySystem {
             dram.n_banks
         );
         assert!(dram.row_words >= 1, "rows must hold at least one word");
+        assert_core_ids_fit(n_cores);
         let worst_latency = cfg
             .with_backend(MemBackendKind::Dram(dram))
             .worst_service_latency();
         let n_banks = dram.n_banks as usize;
+        // A bank comes free at its access's retirement, or `tRP` after
+        // it under the closed-page policy.
+        let precharge = match dram.page_policy {
+            PagePolicy::Open => 0,
+            PagePolicy::Closed => dram.t_rp,
+        };
         // Built in a loop, not `vec![..; n]`: cloning a `VecDeque` does
         // not preserve capacity, and the steady-state loop must never
         // grow these (the engine's no-alloc test counts).
@@ -326,11 +352,12 @@ impl DramMemorySystem {
             dram,
             cycle: 0,
             ports: vec![[None; PORT_COUNT]; n_cores],
+            issued_at: vec![0; n_cores * PORT_COUNT],
             bank_queues,
             queued_total: 0,
             bank_groups: [BankGroup::default(); (MAX_BANKS / 64) as usize],
             n_groups: n_banks.div_ceil(64),
-            next_ready: u64::MAX,
+            bank_ready: RetireWheel::new(n_banks, worst_latency, precharge),
             row_of: Reciprocal::new(dram.row_words),
             bank_of_row: Reciprocal::new(dram.n_banks),
             pending_header_stores: Vec::with_capacity(n_cores + 1),
@@ -355,7 +382,7 @@ impl DramMemorySystem {
             in_service: 0,
             blocked: 0,
             next_retire: u64::MAX,
-            retire_cal: RetireWheel::new(n_cores, worst_latency),
+            retire_cal: RetireWheel::new(n_cores * PORT_COUNT, worst_latency, 0),
             pending_stores_dirty: false,
             wake_feed: false,
             wakes: [0; PORT_COUNT],
@@ -380,7 +407,7 @@ impl DramMemorySystem {
     #[inline]
     fn enqueue(&mut self, core: usize, port: Port, addr: u32) {
         let (bank, row) = self.locate(addr);
-        self.bank_queues[bank].push_back((core, port, row));
+        self.bank_queues[bank].push_back((core as u16, port, row));
         self.bank_groups[bank / 64].queued |= 1 << (bank % 64);
         self.queued_total += 1;
     }
@@ -463,37 +490,17 @@ impl DramMemorySystem {
         self.cycle += 1;
         self.stats.cycles += 1;
 
-        // 1. Retire in-service transactions that are due.
+        // 1. Retire in-service transactions that are due: this cycle's
+        // calendar slot, taken whole.
         if self.next_retire <= self.cycle {
             debug_assert_eq!(self.next_retire, self.cycle, "a retirement was skipped");
-            while let Some((core, port_idx)) = self.retire_cal.pop_due(self.cycle) {
-                let port = Port::ALL[port_idx];
-                let txn = self.ports[core][port_idx]
-                    .as_mut()
-                    .expect("calendar entry without a transaction");
-                debug_assert_eq!(
-                    txn.state,
-                    TxnState::InService {
-                        done_at: self.cycle
-                    }
-                );
-                self.in_service -= 1;
-                if port.is_load() {
-                    txn.state = TxnState::Complete;
-                } else {
-                    if port == Port::HeaderStore {
-                        let addr = txn.addr;
-                        remove_one(&mut self.pending_header_stores, addr);
-                        self.pending_stores_dirty = true;
-                    }
-                    self.ports[core][port_idx] = None;
-                    self.occupied -= 1;
+            let mut due = self.retire_cal.take(self.cycle);
+            while let Some((w, mut ids)) = due.next_word(&mut self.retire_cal) {
+                while ids != 0 {
+                    let id = 64 * w + ids.trailing_zeros() as usize;
+                    ids &= ids - 1;
+                    self.retire(id / PORT_COUNT, Port::ALL[id % PORT_COUNT]);
                 }
-                self.log(MemEvent::Retire {
-                    core: core as u32,
-                    port,
-                });
-                self.push_wake(core, port);
             }
             self.next_retire = self.retire_cal.next_after(self.cycle);
         }
@@ -525,14 +532,13 @@ impl DramMemorySystem {
         }
         self.pending_stores_dirty = false;
 
-        // 3. Free banks with a queued request start service, in bank
-        // index order, up to `bandwidth` starts per cycle.
+        // 3. The banks whose `ready_at` is this cycle come free; free
+        // banks with a queued request start service, in bank index
+        // order, up to `bandwidth` starts per cycle.
+        self.free_banks(self.cycle);
         if self.queued_total > 0 {
             self.stats.queue_occupancy_sum += self.queued_total as u64;
             self.stats.queue_busy_cycles += 1;
-            if self.next_ready <= self.cycle {
-                self.refresh_busy();
-            }
             let mut budget = self.cfg.bandwidth;
             'banks: for g in 0..self.n_groups {
                 // A start only touches its own bank's bits, so the
@@ -551,24 +557,49 @@ impl DramMemorySystem {
         }
     }
 
-    /// Drop the banks whose `ready_at` has passed from the busy set and
-    /// make `next_ready` the exact minimum over the rest.
-    fn refresh_busy(&mut self) {
-        let mut next_ready = u64::MAX;
-        for g in 0..self.n_groups {
-            let mut bits = self.bank_groups[g].busy;
-            while bits != 0 {
-                let b = g * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let ready_at = self.banks[b].ready_at;
-                if ready_at <= self.cycle {
-                    self.bank_groups[g].busy &= !(1 << (b % 64));
-                } else {
-                    next_ready = next_ready.min(ready_at);
-                }
+    /// Drop the banks whose `ready_at` is `cycle` from the busy set: the
+    /// bank-ready calendar's slot, taken whole.
+    #[inline]
+    fn free_banks(&mut self, cycle: u64) {
+        let mut freed = self.bank_ready.take(cycle);
+        while let Some((g, banks)) = freed.next_word(&mut self.bank_ready) {
+            self.bank_groups[g].busy &= !banks;
+        }
+    }
+
+    /// Move the clock to `cycle` without ticking: the banks whose
+    /// `ready_at` the skipped cycles reach come free, exactly as the
+    /// ticks would have freed them.
+    fn advance_to(&mut self, cycle: u64) {
+        let mut at = self.bank_ready.next_after(self.cycle);
+        while at <= cycle {
+            self.free_banks(at);
+            at = self.bank_ready.next_after(at);
+        }
+        self.cycle = cycle;
+    }
+
+    /// `(core, port)`'s in-service transaction leaves DRAM: load data
+    /// ready, or the store committed and its buffer freed.
+    #[inline]
+    fn retire(&mut self, core: usize, port: Port) {
+        self.in_service -= 1;
+        let entry = &mut self.ports[core][port as usize];
+        if port.is_load() {
+            entry.as_mut().expect("retiring a missing load").state = TxnState::Complete;
+        } else {
+            let txn = entry.take().expect("retiring a missing store");
+            self.occupied -= 1;
+            if port == Port::HeaderStore {
+                remove_one(&mut self.pending_header_stores, txn.addr);
+                self.pending_stores_dirty = true;
             }
         }
-        self.next_ready = next_ready;
+        self.log(MemEvent::Retire {
+            core: core as u32,
+            port,
+        });
+        self.push_wake(core, port);
     }
 
     /// Start the access at the head of free bank `b`'s queue.
@@ -576,6 +607,7 @@ impl DramMemorySystem {
         let (core, port, row) = self.bank_queues[b]
             .pop_front()
             .expect("queued bit set on an empty bank queue");
+        let core = usize::from(core);
         self.queued_total -= 1;
         let left_behind = self.bank_queues[b].len() as u32;
         if left_behind == 0 {
@@ -591,7 +623,7 @@ impl DramMemorySystem {
         };
         self.banks[b].ready_at = ready_at;
         self.bank_groups[b / 64].busy |= 1 << (b % 64);
-        self.next_ready = self.next_ready.min(ready_at);
+        self.bank_ready.insert(self.cycle, ready_at, b);
         let dstats = self.stats.dram.as_mut().expect("dram stats present");
         match outcome {
             RowOutcome::Hit => dstats.row_hits += 1,
@@ -616,20 +648,23 @@ impl DramMemorySystem {
             .as_mut()
             .expect("queued transaction must exist");
         debug_assert_eq!(txn.state, TxnState::Queued);
-        txn.state = TxnState::InService { done_at };
+        txn.state = TxnState::InService;
         self.in_service += 1;
         self.retire_cal
-            .insert(self.cycle, done_at, core, port as usize);
+            .insert(self.cycle, done_at, core * PORT_COUNT + port as usize);
         self.next_retire = self.next_retire.min(done_at);
     }
 
     /// Issue a request on `(core, port)` — the protocol (port buffers,
     /// comparator array, header cache) is identical to
     /// [`crate::MemorySystem::try_issue`]; only the queue the request
-    /// joins is per-bank.
-    pub fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> bool {
+    /// joins is per-bank. Service starts a tick after issue at the
+    /// earliest and lasts at least `tCAS >= 1` cycles, so every access
+    /// but a header-cache hit (complete at issue: [`Issue::Soon`]) is
+    /// [`Issue::Later`].
+    pub fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue {
         if self.ports[core][port as usize].is_some() {
-            return false;
+            return Issue::Busy;
         }
         let mut state = TxnState::Queued;
         if port == Port::HeaderLoad && self.pending_header_stores.contains(&addr) {
@@ -644,36 +679,38 @@ impl DramMemorySystem {
             self.pending_header_stores.push(addr);
             self.cache_fill(addr);
         }
-        self.ports[core][port as usize] = Some(Txn {
-            addr,
-            state,
-            issued_at: self.cycle,
-        });
+        self.ports[core][port as usize] = Some(Txn { addr, state });
+        self.issued_at[core * PORT_COUNT + port as usize] = self.cycle;
         self.occupied += 1;
         self.log(MemEvent::Issue {
             core: core as u32,
             port,
             addr,
         });
-        match state {
-            TxnState::Queued => self.enqueue(core, port, addr),
+        let issue = match state {
+            TxnState::Queued => {
+                self.enqueue(core, port, addr);
+                Issue::Later
+            }
             TxnState::Blocked => {
                 self.blocked += 1;
                 self.log(MemEvent::CompBlocked {
                     core: core as u32,
                     addr,
                 });
+                Issue::Later
             }
             TxnState::Complete => {
                 self.log(MemEvent::CacheHit {
                     core: core as u32,
                     addr,
                 });
+                Issue::Soon
             }
-            TxnState::InService { .. } => unreachable!("issue never starts service"),
-        }
+            TxnState::InService => unreachable!("issue never starts service"),
+        };
         self.stats.issued[port as usize] += 1;
-        true
+        issue
     }
 }
 
@@ -688,7 +725,7 @@ impl MemBackend for DramMemorySystem {
     }
 
     #[inline]
-    fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> bool {
+    fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue {
         DramMemorySystem::try_issue(self, core, port, addr)
     }
 
@@ -746,8 +783,8 @@ impl MemBackend for DramMemorySystem {
             return (self.in_service > 0).then_some(self.next_retire);
         }
         // The earliest service start: a bank outside the busy set is
-        // free now; one inside it frees at its `ready_at` (which a lazy
-        // busy bit may already have behind it).
+        // free now; one inside it frees at its `ready_at`, which is in
+        // the future (the busy set is exact).
         let mut horizon = self.next_retire;
         for (g, group) in self.bank_groups[..self.n_groups].iter().enumerate() {
             if group.queued & !group.busy != 0 {
@@ -757,7 +794,7 @@ impl MemBackend for DramMemorySystem {
             while waiting != 0 {
                 let b = g * 64 + waiting.trailing_zeros() as usize;
                 waiting &= waiting - 1;
-                horizon = horizon.min(self.banks[b].ready_at.max(next_tick));
+                horizon = horizon.min(self.banks[b].ready_at);
             }
         }
         Some(horizon)
@@ -773,7 +810,7 @@ impl MemBackend for DramMemorySystem {
         if k == 0 {
             return;
         }
-        self.cycle += k;
+        self.advance_to(self.cycle + k);
         self.stats.cycles += k;
         self.stats.comparator_blocked_cycles += k * self.blocked as u64;
         if self.queued_total > 0 {
@@ -781,11 +818,6 @@ impl MemBackend for DramMemorySystem {
             // waiting behind busy banks.
             self.stats.queue_occupancy_sum += k * self.queued_total as u64;
             self.stats.queue_busy_cycles += k;
-            // ... and the last of them would have left the busy set
-            // refreshed like this.
-            if self.next_ready <= self.cycle {
-                self.refresh_busy();
-            }
         }
     }
 
@@ -795,7 +827,8 @@ impl MemBackend for DramMemorySystem {
             self.occupied == 0 && self.queued_total == 0,
             "set_cycle with traffic in flight"
         );
-        self.cycle = cycle;
+        // A closed-page bank may still be precharging.
+        self.advance_to(cycle);
     }
 
     #[inline]
@@ -849,11 +882,9 @@ impl MemBackend for DramMemorySystem {
     }
 
     fn oldest_inflight_age(&self) -> Option<u64> {
-        self.ports
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|t| self.cycle.saturating_sub(t.issued_at))
+        (0..self.issued_at.len())
+            .filter(|&id| self.ports[id / PORT_COUNT][id % PORT_COUNT].is_some())
+            .map(|id| self.cycle.saturating_sub(self.issued_at[id]))
             .max()
     }
 }
@@ -895,7 +926,7 @@ mod tests {
     fn row_empty_then_hit_then_conflict() {
         let mut m = mem(1);
         // Cold bank: empty access, tRCD + tCAS = 4.
-        assert!(m.try_issue(0, Port::BodyLoad, 0));
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued());
         m.tick(); // service starts at cycle 1, done at 5
         for _ in 0..3 {
             m.tick();
@@ -907,7 +938,7 @@ mod tests {
         assert_eq!(dstats(&m).row_empties, 1);
 
         // Same row: hit, tCAS = 2.
-        assert!(m.try_issue(0, Port::BodyLoad, 1));
+        assert!(m.try_issue(0, Port::BodyLoad, 1).issued());
         m.tick(); // start at 6, done at 8
         m.tick();
         m.tick();
@@ -917,7 +948,7 @@ mod tests {
 
         // Different row, same bank (row 4 = addr 64 maps to bank 0):
         // conflict.
-        assert!(m.try_issue(0, Port::BodyLoad, 64));
+        assert!(m.try_issue(0, Port::BodyLoad, 64).issued());
         let before = m.cycle();
         while !m.load_ready(0, Port::BodyLoad) {
             m.tick();
@@ -933,7 +964,7 @@ mod tests {
     fn conflict_waits_out_t_ras() {
         let mut m = mem(1);
         // Activate row 0 at its service start.
-        assert!(m.try_issue(0, Port::BodyLoad, 0));
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued());
         m.tick(); // activate at cycle 1, done at 5 (tRAS runs to 7)
         for _ in 0..4 {
             m.tick();
@@ -941,7 +972,7 @@ mod tests {
         m.consume_load(0, Port::BodyLoad);
         // Conflict right away: precharge can only start at
         // active_since + tRAS = 1 + 6 = 7.
-        assert!(m.try_issue(0, Port::BodyLoad, 64));
+        assert!(m.try_issue(0, Port::BodyLoad, 64).issued());
         m.tick(); // start at cycle 6: ras_rest = 1
                   // latency = 1 + 3 + 2 + 2 = 8 → done at 14.
         while !m.load_ready(0, Port::BodyLoad) {
@@ -964,7 +995,7 @@ mod tests {
             },
         );
         for round in 0..2 {
-            assert!(m.try_issue(0, Port::BodyLoad, round));
+            assert!(m.try_issue(0, Port::BodyLoad, round).issued());
             while !m.load_ready(0, Port::BodyLoad) {
                 m.tick();
             }
@@ -984,8 +1015,8 @@ mod tests {
         // Two accesses to different banks both start on the first tick
         // (bandwidth 2), so they retire together.
         let mut m = mem(2);
-        assert!(m.try_issue(0, Port::BodyLoad, 0)); // bank 0
-        assert!(m.try_issue(1, Port::BodyLoad, 16)); // bank 1
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued()); // bank 0
+        assert!(m.try_issue(1, Port::BodyLoad, 16).issued()); // bank 1
         for _ in 0..5 {
             m.tick();
         }
@@ -998,8 +1029,8 @@ mod tests {
         // Two accesses to the same row of the same bank: the second
         // waits for the bank even though global bandwidth allows it.
         let mut m = mem(2);
-        assert!(m.try_issue(0, Port::BodyLoad, 0));
-        assert!(m.try_issue(1, Port::BodyLoad, 1));
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued());
+        assert!(m.try_issue(1, Port::BodyLoad, 1).issued());
         for _ in 0..5 {
             m.tick();
         }
@@ -1015,8 +1046,8 @@ mod tests {
     #[test]
     fn comparator_orders_header_load_after_store() {
         let mut m = mem(2);
-        assert!(m.try_issue(0, Port::HeaderStore, 42));
-        assert!(m.try_issue(1, Port::HeaderLoad, 42));
+        assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
+        assert!(m.try_issue(1, Port::HeaderLoad, 42).issued());
         assert!(m.header_store_pending(42));
         while m.header_store_pending(42) {
             assert!(!m.load_ready(1, Port::HeaderLoad), "load bypassed store");
@@ -1036,7 +1067,7 @@ mod tests {
         // access, every following word in the row is a hit.
         let mut m = mem(1);
         for addr in 0..8u32 {
-            assert!(m.try_issue(0, Port::BodyLoad, addr));
+            assert!(m.try_issue(0, Port::BodyLoad, addr).issued());
             while !m.load_ready(0, Port::BodyLoad) {
                 m.tick();
             }
@@ -1050,14 +1081,14 @@ mod tests {
     fn horizon_contracts_match_the_fixed_model_shape() {
         let mut m = mem(1);
         assert_eq!(m.next_activity_cycle(), None, "idle system is quiet");
-        assert!(m.try_issue(0, Port::BodyLoad, 0));
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued());
         assert_eq!(m.next_activity_cycle(), Some(m.cycle() + 1), "bank free");
         m.tick(); // start at 1, done at 5
         assert_eq!(m.next_activity_cycle(), Some(5), "in service");
         // A second request behind the access in service (same bank, same
         // row) cannot start before the bank frees at that retirement:
         // the horizon stays there, and the wait can be skipped.
-        assert!(m.try_issue(0, Port::BodyStore, 1));
+        assert!(m.try_issue(0, Port::BodyStore, 1).issued());
         assert_eq!(m.next_activity_cycle(), Some(5), "not cycle + 1");
         m.fast_forward(5 - 1 - m.cycle());
         assert_eq!(m.stats().queue_occupancy_sum, 1 + 3, "one request, 3 ticks");
@@ -1139,8 +1170,8 @@ mod tests {
         let run = |ff: bool| {
             let mut m = mem(2);
             m.enable_event_log();
-            assert!(m.try_issue(0, Port::HeaderStore, 42));
-            assert!(m.try_issue(1, Port::HeaderLoad, 42));
+            assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
+            assert!(m.try_issue(1, Port::HeaderLoad, 42).issued());
             m.tick(); // store starts; load blocked
             if ff {
                 let horizon = MemBackend::next_activity_cycle(&m).expect("in service");
@@ -1160,8 +1191,8 @@ mod tests {
     fn wake_feed_reports_retirements() {
         let mut m = mem(2);
         m.enable_wake_feed();
-        assert!(m.try_issue(0, Port::BodyLoad, 0)); // bank 0
-        assert!(m.try_issue(1, Port::BodyStore, 16)); // bank 1
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued()); // bank 0
+        assert!(m.try_issue(1, Port::BodyStore, 16).issued()); // bank 1
         m.tick(); // both start (bandwidth 2): done at 5
         assert_eq!(m.take_wakes(), [0; PORT_COUNT], "nothing retired yet");
         for _ in 0..4 {
@@ -1177,10 +1208,30 @@ mod tests {
     }
 
     #[test]
+    fn oldest_inflight_age_reads_the_issue_stamps() {
+        let mut m = mem(2);
+        assert_eq!(m.oldest_inflight_age(), None);
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued()); // cycle 0
+        m.tick(); // row empty: in service from 1, done at 5
+        assert!(m.try_issue(1, Port::BodyStore, 1).issued()); // cycle 1
+        assert_eq!(m.oldest_inflight_age(), Some(1));
+        // The store waits behind the busy bank: jump to the cycle before
+        // the load retires.
+        m.fast_forward(5 - 1 - m.cycle());
+        assert_eq!(m.oldest_inflight_age(), Some(4));
+        m.tick(); // cycle 5: the load retires, the store starts (hit): done at 7
+        m.consume_load(0, Port::BodyLoad);
+        assert_eq!(m.oldest_inflight_age(), Some(4));
+        m.tick();
+        m.tick(); // cycle 7: the store retires
+        assert_eq!(m.oldest_inflight_age(), None);
+    }
+
+    #[test]
     fn event_log_records_dram_access_outcomes() {
         let mut m = mem(1);
         m.enable_event_log();
-        assert!(m.try_issue(0, Port::BodyLoad, 0));
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued());
         while !m.load_ready(0, Port::BodyLoad) {
             m.tick();
         }
@@ -1221,7 +1272,7 @@ mod tests {
             }
             .with_extra_latency(20),
         );
-        assert!(m.try_issue(0, Port::BodyLoad, 0));
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued());
         m.tick(); // start at 1: empty (4) + 20 → done at 25
         while !m.load_ready(0, Port::BodyLoad) {
             m.tick();

@@ -38,6 +38,7 @@ pub use backend::{backend_from, MemBackend, MemBackendKind};
 pub use dram::{DramConfig, DramMemorySystem, DramStats, PagePolicy, MAX_BANKS};
 pub use fifo::{FifoStats, HeaderFifo};
 pub use system::{
-    MemConfig, MemEvent, MemEventRecord, MemStats, MemorySystem, Port, RowOutcome, PORT_COUNT,
+    Issue, MemConfig, MemEvent, MemEventRecord, MemStats, MemorySystem, Port, RowOutcome,
+    PORT_COUNT,
 };
 pub use wheel::MAX_SERVICE_LATENCY;

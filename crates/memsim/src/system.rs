@@ -102,7 +102,7 @@ impl MemConfig {
 
 /// One of the four per-core buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum Port {
     HeaderLoad = 0,
     HeaderStore = 1,
@@ -129,23 +129,50 @@ impl Port {
     }
 }
 
+/// What [`MemorySystem::try_issue`] made of a request: refused, or taken
+/// together with what the backend already knows about its retirement —
+/// whether the state that waits on it can possibly find it retired when
+/// it retries next cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Issue {
+    /// The `(core, port)` buffer is still busy: nothing was issued, the
+    /// core stalls.
+    Busy,
+    /// Issued, and it may retire within the next tick — or already has
+    /// (a header-cache hit completes at issue).
+    Soon,
+    /// Issued, and it cannot retire within the next tick: every retry
+    /// that waits on it stalls at least once.
+    Later,
+}
+
+impl Issue {
+    /// Was the request taken?
+    #[inline]
+    pub fn issued(self) -> bool {
+        self != Issue::Busy
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TxnState {
     /// Header load waiting for a matching header store (comparator array).
     Blocked,
     /// Waiting for DRAM service.
     Queued,
-    /// In DRAM; completes at the stored cycle.
-    InService { done_at: u64 },
+    /// In DRAM; its retirement is on the backend's calendar.
+    InService,
     /// Load data sitting in the buffer, not yet consumed by the core.
     Complete,
 }
 
+/// A fixed-backend transaction: its address, its service latency —
+/// decided at issue, see [`MemorySystem::try_issue`] — and its state.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Txn {
-    pub(crate) addr: u32,
-    pub(crate) state: TxnState,
-    pub(crate) issued_at: u64,
+struct Txn {
+    addr: u32,
+    latency: u32,
+    state: TxnState,
 }
 
 /// One memory-system transition, as recorded by the opt-in event log (see
@@ -269,14 +296,22 @@ pub struct MemorySystem {
     cycle: u64,
     /// `ports[core][port]`.
     ports: Vec<[Option<Txn>; PORT_COUNT]>,
+    /// Issue cycle of the transaction in `(core, port)`, at index
+    /// `core * PORT_COUNT + port` — read only by the deadlock diagnostic
+    /// [`MemorySystem::oldest_inflight_age`], so kept out of the records
+    /// the tick walks.
+    issued_at: Vec<u64>,
     /// Service queue: `(core, port)` in arrival order.
-    queue: VecDeque<(usize, Port)>,
+    queue: VecDeque<(u16, Port)>,
     /// Pending header-store addresses (comparator array). Tiny: at most one
     /// entry per core.
     pending_header_stores: Vec<u32>,
-    /// Last body-access address per core and port parity (load/store),
-    /// for the sequential-burst fast path: bodies are streamed, so an
-    /// access to `prev + 1` hits the open DRAM row / continues the burst.
+    /// Address of the previous access per core and body port
+    /// (load/store), for the sequential-burst fast path: bodies are
+    /// streamed, so an access to `prev + 1` hits the open DRAM row /
+    /// continues the burst. Recorded at issue: a port re-issues only
+    /// after its previous transaction retired, so this is always the
+    /// access the port served last.
     last_body_addr: Vec<[Option<u32>; 2]>,
     /// Shared direct-mapped header cache: tag (header address) per set.
     /// Timing-only — data always comes from the functional heap; the
@@ -296,15 +331,16 @@ pub struct MemorySystem {
     blocked: usize,
     complete: usize,
     next_retire: u64,
-    /// Retirement calendar: one entry per in-service transaction, in
-    /// the slot of its `done_at` (see [`crate::wheel`]). A retire cycle
-    /// pops exactly the transactions that are due instead of scanning
-    /// every port buffer and then rescanning to recompute `next_retire`
-    /// — the scans were O(cores × ports) on nearly every cycle at 16
-    /// cores, and dominated the whole simulator (see DESIGN.md
-    /// "profiling the simulator"). Within a cycle the slot's bit order
-    /// reproduces the old scan's `(core, port)` retire order exactly
-    /// (ports are declared in index order).
+    /// Retirement calendar: one entry per in-service transaction, id
+    /// `core * PORT_COUNT + port` in the slot of its retirement cycle
+    /// (see [`crate::wheel`]). A retire cycle takes exactly the
+    /// transactions that are due, the whole slot at once, instead of
+    /// scanning every port buffer and then rescanning to recompute
+    /// `next_retire` — the scans were O(cores × ports) on nearly every
+    /// cycle at 16 cores, and dominated the whole simulator (see
+    /// DESIGN.md "profiling the simulator"). Within a cycle the slot's
+    /// bit order reproduces the old scan's `(core, port)` retire order
+    /// exactly (ports are declared in index order).
     retire_cal: RetireWheel,
     /// Set when a pending header store retired; the comparator re-check
     /// can only unblock a load on such a cycle.
@@ -326,6 +362,7 @@ impl MemorySystem {
     /// Memory system serving `n_cores` cores.
     pub fn new(n_cores: usize, cfg: MemConfig) -> MemorySystem {
         assert!(cfg.bandwidth > 0, "bandwidth must be positive");
+        assert_core_ids_fit(n_cores);
         // `MemorySystem` *is* the fixed backend, whatever `cfg.backend`
         // says.
         let worst_latency = cfg
@@ -335,6 +372,7 @@ impl MemorySystem {
             cfg,
             cycle: 0,
             ports: vec![[None; PORT_COUNT]; n_cores],
+            issued_at: vec![0; n_cores * PORT_COUNT],
             // Preallocate to the architectural maxima so the steady-state
             // simulation loop never allocates: at most one outstanding
             // request per (core, port), at most one pending header store
@@ -350,7 +388,7 @@ impl MemorySystem {
             blocked: 0,
             complete: 0,
             next_retire: u64::MAX,
-            retire_cal: RetireWheel::new(n_cores, worst_latency),
+            retire_cal: RetireWheel::new(n_cores * PORT_COUNT, worst_latency, 0),
             pending_stores_dirty: false,
             wake_feed: false,
             wakes: [0; PORT_COUNT],
@@ -430,7 +468,7 @@ impl MemorySystem {
     /// Pop the next request to serve: FIFO normally, a seeded random pick
     /// under `service_reorder_seed`.
     #[inline]
-    fn pop_service(&mut self) -> Option<(usize, Port)> {
+    fn pop_service(&mut self) -> Option<(u16, Port)> {
         match self.reorder_state.as_mut() {
             None => self.queue.pop_front(),
             Some(state) => {
@@ -491,44 +529,20 @@ impl MemorySystem {
         self.cycle += 1;
         self.stats.cycles += 1;
 
-        // 1. Retire in-service transactions that are done: pop exactly
-        // the due entries off the retirement calendar (this cycle's
-        // slot, whose bit order retires ties in the same `(core, port)`
-        // order the old full port scan produced). `next_retire` is the
-        // calendar's minimum, so cycles with nothing to retire cost one
-        // comparison.
+        // 1. Retire in-service transactions that are done: take this
+        // cycle's slot of the retirement calendar whole and walk it (its
+        // bit order retires ties in the same `(core, port)` order the old
+        // full port scan produced). `next_retire` is the calendar's
+        // minimum, so cycles with nothing to retire cost one comparison.
         if self.next_retire <= self.cycle {
             debug_assert_eq!(self.next_retire, self.cycle, "a retirement was skipped");
-            while let Some((core, port_idx)) = self.retire_cal.pop_due(self.cycle) {
-                let port = Port::ALL[port_idx];
-                let txn = self.ports[core][port_idx]
-                    .as_mut()
-                    .expect("calendar entry without a transaction");
-                debug_assert_eq!(
-                    txn.state,
-                    TxnState::InService {
-                        done_at: self.cycle
-                    }
-                );
-                self.in_service -= 1;
-                if port.is_load() {
-                    txn.state = TxnState::Complete;
-                    self.complete += 1;
-                } else {
-                    // Stores retire fully; free the buffer.
-                    if port == Port::HeaderStore {
-                        let addr = txn.addr;
-                        remove_one(&mut self.pending_header_stores, addr);
-                        self.pending_stores_dirty = true;
-                    }
-                    self.ports[core][port_idx] = None;
-                    self.occupied -= 1;
+            let mut due = self.retire_cal.take(self.cycle);
+            while let Some((w, mut ids)) = due.next_word(&mut self.retire_cal) {
+                while ids != 0 {
+                    let id = 64 * w + ids.trailing_zeros() as usize;
+                    ids &= ids - 1;
+                    self.retire(id / PORT_COUNT, Port::ALL[id % PORT_COUNT]);
                 }
-                self.log(MemEvent::Retire {
-                    core: core as u32,
-                    port,
-                });
-                self.push_wake(core, port);
             }
             self.next_retire = self.retire_cal.next_after(self.cycle);
         }
@@ -547,7 +561,7 @@ impl MemorySystem {
                                 txn.state = TxnState::Queued;
                                 let addr = txn.addr;
                                 self.blocked -= 1;
-                                self.queue.push_back((core, Port::HeaderLoad));
+                                self.queue.push_back((core as u16, Port::HeaderLoad));
                                 self.log(MemEvent::CompUnblocked {
                                     core: core as u32,
                                     addr,
@@ -573,133 +587,150 @@ impl MemorySystem {
                 let Some((core, port)) = self.pop_service() else {
                     break;
                 };
-                let latency = self.access_latency(core, port);
+                let core = usize::from(core);
+                let entry = &mut self.ports[core][port as usize];
+                let txn = entry.as_mut().expect("queued transaction must exist");
+                debug_assert_eq!(txn.state, TxnState::Queued);
+                let latency = txn.latency;
+                if latency > 0 {
+                    txn.state = TxnState::InService;
+                    self.in_service += 1;
+                    let done_at = self.cycle + u64::from(latency);
+                    self.retire_cal
+                        .insert(self.cycle, done_at, core * PORT_COUNT + port as usize);
+                    self.next_retire = self.next_retire.min(done_at);
+                    self.log(MemEvent::ServiceStart {
+                        core: core as u32,
+                        port,
+                        latency,
+                    });
+                    continue;
+                }
+                // Burst continuation: the open-row access completes
+                // within this memory cycle — data is ready when the core
+                // ticks.
+                if port.is_load() {
+                    txn.state = TxnState::Complete;
+                    self.complete += 1;
+                } else {
+                    let addr = txn.addr;
+                    *entry = None;
+                    self.occupied -= 1;
+                    if port == Port::HeaderStore {
+                        remove_one(&mut self.pending_header_stores, addr);
+                        self.pending_stores_dirty = true;
+                    }
+                }
                 self.log(MemEvent::ServiceStart {
                     core: core as u32,
                     port,
                     latency,
                 });
-                if latency == 0 {
-                    // Burst continuation: the open-row access completes
-                    // within this memory cycle — data is ready when the
-                    // core ticks.
-                    let txn = self.ports[core][port as usize].take().expect("queued txn");
-                    debug_assert_eq!(txn.state, TxnState::Queued);
-                    if port.is_load() {
-                        self.ports[core][port as usize] = Some(Txn {
-                            state: TxnState::Complete,
-                            ..txn
-                        });
-                        self.complete += 1;
-                    } else {
-                        self.occupied -= 1;
-                        if port == Port::HeaderStore {
-                            remove_one(&mut self.pending_header_stores, txn.addr);
-                            self.pending_stores_dirty = true;
-                        }
-                    }
-                    self.log(MemEvent::Retire {
-                        core: core as u32,
-                        port,
-                    });
-                    self.push_wake(core, port);
-                    continue;
-                }
-                let done_at = self.cycle + latency as u64;
-                let txn = self.ports[core][port as usize]
-                    .as_mut()
-                    .expect("queued transaction must exist");
-                debug_assert_eq!(txn.state, TxnState::Queued);
-                txn.state = TxnState::InService { done_at };
-                self.in_service += 1;
-                self.retire_cal
-                    .insert(self.cycle, done_at, core, port as usize);
-                self.next_retire = self.next_retire.min(done_at);
+                self.log(MemEvent::Retire {
+                    core: core as u32,
+                    port,
+                });
+                self.push_wake(core, port);
             }
         }
     }
 
-    /// Effective latency of the transaction sitting in `(core, port)`:
-    /// body accesses that continue a sequential stream complete at burst
-    /// speed (0 = ready next cycle); header accesses and stream starts pay
-    /// the full random-access latency. The Figure 6 artificial latency is
-    /// added to everything.
+    /// `(core, port)`'s in-service transaction leaves DRAM: load data
+    /// ready, or the store committed and its buffer freed.
     #[inline]
-    fn access_latency(&mut self, core: usize, port: Port) -> u32 {
-        let latency = self.peek_latency(core, port);
-        if let Port::BodyLoad | Port::BodyStore = port {
-            let addr = self.ports[core][port as usize].as_ref().expect("txn").addr;
-            let slot = if port == Port::BodyLoad { 0 } else { 1 };
-            self.last_body_addr[core][slot] = Some(addr);
-        }
-        latency
-    }
-
-    /// [`MemorySystem::access_latency`] without the burst-state update:
-    /// what service for `(core, port)` *would* cost if it started now.
-    /// Exact for every queued transaction, because distinct queue entries
-    /// occupy distinct `(core, port)` buffers and therefore distinct burst
-    /// trackers.
-    #[inline]
-    fn peek_latency(&self, core: usize, port: Port) -> u32 {
-        let txn = self.ports[core][port as usize].as_ref().expect("txn");
-        let base = match port {
-            Port::BodyLoad | Port::BodyStore => {
-                let slot = if port == Port::BodyLoad { 0 } else { 1 };
-                if self.last_body_addr[core][slot] == Some(txn.addr.wrapping_sub(1)) {
-                    0
-                } else {
-                    self.cfg.latency
-                }
+    fn retire(&mut self, core: usize, port: Port) {
+        self.in_service -= 1;
+        let entry = &mut self.ports[core][port as usize];
+        if port.is_load() {
+            entry.as_mut().expect("retiring a missing load").state = TxnState::Complete;
+            self.complete += 1;
+        } else {
+            let txn = entry.take().expect("retiring a missing store");
+            self.occupied -= 1;
+            if port == Port::HeaderStore {
+                remove_one(&mut self.pending_header_stores, txn.addr);
+                self.pending_stores_dirty = true;
             }
-            _ => self.cfg.latency,
-        };
-        base + self.cfg.extra_latency
+        }
+        self.log(MemEvent::Retire {
+            core: core as u32,
+            port,
+        });
+        self.push_wake(core, port);
     }
 
-    /// Issue a request on `(core, port)`. Returns `false` (core stalls)
-    /// when the buffer is still busy with the previous request.
+    /// Issue a request on `(core, port)`. Returns [`Issue::Busy`] (core
+    /// stalls) when the buffer is still busy with the previous request.
     ///
     /// Header loads to an address with a pending header store enter the
     /// blocked state and are only queued once the store retires.
+    ///
+    /// The service latency is decided here, exactly: body accesses that
+    /// continue their port's sequential stream complete at burst speed
+    /// (0 = within the tick that starts their service), header accesses
+    /// and stream starts pay the full random-access latency, and the
+    /// Figure 6 artificial latency is added to everything. Nothing can
+    /// change the answer before service starts: the burst tracker of a
+    /// body port moves only at that port's own issue. So a transaction
+    /// can retire within the next tick only if its latency is zero —
+    /// [`Issue::Later`] otherwise — and a header-cache hit has already
+    /// completed ([`Issue::Soon`]).
     #[inline]
-    pub fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> bool {
+    pub fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue {
         if self.ports[core][port as usize].is_some() {
-            return false;
+            return Issue::Busy;
         }
         let mut state = TxnState::Queued;
-        if port == Port::HeaderLoad && self.pending_header_stores.contains(&addr) {
-            // Comparator array: ordered behind the store regardless of any
-            // cached copy.
-            state = TxnState::Blocked;
-        } else if port == Port::HeaderLoad && self.cache_lookup(addr) {
-            // Header-cache hit: served on-chip, ready next cycle, no DRAM
-            // bandwidth consumed.
-            state = TxnState::Complete;
+        let mut latency = self.cfg.latency;
+        match port {
+            Port::HeaderLoad => {
+                if self.pending_header_stores.contains(&addr) {
+                    // Comparator array: ordered behind the store
+                    // regardless of any cached copy.
+                    state = TxnState::Blocked;
+                } else if self.cache_lookup(addr) {
+                    // Header-cache hit: served on-chip, ready next
+                    // cycle, no DRAM bandwidth consumed.
+                    state = TxnState::Complete;
+                } else {
+                    // The returning line fills the cache (tag set at
+                    // issue; the model is timing-only).
+                    self.cache_fill(addr);
+                }
+            }
+            Port::HeaderStore => {
+                self.pending_header_stores.push(addr);
+                // Write-through: the stored header is cached.
+                self.cache_fill(addr);
+            }
+            Port::BodyLoad | Port::BodyStore => {
+                let last = &mut self.last_body_addr[core][usize::from(port == Port::BodyStore)];
+                if *last == Some(addr.wrapping_sub(1)) {
+                    latency = 0;
+                }
+                *last = Some(addr);
+            }
         }
-        if port == Port::HeaderLoad && state == TxnState::Queued {
-            // The returning line fills the cache (tag set at issue; the
-            // model is timing-only).
-            self.cache_fill(addr);
-        }
-        if port == Port::HeaderStore {
-            self.pending_header_stores.push(addr);
-            // Write-through: the stored header is cached.
-            self.cache_fill(addr);
-        }
+        latency += self.cfg.extra_latency;
         self.ports[core][port as usize] = Some(Txn {
             addr,
+            latency,
             state,
-            issued_at: self.cycle,
         });
+        self.issued_at[core * PORT_COUNT + port as usize] = self.cycle;
         self.occupied += 1;
         self.log(MemEvent::Issue {
             core: core as u32,
             port,
             addr,
         });
+        let issue = if latency == 0 || state == TxnState::Complete {
+            Issue::Soon
+        } else {
+            Issue::Later
+        };
         match state {
-            TxnState::Queued => self.queue.push_back((core, port)),
+            TxnState::Queued => self.queue.push_back((core as u16, port)),
             TxnState::Blocked => {
                 self.blocked += 1;
                 self.log(MemEvent::CompBlocked {
@@ -714,10 +745,10 @@ impl MemorySystem {
                     addr,
                 });
             }
-            TxnState::InService { .. } => unreachable!("issue never starts service"),
+            TxnState::InService => unreachable!("issue never starts service"),
         }
         self.stats.issued[port as usize] += 1;
-        true
+        issue
     }
 
     /// Is the buffer `(core, port)` occupied (request in flight or load
@@ -856,11 +887,16 @@ impl MemorySystem {
         {
             return None;
         }
+        let burst = |c: usize, port: Port| {
+            self.ports[c][port as usize]
+                .as_ref()
+                .is_some_and(|txn| txn.latency == 0)
+        };
         let in_pattern = streams.iter().enumerate().all(|(i, &c)| {
-            self.queue[2 * i] == (c, Port::BodyStore)
-                && self.queue[2 * i + 1] == (c, Port::BodyLoad)
-                && self.peek_latency(c, Port::BodyStore) == 0
-                && self.peek_latency(c, Port::BodyLoad) == 0
+            self.queue[2 * i] == (c as u16, Port::BodyStore)
+                && self.queue[2 * i + 1] == (c as u16, Port::BodyLoad)
+                && burst(c, Port::BodyStore)
+                && burst(c, Port::BodyLoad)
         });
         let limit = self.next_retire - 1 - self.cycle;
         (in_pattern && limit > 0).then_some(limit)
@@ -870,9 +906,9 @@ impl MemorySystem {
     /// legal with `k` at most what [`MemorySystem::stream_window`] just
     /// returned for the same `streams`. Each skipped tick found the
     /// stream pairs queued, served both halves within the tick and saw
-    /// them re-issued one word further: the queued transactions and the
-    /// burst trackers shift by `k` words, and the per-tick counters are
-    /// replicated in bulk.
+    /// them re-issued one word further: the queued transactions, their
+    /// issue stamps and the burst trackers shift by `k`, and the per-tick
+    /// counters are replicated in bulk.
     pub fn apply_stream_window(&mut self, streams: &[usize], k: u64) {
         debug_assert!(
             self.stream_window(streams).is_some_and(|limit| k <= limit),
@@ -891,8 +927,8 @@ impl MemorySystem {
                     .as_mut()
                     .expect("stream transaction must exist");
                 txn.addr += words;
-                txn.issued_at += k;
-                self.last_body_addr[c][slot] = Some(txn.addr - 1);
+                self.last_body_addr[c][slot] = Some(txn.addr);
+                self.issued_at[c * PORT_COUNT + port as usize] += k;
             }
         }
     }
@@ -917,13 +953,19 @@ impl MemorySystem {
     /// Age (in cycles) of the oldest in-flight transaction, if any —
     /// diagnostic for deadlock hunting in the engine.
     pub fn oldest_inflight_age(&self) -> Option<u64> {
-        self.ports
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|t| self.cycle.saturating_sub(t.issued_at))
+        (0..self.issued_at.len())
+            .filter(|&id| self.ports[id / PORT_COUNT][id % PORT_COUNT].is_some())
+            .map(|id| self.cycle.saturating_sub(self.issued_at[id]))
             .max()
     }
+}
+
+/// Both backends key their queues by `u16` core ids.
+pub(crate) fn assert_core_ids_fit(n_cores: usize) {
+    assert!(
+        n_cores <= usize::from(u16::MAX) + 1,
+        "{n_cores} cores exceed the memory system's 16-bit core ids"
+    );
 }
 
 #[inline]
@@ -954,7 +996,7 @@ mod tests {
     #[test]
     fn load_completes_after_latency() {
         let mut m = mem(1);
-        assert!(m.try_issue(0, Port::BodyLoad, 100));
+        assert!(m.try_issue(0, Port::BodyLoad, 100).issued());
         assert!(!m.load_ready(0, Port::BodyLoad));
         m.tick(); // service starts at cycle 1, completes at 4
         assert!(!m.load_ready(0, Port::BodyLoad));
@@ -970,9 +1012,9 @@ mod tests {
     #[test]
     fn port_busy_until_consumed() {
         let mut m = mem(1);
-        assert!(m.try_issue(0, Port::BodyLoad, 1));
+        assert!(m.try_issue(0, Port::BodyLoad, 1).issued());
         assert!(
-            !m.try_issue(0, Port::BodyLoad, 2),
+            !m.try_issue(0, Port::BodyLoad, 2).issued(),
             "buffer holds previous load"
         );
         for _ in 0..10 {
@@ -980,23 +1022,23 @@ mod tests {
         }
         assert!(m.load_ready(0, Port::BodyLoad));
         assert!(
-            !m.try_issue(0, Port::BodyLoad, 2),
+            !m.try_issue(0, Port::BodyLoad, 2).issued(),
             "unconsumed data still occupies buffer"
         );
         m.consume_load(0, Port::BodyLoad);
-        assert!(m.try_issue(0, Port::BodyLoad, 2));
+        assert!(m.try_issue(0, Port::BodyLoad, 2).issued());
     }
 
     #[test]
     fn store_buffer_frees_on_completion() {
         let mut m = mem(1);
-        assert!(m.try_issue(0, Port::BodyStore, 5));
-        assert!(!m.try_issue(0, Port::BodyStore, 6));
+        assert!(m.try_issue(0, Port::BodyStore, 5).issued());
+        assert!(!m.try_issue(0, Port::BodyStore, 6).issued());
         for _ in 0..4 {
             m.tick();
         }
         assert!(m.all_idle());
-        assert!(m.try_issue(0, Port::BodyStore, 6));
+        assert!(m.try_issue(0, Port::BodyStore, 6).issued());
     }
 
     #[test]
@@ -1005,7 +1047,7 @@ mod tests {
         // serviced one cycle later.
         let mut m = mem(3);
         for c in 0..3 {
-            assert!(m.try_issue(c, Port::BodyLoad, c as u32));
+            assert!(m.try_issue(c, Port::BodyLoad, c as u32).issued());
         }
         for _ in 0..4 {
             m.tick();
@@ -1024,8 +1066,8 @@ mod tests {
     #[test]
     fn comparator_array_orders_header_load_after_store() {
         let mut m = mem(2);
-        assert!(m.try_issue(0, Port::HeaderStore, 42));
-        assert!(m.try_issue(1, Port::HeaderLoad, 42));
+        assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
+        assert!(m.try_issue(1, Port::HeaderLoad, 42).issued());
         assert!(m.header_store_pending(42));
         // Store: starts cycle 1, done cycle 4. Load blocked until then,
         // queued cycle 5 (after the tick notices), done cycle 5+3.
@@ -1047,8 +1089,8 @@ mod tests {
     #[test]
     fn header_load_to_other_address_not_blocked() {
         let mut m = mem(2);
-        assert!(m.try_issue(0, Port::HeaderStore, 42));
-        assert!(m.try_issue(1, Port::HeaderLoad, 43));
+        assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
+        assert!(m.try_issue(1, Port::HeaderLoad, 43).issued());
         for _ in 0..4 {
             m.tick();
         }
@@ -1058,10 +1100,10 @@ mod tests {
     #[test]
     fn independent_ports_of_one_core() {
         let mut m = mem(1);
-        assert!(m.try_issue(0, Port::HeaderLoad, 1));
-        assert!(m.try_issue(0, Port::HeaderStore, 2));
-        assert!(m.try_issue(0, Port::BodyLoad, 3));
-        assert!(m.try_issue(0, Port::BodyStore, 4));
+        assert!(m.try_issue(0, Port::HeaderLoad, 1).issued());
+        assert!(m.try_issue(0, Port::HeaderStore, 2).issued());
+        assert!(m.try_issue(0, Port::BodyLoad, 3).issued());
+        assert!(m.try_issue(0, Port::BodyStore, 4).issued());
         assert!(!m.all_idle());
         for _ in 0..12 {
             m.tick();
@@ -1084,10 +1126,10 @@ mod tests {
     fn horizon_is_earliest_completion() {
         let mut m = mem(2); // latency 3, bandwidth 2
         assert_eq!(m.next_activity_cycle(), None, "idle system is quiet");
-        assert!(m.try_issue(0, Port::BodyLoad, 10));
+        assert!(m.try_issue(0, Port::BodyLoad, 10).issued());
         assert_eq!(m.next_activity_cycle(), Some(m.cycle() + 1), "queued");
         m.tick(); // service starts at cycle 1, completes at 4
-        assert!(m.try_issue(1, Port::BodyStore, 20));
+        assert!(m.try_issue(1, Port::BodyStore, 20).issued());
         assert_eq!(m.next_activity_cycle(), Some(2), "new request is queued");
         m.tick(); // second service starts: done at 5
         assert_eq!(m.next_activity_cycle(), Some(4));
@@ -1105,11 +1147,11 @@ mod tests {
     #[test]
     fn completed_load_does_not_block_the_horizon() {
         let mut m = mem(2); // latency 3, bandwidth 2
-        assert!(m.try_issue(0, Port::BodyLoad, 10));
+        assert!(m.try_issue(0, Port::BodyLoad, 10).issued());
         for _ in 0..3 {
             m.tick(); // in service from 1, done at 4
         }
-        assert!(m.try_issue(1, Port::BodyStore, 20));
+        assert!(m.try_issue(1, Port::BodyStore, 20).issued());
         m.tick(); // the load retires, the store starts: done at 7
         assert!(m.load_ready(0, Port::BodyLoad));
         // The load waits for its owner's tick, which no memory tick
@@ -1129,8 +1171,8 @@ mod tests {
     #[test]
     fn fast_forward_replicates_comparator_blocking() {
         let mut m = mem(2);
-        assert!(m.try_issue(0, Port::HeaderStore, 42));
-        assert!(m.try_issue(1, Port::HeaderLoad, 42));
+        assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
+        assert!(m.try_issue(1, Port::HeaderLoad, 42).issued());
         m.tick(); // store in service (done at 4); load blocked
         let naive = {
             let mut n = m.clone();
@@ -1155,7 +1197,7 @@ mod tests {
     fn event_log_off_by_default_and_opt_in() {
         let mut m = mem(1);
         assert!(!m.event_log_enabled());
-        assert!(m.try_issue(0, Port::BodyLoad, 1));
+        assert!(m.try_issue(0, Port::BodyLoad, 1).issued());
         for _ in 0..5 {
             m.tick();
         }
@@ -1167,7 +1209,7 @@ mod tests {
     fn event_log_records_transaction_lifecycle() {
         let mut m = mem(1); // latency 3
         m.enable_event_log();
-        assert!(m.try_issue(0, Port::BodyLoad, 7));
+        assert!(m.try_issue(0, Port::BodyLoad, 7).issued());
         for _ in 0..4 {
             m.tick();
         }
@@ -1214,8 +1256,8 @@ mod tests {
     fn event_log_records_comparator_block_and_unblock() {
         let mut m = mem(2);
         m.enable_event_log();
-        assert!(m.try_issue(0, Port::HeaderStore, 42));
-        assert!(m.try_issue(1, Port::HeaderLoad, 42));
+        assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
+        assert!(m.try_issue(1, Port::HeaderLoad, 42).issued());
         while !m.load_ready(1, Port::HeaderLoad) {
             m.tick();
         }
@@ -1246,7 +1288,7 @@ mod tests {
         let run = |ff: bool| {
             let mut m = mem(1);
             m.enable_event_log();
-            assert!(m.try_issue(0, Port::BodyLoad, 9));
+            assert!(m.try_issue(0, Port::BodyLoad, 9).issued());
             m.tick(); // service starts; done at 1 + 3 = 4
             if ff {
                 let horizon = m.next_activity_cycle().expect("in service");
@@ -1267,15 +1309,21 @@ mod tests {
         m.enable_event_log();
         m.set_cycle(100);
         assert_eq!(m.cycle(), 100);
-        assert!(m.try_issue(0, Port::BodyLoad, 3));
+        assert!(m.try_issue(0, Port::BodyLoad, 3).issued());
         assert_eq!(m.take_event_log()[0].cycle, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit core ids")]
+    fn core_ids_past_sixteen_bits_are_refused() {
+        MemorySystem::new(usize::from(u16::MAX) + 2, MemConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "traffic in flight")]
     fn set_cycle_with_traffic_panics() {
         let mut m = mem(1);
-        assert!(m.try_issue(0, Port::BodyLoad, 3));
+        assert!(m.try_issue(0, Port::BodyLoad, 3).issued());
         m.set_cycle(50);
     }
 
@@ -1303,7 +1351,7 @@ mod tests {
             .with_service_reorder(0xC0FFEE),
         );
         for c in 0..6 {
-            assert!(m.try_issue(c, Port::BodyLoad, 100 + 2 * c as u32));
+            assert!(m.try_issue(c, Port::BodyLoad, 100 + 2 * c as u32).issued());
         }
         for _ in 0..40 {
             m.tick();
@@ -1330,8 +1378,8 @@ mod tests {
                 }
                 .with_service_reorder(seed),
             );
-            assert!(m.try_issue(0, Port::BodyLoad, 10));
-            assert!(m.try_issue(1, Port::BodyLoad, 20));
+            assert!(m.try_issue(0, Port::BodyLoad, 10).issued());
+            assert!(m.try_issue(1, Port::BodyLoad, 20).issued());
             // First-served request: service starts at cycle 1, retires at
             // cycle 1 + latency = 5; the other starts a cycle later.
             for _ in 0..5 {
@@ -1347,8 +1395,8 @@ mod tests {
         let mut m = mem(2); // latency 3, bandwidth 2
         m.enable_wake_feed();
         assert_eq!(m.take_wakes(), [0; PORT_COUNT]);
-        assert!(m.try_issue(0, Port::BodyLoad, 10));
-        assert!(m.try_issue(1, Port::BodyStore, 20));
+        assert!(m.try_issue(0, Port::BodyLoad, 10).issued());
+        assert!(m.try_issue(1, Port::BodyStore, 20).issued());
         m.tick(); // both start service: done at cycle 4
         assert_eq!(m.take_wakes(), [0; PORT_COUNT], "nothing retired yet");
         m.tick();
@@ -1371,22 +1419,76 @@ mod tests {
         m.enable_wake_feed();
         let mut store = [0; PORT_COUNT];
         store[Port::BodyStore as usize] = 1;
-        assert!(m.try_issue(0, Port::BodyStore, 100));
+        assert!(m.try_issue(0, Port::BodyStore, 100).issued());
         for _ in 0..4 {
             m.tick();
         }
         assert_eq!(m.take_wakes(), store);
-        assert!(m.try_issue(0, Port::BodyStore, 101));
+        assert!(m.try_issue(0, Port::BodyStore, 101).issued());
         m.tick(); // burst continuation: latency 0, retires at service start
         assert_eq!(m.take_wakes(), store);
         assert!(m.all_idle());
     }
 
     #[test]
+    fn oldest_inflight_age_reads_the_issue_stamps() {
+        let mut m = mem(2); // latency 3, bandwidth 2
+        assert_eq!(m.oldest_inflight_age(), None);
+        assert!(m.try_issue(0, Port::BodyLoad, 10).issued()); // cycle 0
+        m.tick(); // in service from 1, done at 4
+        m.tick();
+        assert!(m.try_issue(1, Port::HeaderStore, 20).issued()); // cycle 2
+        assert_eq!(m.oldest_inflight_age(), Some(2));
+        m.tick(); // the store starts: done at 6
+        m.fast_forward(4 - 1 - m.cycle());
+        m.tick(); // cycle 4: the load retires, and waits for its owner
+        assert_eq!(
+            m.oldest_inflight_age(),
+            Some(4),
+            "a completed load occupies its buffer until consumed"
+        );
+        m.consume_load(0, Port::BodyLoad);
+        assert_eq!(m.oldest_inflight_age(), Some(2));
+        m.tick();
+        m.tick(); // cycle 6: the store retires
+        assert_eq!(m.oldest_inflight_age(), None);
+    }
+
+    #[test]
+    fn oldest_inflight_age_survives_a_stream_window() {
+        // One streaming core: the replay shifts the issue stamps with the
+        // clock, so its transactions are exactly as young as the ones
+        // explicit rounds would have issued.
+        let mut m = mem(1); // latency 3, bandwidth 2
+        assert!(m.try_issue(0, Port::BodyLoad, 100).issued());
+        for addr in [101, 102] {
+            while !m.load_ready(0, Port::BodyLoad) || m.port_busy(0, Port::BodyStore) {
+                m.tick();
+            }
+            m.consume_load(0, Port::BodyLoad);
+            assert!(m.try_issue(0, Port::BodyStore, addr + 400).issued());
+            assert!(m.try_issue(0, Port::BodyLoad, addr).issued());
+        }
+        let limit = m.stream_window(&[0]).expect("a pure stream");
+        let k = limit.min(5);
+        let mut ticked = m.clone();
+        for j in 1..=k as u32 {
+            ticked.tick();
+            ticked.consume_load(0, Port::BodyLoad);
+            assert!(ticked.try_issue(0, Port::BodyStore, 502 + j).issued());
+            assert!(ticked.try_issue(0, Port::BodyLoad, 102 + j).issued());
+        }
+        m.apply_stream_window(&[0], k);
+        assert_eq!(m.oldest_inflight_age(), Some(0));
+        assert_eq!(m.oldest_inflight_age(), ticked.oldest_inflight_age());
+        assert_eq!(format!("{m:?}"), format!("{ticked:?}"));
+    }
+
+    #[test]
     fn next_activity_tracks_queue_service_and_quiet() {
         let mut m = mem(2); // latency 3, bandwidth 2
         assert_eq!(m.next_activity_cycle(), None, "idle system is quiet");
-        assert!(m.try_issue(0, Port::BodyLoad, 10));
+        assert!(m.try_issue(0, Port::BodyLoad, 10).issued());
         assert_eq!(
             m.next_activity_cycle(),
             Some(m.cycle() + 1),
@@ -1422,7 +1524,7 @@ mod tests {
                 ..MemConfig::default()
             },
         );
-        assert!(m.try_issue(0, Port::HeaderStore, 42));
+        assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
         m.tick(); // service starts and retires in one tick
         assert!(m.all_idle());
         assert_eq!(
@@ -1447,8 +1549,8 @@ mod tests {
                 }
                 .with_service_reorder(seed),
             );
-            assert!(m.try_issue(0, Port::HeaderStore, 42));
-            assert!(m.try_issue(1, Port::HeaderLoad, 42));
+            assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
+            assert!(m.try_issue(1, Port::HeaderLoad, 42).issued());
             while !m.load_ready(1, Port::HeaderLoad) {
                 assert!(
                     !(m.load_ready(1, Port::HeaderLoad) && m.header_store_pending(42)),
@@ -1481,13 +1583,13 @@ mod cache_tests {
     #[test]
     fn first_header_load_misses_second_hits() {
         let mut m = cached_mem();
-        assert!(m.try_issue(0, Port::HeaderLoad, 42));
+        assert!(m.try_issue(0, Port::HeaderLoad, 42).issued());
         assert!(!m.load_ready(0, Port::HeaderLoad), "cold miss goes to DRAM");
         for _ in 0..6 {
             m.tick();
         }
         m.consume_load(0, Port::HeaderLoad);
-        assert!(m.try_issue(1, Port::HeaderLoad, 42));
+        assert!(m.try_issue(1, Port::HeaderLoad, 42).issued());
         m.tick();
         assert!(
             m.load_ready(1, Port::HeaderLoad),
@@ -1501,11 +1603,11 @@ mod cache_tests {
     #[test]
     fn header_store_fills_the_cache() {
         let mut m = cached_mem();
-        assert!(m.try_issue(0, Port::HeaderStore, 7));
+        assert!(m.try_issue(0, Port::HeaderStore, 7).issued());
         for _ in 0..6 {
             m.tick();
         }
-        assert!(m.try_issue(1, Port::HeaderLoad, 7));
+        assert!(m.try_issue(1, Port::HeaderLoad, 7).issued());
         m.tick();
         assert!(m.load_ready(1, Port::HeaderLoad), "write-through fill");
         m.consume_load(1, Port::HeaderLoad);
@@ -1515,14 +1617,14 @@ mod cache_tests {
     fn comparator_still_orders_cached_loads_behind_stores() {
         let mut m = cached_mem();
         // Warm the cache.
-        assert!(m.try_issue(0, Port::HeaderStore, 9));
+        assert!(m.try_issue(0, Port::HeaderStore, 9).issued());
         for _ in 0..6 {
             m.tick();
         }
         // Pending store + load to the same address: the load must wait for
         // the store even though the address is cached.
-        assert!(m.try_issue(0, Port::HeaderStore, 9));
-        assert!(m.try_issue(1, Port::HeaderLoad, 9));
+        assert!(m.try_issue(0, Port::HeaderStore, 9).issued());
+        assert!(m.try_issue(1, Port::HeaderLoad, 9).issued());
         m.tick();
         assert!(
             !m.load_ready(1, Port::HeaderLoad),
@@ -1546,14 +1648,14 @@ mod cache_tests {
         );
         for addr in [4u32, 8] {
             // both map to set 0
-            assert!(m.try_issue(0, Port::HeaderLoad, addr));
+            assert!(m.try_issue(0, Port::HeaderLoad, addr).issued());
             for _ in 0..6 {
                 m.tick();
             }
             m.consume_load(0, Port::HeaderLoad);
         }
         // 4 was evicted by 8.
-        assert!(m.try_issue(0, Port::HeaderLoad, 4));
+        assert!(m.try_issue(0, Port::HeaderLoad, 4).issued());
         m.tick();
         assert!(!m.load_ready(0, Port::HeaderLoad));
         for _ in 0..6 {
@@ -1566,7 +1668,7 @@ mod cache_tests {
     #[test]
     fn zero_entries_disable_the_cache() {
         let mut m = MemorySystem::new(1, MemConfig::default());
-        assert!(m.try_issue(0, Port::HeaderLoad, 5));
+        assert!(m.try_issue(0, Port::HeaderLoad, 5).issued());
         for _ in 0..6 {
             m.tick();
         }

@@ -28,12 +28,18 @@
 //!    to it), and every one of them reaches the wake masks.
 //! 5. **Bank scheduling** — (DRAM) the division-free address map equals
 //!    `(addr / row_words) % n_banks`, free banks start in index order
-//!    under the bandwidth cap, and a busy bank starts exactly at
-//!    `ready_at`.
+//!    under the bandwidth cap, a busy bank starts exactly at `ready_at`,
+//!    and a bank whose `ready_at` a clock jump crossed is free.
+//! 6. **Stream replication** — (fixed) `apply_stream_window` equals the
+//!    explicit rounds it stands for.
+//! 7. **Issue bound** — a request `try_issue` takes with `Issue::Later`
+//!    has not retired after the next tick (shadow check after every
+//!    tick), and on the fixed backend a zero-latency burst continuation,
+//!    which is `Issue::Soon`, does retire in it.
 
 use hwgc_memsim::{
-    DramConfig, DramMemorySystem, MemBackend, MemBackendKind, MemConfig, MemEvent, MemorySystem,
-    PagePolicy, Port, RowOutcome, MAX_BANKS, PORT_COUNT,
+    DramConfig, DramMemorySystem, Issue, MemBackend, MemBackendKind, MemConfig, MemEvent,
+    MemorySystem, PagePolicy, Port, RowOutcome, MAX_BANKS, PORT_COUNT,
 };
 use proptest::prelude::*;
 
@@ -94,7 +100,7 @@ fn apply<B: MemBackend>(m: &mut B, op: Op) {
         Op::Issue { core, port, addr } => {
             let p = Port::ALL[port];
             if !m.port_busy(core, p) {
-                assert!(m.try_issue(core, p, addr));
+                assert!(m.try_issue(core, p, addr).issued());
             }
         }
         Op::Tick => m.tick(),
@@ -237,9 +243,9 @@ proptest! {
         let mut m = DramMemorySystem::new(CORES + 2, cfg);
         m.enable_event_log();
         m.enable_wake_feed();
-        assert!(m.try_issue(CORES, Port::HeaderStore, 77));
+        assert!(m.try_issue(CORES, Port::HeaderStore, 77).issued());
         m.tick();
-        assert!(m.try_issue(CORES + 1, Port::HeaderLoad, 77));
+        assert!(m.try_issue(CORES + 1, Port::HeaderLoad, 77).issued());
         prop_assert!(m.stats().comparator_blocked_cycles == 0 && m.header_store_pending(77));
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut m, op);
@@ -415,7 +421,9 @@ fn check_same_cycle_retire_order<B: MemBackend>(mut m: B, addr_of: impl Fn(usize
     m.enable_wake_feed();
     m.enable_event_log();
     for id in (0..CORES * PORT_COUNT).rev() {
-        assert!(m.try_issue(id / PORT_COUNT, Port::ALL[id % PORT_COUNT], addr_of(id)));
+        assert!(m
+            .try_issue(id / PORT_COUNT, Port::ALL[id % PORT_COUNT], addr_of(id))
+            .issued());
     }
     let wakes = loop {
         m.tick();
@@ -493,7 +501,9 @@ fn closed_single_bank() -> (DramMemorySystem, DramConfig) {
     let cfg = MemConfig::default().with_backend(MemBackendKind::Dram(dram));
     let mut m = DramMemorySystem::new(CORES, cfg);
     for core in 0..CORES {
-        assert!(m.try_issue(core, Port::BodyLoad, 1000 * core as u32));
+        assert!(m
+            .try_issue(core, Port::BodyLoad, 1000 * core as u32)
+            .issued());
     }
     m.tick();
     (m, dram)
@@ -571,8 +581,8 @@ fn dram_free_banks_start_in_index_order_under_the_bandwidth_cap() {
         .with_backend(MemBackendKind::Dram(dram));
         let mut m = DramMemorySystem::new(2, cfg);
         m.enable_event_log();
-        assert!(m.try_issue(0, Port::BodyLoad, hi * dram.row_words));
-        assert!(m.try_issue(1, Port::BodyLoad, lo * dram.row_words));
+        assert!(m.try_issue(0, Port::BodyLoad, hi * dram.row_words).issued());
+        assert!(m.try_issue(1, Port::BodyLoad, lo * dram.row_words).issued());
         assert_eq!(m.next_activity_cycle(), Some(1));
         m.tick();
         assert_eq!(m.next_activity_cycle(), Some(2), "a free bank still waits");
@@ -594,7 +604,7 @@ fn dram_refilled_busy_bank_starts_exactly_at_ready_at() {
         let cfg = MemConfig::default().with_backend(MemBackendKind::Dram(dram));
         let mut m = DramMemorySystem::new(2, cfg);
         m.enable_event_log();
-        assert!(m.try_issue(0, Port::BodyLoad, 0));
+        assert!(m.try_issue(0, Port::BodyLoad, 0).issued());
         m.tick(); // queue empties: the access is in service
         let done_at = 1 + u64::from(dram.t_rcd + dram.t_cas);
         let ready_at = match page_policy {
@@ -602,7 +612,7 @@ fn dram_refilled_busy_bank_starts_exactly_at_ready_at() {
             PagePolicy::Closed => done_at + u64::from(dram.t_rp),
         };
         m.tick();
-        assert!(m.try_issue(1, Port::BodyLoad, 1)); // same bank, refilled
+        assert!(m.try_issue(1, Port::BodyLoad, 1).issued()); // same bank, refilled
         assert_eq!(m.next_activity_cycle(), Some(done_at));
         while m.cycle() < ready_at {
             let horizon = m.next_activity_cycle().expect("work pending");
@@ -610,6 +620,50 @@ fn dram_refilled_busy_bank_starts_exactly_at_ready_at() {
             m.tick();
         }
         assert_eq!(service_starts(&mut m), [(1, 0), (ready_at, 0)]);
+    }
+}
+
+/// A closed-page bank whose queue emptied re-arms `tRP` after its data
+/// retired, and nothing is then pending: a clock jump may cross that
+/// `ready_at`. The bank must come out of it free — startable by the
+/// very next tick after a request joins its queue — whether the jump was
+/// a `fast_forward` or a `set_cycle`.
+#[test]
+fn dram_a_jump_across_an_idle_banks_ready_at_leaves_it_startable() {
+    for set_cycle in [false, true] {
+        let (mut m, dram) = closed_single_bank();
+        m.enable_event_log();
+        // Serve all three loads, consuming each as it retires: the
+        // bank's queue is empty, its last access retired this cycle, and
+        // it precharges for `tRP` more.
+        for core in 0..CORES {
+            while !m.load_ready(core, Port::BodyLoad) {
+                m.tick();
+            }
+            m.consume_load(core, Port::BodyLoad);
+        }
+        assert!(m.all_idle());
+        assert!(dram.t_rp >= 2, "the bank must still be busy");
+        assert_eq!(m.next_activity_cycle(), None, "nothing pending");
+        let target = m.cycle() + u64::from(dram.t_rp) + 5;
+        if set_cycle {
+            m.set_cycle(target);
+        } else {
+            m.fast_forward(target - m.cycle());
+        }
+        assert!(m.try_issue(0, Port::BodyLoad, 7).issued());
+        assert_eq!(
+            m.next_activity_cycle(),
+            Some(target + 1),
+            "the bank is free: the request starts next tick"
+        );
+        m.tick();
+        let starts = service_starts(&mut m);
+        assert_eq!(
+            starts.last(),
+            Some(&(target + 1, 0)),
+            "set_cycle {set_cycle}"
+        );
     }
 }
 
@@ -637,7 +691,7 @@ proptest! {
         let mut m = DramMemorySystem::new(1, cfg);
         m.enable_event_log();
         for addr in [addrs.0, addrs.1] {
-            assert!(m.try_issue(0, Port::BodyLoad, addr));
+            assert!(m.try_issue(0, Port::BodyLoad, addr).issued());
             while !m.load_ready(0, Port::BodyLoad) {
                 m.tick();
             }
@@ -713,15 +767,15 @@ fn tick_until(m: &mut MemorySystem, what: &str, done: impl Fn(&MemorySystem) -> 
 /// next.
 fn prime_streams(m: &mut MemorySystem, streams: &[Stream]) -> Vec<Stream> {
     for s in streams {
-        assert!(m.try_issue(s.core, Port::BodyLoad, s.load));
+        assert!(m.try_issue(s.core, Port::BodyLoad, s.load).issued());
     }
     tick_until(m, "first loads", |m| {
         streams.iter().all(|s| m.load_ready(s.core, Port::BodyLoad))
     });
     for s in streams {
         m.consume_load(s.core, Port::BodyLoad);
-        assert!(m.try_issue(s.core, Port::BodyStore, s.store));
-        assert!(m.try_issue(s.core, Port::BodyLoad, s.load + 1));
+        assert!(m.try_issue(s.core, Port::BodyStore, s.store).issued());
+        assert!(m.try_issue(s.core, Port::BodyLoad, s.load + 1).issued());
     }
     m.tick();
     tick_until(m, "first stores", |m| {
@@ -746,8 +800,8 @@ fn prime_streams(m: &mut MemorySystem, streams: &[Stream]) -> Vec<Stream> {
 /// consume: store the word in hand, load the next.
 fn issue_pairs(m: &mut MemorySystem, streams: &[Stream]) {
     for s in streams {
-        assert!(m.try_issue(s.core, Port::BodyStore, s.store));
-        assert!(m.try_issue(s.core, Port::BodyLoad, s.load));
+        assert!(m.try_issue(s.core, Port::BodyStore, s.store).issued());
+        assert!(m.try_issue(s.core, Port::BodyLoad, s.load).issued());
     }
 }
 
@@ -759,8 +813,8 @@ fn explicit_rounds(m: &mut MemorySystem, streams: &[Stream], k: u64) {
         for s in streams {
             assert!(m.load_ready(s.core, Port::BodyLoad), "not a stream tick");
             m.consume_load(s.core, Port::BodyLoad);
-            assert!(m.try_issue(s.core, Port::BodyStore, s.store + j));
-            assert!(m.try_issue(s.core, Port::BodyLoad, s.load + j));
+            assert!(m.try_issue(s.core, Port::BodyStore, s.store + j).issued());
+            assert!(m.try_issue(s.core, Port::BodyLoad, s.load + j).issued());
         }
     }
 }
@@ -794,9 +848,9 @@ fn streaming_system(
 /// An in-service header store on spare core `n` and, behind it, a
 /// comparator-blocked header load on spare core `n + 1`.
 fn park_header_traffic(m: &mut MemorySystem, n: usize) {
-    assert!(m.try_issue(n, Port::HeaderStore, 77));
+    assert!(m.try_issue(n, Port::HeaderStore, 77).issued());
     m.tick();
-    assert!(m.try_issue(n + 1, Port::HeaderLoad, 77));
+    assert!(m.try_issue(n + 1, Port::HeaderLoad, 77).issued());
     assert!(m.header_store_pending(77));
 }
 
@@ -889,14 +943,14 @@ fn stream_window_refuses_whatever_it_cannot_replay() {
     // Traffic that is not the stream's.
     assert_eq!(
         accepted(stream_cfg(5, 8), &|m| {
-            assert!(m.try_issue(N, Port::HeaderStore, 77));
+            assert!(m.try_issue(N, Port::HeaderStore, 77).issued());
         }),
         None,
         "a foreign queue entry"
     );
     assert_eq!(
         accepted(good, &|m| {
-            assert!(m.try_issue(N, Port::BodyLoad, 77));
+            assert!(m.try_issue(N, Port::BodyLoad, 77).issued());
             tick_until(m, "spare load", |m| m.load_ready(N, Port::BodyLoad));
         }),
         None,
@@ -904,7 +958,7 @@ fn stream_window_refuses_whatever_it_cannot_replay() {
     );
     assert_eq!(
         accepted(good, &|m| {
-            assert!(m.try_issue(N, Port::HeaderStore, 77));
+            assert!(m.try_issue(N, Port::HeaderStore, 77).issued());
             for _ in 0..5 {
                 m.tick();
             }
@@ -918,7 +972,7 @@ fn stream_window_refuses_whatever_it_cannot_replay() {
     assert!(accepted(stream_cfg(0, 4), &|_| {}).is_some());
     assert_eq!(
         accepted(stream_cfg(0, 4), &|m| {
-            assert!(m.try_issue(N, Port::HeaderStore, 77));
+            assert!(m.try_issue(N, Port::HeaderStore, 77).issued());
             m.tick();
             assert!(!m.header_store_pending(77));
         }),
@@ -936,4 +990,180 @@ fn stream_window_refuses_whatever_it_cannot_replay() {
     skewed[1].store += 1;
     issue_pairs(&mut m, &skewed);
     assert_eq!(m.stream_window(&ids), None, "a non-burst first word");
+}
+
+// --- Contract 7: the issue bound ------------------------------------------
+
+/// `ops` with every other body access turned into its port's next
+/// sequential word, so that burst continuations are common rather than a
+/// 1-in-256 accident.
+fn with_bursts(mut ops: Vec<Op>) -> Vec<Op> {
+    let mut last = [[0u32; PORT_COUNT]; CORES];
+    for op in &mut ops {
+        if let Op::Issue { core, port, addr } = op {
+            let body = matches!(Port::ALL[*port], Port::BodyLoad | Port::BodyStore);
+            if body && *addr % 2 == 0 {
+                *addr = last[*core][*port] + 1;
+            }
+            last[*core][*port] = *addr;
+        }
+    }
+    ops
+}
+
+/// Shadow check of `Issue::Later`: every request taken with it must
+/// still be in flight after the next tick — its load not ready, its
+/// store still holding the buffer — whatever else happens in between. A
+/// busy buffer must answer `Issue::Busy`. With `only_hits_are_soon`,
+/// every `Issue::Soon` must be a header load that completed at issue.
+fn check_issue_bound<B: MemBackend>(
+    mut m: B,
+    ops: Vec<Op>,
+    worst_latency: u32,
+    only_hits_are_soon: bool,
+) {
+    let mut script = ops.clone();
+    script.extend(std::iter::repeat_n(
+        Op::Tick,
+        drain_bound(ops.len(), worst_latency),
+    ));
+    let mut later = Vec::new();
+    for op in script {
+        match op {
+            Op::Issue { core, port, addr } => {
+                let p = Port::ALL[port];
+                let busy = m.port_busy(core, p);
+                match m.try_issue(core, p, addr) {
+                    Issue::Busy => prop_assert!(busy, "a free buffer refused a request"),
+                    Issue::Later => {
+                        prop_assert!(!busy);
+                        later.push((core, p));
+                    }
+                    Issue::Soon => {
+                        prop_assert!(!busy);
+                        prop_assert!(
+                            !only_hits_are_soon || (p == Port::HeaderLoad && m.load_ready(core, p)),
+                            "core {core} {p:?}: Soon without completing at issue"
+                        );
+                    }
+                }
+            }
+            Op::Tick => {
+                m.tick();
+                for (c, p) in later.drain(..) {
+                    let retired = if p.is_load() {
+                        m.load_ready(c, p)
+                    } else {
+                        !m.port_busy(c, p)
+                    };
+                    prop_assert!(
+                        !retired,
+                        "core {c} {p:?}: issued Later, retired in the next tick (cycle {})",
+                        m.cycle()
+                    );
+                }
+            }
+            Op::Consume { .. } => apply(&mut m, op),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Contract 7 on the fixed backend: zero latencies, bursts (the
+    /// strategy's addresses are dense, so body ports continue their
+    /// streams), the header cache and the comparator array all in play.
+    #[test]
+    fn fixed_later_never_retires_in_the_next_tick(
+        ops in ops(CORES),
+        lat in 0u32..6,
+        bw in 1u32..4,
+        extra in prop_oneof![Just(0u32), Just(3)],
+        cache in prop_oneof![Just(0usize), Just(16)],
+    ) {
+        let cfg = MemConfig {
+            latency: lat,
+            bandwidth: bw,
+            header_cache_entries: cache,
+            ..MemConfig::default()
+        }
+        .with_extra_latency(extra);
+        check_issue_bound(MemorySystem::new(CORES, cfg), with_bursts(ops), lat + extra, false);
+    }
+
+    /// Contract 7 on the DRAM backend: everything but a header-cache hit
+    /// is `Later`.
+    #[test]
+    fn dram_later_never_retires_in_the_next_tick(
+        ops in ops(CORES),
+        dram in dram_configs(),
+        bw in 1u32..4,
+        extra in prop_oneof![Just(0u32), Just(3)],
+        cache in prop_oneof![Just(0usize), Just(16)],
+    ) {
+        let cfg = MemConfig { bandwidth: bw, header_cache_entries: cache, ..MemConfig::default() }
+            .with_backend(MemBackendKind::Dram(dram))
+            .with_extra_latency(extra);
+        check_issue_bound(
+            DramMemorySystem::new(CORES, cfg),
+            with_bursts(ops),
+            dram.t_ras + dram.t_rp + dram.t_rcd + dram.t_cas + extra,
+            true,
+        );
+    }
+}
+
+/// The bound is not vacuous: on the fixed backend a body access that
+/// continues its port's burst is `Soon` and, with the bandwidth to serve
+/// it, retires in the very next tick; the same continuation under
+/// artificial latency, and any stream start, is `Later`.
+#[test]
+fn fixed_zero_latency_bursts_are_soon_and_retire_in_the_next_tick() {
+    for extra in [0, 1] {
+        let cfg = stream_cfg(5, 2).with_extra_latency(extra);
+        let mut m = MemorySystem::new(1, cfg);
+        assert_eq!(m.try_issue(0, Port::BodyLoad, 100), Issue::Later);
+        assert_eq!(m.try_issue(0, Port::BodyStore, 500), Issue::Later);
+        tick_until(&mut m, "stream starts", |m| {
+            m.load_ready(0, Port::BodyLoad) && !m.port_busy(0, Port::BodyStore)
+        });
+        m.consume_load(0, Port::BodyLoad);
+        let continuation = if extra == 0 {
+            Issue::Soon
+        } else {
+            Issue::Later
+        };
+        assert_eq!(m.try_issue(0, Port::BodyLoad, 101), continuation);
+        assert_eq!(m.try_issue(0, Port::BodyStore, 501), continuation);
+        assert_eq!(m.try_issue(0, Port::BodyStore, 502), Issue::Busy);
+        m.tick();
+        let retired = m.load_ready(0, Port::BodyLoad) && !m.port_busy(0, Port::BodyStore);
+        assert_eq!(retired, extra == 0, "+{extra}");
+    }
+}
+
+/// A header-cache hit completes at issue: `Soon` on both backends, and
+/// the data is there before any tick.
+#[test]
+fn header_cache_hits_are_soon_on_both_backends() {
+    fn check<B: MemBackend>(mut m: B) {
+        assert!(m.try_issue(0, Port::HeaderStore, 42).issued());
+        while m.port_busy(0, Port::HeaderStore) {
+            m.tick();
+        }
+        assert_eq!(m.try_issue(1, Port::HeaderLoad, 42), Issue::Soon);
+        assert!(m.load_ready(1, Port::HeaderLoad));
+        assert_eq!(m.try_issue(1, Port::HeaderStore, 43), Issue::Later);
+    }
+    let cfg = MemConfig {
+        header_cache_entries: 16,
+        ..MemConfig::default()
+    };
+    check(MemorySystem::new(
+        2,
+        cfg.with_backend(MemBackendKind::Fixed),
+    ));
+    let dram = cfg.with_backend(MemBackendKind::Dram(DramConfig::default()));
+    check(DramMemorySystem::new(2, dram));
 }

@@ -45,12 +45,12 @@ proptest! {
                 Op::Issue { core, port, addr } => {
                     let p = port_of(port);
                     if !m.port_busy(core, p) {
-                        prop_assert!(m.try_issue(core, p, addr));
+                        prop_assert!(m.try_issue(core, p, addr).issued());
                         if p.is_load() {
                             outstanding_loads.push((core, port));
                         }
                     } else {
-                        prop_assert!(!m.try_issue(core, p, addr));
+                        prop_assert!(!m.try_issue(core, p, addr).issued());
                     }
                 }
                 Op::Tick => m.tick(),
@@ -81,7 +81,7 @@ proptest! {
     fn comparator_array_orders_header_traffic(delay in 0u32..8, lat in 1u32..6) {
         let cfg = MemConfig { latency: lat, bandwidth: 1, ..MemConfig::default() };
         let mut m = MemorySystem::new(2, cfg);
-        prop_assert!(m.try_issue(0, Port::HeaderStore, 7));
+        prop_assert!(m.try_issue(0, Port::HeaderStore, 7).issued());
         for _ in 0..delay {
             m.tick();
             if m.header_store_pending(7) {
@@ -91,7 +91,7 @@ proptest! {
             }
         }
         if m.header_store_pending(7) {
-            prop_assert!(m.try_issue(1, Port::HeaderLoad, 7));
+            prop_assert!(m.try_issue(1, Port::HeaderLoad, 7).issued());
             while m.header_store_pending(7) {
                 prop_assert!(!m.load_ready(1, Port::HeaderLoad));
                 m.tick();
@@ -113,7 +113,7 @@ proptest! {
         let mut m = MemorySystem::new(n, cfg);
         for c in 0..n {
             // Distinct non-sequential addresses: no burst shortcut.
-            prop_assert!(m.try_issue(c, Port::HeaderLoad, (c as u32) * 100));
+            prop_assert!(m.try_issue(c, Port::HeaderLoad, (c as u32) * 100).issued());
         }
         let mut completion = vec![None; n];
         for cycle in 0..100u64 {
