@@ -561,10 +561,10 @@ pub fn run_hostprof(spec: &WorkloadSpec, cfg: GcConfig) -> (GcOutcome, HostProfi
 }
 
 /// Build one [`LedgerRecord`] for a finished run. Deterministic efficacy
-/// counters come from the profiler's counter map; wall-clock timers and
-/// machine-dependent notes are quarantined into the record's `host`
-/// fields (serialized with a `host_` prefix so downstream tooling can
-/// strip them before diffing records across machines).
+/// counters come from the profiler's counter map; wall-clock timers are
+/// quarantined into the record's `host` fields (serialized with a `host_`
+/// prefix so downstream tooling can strip them before diffing records
+/// across machines).
 pub fn ledger_record(
     binary: &str,
     workload: &str,
@@ -594,9 +594,6 @@ pub fn ledger_record(
                 .push((format!("time.{k}.total_ns"), Json::Int(t.total_ns as i128)));
             rec.host
                 .push((format!("time.{k}.count"), Json::Int(t.count as i128)));
-        }
-        for (k, v) in p.notes() {
-            rec.host.push((format!("note.{k}"), Json::Int(v as i128)));
         }
     }
     rec

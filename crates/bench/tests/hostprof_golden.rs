@@ -13,7 +13,7 @@
 //!   `engine.calendar.pops`) and the park/wake mix that gets it there.
 //!
 //! Only [`hwgc_obs::HostProfiler::deterministic_json`] is goldened —
-//! counters and histograms, never timers, notes or spans. If a
+//! counters and histograms, never timers or spans. If a
 //! wall-clock-dependent value ever leaks into that subset, these tests
 //! go flaky on the spot, which is exactly the alarm they exist to raise
 //! (alongside the cross-run stability check in the core crate's

@@ -131,7 +131,7 @@ fn fast_forward_off_executes_every_cycle_under_either_park_rule() {
 fn deterministic_counters_are_stable_across_reruns() {
     // Two profiled runs of the same configuration must agree on every
     // deterministic counter and histogram — this is what makes them
-    // golden-testable. (Timers and notes are explicitly exempt.)
+    // golden-testable. (Timers are explicitly exempt.)
     let cfg = config(EngineKind::Sparse, 16, 20);
     let run = || {
         let mut heap = WorkloadSpec::new(Preset::Compress, 42).build();

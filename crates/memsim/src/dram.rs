@@ -1,10 +1,11 @@
-//! The bank/row DRAM timing backend.
+//! The bank/row DRAM service model.
 //!
-//! [`DramMemorySystem`] keeps the fixed model's request protocol — the
-//! same per-core single-entry port buffers, the same comparator array
-//! ordering header loads behind matching header stores, the same
-//! optional header cache and retirement calendar — but replaces the flat
-//! `latency` with a row-buffer model over `n_banks` independent banks:
+//! [`DramMemorySystem`] is the shared request protocol ([`Memory`]: the
+//! per-core single-entry port buffers, the comparator array ordering
+//! header loads behind matching header stores, the optional header cache
+//! and retirement calendar) over the [`Dram`] service model, which
+//! replaces the flat `latency` with a row-buffer model over `n_banks`
+//! independent banks:
 //!
 //! * **row hit** — the addressed row is open: `tCAS`;
 //! * **row empty** — the bank is precharged: `tRCD + tCAS`;
@@ -31,51 +32,43 @@
 //! [`crate::wheel`]) holding each busy bank in the slot of its
 //! `ready_at`, whose horizon covers the worst service latency plus the
 //! closed-page `tRP`. Every tick takes its own slot whole and clears
-//! exactly the banks that came free, and a `fast_forward` does the same
-//! for every cycle it crosses — nothing walks the busy set. Row and bank
-//! of a request are computed once, when it joins its bank queue, through
+//! exactly the banks that came free, and a clock jump does the same for
+//! every cycle it crosses — nothing walks the busy set. Row and bank of a
+//! request are computed once, when it joins its bank queue, through
 //! precomputed reciprocals (see [`Reciprocal`]); the row rides in the
 //! queue entry.
 //!
 //! The Figure 6 `extra_latency` knob still applies to every access.
 //! `tCAS >= 1` is asserted, so no access retires within its service
-//! start tick — the calendar contracts below need no zero-latency path,
-//! and since service starts one tick after issue at the earliest,
-//! `try_issue` can answer [`Issue::Later`] for every access that did not
-//! complete at issue (a header-cache hit).
+//! start tick, and since service starts one tick after issue at the
+//! earliest, no queued request can retire within the next tick.
 //!
 //! # Calendar/fast-forward contracts (see [`crate::MemBackend`])
 //!
-//! * `next_activity_cycle` is exact: `cycle + 1` if a comparator
-//!   re-check is pending or a bank with a queued request is free to
-//!   start next tick, else the earlier of the next retirement and the
+//! * The earliest service start ([`Service::next_start`]) is exact:
+//!   `cycle + 1` if a bank with a queued request is free, else the
 //!   earliest `ready_at` of a bank with a queued request (under
 //!   [`PagePolicy::Closed`] a bank re-arms `tRP` after its data retired,
-//!   so the second term can be the smaller). Every tick before it is a
-//!   pure wait, and `fast_forward` is legal across them with requests
-//!   queued: it replicates the queue-occupancy counters in bulk, and
-//!   nothing else drifts — bank stamps are absolute and
-//!   `bank_busy_cycles` is charged at service start. The engine's
-//!   all-parked jump therefore skips bank-busy windows on this backend
-//!   exactly as it skips retirement waits on the fixed one, under either
-//!   park rule.
-//! * A completed load waiting for its owner is not activity: only the
-//!   owner's tick consumes it, and no memory tick changes it.
+//!   so it can come before the next retirement). Every tick before the
+//!   activity horizon is a pure wait, and a fast-forward is legal across
+//!   them with requests queued: the front end replicates the
+//!   queue-occupancy counters in bulk, and nothing else drifts — bank
+//!   stamps are absolute and `bank_busy_cycles` is charged at service
+//!   start. The engine's all-parked jump therefore skips bank-busy
+//!   windows on this backend exactly as it skips retirement waits on the
+//!   fixed one, under either park rule.
 
 use std::collections::VecDeque;
 
-use crate::backend::{MemBackend, MemBackendKind};
-use crate::system::{
-    assert_core_ids_fit, remove_one, Issue, MemConfig, MemEvent, MemEventRecord, MemStats, Port,
-    RowOutcome, TxnState, PORT_COUNT,
-};
+use crate::backend::{MemBackendKind, Service};
+use crate::system::{MemConfig, MemEvent, Memory, Port, RowOutcome, PORT_COUNT};
 use crate::wheel::RetireWheel;
 
 /// Largest supported [`DramConfig::n_banks`]. Each bank owns a queue
 /// sized for every port of every core, so the bound only keeps an absurd
 /// count (a corrupt worker frame, say) from turning into a giant
-/// allocation. [`DramMemorySystem::new`] asserts it; the job codec
-/// rejects frames beyond it.
+/// allocation. [`Dram`]'s constructor asserts it; the job codec rejects
+/// frames beyond it.
 pub const MAX_BANKS: u32 = 4096;
 
 /// Division of a `u32` by a configuration constant `d >= 1` without a
@@ -202,7 +195,7 @@ impl DramConfig {
     }
 }
 
-/// Bank/row counters, carried in [`MemStats::dram`] (always `Some` for
+/// Bank/row counters, carried in [`crate::MemStats::dram`] (always `Some` for
 /// this backend, `None` for the fixed one).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
@@ -246,17 +239,6 @@ struct BankGroup {
     busy: u64,
 }
 
-/// A DRAM-backend transaction: its address and state. The latency is
-/// decided at service start, against the bank's row buffer, so unlike
-/// the fixed backend's record this one carries none — and stays 8 bytes,
-/// four ports to half a cache line: with the fixed record's 12 the
-/// all-port microkernel ran 9 % slower.
-#[derive(Debug, Clone, Copy)]
-struct Txn {
-    addr: u32,
-    state: TxnState,
-}
-
 /// Per-bank row-buffer and availability state. Timestamps are absolute
 /// cycles, so clock jumps (`fast_forward`, `set_cycle`) need no fixup.
 #[derive(Debug, Clone, Copy)]
@@ -269,16 +251,10 @@ struct Bank {
     active_since: u64,
 }
 
-/// The bank/row DRAM backend (see the module docs).
+/// The bank/row DRAM service model (see the module docs).
 #[derive(Debug, Clone)]
-pub struct DramMemorySystem {
-    cfg: MemConfig,
+pub struct Dram {
     dram: DramConfig,
-    cycle: u64,
-    /// `ports[core][port]` — identical protocol to the fixed model.
-    ports: Vec<[Option<Txn>; PORT_COUNT]>,
-    /// Issue stamps, as in the fixed model (deadlock diagnostic only).
-    issued_at: Vec<u64>,
     /// Per-bank service queues, FIFO within a bank: `(core, port, row)`.
     bank_queues: Vec<VecDeque<(u16, Port, u32)>>,
     /// Total requests across all bank queues.
@@ -296,105 +272,13 @@ pub struct DramMemorySystem {
     row_of: Reciprocal,
     /// `row % n_banks`.
     bank_of_row: Reciprocal,
-    pending_header_stores: Vec<u32>,
-    header_cache: Vec<Option<u32>>,
     banks: Vec<Bank>,
-    stats: MemStats,
-    occupied: usize,
-    in_service: usize,
-    blocked: usize,
-    next_retire: u64,
-    retire_cal: RetireWheel,
-    pending_stores_dirty: bool,
-    /// The wake feed and its per-port masks, as in the fixed model.
-    wake_feed: bool,
-    wakes: [u64; PORT_COUNT],
-    events: Option<Vec<MemEventRecord>>,
 }
 
-impl DramMemorySystem {
-    /// DRAM backend serving `n_cores` cores. Timing comes from
-    /// `cfg.backend` when it is [`MemBackendKind::Dram`], otherwise
-    /// from [`DramConfig::default`].
-    pub fn new(n_cores: usize, cfg: MemConfig) -> DramMemorySystem {
-        let dram = match cfg.backend {
-            MemBackendKind::Dram(d) => d,
-            MemBackendKind::Fixed => DramConfig::default(),
-        };
-        assert!(cfg.bandwidth > 0, "bandwidth must be positive");
-        assert!(dram.t_cas >= 1, "tCAS must be at least one cycle");
-        assert!(dram.n_banks >= 1, "need at least one bank");
-        assert!(
-            dram.n_banks <= MAX_BANKS,
-            "n_banks {} exceeds the supported maximum {MAX_BANKS}",
-            dram.n_banks
-        );
-        assert!(dram.row_words >= 1, "rows must hold at least one word");
-        assert_core_ids_fit(n_cores);
-        let worst_latency = cfg
-            .with_backend(MemBackendKind::Dram(dram))
-            .worst_service_latency();
-        let n_banks = dram.n_banks as usize;
-        // A bank comes free at its access's retirement, or `tRP` after
-        // it under the closed-page policy.
-        let precharge = match dram.page_policy {
-            PagePolicy::Open => 0,
-            PagePolicy::Closed => dram.t_rp,
-        };
-        // Built in a loop, not `vec![..; n]`: cloning a `VecDeque` does
-        // not preserve capacity, and the steady-state loop must never
-        // grow these (the engine's no-alloc test counts).
-        let queue_cap = n_cores * PORT_COUNT + PORT_COUNT;
-        let mut bank_queues = Vec::with_capacity(n_banks);
-        bank_queues.resize_with(n_banks, || VecDeque::with_capacity(queue_cap));
-        DramMemorySystem {
-            cfg,
-            dram,
-            cycle: 0,
-            ports: vec![[None; PORT_COUNT]; n_cores],
-            issued_at: vec![0; n_cores * PORT_COUNT],
-            bank_queues,
-            queued_total: 0,
-            bank_groups: [BankGroup::default(); (MAX_BANKS / 64) as usize],
-            n_groups: n_banks.div_ceil(64),
-            bank_ready: RetireWheel::new(n_banks, worst_latency, precharge),
-            row_of: Reciprocal::new(dram.row_words),
-            bank_of_row: Reciprocal::new(dram.n_banks),
-            pending_header_stores: Vec::with_capacity(n_cores + 1),
-            header_cache: vec![None; cfg.header_cache_entries],
-            banks: vec![
-                Bank {
-                    open_row: None,
-                    ready_at: 0,
-                    active_since: 0,
-                };
-                n_banks
-            ],
-            stats: MemStats {
-                dram: Some(DramStats {
-                    bank_accesses: vec![0; n_banks],
-                    bank_busy_cycles: vec![0; n_banks],
-                    ..DramStats::default()
-                }),
-                ..MemStats::default()
-            },
-            occupied: 0,
-            in_service: 0,
-            blocked: 0,
-            next_retire: u64::MAX,
-            retire_cal: RetireWheel::new(n_cores * PORT_COUNT, worst_latency, 0),
-            pending_stores_dirty: false,
-            wake_feed: false,
-            wakes: [0; PORT_COUNT],
-            events: None,
-        }
-    }
+/// The bank/row DRAM backend.
+pub type DramMemorySystem = Memory<Dram>;
 
-    /// The DRAM timing parameters in effect.
-    pub fn dram_config(&self) -> &DramConfig {
-        &self.dram
-    }
-
+impl Dram {
     /// `(bank, row)` of `addr` under the row-interleaved map.
     #[inline]
     fn locate(&self, addr: u32) -> (usize, u32) {
@@ -403,61 +287,11 @@ impl DramMemorySystem {
         (bank as usize, row)
     }
 
-    /// Append `(core, port)`'s request for `addr` to its bank's queue.
-    #[inline]
-    fn enqueue(&mut self, core: usize, port: Port, addr: u32) {
-        let (bank, row) = self.locate(addr);
-        self.bank_queues[bank].push_back((core as u16, port, row));
-        self.bank_groups[bank / 64].queued |= 1 << (bank % 64);
-        self.queued_total += 1;
-    }
-
-    #[inline]
-    fn push_wake(&mut self, core: usize, port: Port) {
-        if self.wake_feed {
-            self.wakes[port as usize] |= 1 << core;
-        }
-    }
-
-    #[inline]
-    fn log(&mut self, event: MemEvent) {
-        if let Some(events) = &mut self.events {
-            events.push(MemEventRecord {
-                cycle: self.cycle,
-                event,
-            });
-        }
-    }
-
-    fn cache_lookup(&mut self, addr: u32) -> bool {
-        if self.header_cache.is_empty() {
-            return false;
-        }
-        let set = addr as usize % self.header_cache.len();
-        if self.header_cache[set] == Some(addr) {
-            self.stats.header_cache_hits += 1;
-            true
-        } else {
-            self.stats.header_cache_misses += 1;
-            false
-        }
-    }
-
-    fn cache_fill(&mut self, addr: u32) {
-        if self.header_cache.is_empty() {
-            return;
-        }
-        let set = addr as usize % self.header_cache.len();
-        self.header_cache[set] = Some(addr);
-    }
-
-    /// Resolve one access to `row` against bank `b`'s row buffer at the
-    /// current cycle: returns the service latency (before
-    /// `extra_latency`) and the row outcome, and commits the bank's new
-    /// row/timing state for an access completing at
-    /// `now + latency (+ extra)`.
-    fn access_bank(&mut self, b: usize, row: u32) -> (u32, RowOutcome) {
-        let now = self.cycle;
+    /// Resolve one access to `row` against bank `b`'s row buffer at
+    /// cycle `now`: returns the service latency (before `extra_latency`)
+    /// and the row outcome, and commits the bank's new row/timing state
+    /// for an access completing at `now + latency (+ extra)`.
+    fn access_bank(&mut self, b: usize, row: u32, now: u64) -> (u32, RowOutcome) {
         let bank = &mut self.banks[b];
         match self.dram.page_policy {
             PagePolicy::Closed => (self.dram.t_rcd + self.dram.t_cas, RowOutcome::Empty),
@@ -482,81 +316,6 @@ impl DramMemorySystem {
         }
     }
 
-    /// Advance one cycle: retire due transactions, re-check the
-    /// comparator array, then let ready banks start service under the
-    /// global bandwidth cap. Structure mirrors
-    /// [`crate::MemorySystem::tick`]; only step 3 differs.
-    pub fn tick(&mut self) {
-        self.cycle += 1;
-        self.stats.cycles += 1;
-
-        // 1. Retire in-service transactions that are due: this cycle's
-        // calendar slot, taken whole.
-        if self.next_retire <= self.cycle {
-            debug_assert_eq!(self.next_retire, self.cycle, "a retirement was skipped");
-            let mut due = self.retire_cal.take(self.cycle);
-            while let Some((w, mut ids)) = due.next_word(&mut self.retire_cal) {
-                while ids != 0 {
-                    let id = 64 * w + ids.trailing_zeros() as usize;
-                    ids &= ids - 1;
-                    self.retire(id / PORT_COUNT, Port::ALL[id % PORT_COUNT]);
-                }
-            }
-            self.next_retire = self.retire_cal.next_after(self.cycle);
-        }
-
-        // 2. Comparator re-check (identical to the fixed model).
-        if self.blocked > 0 {
-            if self.pending_stores_dirty {
-                for core in 0..self.ports.len() {
-                    if let Some(txn) = &mut self.ports[core][Port::HeaderLoad as usize] {
-                        if txn.state == TxnState::Blocked {
-                            if self.pending_header_stores.contains(&txn.addr) {
-                                self.stats.comparator_blocked_cycles += 1;
-                            } else {
-                                txn.state = TxnState::Queued;
-                                let addr = txn.addr;
-                                self.blocked -= 1;
-                                self.enqueue(core, Port::HeaderLoad, addr);
-                                self.log(MemEvent::CompUnblocked {
-                                    core: core as u32,
-                                    addr,
-                                });
-                            }
-                        }
-                    }
-                }
-            } else {
-                self.stats.comparator_blocked_cycles += self.blocked as u64;
-            }
-        }
-        self.pending_stores_dirty = false;
-
-        // 3. The banks whose `ready_at` is this cycle come free; free
-        // banks with a queued request start service, in bank index
-        // order, up to `bandwidth` starts per cycle.
-        self.free_banks(self.cycle);
-        if self.queued_total > 0 {
-            self.stats.queue_occupancy_sum += self.queued_total as u64;
-            self.stats.queue_busy_cycles += 1;
-            let mut budget = self.cfg.bandwidth;
-            'banks: for g in 0..self.n_groups {
-                // A start only touches its own bank's bits, so the
-                // snapshot stays valid through the walk.
-                let mut startable = self.bank_groups[g].queued & !self.bank_groups[g].busy;
-                while startable != 0 {
-                    if budget == 0 {
-                        break 'banks;
-                    }
-                    budget -= 1;
-                    let b = g * 64 + startable.trailing_zeros() as usize;
-                    startable &= startable - 1;
-                    self.start_service(b);
-                }
-            }
-        }
-    }
-
     /// Drop the banks whose `ready_at` is `cycle` from the busy set: the
     /// bank-ready calendar's slot, taken whole.
     #[inline]
@@ -567,325 +326,188 @@ impl DramMemorySystem {
         }
     }
 
-    /// Move the clock to `cycle` without ticking: the banks whose
-    /// `ready_at` the skipped cycles reach come free, exactly as the
-    /// ticks would have freed them.
-    fn advance_to(&mut self, cycle: u64) {
-        let mut at = self.bank_ready.next_after(self.cycle);
-        while at <= cycle {
-            self.free_banks(at);
-            at = self.bank_ready.next_after(at);
-        }
-        self.cycle = cycle;
-    }
-
-    /// `(core, port)`'s in-service transaction leaves DRAM: load data
-    /// ready, or the store committed and its buffer freed.
-    #[inline]
-    fn retire(&mut self, core: usize, port: Port) {
-        self.in_service -= 1;
-        let entry = &mut self.ports[core][port as usize];
-        if port.is_load() {
-            entry.as_mut().expect("retiring a missing load").state = TxnState::Complete;
-        } else {
-            let txn = entry.take().expect("retiring a missing store");
-            self.occupied -= 1;
-            if port == Port::HeaderStore {
-                remove_one(&mut self.pending_header_stores, txn.addr);
-                self.pending_stores_dirty = true;
-            }
-        }
-        self.log(MemEvent::Retire {
-            core: core as u32,
-            port,
-        });
-        self.push_wake(core, port);
-    }
-
     /// Start the access at the head of free bank `b`'s queue.
-    fn start_service(&mut self, b: usize) {
-        let (core, port, row) = self.bank_queues[b]
+    fn start_service(m: &mut Memory<Dram>, b: usize) {
+        let now = m.cycle;
+        let d = &mut m.service;
+        let (core, port, row) = d.bank_queues[b]
             .pop_front()
             .expect("queued bit set on an empty bank queue");
-        let core = usize::from(core);
-        self.queued_total -= 1;
-        let left_behind = self.bank_queues[b].len() as u32;
+        d.queued_total -= 1;
+        let left_behind = d.bank_queues[b].len() as u32;
         if left_behind == 0 {
-            self.bank_groups[b / 64].queued &= !(1 << (b % 64));
+            d.bank_groups[b / 64].queued &= !(1 << (b % 64));
         }
-        let (row_latency, outcome) = self.access_bank(b, row);
-        let latency = row_latency + self.cfg.extra_latency;
+        let (row_latency, outcome) = d.access_bank(b, row, now);
+        let latency = row_latency + m.cfg.extra_latency;
         debug_assert!(latency >= 1, "tCAS >= 1 forbids zero-latency service");
-        let done_at = self.cycle + latency as u64;
-        let ready_at = match self.dram.page_policy {
+        let done_at = now + u64::from(latency);
+        let ready_at = match d.dram.page_policy {
             PagePolicy::Open => done_at,
-            PagePolicy::Closed => done_at + self.dram.t_rp as u64,
+            PagePolicy::Closed => done_at + u64::from(d.dram.t_rp),
         };
-        self.banks[b].ready_at = ready_at;
-        self.bank_groups[b / 64].busy |= 1 << (b % 64);
-        self.bank_ready.insert(self.cycle, ready_at, b);
-        let dstats = self.stats.dram.as_mut().expect("dram stats present");
+        d.banks[b].ready_at = ready_at;
+        d.bank_groups[b / 64].busy |= 1 << (b % 64);
+        d.bank_ready.insert(now, ready_at, b);
+        let dstats = m.stats.dram.as_mut().expect("dram stats present");
         match outcome {
             RowOutcome::Hit => dstats.row_hits += 1,
             RowOutcome::Empty => dstats.row_empties += 1,
             RowOutcome::Conflict => dstats.row_conflicts += 1,
         }
         dstats.bank_accesses[b] += 1;
-        dstats.bank_busy_cycles[b] += ready_at - self.cycle;
-        self.log(MemEvent::DramAccess {
-            core: core as u32,
+        dstats.bank_busy_cycles[b] += ready_at - now;
+        m.log(MemEvent::DramAccess {
+            core: u32::from(core),
             port,
             bank: b as u32,
             outcome,
             bank_queue: left_behind,
         });
-        self.log(MemEvent::ServiceStart {
-            core: core as u32,
-            port,
-            latency,
-        });
-        let txn = self.ports[core][port as usize]
-            .as_mut()
-            .expect("queued transaction must exist");
-        debug_assert_eq!(txn.state, TxnState::Queued);
-        txn.state = TxnState::InService;
-        self.in_service += 1;
-        self.retire_cal
-            .insert(self.cycle, done_at, core * PORT_COUNT + port as usize);
-        self.next_retire = self.next_retire.min(done_at);
-    }
-
-    /// Issue a request on `(core, port)` — the protocol (port buffers,
-    /// comparator array, header cache) is identical to
-    /// [`crate::MemorySystem::try_issue`]; only the queue the request
-    /// joins is per-bank. Service starts a tick after issue at the
-    /// earliest and lasts at least `tCAS >= 1` cycles, so every access
-    /// but a header-cache hit (complete at issue: [`Issue::Soon`]) is
-    /// [`Issue::Later`].
-    pub fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue {
-        if self.ports[core][port as usize].is_some() {
-            return Issue::Busy;
-        }
-        let mut state = TxnState::Queued;
-        if port == Port::HeaderLoad && self.pending_header_stores.contains(&addr) {
-            state = TxnState::Blocked;
-        } else if port == Port::HeaderLoad && self.cache_lookup(addr) {
-            state = TxnState::Complete;
-        }
-        if port == Port::HeaderLoad && state == TxnState::Queued {
-            self.cache_fill(addr);
-        }
-        if port == Port::HeaderStore {
-            self.pending_header_stores.push(addr);
-            self.cache_fill(addr);
-        }
-        self.ports[core][port as usize] = Some(Txn { addr, state });
-        self.issued_at[core * PORT_COUNT + port as usize] = self.cycle;
-        self.occupied += 1;
-        self.log(MemEvent::Issue {
-            core: core as u32,
-            port,
-            addr,
-        });
-        let issue = match state {
-            TxnState::Queued => {
-                self.enqueue(core, port, addr);
-                Issue::Later
-            }
-            TxnState::Blocked => {
-                self.blocked += 1;
-                self.log(MemEvent::CompBlocked {
-                    core: core as u32,
-                    addr,
-                });
-                Issue::Later
-            }
-            TxnState::Complete => {
-                self.log(MemEvent::CacheHit {
-                    core: core as u32,
-                    addr,
-                });
-                Issue::Soon
-            }
-            TxnState::InService => unreachable!("issue never starts service"),
-        };
-        self.stats.issued[port as usize] += 1;
-        issue
+        m.start(usize::from(core), port, latency);
     }
 }
 
-impl MemBackend for DramMemorySystem {
-    fn new_backend(n_cores: usize, cfg: MemConfig) -> DramMemorySystem {
-        DramMemorySystem::new(n_cores, cfg)
-    }
-
-    #[inline]
-    fn tick(&mut self) {
-        DramMemorySystem::tick(self)
-    }
-
-    #[inline]
-    fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue {
-        DramMemorySystem::try_issue(self, core, port, addr)
-    }
-
-    #[inline]
-    fn port_busy(&self, core: usize, port: Port) -> bool {
-        self.ports[core][port as usize].is_some()
-    }
-
-    #[inline]
-    fn load_ready(&self, core: usize, port: Port) -> bool {
-        assert!(port.is_load());
-        matches!(
-            self.ports[core][port as usize],
-            Some(Txn {
-                state: TxnState::Complete,
-                ..
-            })
-        )
-    }
-
-    fn consume_load(&mut self, core: usize, port: Port) -> u32 {
-        assert!(port.is_load());
-        let txn = self.ports[core][port as usize]
-            .take()
-            .expect("no load in buffer");
-        assert_eq!(
-            txn.state,
-            TxnState::Complete,
-            "load consumed before completion"
+impl Service for Dram {
+    /// Timing comes from `cfg.backend` when it is
+    /// [`MemBackendKind::Dram`], otherwise from [`DramConfig::default`].
+    fn new(n_cores: usize, cfg: &MemConfig) -> Dram {
+        let dram = match cfg.backend {
+            MemBackendKind::Dram(d) => d,
+            MemBackendKind::Fixed => DramConfig::default(),
+        };
+        assert!(dram.t_cas >= 1, "tCAS must be at least one cycle");
+        assert!(dram.n_banks >= 1, "need at least one bank");
+        assert!(
+            dram.n_banks <= MAX_BANKS,
+            "n_banks {} exceeds the supported maximum {MAX_BANKS}",
+            dram.n_banks
         );
-        self.occupied -= 1;
-        self.log(MemEvent::Consume {
-            core: core as u32,
-            port,
-        });
-        txn.addr
+        assert!(dram.row_words >= 1, "rows must hold at least one word");
+        let n_banks = dram.n_banks as usize;
+        // A bank comes free at its access's retirement, or `tRP` after
+        // it under the closed-page policy.
+        let precharge = match dram.page_policy {
+            PagePolicy::Open => 0,
+            PagePolicy::Closed => dram.t_rp,
+        };
+        let worst_latency = dram.worst_access_latency() + u64::from(cfg.extra_latency);
+        // Built in a loop, not `vec![..; n]`: cloning a `VecDeque` does
+        // not preserve capacity, and the steady-state loop must never
+        // grow these (the engine's no-alloc test counts).
+        let queue_cap = n_cores * PORT_COUNT + PORT_COUNT;
+        let mut bank_queues = Vec::with_capacity(n_banks);
+        bank_queues.resize_with(n_banks, || VecDeque::with_capacity(queue_cap));
+        Dram {
+            dram,
+            bank_queues,
+            queued_total: 0,
+            bank_groups: [BankGroup::default(); (MAX_BANKS / 64) as usize],
+            n_groups: n_banks.div_ceil(64),
+            bank_ready: RetireWheel::new(n_banks, worst_latency, precharge),
+            row_of: Reciprocal::new(dram.row_words),
+            bank_of_row: Reciprocal::new(dram.n_banks),
+            banks: vec![
+                Bank {
+                    open_row: None,
+                    ready_at: 0,
+                    active_since: 0,
+                };
+                n_banks
+            ],
+        }
+    }
+
+    fn worst_access_latency(&self) -> u64 {
+        self.dram.worst_access_latency()
+    }
+
+    fn dram_stats(&self) -> Option<DramStats> {
+        let n_banks = self.banks.len();
+        Some(DramStats {
+            bank_accesses: vec![0; n_banks],
+            bank_busy_cycles: vec![0; n_banks],
+            ..DramStats::default()
+        })
+    }
+
+    /// Append the request to its bank's queue. Never `true`: service
+    /// starts a tick after issue at the earliest and lasts at least
+    /// `tCAS >= 1` cycles.
+    #[inline]
+    fn enqueue(&mut self, core: usize, port: Port, addr: u32) -> bool {
+        let (bank, row) = self.locate(addr);
+        self.bank_queues[bank].push_back((core as u16, port, row));
+        self.bank_groups[bank / 64].queued |= 1 << (bank % 64);
+        self.queued_total += 1;
+        false
     }
 
     #[inline]
-    fn all_idle(&self) -> bool {
-        self.occupied == 0
+    fn queued(&self) -> usize {
+        self.queued_total
     }
 
+    /// The banks whose `ready_at` is this cycle come free; free banks
+    /// with a queued request start service, in bank index order, up to
+    /// `bandwidth` starts per cycle.
     #[inline]
-    fn header_store_pending(&self, addr: u32) -> bool {
-        self.pending_header_stores.contains(&addr)
+    fn serve(m: &mut Memory<Dram>) {
+        m.service.free_banks(m.cycle);
+        if m.service.queued_total == 0 {
+            return;
+        }
+        let mut budget = m.cfg.bandwidth;
+        'banks: for g in 0..m.service.n_groups {
+            // A start only touches its own bank's bits, so the snapshot
+            // stays valid through the walk.
+            let group = m.service.bank_groups[g];
+            let mut startable = group.queued & !group.busy;
+            while startable != 0 {
+                if budget == 0 {
+                    break 'banks;
+                }
+                budget -= 1;
+                let b = g * 64 + startable.trailing_zeros() as usize;
+                startable &= startable - 1;
+                Dram::start_service(m, b);
+            }
+        }
     }
 
-    fn next_activity_cycle(&self) -> Option<u64> {
-        let next_tick = self.cycle + 1;
-        if self.pending_stores_dirty {
-            return Some(next_tick);
-        }
-        if self.queued_total == 0 {
-            return (self.in_service > 0).then_some(self.next_retire);
-        }
-        // The earliest service start: a bank outside the busy set is
-        // free now; one inside it frees at its `ready_at`, which is in
-        // the future (the busy set is exact).
-        let mut horizon = self.next_retire;
+    /// A bank outside the busy set is free now; one inside it frees at
+    /// its `ready_at`, which is in the future (the busy set is exact).
+    fn next_start(&self, cycle: u64) -> u64 {
+        let mut at = u64::MAX;
         for (g, group) in self.bank_groups[..self.n_groups].iter().enumerate() {
             if group.queued & !group.busy != 0 {
-                return Some(next_tick);
+                return cycle + 1;
             }
             let mut waiting = group.queued;
             while waiting != 0 {
                 let b = g * 64 + waiting.trailing_zeros() as usize;
                 waiting &= waiting - 1;
-                horizon = horizon.min(self.banks[b].ready_at);
+                at = at.min(self.banks[b].ready_at);
             }
         }
-        Some(horizon)
+        at
     }
 
-    fn fast_forward(&mut self, k: u64) {
-        debug_assert!(
-            self.next_activity_cycle()
-                .is_none_or(|at| self.cycle + k < at),
-            "fast-forward of {k} cycles from {} over a retirement, service start or re-check",
-            self.cycle
-        );
-        if k == 0 {
-            return;
-        }
-        self.advance_to(self.cycle + k);
-        self.stats.cycles += k;
-        self.stats.comparator_blocked_cycles += k * self.blocked as u64;
-        if self.queued_total > 0 {
-            // Every skipped tick would have found the same requests
-            // waiting behind busy banks.
-            self.stats.queue_occupancy_sum += k * self.queued_total as u64;
-            self.stats.queue_busy_cycles += k;
+    /// The banks whose `ready_at` the skipped cycles reach come free,
+    /// exactly as the ticks would have freed them — a closed-page bank
+    /// may still be precharging with nothing queued.
+    fn advance(&mut self, from: u64, to: u64) {
+        let mut at = self.bank_ready.next_after(from);
+        while at <= to {
+            self.free_banks(at);
+            at = self.bank_ready.next_after(at);
         }
     }
 
-    fn set_cycle(&mut self, cycle: u64) {
-        assert!(cycle >= self.cycle, "memory clock may not go backwards");
-        assert!(
-            self.occupied == 0 && self.queued_total == 0,
-            "set_cycle with traffic in flight"
-        );
-        // A closed-page bank may still be precharging.
-        self.advance_to(cycle);
-    }
-
-    #[inline]
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    #[inline]
+    /// A root header fetch lands on a precharged bank: activate + column
+    /// access (`extra_latency` excluded, as in the fixed backend).
     fn uncontended_read_latency(&self) -> u32 {
-        // A root header fetch lands on a precharged bank: activate +
-        // column access (`extra_latency` excluded, as in the fixed
-        // backend).
         self.dram.t_rcd + self.dram.t_cas
-    }
-
-    fn enable_event_log(&mut self) {
-        self.events = Some(Vec::new());
-    }
-
-    #[inline]
-    fn event_log_enabled(&self) -> bool {
-        self.events.is_some()
-    }
-
-    fn take_event_log(&mut self) -> Vec<MemEventRecord> {
-        self.events.take().unwrap_or_default()
-    }
-
-    fn enable_wake_feed(&mut self) {
-        assert!(self.ports.len() <= 64, "wake masks hold at most 64 cores");
-        self.wake_feed = true;
-    }
-
-    #[inline]
-    fn take_wakes(&mut self) -> [u64; PORT_COUNT] {
-        std::mem::take(&mut self.wakes)
-    }
-
-    #[inline]
-    fn stats(&self) -> &MemStats {
-        &self.stats
-    }
-
-    fn into_stats(self) -> MemStats {
-        self.stats
-    }
-
-    #[inline]
-    fn queue_len(&self) -> usize {
-        self.queued_total
-    }
-
-    fn oldest_inflight_age(&self) -> Option<u64> {
-        (0..self.issued_at.len())
-            .filter(|&id| self.ports[id / PORT_COUNT][id % PORT_COUNT].is_some())
-            .map(|id| self.cycle.saturating_sub(self.issued_at[id]))
-            .max()
     }
 }
 
@@ -894,6 +516,7 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+    use crate::backend::MemBackend;
 
     fn dram_cfg() -> DramConfig {
         DramConfig {

@@ -34,11 +34,11 @@ pub mod fifo;
 pub mod system;
 mod wheel;
 
-pub use backend::{backend_from, MemBackend, MemBackendKind};
-pub use dram::{DramConfig, DramMemorySystem, DramStats, PagePolicy, MAX_BANKS};
+pub use backend::{backend_from, MemBackend, MemBackendKind, Service};
+pub use dram::{Dram, DramConfig, DramMemorySystem, DramStats, PagePolicy, MAX_BANKS};
 pub use fifo::{FifoStats, HeaderFifo};
 pub use system::{
-    Issue, MemConfig, MemEvent, MemEventRecord, MemStats, MemorySystem, Port, RowOutcome,
-    PORT_COUNT,
+    Fixed, Issue, MemConfig, MemEvent, MemEventRecord, MemStats, Memory, MemorySystem, Port,
+    RowOutcome, PORT_COUNT,
 };
 pub use wheel::MAX_SERVICE_LATENCY;

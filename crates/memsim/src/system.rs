@@ -1,8 +1,17 @@
-//! The memory access scheduler and DRAM timing model.
+//! The request protocol, and the fixed latency/bandwidth service model.
+//!
+//! [`Memory`] is the one front end of both memory backends (paper
+//! Section V-D): the per-core port buffers and their issue stamps, the
+//! comparator array that holds a header load behind a pending header
+//! store to the same address, the shared header cache, the retirement
+//! calendar, the statistics, the sparse engine's wake feed and the event
+//! log. The one thing it leaves to its [`Service`] model is how a queued
+//! request is served: [`Fixed`] (here, the paper's regime) or
+//! [`Dram`](crate::Dram) (bank/row timing).
 
 use std::collections::VecDeque;
 
-use crate::backend::{backend_from, MemBackendKind};
+use crate::backend::{backend_from, MemBackend, MemBackendKind, Service};
 use crate::dram::DramStats;
 use crate::wheel::RetireWheel;
 
@@ -41,8 +50,10 @@ pub struct MemConfig {
     /// Which timing backend the engine instantiates (see
     /// [`crate::MemBackend`]). Defaults from the `HWGC_MEM_BACKEND`
     /// environment knob ([`backend_from`] documents the grammar);
-    /// `MemorySystem` itself ignores this field — it *is* the
-    /// [`MemBackendKind::Fixed`] implementation.
+    /// [`MemorySystem`] ignores this field — it *is* the
+    /// [`MemBackendKind::Fixed`] implementation — and
+    /// [`DramMemorySystem`](crate::DramMemorySystem) takes its timings
+    /// from it.
     pub backend: MemBackendKind,
 }
 
@@ -129,7 +140,7 @@ impl Port {
     }
 }
 
-/// What [`MemorySystem::try_issue`] made of a request: refused, or taken
+/// What [`MemBackend::try_issue`] made of a request: refused, or taken
 /// together with what the backend already knows about its retirement —
 /// whether the state that waits on it can possibly find it retired when
 /// it retries next cycle.
@@ -155,28 +166,28 @@ impl Issue {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TxnState {
+enum TxnState {
     /// Header load waiting for a matching header store (comparator array).
     Blocked,
-    /// Waiting for DRAM service.
+    /// Waiting in the service model's queue.
     Queued,
-    /// In DRAM; its retirement is on the backend's calendar.
+    /// In service; its retirement is on the calendar.
     InService,
     /// Load data sitting in the buffer, not yet consumed by the core.
     Complete,
 }
 
-/// A fixed-backend transaction: its address, its service latency —
-/// decided at issue, see [`MemorySystem::try_issue`] — and its state.
+/// The transaction in a port buffer: its address and state, 8 bytes —
+/// four ports to half a cache line. Whatever the service model needs to
+/// time it rides in the model's queue entry instead.
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     addr: u32,
-    latency: u32,
     state: TxnState,
 }
 
 /// One memory-system transition, as recorded by the opt-in event log (see
-/// [`MemorySystem::enable_event_log`]). Every variant is a *transition* —
+/// [`MemBackend::enable_event_log`]). Every variant is a *transition* —
 /// something changed — so fast-forward windows (which are transition-free
 /// by construction: empty queue, nothing retiring, no core issuing or
 /// consuming) never need to replicate events, and the log stays bit-exact
@@ -240,7 +251,7 @@ impl RowOutcome {
 
 /// A [`MemEvent`] stamped with the memory-system cycle it occurred in
 /// (kept equal to the engine's cycle numbering via
-/// [`MemorySystem::set_cycle`]).
+/// [`MemBackend::set_cycle`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemEventRecord {
     pub cycle: u64,
@@ -288,46 +299,35 @@ impl MemStats {
 }
 
 /// The split-transaction memory system: per-core single-entry buffers in
-/// front of a bandwidth/latency DRAM model, with the comparator array that
-/// orders header loads after matching header stores.
+/// front of the service model `S`, with the comparator array that orders
+/// header loads after matching header stores (see the module docs; the
+/// methods are [`MemBackend`]'s).
 #[derive(Debug, Clone)]
-pub struct MemorySystem {
-    cfg: MemConfig,
-    cycle: u64,
+pub struct Memory<S> {
+    pub(crate) cfg: MemConfig,
+    pub(crate) cycle: u64,
     /// `ports[core][port]`.
     ports: Vec<[Option<Txn>; PORT_COUNT]>,
     /// Issue cycle of the transaction in `(core, port)`, at index
     /// `core * PORT_COUNT + port` — read only by the deadlock diagnostic
-    /// [`MemorySystem::oldest_inflight_age`], so kept out of the records
+    /// [`MemBackend::oldest_inflight_age`], so kept out of the records
     /// the tick walks.
     issued_at: Vec<u64>,
-    /// Service queue: `(core, port)` in arrival order.
-    queue: VecDeque<(u16, Port)>,
     /// Pending header-store addresses (comparator array). Tiny: at most one
     /// entry per core.
     pending_header_stores: Vec<u32>,
-    /// Address of the previous access per core and body port
-    /// (load/store), for the sequential-burst fast path: bodies are
-    /// streamed, so an access to `prev + 1` hits the open DRAM row /
-    /// continues the burst. Recorded at issue: a port re-issues only
-    /// after its previous transaction retired, so this is always the
-    /// access the port served last.
-    last_body_addr: Vec<[Option<u32>; 2]>,
     /// Shared direct-mapped header cache: tag (header address) per set.
     /// Timing-only — data always comes from the functional heap; the
     /// cache is write-through and therefore coherent by construction.
     header_cache: Vec<Option<u32>>,
-    /// xorshift state for out-of-order queue service (`None` = FIFO).
-    reorder_state: Option<u64>,
-    stats: MemStats,
+    pub(crate) stats: MemStats,
     // Derived occupancy counters so the per-cycle tick touches no port
     // buffer unless something can actually change. Invariants:
-    // `occupied` = number of `Some` port entries, `in_service` / `blocked`
-    // / `complete` = entries in the corresponding `TxnState`, and
-    // `next_retire` = earliest `done_at` among in-service transactions
+    // `occupied` = number of `Some` port entries, `blocked` / `complete`
+    // = entries in the corresponding `TxnState`, and `next_retire` =
+    // earliest retirement cycle among in-service transactions
     // (`u64::MAX` when none).
     occupied: usize,
-    in_service: usize,
     blocked: usize,
     complete: usize,
     next_retire: u64,
@@ -356,35 +356,39 @@ pub struct MemorySystem {
     /// Cycle-stamped transition log; `None` (the default) records nothing
     /// and costs nothing.
     events: Option<Vec<MemEventRecord>>,
+    /// How queued requests are served.
+    pub(crate) service: S,
 }
 
-impl MemorySystem {
+/// The fixed latency/bandwidth backend — the paper's regime.
+pub type MemorySystem = Memory<Fixed>;
+
+impl<S: Service> Memory<S> {
     /// Memory system serving `n_cores` cores.
-    pub fn new(n_cores: usize, cfg: MemConfig) -> MemorySystem {
+    pub fn new(n_cores: usize, cfg: MemConfig) -> Memory<S> {
         assert!(cfg.bandwidth > 0, "bandwidth must be positive");
-        assert_core_ids_fit(n_cores);
-        // `MemorySystem` *is* the fixed backend, whatever `cfg.backend`
-        // says.
-        let worst_latency = cfg
-            .with_backend(MemBackendKind::Fixed)
-            .worst_service_latency();
-        MemorySystem {
+        // The service models key their queues by `u16` core ids.
+        assert!(
+            n_cores <= usize::from(u16::MAX) + 1,
+            "{n_cores} cores exceed the memory system's 16-bit core ids"
+        );
+        let service = S::new(n_cores, &cfg);
+        let worst_latency = service.worst_access_latency() + u64::from(cfg.extra_latency);
+        Memory {
             cfg,
             cycle: 0,
             ports: vec![[None; PORT_COUNT]; n_cores],
             issued_at: vec![0; n_cores * PORT_COUNT],
-            // Preallocate to the architectural maxima so the steady-state
-            // simulation loop never allocates: at most one outstanding
-            // request per (core, port), at most one pending header store
-            // per core (plus the mutator's slot).
-            queue: VecDeque::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
+            // Preallocated to the architectural maximum so the
+            // steady-state loop never allocates: one pending header store
+            // per core, plus the mutator's slot.
             pending_header_stores: Vec::with_capacity(n_cores + 1),
-            last_body_addr: vec![[None; 2]; n_cores],
             header_cache: vec![None; cfg.header_cache_entries],
-            reorder_state: cfg.service_reorder_seed.map(|s| s | 1),
-            stats: MemStats::default(),
+            stats: MemStats {
+                dram: service.dram_stats(),
+                ..MemStats::default()
+            },
             occupied: 0,
-            in_service: 0,
             blocked: 0,
             complete: 0,
             next_retire: u64::MAX,
@@ -393,45 +397,14 @@ impl MemorySystem {
             wake_feed: false,
             wakes: [0; PORT_COUNT],
             events: None,
+            service,
         }
     }
 
-    // --- event log -----------------------------------------------------
-
-    /// Turn on the cycle-stamped transition log. Intended for the
-    /// observability layer and test harnesses; off by default.
-    pub fn enable_event_log(&mut self) {
-        self.events = Some(Vec::new());
-    }
-
-    /// Is the transition log enabled?
-    pub fn event_log_enabled(&self) -> bool {
-        self.events.is_some()
-    }
-
-    /// Take ownership of the recorded events (empty if logging was off).
-    pub fn take_event_log(&mut self) -> Vec<MemEventRecord> {
-        self.events.take().unwrap_or_default()
-    }
-
-    // --- sparse-engine wake feed ---------------------------------------
-
-    /// Turn on the wake feed (see the `wakes` field). Off by default;
-    /// the naive loop pays nothing.
-    ///
-    /// # Panics
-    /// Panics with more than 64 cores: a mask holds one bit per core.
-    pub fn enable_wake_feed(&mut self) {
-        assert!(self.ports.len() <= 64, "wake masks hold at most 64 cores");
-        self.wake_feed = true;
-    }
-
-    /// Per port, the cores whose transactions on it retired since the
-    /// last call (bit `c` of entry `p`: core `c`, `Port::ALL[p]`), and
-    /// clear them. All zero while the feed is off.
+    /// Is a header store to `addr` pending (comparator array view)?
     #[inline]
-    pub fn take_wakes(&mut self) -> [u64; PORT_COUNT] {
-        std::mem::take(&mut self.wakes)
+    pub fn header_store_pending(&self, addr: u32) -> bool {
+        self.pending_header_stores.contains(&addr)
     }
 
     #[inline]
@@ -442,44 +415,12 @@ impl MemorySystem {
     }
 
     #[inline]
-    fn log(&mut self, event: MemEvent) {
+    pub(crate) fn log(&mut self, event: MemEvent) {
         if let Some(events) = &mut self.events {
             events.push(MemEventRecord {
                 cycle: self.cycle,
                 event,
             });
-        }
-    }
-
-    /// Align the memory clock with an external cycle counter (the engine
-    /// does this after the sequential root phase, which charges cycles
-    /// without ticking the memory system). Only legal while no traffic is
-    /// in flight: every `done_at` is derived from the clock at service
-    /// start, so jumping with transactions pending would warp them.
-    pub fn set_cycle(&mut self, cycle: u64) {
-        assert!(cycle >= self.cycle, "memory clock may not go backwards");
-        assert!(
-            self.occupied == 0 && self.queue.is_empty(),
-            "set_cycle with traffic in flight"
-        );
-        self.cycle = cycle;
-    }
-
-    /// Pop the next request to serve: FIFO normally, a seeded random pick
-    /// under `service_reorder_seed`.
-    #[inline]
-    fn pop_service(&mut self) -> Option<(u16, Port)> {
-        match self.reorder_state.as_mut() {
-            None => self.queue.pop_front(),
-            Some(state) => {
-                if self.queue.is_empty() {
-                    return None;
-                }
-                *state ^= *state << 13;
-                *state ^= *state >> 7;
-                *state ^= *state << 17;
-                self.queue.remove(*state as usize % self.queue.len())
-            }
         }
     }
 
@@ -507,25 +448,83 @@ impl MemorySystem {
         self.header_cache[set] = Some(addr);
     }
 
-    /// Latency of one uncontended random read: `latency`, without the
-    /// artificial `extra_latency` (what the sequential root phase charges
-    /// per root header fetch).
-    pub fn uncontended_read_latency(&self) -> u32 {
-        self.cfg.latency
+    /// The service model starts the queued `(core, port)` transaction
+    /// this tick; it retires `latency` cycles later. Latency `0` is a
+    /// burst continuation: the open-row access completes within this
+    /// memory cycle, so the data is ready when the core ticks.
+    #[inline]
+    pub(crate) fn start(&mut self, core: usize, port: Port, latency: u32) {
+        self.log(MemEvent::ServiceStart {
+            core: core as u32,
+            port,
+            latency,
+        });
+        let txn = self.ports[core][port as usize]
+            .as_mut()
+            .expect("queued transaction must exist");
+        debug_assert_eq!(txn.state, TxnState::Queued);
+        txn.state = TxnState::InService;
+        if latency == 0 {
+            self.retire(core, port);
+            return;
+        }
+        let done_at = self.cycle + u64::from(latency);
+        self.retire_cal
+            .insert(self.cycle, done_at, core * PORT_COUNT + port as usize);
+        self.next_retire = self.next_retire.min(done_at);
     }
 
-    /// Current cycle number.
+    /// `(core, port)`'s in-service transaction leaves DRAM: load data
+    /// ready, or the store committed and its buffer freed.
     #[inline]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
+    fn retire(&mut self, core: usize, port: Port) {
+        let entry = &mut self.ports[core][port as usize];
+        if port.is_load() {
+            entry.as_mut().expect("retiring a missing load").state = TxnState::Complete;
+            self.complete += 1;
+        } else {
+            let txn = entry.take().expect("retiring a missing store");
+            self.occupied -= 1;
+            if port == Port::HeaderStore {
+                let pending = &mut self.pending_header_stores;
+                let idx = pending
+                    .iter()
+                    .position(|&a| a == txn.addr)
+                    .expect("pending store missing");
+                pending.swap_remove(idx);
+                self.pending_stores_dirty = true;
+            }
+        }
+        self.log(MemEvent::Retire {
+            core: core as u32,
+            port,
+        });
+        self.push_wake(core, port);
     }
 
-    /// Advance one cycle: complete finished services, unblock header loads
-    /// whose matching stores retired, and start service for up to
-    /// `bandwidth` queued requests. Call once per engine cycle, before the
-    /// cores tick.
+    /// Account `k` ticks in which nothing retires, starts or unblocks:
+    /// the clock, and the per-tick counters of whatever stays blocked or
+    /// queued.
+    fn skip(&mut self, k: u64) {
+        self.service.advance(self.cycle, self.cycle + k);
+        self.cycle += k;
+        self.stats.cycles += k;
+        self.stats.comparator_blocked_cycles += k * self.blocked as u64;
+        let queued = self.service.queued() as u64;
+        if queued > 0 {
+            self.stats.queue_occupancy_sum += k * queued;
+            self.stats.queue_busy_cycles += k;
+        }
+    }
+}
+
+impl<S: Service> MemBackend for Memory<S> {
+    fn new_backend(n_cores: usize, cfg: MemConfig) -> Memory<S> {
+        Memory::new(n_cores, cfg)
+    }
+
     #[inline]
-    pub fn tick(&mut self) {
+    fn tick(&mut self) {
         self.cycle += 1;
         self.stats.cycles += 1;
 
@@ -561,7 +560,7 @@ impl MemorySystem {
                                 txn.state = TxnState::Queued;
                                 let addr = txn.addr;
                                 self.blocked -= 1;
-                                self.queue.push_back((core as u16, Port::HeaderLoad));
+                                self.service.enqueue(core, Port::HeaderLoad, addr);
                                 self.log(MemEvent::CompUnblocked {
                                     core: core as u32,
                                     addr,
@@ -579,191 +578,72 @@ impl MemorySystem {
         }
         self.pending_stores_dirty = false;
 
-        // 3. DRAM accepts up to `bandwidth` queued requests.
-        if !self.queue.is_empty() {
-            self.stats.queue_occupancy_sum += self.queue.len() as u64;
+        // 3. The service model starts what it can.
+        let queued = self.service.queued() as u64;
+        if queued > 0 {
+            self.stats.queue_occupancy_sum += queued;
             self.stats.queue_busy_cycles += 1;
-            for _ in 0..self.cfg.bandwidth {
-                let Some((core, port)) = self.pop_service() else {
-                    break;
-                };
-                let core = usize::from(core);
-                let entry = &mut self.ports[core][port as usize];
-                let txn = entry.as_mut().expect("queued transaction must exist");
-                debug_assert_eq!(txn.state, TxnState::Queued);
-                let latency = txn.latency;
-                if latency > 0 {
-                    txn.state = TxnState::InService;
-                    self.in_service += 1;
-                    let done_at = self.cycle + u64::from(latency);
-                    self.retire_cal
-                        .insert(self.cycle, done_at, core * PORT_COUNT + port as usize);
-                    self.next_retire = self.next_retire.min(done_at);
-                    self.log(MemEvent::ServiceStart {
-                        core: core as u32,
-                        port,
-                        latency,
-                    });
-                    continue;
-                }
-                // Burst continuation: the open-row access completes
-                // within this memory cycle — data is ready when the core
-                // ticks.
-                if port.is_load() {
-                    txn.state = TxnState::Complete;
-                    self.complete += 1;
-                } else {
-                    let addr = txn.addr;
-                    *entry = None;
-                    self.occupied -= 1;
-                    if port == Port::HeaderStore {
-                        remove_one(&mut self.pending_header_stores, addr);
-                        self.pending_stores_dirty = true;
-                    }
-                }
-                self.log(MemEvent::ServiceStart {
-                    core: core as u32,
-                    port,
-                    latency,
-                });
-                self.log(MemEvent::Retire {
-                    core: core as u32,
-                    port,
-                });
-                self.push_wake(core, port);
-            }
         }
+        S::serve(self);
     }
 
-    /// `(core, port)`'s in-service transaction leaves DRAM: load data
-    /// ready, or the store committed and its buffer freed.
     #[inline]
-    fn retire(&mut self, core: usize, port: Port) {
-        self.in_service -= 1;
-        let entry = &mut self.ports[core][port as usize];
-        if port.is_load() {
-            entry.as_mut().expect("retiring a missing load").state = TxnState::Complete;
-            self.complete += 1;
-        } else {
-            let txn = entry.take().expect("retiring a missing store");
-            self.occupied -= 1;
-            if port == Port::HeaderStore {
-                remove_one(&mut self.pending_header_stores, txn.addr);
-                self.pending_stores_dirty = true;
-            }
-        }
-        self.log(MemEvent::Retire {
-            core: core as u32,
-            port,
-        });
-        self.push_wake(core, port);
-    }
-
-    /// Issue a request on `(core, port)`. Returns [`Issue::Busy`] (core
-    /// stalls) when the buffer is still busy with the previous request.
-    ///
-    /// Header loads to an address with a pending header store enter the
-    /// blocked state and are only queued once the store retires.
-    ///
-    /// The service latency is decided here, exactly: body accesses that
-    /// continue their port's sequential stream complete at burst speed
-    /// (0 = within the tick that starts their service), header accesses
-    /// and stream starts pay the full random-access latency, and the
-    /// Figure 6 artificial latency is added to everything. Nothing can
-    /// change the answer before service starts: the burst tracker of a
-    /// body port moves only at that port's own issue. So a transaction
-    /// can retire within the next tick only if its latency is zero —
-    /// [`Issue::Later`] otherwise — and a header-cache hit has already
-    /// completed ([`Issue::Soon`]).
-    #[inline]
-    pub fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue {
+    fn try_issue(&mut self, core: usize, port: Port, addr: u32) -> Issue {
         if self.ports[core][port as usize].is_some() {
             return Issue::Busy;
         }
-        let mut state = TxnState::Queued;
-        let mut latency = self.cfg.latency;
-        match port {
-            Port::HeaderLoad => {
-                if self.pending_header_stores.contains(&addr) {
-                    // Comparator array: ordered behind the store
-                    // regardless of any cached copy.
-                    state = TxnState::Blocked;
-                } else if self.cache_lookup(addr) {
-                    // Header-cache hit: served on-chip, ready next
-                    // cycle, no DRAM bandwidth consumed.
-                    state = TxnState::Complete;
-                } else {
-                    // The returning line fills the cache (tag set at
-                    // issue; the model is timing-only).
-                    self.cache_fill(addr);
-                }
-            }
-            Port::HeaderStore => {
-                self.pending_header_stores.push(addr);
-                // Write-through: the stored header is cached.
-                self.cache_fill(addr);
-            }
-            Port::BodyLoad | Port::BodyStore => {
-                let last = &mut self.last_body_addr[core][usize::from(port == Port::BodyStore)];
-                if *last == Some(addr.wrapping_sub(1)) {
-                    latency = 0;
-                }
-                *last = Some(addr);
-            }
-        }
-        latency += self.cfg.extra_latency;
-        self.ports[core][port as usize] = Some(Txn {
-            addr,
-            latency,
-            state,
-        });
         self.issued_at[core * PORT_COUNT + port as usize] = self.cycle;
         self.occupied += 1;
+        self.stats.issued[port as usize] += 1;
         self.log(MemEvent::Issue {
             core: core as u32,
             port,
             addr,
         });
-        let issue = if latency == 0 || state == TxnState::Complete {
-            Issue::Soon
+        let (state, issue) = if port == Port::HeaderLoad && self.header_store_pending(addr) {
+            // Comparator array: ordered behind the store regardless of
+            // any cached copy, and `Later` at any latency (contract
+            // obligation 5 in `backend.rs` says why).
+            self.blocked += 1;
+            self.log(MemEvent::CompBlocked {
+                core: core as u32,
+                addr,
+            });
+            (TxnState::Blocked, Issue::Later)
+        } else if port == Port::HeaderLoad && self.cache_lookup(addr) {
+            // Header-cache hit: served on-chip, no DRAM bandwidth
+            // consumed, complete at issue.
+            self.complete += 1;
+            self.log(MemEvent::CacheHit {
+                core: core as u32,
+                addr,
+            });
+            (TxnState::Complete, Issue::Soon)
         } else {
-            Issue::Later
+            if port == Port::HeaderStore {
+                self.pending_header_stores.push(addr);
+            }
+            if matches!(port, Port::HeaderLoad | Port::HeaderStore) {
+                // A missing load's returning line fills the cache (tag
+                // set at issue; the model is timing-only); a store writes
+                // through.
+                self.cache_fill(addr);
+            }
+            let soon = self.service.enqueue(core, port, addr);
+            let issue = if soon { Issue::Soon } else { Issue::Later };
+            (TxnState::Queued, issue)
         };
-        match state {
-            TxnState::Queued => self.queue.push_back((core as u16, port)),
-            TxnState::Blocked => {
-                self.blocked += 1;
-                self.log(MemEvent::CompBlocked {
-                    core: core as u32,
-                    addr,
-                });
-            }
-            TxnState::Complete => {
-                self.complete += 1;
-                self.log(MemEvent::CacheHit {
-                    core: core as u32,
-                    addr,
-                });
-            }
-            TxnState::InService => unreachable!("issue never starts service"),
-        }
-        self.stats.issued[port as usize] += 1;
+        self.ports[core][port as usize] = Some(Txn { addr, state });
         issue
     }
 
-    /// Is the buffer `(core, port)` occupied (request in flight or load
-    /// data not yet consumed)?
     #[inline]
-    pub fn port_busy(&self, core: usize, port: Port) -> bool {
+    fn port_busy(&self, core: usize, port: Port) -> bool {
         self.ports[core][port as usize].is_some()
     }
 
-    /// Has the load on `(core, port)` completed (data available)?
-    ///
-    /// # Panics
-    /// Panics when called on a store port.
     #[inline]
-    pub fn load_ready(&self, core: usize, port: Port) -> bool {
+    fn load_ready(&self, core: usize, port: Port) -> bool {
         assert!(port.is_load());
         matches!(
             self.ports[core][port as usize],
@@ -774,14 +654,8 @@ impl MemorySystem {
         )
     }
 
-    /// Consume the completed load on `(core, port)`, freeing the buffer.
-    /// Returns the address the load targeted (the caller samples the heap).
-    ///
-    /// # Panics
-    /// Panics if the load is not complete — the core must check
-    /// [`MemorySystem::load_ready`] and stall otherwise.
     #[inline]
-    pub fn consume_load(&mut self, core: usize, port: Port) -> u32 {
+    fn consume_load(&mut self, core: usize, port: Port) -> u32 {
         assert!(port.is_load());
         let txn = self.ports[core][port as usize]
             .take()
@@ -800,159 +674,102 @@ impl MemorySystem {
         txn.addr
     }
 
-    /// True when every buffer of every core is empty (all stores committed,
-    /// all loads consumed) — the end-of-cycle flush condition.
     #[inline]
-    pub fn all_idle(&self) -> bool {
+    fn all_idle(&self) -> bool {
         self.occupied == 0
     }
 
-    /// Is a header store to `addr` pending (comparator array view)?
     #[inline]
-    pub fn header_store_pending(&self, addr: u32) -> bool {
-        self.pending_header_stores.contains(&addr)
-    }
-
-    /// The next cycle at which this memory system can change any state a
-    /// core reads, assuming no new requests arrive in between: the
-    /// earliest in-service completion, or the very next tick while a
-    /// request is queued (it starts service then) or a comparator
-    /// re-check is pending (a zero-latency header store retired at
-    /// service start). `None` means never: nothing queued, nothing in
-    /// service, no re-check pending — the memory system is quiet until a
-    /// core acts. Every tick before the returned cycle is a pure wait
-    /// that [`MemorySystem::fast_forward`] replicates.
-    ///
-    /// Completed loads are ignored: their owners saw the data arrive, and
-    /// a load waiting for its owner changes nothing until the owner's own
-    /// tick consumes it. All tracked by counter/flag, O(1).
-    #[inline]
-    pub fn next_activity_cycle(&self) -> Option<u64> {
-        if !self.queue.is_empty() || self.pending_stores_dirty {
+    fn next_activity_cycle(&self) -> Option<u64> {
+        if self.pending_stores_dirty {
             return Some(self.cycle + 1);
         }
-        if self.in_service == 0 {
-            return None;
+        let mut next = self.next_retire;
+        if self.service.queued() > 0 {
+            next = next.min(self.service.next_start(self.cycle));
         }
-        Some(self.next_retire)
+        (next != u64::MAX).then_some(next)
     }
 
-    /// Skip `k` cycles in one jump. Only legal while `cycle + k` stays
-    /// short of [`MemorySystem::next_activity_cycle`]: the skipped ticks
-    /// would each have retired nothing, started no service (the queue is
-    /// empty, or the horizon would be the very next tick: zero
-    /// occupancy, not busy) and merely re-counted every
-    /// comparator-blocked header load.
     #[inline]
-    pub fn fast_forward(&mut self, k: u64) {
+    fn fast_forward(&mut self, k: u64) {
         debug_assert!(
             self.next_activity_cycle()
                 .is_none_or(|at| self.cycle + k < at),
             "fast-forward of {k} cycles from {} over a retirement, service start or re-check",
             self.cycle
         );
-        self.cycle += k;
-        self.stats.cycles += k;
-        self.stats.comparator_blocked_cycles += k * self.blocked as u64;
+        self.skip(k);
     }
 
-    /// How many of the coming ticks are *pure stream ticks* for
-    /// `streams` — the cores, in tick order, that each consumed a body
-    /// word this cycle, stored it and issued the next load. In such a
-    /// tick DRAM serves exactly their `(c, BodyStore), (c, BodyLoad)`
-    /// pairs, every one a zero-latency burst continuation, and the cores
-    /// re-issue the same pair one word further, so `k` of them have the
-    /// closed form [`MemorySystem::apply_stream_window`] replays.
-    ///
-    /// `None` unless that replay is exact: no artificial latency, event
-    /// log and wake feed off (each tick would log four transitions and
-    /// feed two wakes per stream), FIFO service, no comparator re-check
-    /// pending, no completed load waiting for a frozen core, and the
-    /// queue holding precisely the stream pairs, within the bandwidth,
-    /// both halves continuing their burst. The bound stops one tick
-    /// short of the next retirement — with the queue holding only the
-    /// stream pairs and no re-check pending, that is the
-    /// [`MemorySystem::next_activity_cycle`] the streams leave behind:
-    /// until then nothing but the streams moves, and blocked header loads
-    /// merely re-count.
-    pub fn stream_window(&self, streams: &[usize]) -> Option<u64> {
-        if self.cfg.extra_latency != 0
-            || self.events.is_some()
-            || self.wake_feed
-            || self.reorder_state.is_some()
-            || self.pending_stores_dirty
-            || self.complete > 0
-            || self.queue.len() != 2 * streams.len()
-            || self.queue.len() > self.cfg.bandwidth as usize
-        {
-            return None;
-        }
-        let burst = |c: usize, port: Port| {
-            self.ports[c][port as usize]
-                .as_ref()
-                .is_some_and(|txn| txn.latency == 0)
-        };
-        let in_pattern = streams.iter().enumerate().all(|(i, &c)| {
-            self.queue[2 * i] == (c as u16, Port::BodyStore)
-                && self.queue[2 * i + 1] == (c as u16, Port::BodyLoad)
-                && burst(c, Port::BodyStore)
-                && burst(c, Port::BodyLoad)
-        });
-        let limit = self.next_retire - 1 - self.cycle;
-        (in_pattern && limit > 0).then_some(limit)
+    #[inline]
+    fn stream_window(&self, streams: &[usize]) -> Option<u64> {
+        S::stream_window(self, streams)
     }
 
-    /// Replay `k` pure stream ticks for `streams` in one step. Only
-    /// legal with `k` at most what [`MemorySystem::stream_window`] just
-    /// returned for the same `streams`. Each skipped tick found the
-    /// stream pairs queued, served both halves within the tick and saw
-    /// them re-issued one word further: the queued transactions, their
-    /// issue stamps and the burst trackers shift by `k`, and the per-tick
-    /// counters are replicated in bulk.
-    pub fn apply_stream_window(&mut self, streams: &[usize], k: u64) {
-        debug_assert!(
-            self.stream_window(streams).is_some_and(|limit| k <= limit),
-            "stream window of {k} ticks applied beyond its bound"
+    #[inline]
+    fn apply_stream_window(&mut self, streams: &[usize], k: u64) {
+        S::apply_stream_window(self, streams, k)
+    }
+
+    fn set_cycle(&mut self, cycle: u64) {
+        assert!(cycle >= self.cycle, "memory clock may not go backwards");
+        assert!(
+            self.occupied == 0 && self.service.queued() == 0,
+            "set_cycle with traffic in flight"
         );
-        self.cycle += k;
-        self.stats.cycles += k;
-        self.stats.queue_busy_cycles += k;
-        self.stats.queue_occupancy_sum += k * self.queue.len() as u64;
-        self.stats.comparator_blocked_cycles += k * self.blocked as u64;
-        let words = u32::try_from(k).expect("stream window longer than the address space");
-        for &c in streams {
-            for (port, slot) in [(Port::BodyLoad, 0), (Port::BodyStore, 1)] {
-                self.stats.issued[port as usize] += k;
-                let txn = self.ports[c][port as usize]
-                    .as_mut()
-                    .expect("stream transaction must exist");
-                txn.addr += words;
-                self.last_body_addr[c][slot] = Some(txn.addr);
-                self.issued_at[c * PORT_COUNT + port as usize] += k;
-            }
-        }
+        self.service.advance(self.cycle, cycle);
+        self.cycle = cycle;
     }
 
-    /// Statistics.
-    pub fn stats(&self) -> &MemStats {
+    #[inline]
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    #[inline]
+    fn uncontended_read_latency(&self) -> u32 {
+        self.service.uncontended_read_latency()
+    }
+
+    fn enable_event_log(&mut self) {
+        self.events = Some(Vec::new());
+    }
+
+    #[inline]
+    fn event_log_enabled(&self) -> bool {
+        self.events.is_some()
+    }
+
+    fn take_event_log(&mut self) -> Vec<MemEventRecord> {
+        self.events.take().unwrap_or_default()
+    }
+
+    fn enable_wake_feed(&mut self) {
+        assert!(self.ports.len() <= 64, "wake masks hold at most 64 cores");
+        self.wake_feed = true;
+    }
+
+    #[inline]
+    fn take_wakes(&mut self) -> [u64; PORT_COUNT] {
+        std::mem::take(&mut self.wakes)
+    }
+
+    #[inline]
+    fn stats(&self) -> &MemStats {
         &self.stats
     }
 
-    /// Consume the drained memory system, yielding its statistics without
-    /// a clone (end-of-collection epilogue).
-    pub fn into_stats(self) -> MemStats {
+    fn into_stats(self) -> MemStats {
         self.stats
     }
 
-    /// Requests currently waiting for DRAM service (monitoring).
     #[inline]
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
+    fn queue_len(&self) -> usize {
+        self.service.queued()
     }
 
-    /// Age (in cycles) of the oldest in-flight transaction, if any —
-    /// diagnostic for deadlock hunting in the engine.
-    pub fn oldest_inflight_age(&self) -> Option<u64> {
+    fn oldest_inflight_age(&self) -> Option<u64> {
         (0..self.issued_at.len())
             .filter(|&id| self.ports[id / PORT_COUNT][id % PORT_COUNT].is_some())
             .map(|id| self.cycle.saturating_sub(self.issued_at[id]))
@@ -960,21 +777,168 @@ impl MemorySystem {
     }
 }
 
-/// Both backends key their queues by `u16` core ids.
-pub(crate) fn assert_core_ids_fit(n_cores: usize) {
-    assert!(
-        n_cores <= usize::from(u16::MAX) + 1,
-        "{n_cores} cores exceed the memory system's 16-bit core ids"
-    );
+/// The fixed latency/bandwidth service model: one queue, served in
+/// arrival order (or a seeded random order under
+/// [`MemConfig::service_reorder_seed`]), up to `bandwidth` starts per
+/// tick, each retiring a latency after its start that is decided exactly
+/// when the request joins the queue. Body accesses that continue their
+/// port's sequential stream complete at burst speed (`0`, within the
+/// tick that starts their service), header accesses and stream starts
+/// pay the full random-access latency, and the Figure 6 artificial
+/// latency is added to everything. Nothing can change that answer
+/// before service starts: a body port's burst tracker moves only at
+/// that port's own issue, and a port re-issues only after its previous
+/// transaction retired.
+#[derive(Debug, Clone)]
+pub struct Fixed {
+    /// [`MemConfig::latency`].
+    latency: u32,
+    /// [`MemConfig::extra_latency`].
+    extra_latency: u32,
+    /// Service queue: `(core, port, latency)`.
+    queue: VecDeque<(u16, Port, u32)>,
+    /// Address of the previous access per core and body port
+    /// (load/store), for the sequential-burst fast path: bodies are
+    /// streamed, so an access to `prev + 1` hits the open DRAM row /
+    /// continues the burst.
+    last_body_addr: Vec<[Option<u32>; 2]>,
+    /// xorshift state for out-of-order queue service (`None` = FIFO).
+    reorder_state: Option<u64>,
 }
 
-#[inline]
-pub(crate) fn remove_one(v: &mut Vec<u32>, value: u32) {
-    let idx = v
-        .iter()
-        .position(|&x| x == value)
-        .expect("pending store missing");
-    v.swap_remove(idx);
+impl Fixed {
+    /// Pop the next request to serve: FIFO normally, a seeded random pick
+    /// under `service_reorder_seed`.
+    #[inline]
+    fn pop(&mut self) -> Option<(u16, Port, u32)> {
+        match self.reorder_state.as_mut() {
+            None => self.queue.pop_front(),
+            Some(state) => {
+                if self.queue.is_empty() {
+                    return None;
+                }
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                self.queue.remove(*state as usize % self.queue.len())
+            }
+        }
+    }
+}
+
+impl Service for Fixed {
+    fn new(n_cores: usize, cfg: &MemConfig) -> Fixed {
+        Fixed {
+            latency: cfg.latency,
+            extra_latency: cfg.extra_latency,
+            // At most one outstanding request per (core, port), plus the
+            // mutator's ports: the steady-state loop never grows it.
+            queue: VecDeque::with_capacity(n_cores * PORT_COUNT + PORT_COUNT),
+            last_body_addr: vec![[None; 2]; n_cores],
+            reorder_state: cfg.service_reorder_seed.map(|s| s | 1),
+        }
+    }
+
+    fn worst_access_latency(&self) -> u64 {
+        u64::from(self.latency)
+    }
+
+    #[inline]
+    fn enqueue(&mut self, core: usize, port: Port, addr: u32) -> bool {
+        let mut latency = self.latency;
+        if let Port::BodyLoad | Port::BodyStore = port {
+            let last = &mut self.last_body_addr[core][usize::from(port == Port::BodyStore)];
+            if *last == Some(addr.wrapping_sub(1)) {
+                latency = 0;
+            }
+            *last = Some(addr);
+        }
+        latency += self.extra_latency;
+        self.queue.push_back((core as u16, port, latency));
+        latency == 0
+    }
+
+    #[inline]
+    fn queued(&self) -> usize {
+        self.queue.len()
+    }
+
+    #[inline]
+    fn serve(m: &mut Memory<Fixed>) {
+        for _ in 0..m.cfg.bandwidth {
+            let Some((core, port, latency)) = m.service.pop() else {
+                break;
+            };
+            m.start(usize::from(core), port, latency);
+        }
+    }
+
+    #[inline]
+    fn next_start(&self, cycle: u64) -> u64 {
+        cycle + 1
+    }
+
+    fn uncontended_read_latency(&self) -> u32 {
+        self.latency
+    }
+
+    /// `None` unless the replay is exact: event log and wake feed off
+    /// (each tick would log four transitions and feed two wakes per
+    /// stream), FIFO service, no comparator re-check pending, no
+    /// completed load waiting for a frozen core, and the queue holding
+    /// precisely the stream pairs `(c, BodyStore), (c, BodyLoad)` in tick
+    /// order, within the bandwidth, every one a zero-latency burst
+    /// continuation. In such a tick the service serves exactly those
+    /// pairs and the cores re-issue the same pairs one word further. The
+    /// bound stops one tick short of the next retirement — with the
+    /// queue holding only the stream pairs and no re-check pending, that
+    /// is the activity horizon the streams leave behind: until then
+    /// nothing but the streams moves, and blocked header loads merely
+    /// re-count.
+    fn stream_window(m: &Memory<Fixed>, streams: &[usize]) -> Option<u64> {
+        let queue = &m.service.queue;
+        if m.events.is_some()
+            || m.wake_feed
+            || m.service.reorder_state.is_some()
+            || m.pending_stores_dirty
+            || m.complete > 0
+            || queue.len() != 2 * streams.len()
+            || queue.len() > m.cfg.bandwidth as usize
+        {
+            return None;
+        }
+        let in_pattern = streams.iter().enumerate().all(|(i, &c)| {
+            queue[2 * i] == (c as u16, Port::BodyStore, 0)
+                && queue[2 * i + 1] == (c as u16, Port::BodyLoad, 0)
+        });
+        let limit = m.next_retire - 1 - m.cycle;
+        (in_pattern && limit > 0).then_some(limit)
+    }
+
+    /// Each replayed tick found the stream pairs queued, served both
+    /// halves within the tick and saw them re-issued one word further:
+    /// the queued transactions, their issue stamps and the burst
+    /// trackers shift by `k`, and the per-tick counters are replicated in
+    /// bulk.
+    fn apply_stream_window(m: &mut Memory<Fixed>, streams: &[usize], k: u64) {
+        debug_assert!(
+            Fixed::stream_window(m, streams).is_some_and(|limit| k <= limit),
+            "stream window of {k} ticks applied beyond its bound"
+        );
+        m.skip(k);
+        let words = u32::try_from(k).expect("stream window longer than the address space");
+        for &c in streams {
+            for (port, slot) in [(Port::BodyLoad, 0), (Port::BodyStore, 1)] {
+                m.stats.issued[port as usize] += k;
+                let txn = m.ports[c][port as usize]
+                    .as_mut()
+                    .expect("stream transaction must exist");
+                txn.addr += words;
+                m.service.last_body_addr[c][slot] = Some(txn.addr);
+                m.issued_at[c * PORT_COUNT + port as usize] += k;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

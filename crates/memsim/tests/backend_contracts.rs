@@ -35,7 +35,9 @@
 //! 7. **Issue bound** — a request `try_issue` takes with `Issue::Later`
 //!    has not retired after the next tick (shadow check after every
 //!    tick), and on the fixed backend a zero-latency burst continuation,
-//!    which is `Issue::Soon`, does retire in it.
+//!    which is `Issue::Soon`, does retire in it. A comparator-blocked
+//!    header load is `Issue::Later` on both backends, zero latency
+//!    included.
 
 use hwgc_memsim::{
     DramConfig, DramMemorySystem, Issue, MemBackend, MemBackendKind, MemConfig, MemEvent,
@@ -1141,6 +1143,83 @@ fn fixed_zero_latency_bursts_are_soon_and_retire_in_the_next_tick() {
         let retired = m.load_ready(0, Port::BodyLoad) && !m.port_busy(0, Port::BodyStore);
         assert_eq!(retired, extra == 0, "+{extra}");
     }
+}
+
+/// A comparator-blocked header load is `Later` on both backends, at any
+/// latency: not ready after the next tick, ready once its store has
+/// retired and it has been served. Core 1 issues the load in the store's
+/// issue cycle, and again, on a fresh copy, in the cycle just before the
+/// store retires — where, at a nonzero latency, the next tick retires
+/// the store, releases the load and starts its service in one go, so the
+/// load must not be served faster than the store it waited on.
+fn check_blocked_header_load_is_later<B: MemBackend + Clone>(fresh: B, what: &str) {
+    const ADDR: u32 = 42;
+    let mut probe = fresh.clone();
+    assert!(probe.try_issue(0, Port::HeaderStore, ADDR).issued());
+    let mut store_ticks = 0;
+    while probe.port_busy(0, Port::HeaderStore) {
+        probe.tick();
+        store_ticks += 1;
+        assert!(store_ticks < 64, "{what}: the store never retired");
+    }
+    for wait in [0, store_ticks - 1] {
+        let mut m = fresh.clone();
+        m.enable_event_log();
+        assert!(m.try_issue(0, Port::HeaderStore, ADDR).issued());
+        for _ in 0..wait {
+            m.tick();
+        }
+        let when = format!("{what}, load issued {wait} ticks after the store");
+        assert_eq!(
+            m.try_issue(1, Port::HeaderLoad, ADDR),
+            Issue::Later,
+            "{when}"
+        );
+        m.tick();
+        assert!(
+            !m.load_ready(1, Port::HeaderLoad),
+            "{when}: ready next tick"
+        );
+        if wait > 0 {
+            // The variant this case exists for did happen.
+            let cycle = m.cycle();
+            assert!(!m.port_busy(0, Port::HeaderStore), "{when}: store retired");
+            assert!(
+                m.take_event_log().iter().any(|r| r.cycle == cycle
+                    && r.event
+                        == MemEvent::CompUnblocked {
+                            core: 1,
+                            addr: ADDR
+                        }),
+                "{when}: released in the store's retirement tick"
+            );
+        }
+        while !m.load_ready(1, Port::HeaderLoad) {
+            m.tick();
+            assert!(m.cycle() < 64, "{when}: the load never completed");
+        }
+        assert!(
+            !m.port_busy(0, Port::HeaderStore),
+            "{when}: bypassed the store"
+        );
+    }
+}
+
+#[test]
+fn blocked_header_loads_are_later_on_both_backends() {
+    let fixed = |latency| {
+        MemConfig {
+            latency,
+            extra_latency: 0,
+            ..MemConfig::default()
+        }
+        .with_backend(MemBackendKind::Fixed)
+    };
+    check_blocked_header_load_is_later(MemorySystem::new(2, fixed(0)), "fixed, latency 0");
+    let default_latency = MemConfig::default().latency;
+    check_blocked_header_load_is_later(MemorySystem::new(2, fixed(default_latency)), "fixed");
+    let dram = MemConfig::default().with_backend(MemBackendKind::Dram(DramConfig::default()));
+    check_blocked_header_load_is_later(DramMemorySystem::new(2, dram), "dram");
 }
 
 /// A header-cache hit completes at issue: `Soon` on both backends, and

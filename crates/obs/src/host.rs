@@ -57,14 +57,6 @@ pub trait HostProf {
     /// host timer.
     fn time(&mut self, key: &'static str, ns: u64);
 
-    /// [`HostProf::time`] with a small integer slot (per-worker
-    /// utilization and the like); exported as `key[slot]`.
-    fn time_slot(&mut self, key: &'static str, slot: u32, ns: u64);
-
-    /// Record a **nondeterministic** host-side scalar (host-dependent
-    /// counts such as pool dispatches, which vary with the worker count).
-    fn note(&mut self, key: &'static str, value: u64);
-
     /// Open a host-time span (rendered on the Chrome host track).
     fn span(&mut self, name: &'static str, start_ns: u64, end_ns: u64);
 
@@ -86,10 +78,6 @@ impl HostProf for NullHostProf {
     fn sample(&mut self, _key: &'static str, _value: u64) {}
     #[inline(always)]
     fn time(&mut self, _key: &'static str, _ns: u64) {}
-    #[inline(always)]
-    fn time_slot(&mut self, _key: &'static str, _slot: u32, _ns: u64) {}
-    #[inline(always)]
-    fn note(&mut self, _key: &'static str, _value: u64) {}
     #[inline(always)]
     fn span(&mut self, _name: &'static str, _start_ns: u64, _end_ns: u64) {}
     #[inline(always)]
@@ -134,8 +122,7 @@ pub struct HostProfiler {
     epoch: Instant,
     counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
-    timers: BTreeMap<String, TimerAgg>,
-    notes: BTreeMap<&'static str, u64>,
+    timers: BTreeMap<&'static str, TimerAgg>,
     spans: Vec<HostSpan>,
 }
 
@@ -158,19 +145,7 @@ impl HostProf for HostProfiler {
     }
 
     fn time(&mut self, key: &'static str, ns: u64) {
-        self.timers.entry(key.to_string()).or_default().add(ns);
-    }
-
-    fn time_slot(&mut self, key: &'static str, slot: u32, ns: u64) {
-        self.timers
-            .entry(format!("{key}[{slot}]"))
-            .or_default()
-            .add(ns);
-    }
-
-    fn note(&mut self, key: &'static str, value: u64) {
-        let c = self.notes.entry(key).or_insert(0);
-        *c = c.saturating_add(value);
+        self.timers.entry(key).or_default().add(ns);
     }
 
     fn span(&mut self, name: &'static str, start_ns: u64, end_ns: u64) {
@@ -194,7 +169,6 @@ impl HostProfiler {
             counters: BTreeMap::new(),
             hists: BTreeMap::new(),
             timers: BTreeMap::new(),
-            notes: BTreeMap::new(),
             spans: Vec::new(),
         }
     }
@@ -226,12 +200,7 @@ impl HostProfiler {
 
     /// Host timers, sorted by key. Wall-clock — never golden material.
     pub fn timers(&self) -> impl Iterator<Item = (&str, &TimerAgg)> {
-        self.timers.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Machine-dependent notes, sorted by key.
-    pub fn notes(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.notes.iter().map(|(&k, &v)| (k, v))
+        self.timers.iter().map(|(&k, v)| (k, v))
     }
 
     /// Sum of all deterministic counters whose key starts with `prefix`
@@ -269,7 +238,7 @@ impl HostProfiler {
         ])
     }
 
-    /// The nondeterministic host section (timers, notes, spans).
+    /// The nondeterministic host section (timers, spans).
     fn host_json(&self) -> Json {
         Json::Obj(vec![
             (
@@ -277,9 +246,9 @@ impl HostProfiler {
                 Json::Obj(
                     self.timers
                         .iter()
-                        .map(|(k, t)| {
+                        .map(|(&k, t)| {
                             (
-                                k.clone(),
+                                k.to_string(),
                                 Json::Obj(vec![
                                     ("count".to_string(), Json::Int(t.count as i128)),
                                     ("total_ns".to_string(), Json::Int(t.total_ns as i128)),
@@ -287,15 +256,6 @@ impl HostProfiler {
                                 ]),
                             )
                         })
-                        .collect(),
-                ),
-            ),
-            (
-                "notes".to_string(),
-                Json::Obj(
-                    self.notes
-                        .iter()
-                        .map(|(&k, &v)| (k.to_string(), Json::Int(v as i128)))
                         .collect(),
                 ),
             ),
@@ -338,8 +298,6 @@ impl HostProfiler {
     pub fn folded(&self) -> FoldedStacks {
         let mut f = FoldedStacks::new();
         for (key, agg) in &self.timers {
-            // Slot suffixes (`pool.worker_busy[3]`) keep their brackets;
-            // only dots split frames. Brackets are folded-safe.
             let mut frames: Vec<&str> = vec!["host"];
             frames.extend(key.split('.'));
             f.add(&frames, agg.total_ns);
@@ -427,7 +385,7 @@ pub fn merge_host_track(chrome_json: &str, prof: &HostProfiler) -> Result<String
 /// Validate a [`HOSTPROF_SCHEMA`] document: schema tag, section shape,
 /// and — the quarantine invariant — no wall-clock key inside the
 /// deterministic section (no key there may start with `host` or end in
-/// `_ns`), and nothing but timers/notes/spans inside `host`.
+/// `_ns`), and nothing but timers/spans inside `host`.
 pub fn validate_hostprof_json(text: &str) -> Result<(), String> {
     let doc = Json::parse(text).map_err(|e| e.to_string())?;
     if doc.get("schema").and_then(Json::as_str) != Some(HOSTPROF_SCHEMA) {
@@ -457,7 +415,7 @@ pub fn validate_hostprof_json(text: &str) -> Result<(), String> {
         }
     }
     let host = doc.get("host").ok_or("missing host section")?;
-    for section in ["timers", "notes", "spans"] {
+    for section in ["timers", "spans"] {
         if host.get(section).is_none() {
             return Err(format!("host.{section} missing"));
         }
@@ -477,8 +435,6 @@ mod tests {
         p.sample("win.len", 128);
         p.time("phase.steady", 1_500);
         p.time("phase.steady", 500);
-        p.time_slot("pool.worker_busy", 2, 40);
-        p.note("pool.dispatches", 7);
         p.span("root", 100, 2_100);
         p
     }
@@ -501,7 +457,6 @@ mod tests {
         assert_eq!(p.hist("win.len").unwrap().count(), 2);
         let t = p.timer("phase.steady").unwrap();
         assert_eq!((t.count, t.total_ns, t.max_ns), (2, 2_000, 1_500));
-        assert!(p.timer("pool.worker_busy[2]").is_some());
     }
 
     #[test]
@@ -519,7 +474,7 @@ mod tests {
     fn validator_rejects_wall_clock_in_deterministic() {
         let bad = r#"{"schema":"hwgc-hostprof-v1",
             "deterministic":{"counters":{"host_tick_ns":5},"histograms":{}},
-            "host":{"timers":{},"notes":{},"spans":[]}}"#;
+            "host":{"timers":{},"spans":[]}}"#;
         let err = validate_hostprof_json(bad).unwrap_err();
         assert!(err.contains("wall-clock"), "{err}");
     }
@@ -529,7 +484,6 @@ mod tests {
         let p = profiler_with_data();
         let folded = p.folded().to_folded_string();
         assert!(folded.contains("host;phase;steady 2000"), "{folded}");
-        assert!(folded.contains("host;pool;worker_busy[2] 40"), "{folded}");
     }
 
     #[test]

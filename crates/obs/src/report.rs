@@ -30,8 +30,6 @@ pub struct HostSection {
     pub counters: Vec<(String, u64)>,
     /// Wall-clock timers as `(key, count, total_ns)` — nondeterministic.
     pub timers: Vec<(String, u64, u64)>,
-    /// Machine-dependent notes.
-    pub notes: Vec<(String, u64)>,
 }
 
 impl HostSection {
@@ -43,7 +41,6 @@ impl HostSection {
                 .timers()
                 .map(|(k, t)| (k.to_string(), t.count, t.total_ns))
                 .collect(),
-            notes: prof.notes().map(|(k, v)| (k.to_string(), v)).collect(),
         }
     }
 }
@@ -202,14 +199,6 @@ pub fn render_report_markdown(r: &RunReport) -> String {
                 let _ = writeln!(out, "| {k} | {count} | {:.3} ms |", *total_ns as f64 / 1e6);
             }
         }
-        if !host.notes.is_empty() {
-            let _ = writeln!(out, "\n### Notes (machine-dependent)\n");
-            let _ = writeln!(out, "| note | value |");
-            let _ = writeln!(out, "|---|---:|");
-            for (k, v) in &host.notes {
-                let _ = writeln!(out, "| {k} | {v} |");
-            }
-        }
     }
     out
 }
@@ -327,37 +316,23 @@ pub fn render_report_json(r: &RunReport) -> String {
                 ),
                 (
                     "host_time".to_string(),
-                    Json::Obj(vec![
-                        (
-                            "timers".to_string(),
-                            Json::Obj(
-                                host.timers
-                                    .iter()
-                                    .map(|(k, count, total_ns)| {
-                                        (
-                                            k.clone(),
-                                            Json::Obj(vec![
-                                                ("count".to_string(), Json::Int(*count as i128)),
-                                                (
-                                                    "total_ns".to_string(),
-                                                    Json::Int(*total_ns as i128),
-                                                ),
-                                            ]),
-                                        )
-                                    })
-                                    .collect(),
-                            ),
+                    Json::Obj(vec![(
+                        "timers".to_string(),
+                        Json::Obj(
+                            host.timers
+                                .iter()
+                                .map(|(k, count, total_ns)| {
+                                    (
+                                        k.clone(),
+                                        Json::Obj(vec![
+                                            ("count".to_string(), Json::Int(*count as i128)),
+                                            ("total_ns".to_string(), Json::Int(*total_ns as i128)),
+                                        ]),
+                                    )
+                                })
+                                .collect(),
                         ),
-                        (
-                            "notes".to_string(),
-                            Json::Obj(
-                                host.notes
-                                    .iter()
-                                    .map(|(k, v)| (k.clone(), Json::Int(*v as i128)))
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
+                    )]),
                 ),
             ]),
         ));
@@ -509,7 +484,6 @@ mod tests {
                 ("engine.park.body_load".to_string(), 40),
             ],
             timers: vec![("phase.steady".to_string(), 1, 2_500_000)],
-            notes: vec![("host.cores".to_string(), 2)],
         };
         let report = RunReport::analyze(&recording(), &meta(), 10).with_host(host);
         let md = render_report_markdown(&report);
@@ -519,7 +493,6 @@ mod tests {
             "engine.cycles_executed",
             "### Host time (wall clock",
             "phase.steady",
-            "host.cores",
         ] {
             assert!(md.contains(section), "missing {section:?} in:\n{md}");
         }
