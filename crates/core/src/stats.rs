@@ -226,13 +226,19 @@ impl GcStats {
     /// simulation's output fingerprint. Wall-clock never enters: `GcStats`
     /// carries simulated quantities only.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in format!("{self:?}").bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+        /// FNV-1a state fed the `Debug` text as it is formatted.
+        struct Fnv(u64);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for b in s.bytes() {
+                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Ok(())
+            }
         }
-        h
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        std::fmt::Write::write_fmt(&mut h, format_args!("{self:?}")).expect("hashing cannot fail");
+        h.0
     }
 
     /// Fraction of cycles with an empty work list (Table I), in [0, 1].
@@ -317,6 +323,22 @@ mod tests {
             })
             .sum();
         assert_eq!(table2, 7);
+    }
+
+    #[test]
+    fn digest_hashes_the_debug_text() {
+        let mut stats = GcStats {
+            total_cycles: 12_345,
+            per_core: vec![StallBreakdown::default(); 3],
+            ..Default::default()
+        };
+        stats.per_core[2].record_n(StallReason::HeaderLock, 7);
+        stats.mem.issued[1] = u64::MAX;
+        let text = format!("{stats:?}");
+        let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(stats.digest(), fnv);
     }
 
     #[test]

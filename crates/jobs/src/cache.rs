@@ -38,7 +38,7 @@ use std::sync::Mutex;
 use hwgc_core::{GcOutcome, GcStats, StallBreakdown, StallReason};
 use hwgc_memsim::{DramStats, FifoStats, MemStats, PORT_COUNT};
 use hwgc_obs::json::Json;
-use hwgc_obs::{JobOutcome, LedgerRecord, LedgerStore};
+use hwgc_obs::{JobOutcome, LedgerRecord, LedgerStore, StoreError};
 use hwgc_sync::SyncStats;
 
 /// What the cache is allowed to do.
@@ -219,15 +219,18 @@ impl ResultCache {
         ro_sources: &[&Path],
         rw_path: Option<&Path>,
     ) -> Result<ResultCache, CacheError> {
+        // An I/O error names its path already; the others do not.
+        let load_error = |path: &Path, e: StoreError| match e {
+            StoreError::Io(msg) => CacheError::Load(msg),
+            e => CacheError::Load(format!("{}: {e}", path.display())),
+        };
         let mut store = LedgerStore::new();
         if mode.reads() {
             for src in ro_sources {
                 if src.exists() {
-                    let loaded = LedgerStore::load(src)
-                        .map_err(|e| CacheError::Load(format!("{}: {e}", src.display())))?;
-                    store
-                        .merge(loaded.records().iter().cloned())
-                        .map_err(|e| CacheError::Load(format!("{}: {e}", src.display())))?;
+                    LedgerStore::load(src)
+                        .and_then(|loaded| store.merge_store(loaded))
+                        .map_err(|e| load_error(src, e))?;
                 }
             }
             // The workspace cache (payload-carrying, simulation-skipping)
@@ -236,11 +239,9 @@ impl ResultCache {
             // file.
             if mode.writes() {
                 if let Some(path) = rw_path {
-                    let (loaded, _report) = LedgerStore::load_tolerant(path)
-                        .map_err(|e| CacheError::Load(format!("{}: {e}", path.display())))?;
-                    store
-                        .merge(loaded.records().iter().cloned())
-                        .map_err(|e| CacheError::Load(format!("{}: {e}", path.display())))?;
+                    LedgerStore::load_tolerant(path)
+                        .and_then(|(loaded, _report)| store.merge_store(loaded))
+                        .map_err(|e| load_error(path, e))?;
                 }
             }
         }
@@ -331,10 +332,15 @@ impl ResultCache {
     /// an error, never a silent wrong answer); every other variant must
     /// be followed by a simulation and a [`ResultCache::complete`] call.
     pub fn lookup(&self, key: &LedgerRecord) -> Result<CacheLookup, CacheError> {
+        self.lookup_hash(key.config_hash())
+    }
+
+    /// [`ResultCache::lookup`] by the key's config hash — for callers
+    /// that hold the hash already, such as [`crate::JobSet::hashes`].
+    pub fn lookup_hash(&self, hash: u64) -> Result<CacheLookup, CacheError> {
         if !self.mode.reads() {
             return Ok(CacheLookup::Absent);
         }
-        let hash = key.config_hash();
         let cached = self
             .store
             .get(hash)
@@ -458,18 +464,18 @@ fn u64s(values: &[u64]) -> Json {
     Json::Arr(values.iter().map(|&v| Json::Int(i128::from(v))).collect())
 }
 
-fn u64s_back(j: &Json, what: &str) -> Result<Vec<u64>, String> {
-    match j {
-        Json::Arr(items) => items
-            .iter()
-            .map(|v| {
-                v.as_int()
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| format!("`{what}` holds a non-u64"))
-            })
-            .collect(),
-        _ => Err(format!("`{what}` is not an array")),
+/// Decoders name the field they fail on; `what` is formatted only then.
+fn u64s_back(j: &Json, what: &(impl std::fmt::Display + ?Sized)) -> Result<Vec<u64>, String> {
+    let Json::Arr(items) = j else {
+        return Err(format!("`{what}` is not an array"));
+    };
+    // Sized up front: collecting `Result`s would grow the vector from 4.
+    let mut values = Vec::with_capacity(items.len());
+    for v in items {
+        let n = v.as_int().and_then(|i| u64::try_from(i).ok());
+        values.push(n.ok_or_else(|| format!("`{what}` holds a non-u64"))?);
     }
+    Ok(values)
 }
 
 fn breakdown_to_json(b: &StallBreakdown) -> Json {
@@ -477,7 +483,10 @@ fn breakdown_to_json(b: &StallBreakdown) -> Json {
     u64s(&StallReason::ALL.map(|r| b.get(r)))
 }
 
-fn breakdown_from_json(j: &Json, what: &str) -> Result<StallBreakdown, String> {
+fn breakdown_from_json(
+    j: &Json,
+    what: &(impl std::fmt::Display + ?Sized),
+) -> Result<StallBreakdown, String> {
     let values = u64s_back(j, what)?;
     if values.len() != StallReason::COUNT {
         return Err(format!(
@@ -658,7 +667,7 @@ pub fn stats_from_json(j: &Json) -> Result<GcStats, String> {
         Some(Json::Arr(cores)) => cores
             .iter()
             .enumerate()
-            .map(|(i, c)| breakdown_from_json(c, &format!("per_core[{i}]")))
+            .map(|(i, c)| breakdown_from_json(c, &format_args!("per_core[{i}]")))
             .collect::<Result<Vec<_>, _>>()?,
         _ => return Err("missing array field `per_core`".to_string()),
     };
@@ -716,4 +725,94 @@ pub fn outcome_from_json(j: &Json) -> Result<GcOutcome, String> {
         free,
         stats: stats_from_json(j.get("stats").ok_or("missing `stats`")?)?,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn temp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("hwgc_cache_unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn line(workload: &str) -> String {
+        LedgerRecord {
+            workload: workload.to_string(),
+            stats_digest: 1,
+            ..LedgerRecord::default()
+        }
+        .to_json()
+        .to_string_compact()
+    }
+
+    fn open_err(mode: CacheMode, ro: &[&Path], rw: Option<&Path>) -> String {
+        match ResultCache::open(mode, ro, rw) {
+            Ok(_) => panic!("open succeeded"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn a_non_utf8_line_costs_that_line_only() {
+        let path = temp("non_utf8.jsonl");
+        let mut torn = line("b").into_bytes();
+        torn[30] = 0xFF;
+        let bytes = [
+            line("a").as_bytes(),
+            b"\n",
+            &torn,
+            b"\n",
+            line("c").as_bytes(),
+            b"\n",
+        ]
+        .concat();
+        std::fs::write(&path, bytes).unwrap();
+        let cache = ResultCache::open(CacheMode::Rw, &[], Some(&path)).unwrap();
+        assert_eq!(cache.records_loaded(), 2);
+        // A committed ledger is loaded strictly: the same byte fails it,
+        // naming the line.
+        let err = open_err(CacheMode::Ro, &[&path], None);
+        assert!(err.contains("line 2") && err.contains("UTF-8"), "{err}");
+    }
+
+    #[test]
+    fn a_load_error_names_its_path_once() {
+        // A directory cannot be read as a file: an I/O error.
+        let dir = std::env::temp_dir()
+            .join("hwgc_cache_unit")
+            .join("a_directory");
+        std::fs::create_dir_all(&dir).unwrap();
+        let shown = dir.display().to_string();
+        let err = open_err(CacheMode::Rw, &[], Some(&dir));
+        assert_eq!(err.matches(&shown).count(), 1, "{err}");
+        // A parse error names the path too, once.
+        let bad = temp("bad.jsonl");
+        std::fs::write(&bad, "not json\n").unwrap();
+        let err = open_err(CacheMode::Ro, &[&bad], None);
+        assert_eq!(err.matches(&*bad.display().to_string()).count(), 1, "{err}");
+        assert!(err.contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn decode_errors_name_the_core() {
+        let mut stats = GcStats {
+            per_core: vec![StallBreakdown::default(); 3],
+            ..GcStats::default()
+        };
+        stats.per_core[2].record_n(StallReason::ScanLock, 5);
+        let Json::Obj(mut fields) = stats_to_json(&stats) else {
+            panic!("stats encode as an object")
+        };
+        let per_core = &mut fields.iter_mut().find(|(k, _)| k == "per_core").unwrap().1;
+        let Json::Arr(cores) = per_core else {
+            panic!("per_core is an array")
+        };
+        cores[2] = Json::Arr(vec![Json::Int(-1); StallReason::COUNT]);
+        let err = stats_from_json(&Json::Obj(fields)).unwrap_err();
+        assert_eq!(err, "`per_core[2]` holds a non-u64");
+    }
 }

@@ -154,11 +154,12 @@ pub fn run_jobset(set: &JobSet, opts: &ExecOptions) -> Result<ExecReport, ExecEr
     let mut pending: Vec<usize> = Vec::new();
     let mut skipped = 0;
 
-    // Phase 1: cache resolution, in index order on the calling thread.
-    for (i, job) in set.jobs().iter().enumerate() {
-        let key = job.cache_key(&opts.binary);
+    // Phase 1: cache resolution, in index order on the calling thread,
+    // by the hashes the set was deduplicated by. Only a job that must
+    // execute builds its ledger key (see `complete_job`).
+    for (i, (job, &hash)) in set.jobs().iter().zip(set.hashes()).enumerate() {
         let started = Instant::now();
-        match opts.cache.lookup(&key)? {
+        match opts.cache.lookup_hash(hash)? {
             CacheLookup::Hit(out) => {
                 if let Some(p) = opts.progress {
                     p.job(&job.label(), JobOutcome::Hit, elapsed_ns(started));
@@ -220,8 +221,14 @@ fn complete_job(
     worker: usize,
 ) -> Result<JobOutcome, ExecError> {
     let job = &set.jobs()[index];
+    let key = job.cache_key(&opts.binary);
+    debug_assert_eq!(
+        key.config_hash(),
+        set.hashes()[index],
+        "the record appended for a job must carry the hash its lookup used"
+    );
     let how = opts.cache.complete(
-        &job.cache_key(&opts.binary),
+        &key,
         outcome,
         lookups[index]
             .as_ref()

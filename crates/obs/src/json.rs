@@ -127,10 +127,17 @@ impl Json {
 
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
+    ///
+    /// Arrays and objects nest at most [`MAX_DEPTH`] deep; deeper input
+    /// is an error rather than a recursion that overflows the stack.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
+            items: Vec::new(),
+            fields: Vec::new(),
         };
         p.skip_ws();
         let value = p.value()?;
@@ -160,6 +167,11 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deep [`Json::parse`] lets arrays and objects nest. Every writer in
+/// the workspace stays within a handful of levels; the cap keeps a
+/// corrupt line of `[`s from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure with its byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -176,8 +188,16 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+    /// The members of every open array and object, innermost last. A
+    /// container is collected off the top of its stack when it closes:
+    /// one allocation of the exact size instead of a growing `Vec` each.
+    items: Vec<Json>,
+    fields: Vec<(String, Json)>,
 }
 
 impl Parser<'_> {
@@ -235,6 +255,22 @@ impl Parser<'_> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"', "expected string")?;
+        // Fast path: a string without escapes is one slice of the input
+        // (`"` and `\\` are ASCII, so both ends are char boundaries).
+        let start = self.pos;
+        let rest = &self.bytes[start..];
+        if let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') {
+            if rest[len] == b'"' {
+                self.pos += len + 1;
+                return Ok(self.text[start..start + len].to_owned());
+            }
+        }
+        self.escaped_string()
+    }
+
+    /// The rest of a string that holds an escape (or no closing quote),
+    /// one character at a time.
+    fn escaped_string(&mut self) -> Result<String, JsonError> {
         let mut s = String::new();
         loop {
             let Some(&b) = self.bytes.get(self.pos) else {
@@ -293,10 +329,14 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        self.eat(b'-');
-        while matches!(self.bytes.get(self.pos), Some(c) if c.is_ascii_digit()) {
+        let negative = self.eat(b'-');
+        // Accumulated on the way; used only when it cannot have wrapped.
+        let mut magnitude = 0u64;
+        while let Some(&c) = self.bytes.get(self.pos).filter(|c| c.is_ascii_digit()) {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
             self.pos += 1;
         }
+        let digits = self.pos - start - usize::from(negative);
         let mut is_float = false;
         if self.eat(b'.') {
             is_float = true;
@@ -314,6 +354,10 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
+        // Up to 19 digits always fit a `u64`.
+        if !is_float && !negative && (1..=19).contains(&digits) {
+            return Ok(Json::Int(i128::from(magnitude)));
+        }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         if is_float {
             text.parse::<f64>()
@@ -326,45 +370,58 @@ impl Parser<'_> {
         }
     }
 
+    /// Open one array or object; past [`MAX_DEPTH`] the parse fails.
+    fn nest(&mut self, open: u8, message: &'static str) -> Result<(), JsonError> {
+        self.expect(open, message)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deep"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[', "expected array")?;
-        let mut items = Vec::new();
+        self.nest(b'[', "expected array")?;
+        let base = self.items.len();
         self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            if self.eat(b']') {
-                return Ok(Json::Arr(items));
+        if !self.eat(b']') {
+            loop {
+                self.skip_ws();
+                let item = self.value()?;
+                self.items.push(item);
+                self.skip_ws();
+                if self.eat(b']') {
+                    break;
+                }
+                self.expect(b',', "expected , or ]")?;
             }
-            self.expect(b',', "expected , or ]")?;
         }
+        self.depth -= 1;
+        Ok(Json::Arr(self.items.drain(base..).collect()))
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{', "expected object")?;
-        let mut fields = Vec::new();
+        self.nest(b'{', "expected object")?;
+        let base = self.fields.len();
         self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':', "expected :")?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            if self.eat(b'}') {
-                return Ok(Json::Obj(fields));
+        if !self.eat(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':', "expected :")?;
+                self.skip_ws();
+                let value = self.value()?;
+                self.fields.push((key, value));
+                self.skip_ws();
+                if self.eat(b'}') {
+                    break;
+                }
+                self.expect(b',', "expected , or }")?;
             }
-            self.expect(b',', "expected , or }")?;
         }
+        self.depth -= 1;
+        Ok(Json::Obj(self.fields.drain(base..).collect()))
     }
 }
 
@@ -422,6 +479,39 @@ mod tests {
         assert_eq!(arr[0].as_int(), Some(1));
         assert_eq!(arr[1].as_f64(), Some(-25.0));
         assert_eq!(arr[2].as_str(), Some("A"));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        for deep in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert_eq!(err.message, "nested too deep");
+        }
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        // Depth counts open containers, not containers seen.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn slice_read_strings_and_integers_match_the_slow_paths() {
+        let v = Json::parse(r#"["plain","é中😀","a\"b","\u00e9x",007,-0,18446744073709551615,9999999999999999999,10000000000000000000]"#)
+            .unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("plain"));
+        assert_eq!(items[1].as_str(), Some("é中😀"));
+        assert_eq!(items[2].as_str(), Some("a\"b"));
+        assert_eq!(items[3].as_str(), Some("éx"));
+        assert_eq!(items[4].as_int(), Some(7));
+        assert_eq!(items[5].as_int(), Some(0));
+        assert_eq!(items[6].as_int(), Some(u64::MAX as i128));
+        assert_eq!(items[7].as_int(), Some(9_999_999_999_999_999_999));
+        assert_eq!(items[8].as_int(), Some(10_000_000_000_000_000_000));
+        assert!(Json::parse("-").is_err());
+        assert!(Json::parse("\"open").is_err());
+        assert!(Json::parse("\"open\\").is_err());
     }
 
     #[test]

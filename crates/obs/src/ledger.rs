@@ -172,64 +172,41 @@ impl LedgerRecord {
 
     /// Parse a record previously produced by [`LedgerRecord::to_json`].
     pub fn from_json_str(text: &str) -> Result<LedgerRecord, String> {
-        let v = Json::parse(text).map_err(|e: JsonError| e.to_string())?;
-        if v.get("schema").and_then(Json::as_str) != Some(LEDGER_SCHEMA) {
-            return Err(format!("schema is not {LEDGER_SCHEMA}"));
+        LedgerRecord::from_json_str_hashed(text).map(|(rec, _)| rec)
+    }
+
+    /// [`LedgerRecord::from_json_str`] plus the record's config hash,
+    /// which the parse verifies against the recorded one anyway. Every
+    /// value moves out of the parsed tree; nothing is cloned.
+    pub(crate) fn from_json_str_hashed(text: &str) -> Result<(LedgerRecord, u64), String> {
+        let schema_err = || format!("schema is not {LEDGER_SCHEMA}");
+        let Json::Obj(mut fields) = Json::parse(text).map_err(|e: JsonError| e.to_string())? else {
+            return Err(schema_err());
+        };
+        if take(&mut fields, "schema").as_ref().and_then(Json::as_str) != Some(LEDGER_SCHEMA) {
+            return Err(schema_err());
         }
-        let s = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field `{key}`"))
-        };
-        let hex = |key: &str| -> Result<u64, String> {
-            let raw = s(key)?;
-            u64::from_str_radix(&raw, 16).map_err(|e| format!("bad hex in `{key}`: {e}"))
-        };
-        let pairs = |key: &str| -> Result<Vec<(String, String)>, String> {
-            match v.get(key) {
-                Some(Json::Obj(fields)) => fields
-                    .iter()
-                    .map(|(k, val)| {
-                        val.as_str()
-                            .map(|s| (k.clone(), s.to_string()))
-                            .ok_or_else(|| format!("`{key}.{k}` is not a string"))
-                    })
-                    .collect(),
-                _ => Err(format!("missing object field `{key}`")),
-            }
-        };
-        let efficacy = match v.get("efficacy") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(k, val)| {
-                    val.as_int()
-                        .and_then(|i| u64::try_from(i).ok())
-                        .map(|n| (k.clone(), n))
-                        .ok_or_else(|| format!("`efficacy.{k}` is not a u64"))
-                })
+        let efficacy = match take(&mut fields, "efficacy") {
+            Some(Json::Obj(counters)) => counters
+                .into_iter()
+                .map(
+                    |(k, val)| match val.as_int().and_then(|i| u64::try_from(i).ok()) {
+                        Some(n) => Ok((k, n)),
+                        None => Err(format!("`efficacy.{k}` is not a u64")),
+                    },
+                )
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("missing object field `efficacy`".to_string()),
         };
-        let host = match &v {
-            Json::Obj(fields) => fields
-                .iter()
-                .filter_map(|(k, val)| {
-                    k.strip_prefix("host_")
-                        .map(|tail| (tail.to_string(), val.clone()))
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let rec = LedgerRecord {
-            binary: s("binary")?,
-            workload: s("workload")?,
-            engine: s("engine")?,
-            backend: s("backend")?,
-            config: pairs("config")?,
-            env: pairs("env")?,
-            stats_digest: hex("stats_digest")?,
-            total_cycles: match v.get("total_cycles") {
+        let mut rec = LedgerRecord {
+            binary: take_str(&mut fields, "binary")?,
+            workload: take_str(&mut fields, "workload")?,
+            engine: take_str(&mut fields, "engine")?,
+            backend: take_str(&mut fields, "backend")?,
+            config: take_pairs(&mut fields, "config")?,
+            env: take_pairs(&mut fields, "env")?,
+            stats_digest: take_hex(&mut fields, "stats_digest")?,
+            total_cycles: match take(&mut fields, "total_cycles") {
                 Some(tc) => Some(
                     tc.as_int()
                         .and_then(|i| u64::try_from(i).ok())
@@ -237,22 +214,31 @@ impl LedgerRecord {
                 ),
                 None => None,
             },
-            sb_fingerprint: match v.get("sb_fingerprint") {
-                Some(_) => Some(hex("sb_fingerprint")?),
-                None => None,
+            sb_fingerprint: if fields.iter().any(|(k, _)| k == "sb_fingerprint") {
+                Some(take_hex(&mut fields, "sb_fingerprint")?)
+            } else {
+                None
             },
             efficacy,
-            result: v.get("result").cloned(),
-            host,
+            result: take(&mut fields, "result"),
+            host: Vec::new(),
         };
-        let recorded = hex("config_hash")?;
-        if recorded != rec.config_hash() {
+        let recorded = take_hex(&mut fields, "config_hash")?;
+        rec.host = fields
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("host_"))
+            .map(|(mut k, val)| {
+                k.drain(.."host_".len());
+                (k, val)
+            })
+            .collect();
+        let computed = rec.config_hash();
+        if recorded != computed {
             return Err(format!(
-                "config_hash mismatch: recorded {recorded:016x}, computed {:016x}",
-                rec.config_hash()
+                "config_hash mismatch: recorded {recorded:016x}, computed {computed:016x}"
             ));
         }
-        Ok(rec)
+        Ok((rec, computed))
     }
 
     /// Append this record as one line to the JSONL file at `path`
@@ -268,6 +254,41 @@ impl LedgerRecord {
             .append(true)
             .open(path)?;
         self.to_json().write_line(&mut f)
+    }
+}
+
+/// Move the value of the first field named `key` out of `fields`,
+/// leaving `null` in its place (first occurrence wins, as in
+/// [`Json::get`]).
+fn take(fields: &mut [(String, Json)], key: &str) -> Option<Json> {
+    fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| std::mem::replace(v, Json::Null))
+}
+
+fn take_str(fields: &mut [(String, Json)], key: &str) -> Result<String, String> {
+    match take(fields, key) {
+        Some(Json::Str(s)) => Ok(s),
+        _ => Err(format!("missing string field `{key}`")),
+    }
+}
+
+fn take_hex(fields: &mut [(String, Json)], key: &str) -> Result<u64, String> {
+    let raw = take_str(fields, key)?;
+    u64::from_str_radix(&raw, 16).map_err(|e| format!("bad hex in `{key}`: {e}"))
+}
+
+fn take_pairs(fields: &mut [(String, Json)], key: &str) -> Result<Vec<(String, String)>, String> {
+    match take(fields, key) {
+        Some(Json::Obj(pairs)) => pairs
+            .into_iter()
+            .map(|(k, val)| match val {
+                Json::Str(s) => Ok((k, s)),
+                _ => Err(format!("`{key}.{k}` is not a string")),
+            })
+            .collect(),
+        _ => Err(format!("missing object field `{key}`")),
     }
 }
 

@@ -96,6 +96,8 @@ pub struct LoadReport {
 #[derive(Debug, Clone, Default)]
 pub struct LedgerStore {
     records: Vec<LedgerRecord>,
+    /// `records[i].config_hash()`, computed once on the way in.
+    hashes: Vec<u64>,
     index: HashMap<u64, usize>,
 }
 
@@ -133,10 +135,15 @@ impl LedgerStore {
     /// incoming one carries that it lacks. Host fields of the incoming
     /// record are quarantined: the stored record keeps its own.
     pub fn insert(&mut self, rec: LedgerRecord) -> Result<InsertOutcome, StoreError> {
-        let hash = rec.config_hash();
+        self.insert_hashed(rec.config_hash(), rec)
+    }
+
+    /// [`LedgerStore::insert`] for a record whose config hash is known.
+    fn insert_hashed(&mut self, hash: u64, rec: LedgerRecord) -> Result<InsertOutcome, StoreError> {
         let Some(&slot) = self.index.get(&hash) else {
             self.index.insert(hash, self.records.len());
             self.records.push(rec);
+            self.hashes.push(hash);
             return Ok(InsertOutcome::Inserted);
         };
         let have = &mut self.records[slot];
@@ -203,9 +210,27 @@ impl LedgerStore {
         &mut self,
         other: impl IntoIterator<Item = LedgerRecord>,
     ) -> Result<(usize, usize), StoreError> {
+        self.merge_hashed(other.into_iter().map(|rec| (rec.config_hash(), rec)))
+    }
+
+    /// [`LedgerStore::merge`] of a whole store, moving its records and
+    /// reusing their hashes. An empty store adopts `other` as it is.
+    pub fn merge_store(&mut self, other: LedgerStore) -> Result<(usize, usize), StoreError> {
+        if self.is_empty() {
+            let inserted = other.len();
+            *self = other;
+            return Ok((inserted, 0));
+        }
+        self.merge_hashed(other.hashes.into_iter().zip(other.records))
+    }
+
+    fn merge_hashed(
+        &mut self,
+        other: impl Iterator<Item = (u64, LedgerRecord)>,
+    ) -> Result<(usize, usize), StoreError> {
         let (mut inserted, mut merged) = (0, 0);
-        for rec in other {
-            match self.insert(rec)? {
+        for (hash, rec) in other {
+            match self.insert_hashed(hash, rec)? {
                 InsertOutcome::Inserted => inserted += 1,
                 InsertOutcome::Merged => merged += 1,
             }
@@ -214,47 +239,42 @@ impl LedgerStore {
     }
 
     /// Strict load of a JSONL ledger into a fresh store: any corrupted,
-    /// truncated or schema-skewed line fails with its 1-based line
-    /// number, and output conflicts between records hard-fail.
+    /// truncated, non-UTF-8 or schema-skewed line fails with its 1-based
+    /// line number, and output conflicts between records hard-fail.
     pub fn load(path: &Path) -> Result<LedgerStore, StoreError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
+        let bytes =
+            std::fs::read(path).map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
         let mut store = LedgerStore::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec = LedgerRecord::from_json_str(line)
-                .map_err(|msg| StoreError::Parse { line: i + 1, msg })?;
-            store.insert(rec)?;
+        for (line, text) in jsonl_lines(&bytes) {
+            let (rec, hash) = text
+                .and_then(LedgerRecord::from_json_str_hashed)
+                .map_err(|msg| StoreError::Parse { line, msg })?;
+            store.insert_hashed(hash, rec)?;
         }
         Ok(store)
     }
 
     /// Tolerant load for workspace cache files: lines that fail to
-    /// *parse* (e.g. a line truncated by an interrupted writer) are
-    /// quarantined into the report instead of failing the load. Output
-    /// conflicts between well-formed records still hard-fail — a
-    /// readable record with a wrong result is corruption, not noise.
-    /// A missing file loads as an empty store.
+    /// *parse* (e.g. a line truncated by an interrupted writer, or one
+    /// that is not UTF-8) are quarantined into the report instead of
+    /// failing the load. Output conflicts between well-formed records
+    /// still hard-fail — a readable record with a wrong result is
+    /// corruption, not noise. A missing file loads as an empty store.
     pub fn load_tolerant(path: &Path) -> Result<(LedgerStore, LoadReport), StoreError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        let bytes = match std::fs::read(path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(StoreError::Io(format!("{}: {e}", path.display()))),
         };
         let mut store = LedgerStore::new();
         let mut report = LoadReport::default();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match LedgerRecord::from_json_str(line) {
-                Ok(rec) => {
-                    store.insert(rec)?;
+        for (line, text) in jsonl_lines(&bytes) {
+            match text.and_then(LedgerRecord::from_json_str_hashed) {
+                Ok((rec, hash)) => {
+                    store.insert_hashed(hash, rec)?;
                     report.accepted += 1;
                 }
-                Err(msg) => report.quarantined.push(format!("line {}: {msg}", i + 1)),
+                Err(msg) => report.quarantined.push(format!("line {line}: {msg}")),
             }
         }
         Ok((store, report))
@@ -266,11 +286,11 @@ impl LedgerStore {
     /// re-running `bench_baseline` on an unchanged simulator produces a
     /// byte-identical file.
     pub fn canonical_jsonl(&self) -> String {
-        let mut order: Vec<&LedgerRecord> = self.records.iter().collect();
-        order.sort_by_key(|r| r.config_hash());
+        let mut order: Vec<usize> = (0..self.records.len()).collect();
+        order.sort_by_key(|&i| self.hashes[i]);
         let mut out = String::new();
-        for rec in order {
-            out.push_str(&rec.to_json().to_string_compact());
+        for i in order {
+            out.push_str(&self.records[i].to_json().to_string_compact());
             out.push('\n');
         }
         out
@@ -295,10 +315,27 @@ impl LedgerStore {
 
     /// Hashes held, sorted (the join axis of `ledger_diff`).
     pub fn hashes(&self) -> Vec<u64> {
-        let mut h: Vec<u64> = self.index.keys().copied().collect();
+        let mut h = self.hashes.clone();
         h.sort_unstable();
         h
     }
+}
+
+/// The non-blank lines of a JSONL file with their 1-based numbers, split
+/// as [`str::lines`] splits text. Each line is checked for UTF-8 on its
+/// own, so one bad byte costs its line and not the file.
+fn jsonl_lines(bytes: &[u8]) -> impl Iterator<Item = (usize, Result<&str, String>)> {
+    bytes
+        .split(|&b| b == b'\n')
+        .enumerate()
+        .filter_map(|(i, line)| {
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => None,
+                Ok(text) => Some((i + 1, Ok(text))),
+                Err(e) => Some((i + 1, Err(format!("not valid UTF-8: {e}")))),
+            }
+        })
 }
 
 /// Strip every `host_*` field from a parsed ledger JSON object — the
@@ -444,6 +481,87 @@ mod tests {
         assert!(report.quarantined[0].starts_with("line 2:"));
         assert!(report.quarantined[1].starts_with("line 3:"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn tolerant_load_quarantines_deep_and_non_utf8_lines() {
+        let dir = std::env::temp_dir().join("hwgc_store_hostile");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.jsonl");
+        let good = |workload: &str| record(workload, 7).to_json().to_string_compact();
+        let mut bytes = format!("{}\n", good("a")).into_bytes();
+        bytes.extend_from_slice(&"[".repeat(1_000_000).into_bytes());
+        bytes.push(b'\n');
+        bytes.extend_from_slice(&"{\"a\":".repeat(1_000_000).into_bytes());
+        bytes.push(b'\n');
+        let mut torn = good("b").into_bytes();
+        torn[40] = 0xFF;
+        bytes.extend_from_slice(&torn);
+        bytes.extend_from_slice(format!("\r\n\n{}\r\n", good("c")).as_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let (store, report) = LedgerStore::load_tolerant(&path).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_eq!(report.accepted, 2);
+        let lines: Vec<&str> = report
+            .quarantined
+            .iter()
+            .map(|q| q.split(':').next().unwrap())
+            .collect();
+        assert_eq!(lines, ["line 2", "line 3", "line 4"]);
+        assert!(report.quarantined[0].contains("nested too deep"));
+        assert!(report.quarantined[2].contains("UTF-8"));
+        // The strict loader still refuses the file, naming the line.
+        match LedgerStore::load(&path).unwrap_err() {
+            StoreError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("expected Parse, got {other:?}"),
+        }
+        std::fs::write(&path, [good("a").as_bytes(), b"\n", &torn, b"\n"].concat()).unwrap();
+        match LedgerStore::load(&path).unwrap_err() {
+            StoreError::Parse { line, msg } => {
+                assert_eq!(line, 2);
+                assert!(msg.contains("UTF-8"), "{msg}");
+            }
+            other => panic!("expected Parse, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_committed_ledger_reserializes_byte_for_byte() {
+        let path = Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_ledger.jsonl"
+        ));
+        let store = LedgerStore::load(path).unwrap();
+        assert!(!store.is_empty());
+        assert_eq!(
+            store.canonical_jsonl(),
+            std::fs::read_to_string(path).unwrap()
+        );
+    }
+
+    #[test]
+    fn merge_store_adopts_or_merges_without_rehashing_differently() {
+        let mut a = LedgerStore::new();
+        a.insert(record("x", 1)).unwrap();
+        a.insert(record("y", 2)).unwrap();
+        let mut b = LedgerStore::new();
+        b.insert(record("y", 2)).unwrap();
+        b.insert(record("z", 3)).unwrap();
+        let mut adopted = LedgerStore::new();
+        assert_eq!(adopted.merge_store(a.clone()).unwrap(), (2, 0));
+        assert_eq!(adopted.canonical_jsonl(), a.canonical_jsonl());
+        assert_eq!(a.merge_store(b.clone()).unwrap(), (1, 1));
+        let mut one_by_one = LedgerStore::new();
+        one_by_one
+            .merge(["x", "y", "z"].map(|w| record(w, u64::from(w.as_bytes()[0] - b'w'))))
+            .unwrap();
+        assert_eq!(a.hashes(), one_by_one.hashes());
+        assert_eq!(a.canonical_jsonl(), one_by_one.canonical_jsonl());
+        // A conflict still hard-fails through the store-level merge.
+        let mut c = LedgerStore::new();
+        c.insert(record("z", 4)).unwrap();
+        assert!(matches!(a.merge_store(c), Err(StoreError::Conflict { .. })));
     }
 
     #[test]
