@@ -48,8 +48,8 @@
 //!   instead of a silently flat line.
 //!
 //! The report also carries `engine_speedup_1c` / `engine_speedup_16c`:
-//! the wall-clock ratio of the fully naive per-cycle loop (sparse engine
-//! and fast-forward both off) to the default engine on the Figure 6
+//! the wall-clock ratio of the per-cycle reference loop (`fast_forward`
+//! off: no parks, no jumps) to the default engine on the Figure 6
 //! configuration (+20 cycles memory latency, javac) at 1 and 16 cores,
 //! asserted bit-exact (identical `GcStats`) before the ratio is taken.
 //! The 16-core number is the one the sparse active-set engine exists
@@ -103,7 +103,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use hwgc_bench::spec;
-use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector};
+use hwgc_core::{GcConfig, GcOutcome, SimCollector};
 use hwgc_heap::{verify_collection, Snapshot};
 use hwgc_jobs::{
     run_jobset, CacheMode, ConfigMatrix, ExecError, ExecOptions, ExecReport, JobSet, Journal,
@@ -188,9 +188,9 @@ fn measure_combo(preset: Preset, cores: usize) -> ComboResult {
     best.expect("REPS >= 1")
 }
 
-/// Wall-clock ratio of the fully naive per-cycle loop (sparse engine and
-/// fast-forward both off) to the default engine on the Figure 6
-/// configuration, with bit-exactness asserted first.
+/// Wall-clock ratio of the per-cycle reference loop (`fast_forward` off)
+/// to the default engine on the Figure 6 configuration, with
+/// bit-exactness asserted first.
 fn measure_engine_speedup(preset: Preset, cores: usize) -> f64 {
     let base = GcConfig {
         n_cores: cores,
@@ -198,7 +198,6 @@ fn measure_engine_speedup(preset: Preset, cores: usize) -> f64 {
         ..GcConfig::default()
     };
     let naive_cfg = GcConfig {
-        engine: Some(EngineKind::Naive),
         fast_forward: false,
         ..base
     };
@@ -208,7 +207,7 @@ fn measure_engine_speedup(preset: Preset, cores: usize) -> f64 {
     assert_eq!(
         fast.stats,
         naive.stats,
-        "the default engine diverged from the naive loop on {}/{}c",
+        "the default engine diverged from the reference loop on {}/{}c",
         preset.name(),
         cores
     );
@@ -625,11 +624,9 @@ fn per_core_intersection(reference: &str, measured: &str) -> Vec<(usize, f64, f6
 
 /// The per-PR trajectory series: `(name, config description, cores)`.
 /// Both run javac under the Figure 6 memory model (+20 cycles per
-/// access) on whatever engine the unpinned default resolves to. The
-/// 1-core series is the figure's normalization baseline and goes back
-/// to PR 4 — it records engine-selection wins (e.g. PR 7's
-/// naive-at-1-core heuristic) as wall-clock drops on an unchanged cycle
-/// count; the 16-core series (added in PR 5 with the sparse engine)
+/// access) on the default engine. The 1-core series is the figure's
+/// normalization baseline and goes back to PR 4 — it records engine
+/// wins as wall-clock drops on an unchanged cycle count; the 16-core series (added in PR 5 with the sparse engine)
 /// tracks the regime the paper's headline numbers live in.
 const TRAJECTORY_SERIES: &[(&str, &str, usize)] = &[
     (
@@ -848,7 +845,7 @@ fn main() {
 
     let speedup_1c = measure_engine_speedup(Preset::Javac, 1);
     let speedup_16c = measure_engine_speedup(Preset::Javac, 16);
-    println!("\nengine speedup vs naive loop (fig6 config, javac): 1c {speedup_1c:.2}x, 16c {speedup_16c:.2}x");
+    println!("\nengine speedup vs reference loop (fig6 config, javac): 1c {speedup_1c:.2}x, 16c {speedup_16c:.2}x");
 
     let probe_set = scaling_set();
     let cache_sweep = measure_cache_sweep(&probe_set);
@@ -952,7 +949,6 @@ fn main() {
         let cfg = GcConfig {
             n_cores: cores,
             mem: MemConfig::default().with_extra_latency(20),
-            engine: Some(EngineKind::Sparse),
             ..GcConfig::default()
         };
         let (run, prof) = hwgc_bench::run_hostprof(&spec(preset), cfg);

@@ -1,52 +1,37 @@
-//! CI parity smoke for the engine's park rules: runs a preset ×
-//! core-count × memory-latency matrix three times — the sparse rule
-//! pinned, the naive rule with jumps (the one-core default), then the
-//! per-cycle reference loop (naive rule, `fast_forward` off) — and
-//! requires bit-identical `GcStats` and allocation frontier on every
+//! CI parity smoke for the event-driven engine: runs a preset ×
+//! core-count × memory-latency matrix twice — the default engine (parks
+//! and jumps) and the per-cycle reference loop (`fast_forward` off) —
+//! and requires bit-identical `GcStats` and allocation frontier on every
 //! combo, plus identical cycle-stamped SB event streams on a traced
 //! sub-matrix. A machine-parseable parity report (one JSON line per
-//! combo, with all three wall clocks and the sparse speedup over the
+//! combo, with both wall clocks and the event-driven speedup over the
 //! reference) is written for upload.
 //!
 //! ```text
-//! sparse_smoke [--out <path>] [--expect-engine <none|naive|sparse>]
-//!              [--expect-backend <fixed|dram>]
+//! sparse_smoke [--out <path>] [--expect-backend <fixed|dram>]
 //! ```
 //!
 //! * `--out` — report path (default `target/sparse_smoke.json`),
-//! * `--expect-engine` — assert the `HWGC_ENGINE` escape hatch: the
-//!   process-default `GcConfig::engine` must be exactly this pin. CI runs
-//!   one leg with the variable unset (`none`, the automatic choice) and
-//!   one with `HWGC_ENGINE=naive`, so the hatch is exercised end to end.
-//! * `--expect-backend` — assert the `HWGC_MEM_BACKEND` hatch the same
-//!   way: the process-default `MemConfig` must resolve to this memory
-//!   backend.
+//! * `--expect-backend` — assert the `HWGC_MEM_BACKEND` escape hatch:
+//!   the process-default `MemConfig` must resolve to this memory
+//!   backend. CI runs one leg with the variable unset and one with
+//!   `HWGC_MEM_BACKEND=dram`, so the hatch is exercised end to end.
 //!
 //! The parity matrix itself carries a backend axis: every preset × cores
 //! combo runs under the fixed-latency backend (both `extra_latency`
 //! regimes) and under two bank/row DRAM backends (open- and closed-page),
-//! each pinned explicitly on every side.
-//!
-//! The matrix itself pins the park rule explicitly on every side, so parity
-//! coverage is identical in both CI legs; only the default is asserted.
-//! Any divergence prints the combo and exits nonzero.
+//! each pinned explicitly on every side, so parity coverage is identical
+//! in both CI legs; only the default is asserted. Any divergence prints
+//! the combo and exits nonzero.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
+use hwgc_core::{GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::Snapshot;
 use hwgc_jobs::ConfigMatrix;
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
 use hwgc_workloads::{Preset, WorkloadSpec};
-
-/// The values of `GcConfig::engine`, as `--expect-engine` and the report
-/// name them.
-const ENGINE_PINS: [(&str, Option<EngineKind>); 3] = [
-    ("none", None),
-    ("naive", Some(EngineKind::Naive)),
-    ("sparse", Some(EngineKind::Sparse)),
-];
 
 fn fail(msg: &str) -> ! {
     eprintln!("sparse_smoke: FAIL: {msg}");
@@ -59,14 +44,12 @@ fn sparse_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig 
         mem: MemConfig::default()
             .with_extra_latency(extra)
             .with_backend(backend),
-        engine: Some(EngineKind::Sparse),
         ..GcConfig::default()
     }
 }
 
-fn naive_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig {
+fn reference_config(cores: usize, extra: u32, backend: MemBackendKind) -> GcConfig {
     GcConfig {
-        engine: Some(EngineKind::Naive),
         fast_forward: false,
         ..sparse_config(cores, extra, backend)
     }
@@ -110,23 +93,6 @@ fn main() {
     };
     let out_path = flag_value("--out").unwrap_or_else(|| "target/sparse_smoke.json".to_string());
 
-    let default_engine = GcConfig::default().engine;
-    if let Some(expect) = flag_value("--expect-engine") {
-        let Some(&(_, want)) = ENGINE_PINS.iter().find(|(name, _)| *name == expect) else {
-            fail(&format!(
-                "--expect-engine takes none|naive|sparse, got {expect:?}"
-            ))
-        };
-        if default_engine != want {
-            fail(&format!(
-                "HWGC_ENGINE hatch broken: default engine is {default_engine:?}, expected \
-                 {want:?} (HWGC_ENGINE={:?})",
-                std::env::var("HWGC_ENGINE").ok()
-            ));
-        }
-        println!("sparse_smoke: default engine = {default_engine:?} (as expected)");
-    }
-
     if let Some(expect) = flag_value("--expect-backend") {
         let got = MemConfig::default().backend;
         let matches = match expect.as_str() {
@@ -146,8 +112,8 @@ fn main() {
 
     let core_counts = [1usize, 4, 16];
 
-    // The parity grid is one declared matrix over the *sparse* config;
-    // the naive side of every combo is derived from the job. Combos are
+    // The parity grid is one declared matrix over the event-driven
+    // config; the reference side of every combo is derived from the job. Combos are
     // never cached — replaying a recorded result would defeat the
     // engine-parity differential — but they do report to the fleet
     // telemetry stream, so a batch run sees this binary's progress.
@@ -160,10 +126,10 @@ fn main() {
     let session = hwgc_bench::sweep_begin("sparse_smoke", set.len());
 
     let mut report = String::new();
-    report.push_str("{\n  \"schema\": \"hwgc-sparse-smoke-v1\",\n  \"combos\": [\n");
+    report.push_str("{\n  \"schema\": \"hwgc-sparse-smoke-v2\",\n  \"combos\": [\n");
     let mut first = true;
     println!(
-        "    preset  cores      backend   extra        cycles   sparse ms  naive+ff ms    naive ms   speedup"
+        "    preset  cores      backend   extra        cycles   sparse ms  reference ms   speedup"
     );
     for job in set.jobs() {
         let (preset, cores) = (job.spec.preset, job.cfg.n_cores);
@@ -186,27 +152,18 @@ fn main() {
             ))
         });
 
-        let naive_cfg = GcConfig {
-            engine: Some(EngineKind::Naive),
+        let (reference, _, reference_s) = timed(GcConfig {
             fast_forward: false,
             ..job.cfg
-        };
-        let (naive_ff, _, naive_ff_s) = timed(GcConfig {
-            fast_forward: true,
-            ..naive_cfg
         });
-        let (naive, _, naive_s) = timed(naive_cfg);
-
-        for (side, out) in [("sparse", &sparse), ("naive+ff", &naive_ff)] {
-            if out.stats != naive.stats || out.free != naive.free {
-                fail(&format!(
-                    "{}/{cores}c/{backend_name} +{extra}: {side} diverged from naive \
-                     ({} vs {} total cycles)",
-                    preset.name(),
-                    out.stats.total_cycles,
-                    naive.stats.total_cycles
-                ));
-            }
+        if sparse.stats != reference.stats || sparse.free != reference.free {
+            fail(&format!(
+                "{}/{cores}c/{backend_name} +{extra}: sparse diverged from the reference \
+                 ({} vs {} total cycles)",
+                preset.name(),
+                sparse.stats.total_cycles,
+                reference.stats.total_cycles
+            ));
         }
         hwgc_bench::append_ledger(&hwgc_bench::ledger_record(
             "sparse_smoke",
@@ -220,18 +177,17 @@ fn main() {
         session.progress.job(
             &format!("{}@{cores}c/{backend_name}+{extra}", preset.name()),
             hwgc_obs::JobOutcome::Miss,
-            ((sparse_s + naive_ff_s + naive_s) * 1e9) as u64,
+            ((sparse_s + reference_s) * 1e9) as u64,
         );
 
-        let speedup = naive_s / sparse_s.max(1e-9);
+        let speedup = reference_s / sparse_s.max(1e-9);
         println!(
             "{:>10}  {cores:>5}  {backend_name:>11}  {extra:>6}  {:>12}  {:>10.3}  \
-             {:>11.3}  {:>10.3}  {speedup:>7.2}x",
+             {:>12.3}  {speedup:>7.2}x",
             preset.name(),
             sparse.stats.total_cycles,
             sparse_s * 1e3,
-            naive_ff_s * 1e3,
-            naive_s * 1e3,
+            reference_s * 1e3,
         );
         let sep = if first { "" } else { ",\n" };
         first = false;
@@ -240,7 +196,7 @@ fn main() {
             "{sep}    {{\"preset\": \"{}\", \"cores\": {cores}, \
              \"backend\": \"{backend_name}\", \"extra_latency\": {extra}, \
              \"cycles\": {}, \"sparse_wall_s\": {sparse_s:.6}, \
-             \"naive_ff_wall_s\": {naive_ff_s:.6}, \"naive_wall_s\": {naive_s:.6}, \
+             \"reference_wall_s\": {reference_s:.6}, \
              \"speedup\": {speedup:.2}, \"parity\": true}}",
             preset.name(),
             sparse.stats.total_cycles,
@@ -248,7 +204,7 @@ fn main() {
     }
     report.push_str("\n  ],\n");
 
-    // Traced sub-matrix: the SB event log flips the sparse park rules
+    // Traced sub-matrix: the SB event log flips the park rule
     // for lock classes, and the event stream pins cycle stamps one by
     // one — the strictest parity surface.
     let mut traced = 0usize;
@@ -264,30 +220,17 @@ fn main() {
                 let out = SimCollector::new(cfg).collect_traced(&mut base.clone(), &mut trace);
                 (out.stats, trace)
             };
-            let naive_cfg = naive_config(cores, extra, backend);
-            let (naive, naive_trace) = traced_run(naive_cfg);
-            let sides = [
-                ("sparse", sparse_config(cores, extra, backend)),
-                (
-                    "naive+ff",
-                    GcConfig {
-                        fast_forward: true,
-                        ..naive_cfg
-                    },
-                ),
-            ];
-            for (side, cfg) in sides {
-                let (stats, trace) = traced_run(cfg);
-                let combo = format!("javac/{cores}c/{backend_name} {side}");
-                if stats != naive {
-                    fail(&format!("{combo} (traced): stats diverged"));
-                }
-                if trace.events() != naive_trace.events() {
-                    fail(&format!("{combo}: SB event streams diverged"));
-                }
-                if trace.rows() != naive_trace.rows() {
-                    fail(&format!("{combo}: trace rows diverged"));
-                }
+            let (reference, reference_trace) = traced_run(reference_config(cores, extra, backend));
+            let (stats, trace) = traced_run(sparse_config(cores, extra, backend));
+            let combo = format!("javac/{cores}c/{backend_name}");
+            if stats != reference {
+                fail(&format!("{combo} (traced): stats diverged"));
+            }
+            if trace.events() != reference_trace.events() {
+                fail(&format!("{combo}: SB event streams diverged"));
+            }
+            if trace.rows() != reference_trace.rows() {
+                fail(&format!("{combo}: trace rows diverged"));
             }
             traced += 1;
         }
@@ -296,16 +239,7 @@ fn main() {
         "traced parity: javac at {core_counts:?} cores x {{fixed +20, dram-open}}, \
          event streams identical"
     );
-    let _ = writeln!(report, "  \"traced_combos\": {traced},");
-    let _ = writeln!(
-        report,
-        "  \"default_engine\": \"{}\"",
-        ENGINE_PINS
-            .iter()
-            .find(|(_, pin)| *pin == default_engine)
-            .expect("every pin is named")
-            .0
-    );
+    let _ = writeln!(report, "  \"traced_combos\": {traced}");
     report.push_str("}\n");
 
     if let Some(dir) = std::path::Path::new(&out_path).parent() {

@@ -25,7 +25,7 @@
 use std::path::PathBuf;
 
 use hwgc_bench::run_hostprof;
-use hwgc_core::{EngineKind, GcConfig};
+use hwgc_core::GcConfig;
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::{validate_hostprof_json, Json};
 use hwgc_workloads::{Preset, WorkloadSpec};
@@ -34,7 +34,6 @@ fn config(extra: u32) -> GcConfig {
     GcConfig {
         n_cores: 16,
         mem: MemConfig::default().with_extra_latency(extra),
-        engine: Some(EngineKind::Sparse),
         ..GcConfig::default()
     }
 }

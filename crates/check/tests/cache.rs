@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector};
+use hwgc_core::{GcConfig, GcOutcome, SimCollector};
 use hwgc_jobs::{outcome_from_json, outcome_to_json, par_map, CacheError, CacheMode, ResultCache};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::json::Json;
@@ -39,7 +39,6 @@ fn config(cores: usize, dram: bool) -> GcConfig {
     };
     GcConfig {
         mem,
-        engine: Some(EngineKind::Sparse),
         ..GcConfig::with_cores(cores)
     }
 }

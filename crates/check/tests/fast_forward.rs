@@ -1,8 +1,9 @@
-//! Differential check of the naive park rule's jumps: on every workload
-//! preset and every adversarial graph in the catalog, on both memory
-//! backends and under every schedule policy, the naive rule with
-//! `fast_forward` on must report *exactly* what the per-cycle loop
-//! (`fast_forward` off) reports — the same `GcStats` (total cycles, stall
+//! Differential check of the engine's jumps — the all-parked jump and
+//! the body-stream jump: on every workload preset and every adversarial
+//! graph in the catalog, on both memory backends and under every
+//! schedule policy, the engine with `fast_forward` on must report
+//! *exactly* what the per-cycle reference loop (`fast_forward` off)
+//! reports — the same `GcStats` (total cycles, stall
 //! attribution, memory and SB counters), the same allocation frontier,
 //! and, where the SB event log is captured, the same cycle-stamped event
 //! stream.
@@ -11,9 +12,7 @@
 //! an independent simulation.
 
 use hwgc_check::graphs;
-use hwgc_core::{
-    Adversarial, EngineKind, GcConfig, RandomOrder, SignalTrace, SimCollector, StaticPriority,
-};
+use hwgc_core::{Adversarial, GcConfig, RandomOrder, SignalTrace, SimCollector, StaticPriority};
 use hwgc_heap::{GraphBuilder, Heap};
 use hwgc_jobs::par_map;
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
@@ -21,13 +20,7 @@ use hwgc_obs::{HostProfiler, Recorder};
 use hwgc_workloads::{Preset, WorkloadSpec};
 
 fn ff_config(cores: usize) -> GcConfig {
-    // The naive park rule is pinned on both sides: this differential
-    // isolates its jumps against the per-cycle loop (the sparse rule has
-    // its own matrix in `tests/sparse.rs`).
-    let cfg = GcConfig {
-        engine: Some(EngineKind::Naive),
-        ..GcConfig::with_cores(cores)
-    };
+    let cfg = GcConfig::with_cores(cores);
     assert!(cfg.fast_forward, "fast-forward must be the default");
     cfg
 }
@@ -143,7 +136,7 @@ fn assert_traced_parity(label: &str, heap: &Heap, cfg: GcConfig, arbiter: Option
     assert_eq!(fast_trace.rows(), naive_trace.rows(), "{label}: trace rows");
 }
 
-/// The naive rule's all-parked jump on the DRAM backend goes to the exact
+/// The all-parked jump on the DRAM backend goes to the exact
 /// bank horizon: requests queue behind busy banks through the skipped
 /// cycles, and closed-page banks re-arm after their data retired.
 #[test]
@@ -294,7 +287,6 @@ fn stream_config(cores: usize, mem: MemConfig, line_split: Option<u32>, ff: bool
     GcConfig {
         mem,
         line_split,
-        engine: Some(EngineKind::Naive),
         fast_forward: ff,
         ..GcConfig::with_cores(cores)
     }
@@ -412,8 +404,75 @@ fn the_stream_catalog_streams() {
     }
 }
 
+/// The stream jump beyond one core, on the presets whose long bodies
+/// stream: every other core must be parked or done for it to fire, so
+/// this is where the park rule and the jump meet. Every cell matches the
+/// reference loop in `GcStats`, frontier and SB event stream, and the
+/// jump must fire in at least one multi-core `compress` cell.
+#[test]
+fn stream_jumps_beyond_one_core_are_bit_exact() {
+    let mut combos: Vec<(Preset, usize, u32, usize, Option<u32>)> = Vec::new();
+    for preset in [Preset::Compress, Preset::Search] {
+        for cores in [2usize, 4, 8, 16] {
+            for extra in [0u32, 5, 25] {
+                for header_cache_entries in [0usize, 64] {
+                    for line_split in [None, Some(4)] {
+                        combos.push((preset, cores, extra, header_cache_entries, line_split));
+                    }
+                }
+            }
+        }
+    }
+    let heaps = [Preset::Compress, Preset::Search].map(|p| WorkloadSpec::new(p, 42).build());
+    let jumps = par_map(
+        &combos,
+        |_, &(preset, cores, extra, entries, line_split)| {
+            let heap = &heaps[usize::from(preset == Preset::Search)];
+            let mem = MemConfig {
+                header_cache_entries: entries,
+                ..MemConfig::default()
+            }
+            .with_backend(MemBackendKind::Fixed)
+            .with_extra_latency(extra);
+            let label = format!(
+                "{}/{cores}c +{extra} cache {entries} split {line_split:?}",
+                preset.name()
+            );
+            let run_traced = |ff: bool| {
+                let mut trace = SignalTrace::with_events(1 << 40);
+                let cfg = stream_config(cores, mem, line_split, ff);
+                let out = SimCollector::new(cfg).collect_traced(&mut heap.clone(), &mut trace);
+                (out, trace)
+            };
+            // One reference run, traced: tracing is passive (the probe
+            // differentials pin that), so its stats and frontier are the
+            // quiet run's too.
+            let (reference, reference_trace) = run_traced(false);
+            let mut prof = HostProfiler::new();
+            let fast = SimCollector::new(stream_config(cores, mem, line_split, true))
+                .collect_hostprof(&mut heap.clone(), &mut prof);
+            assert_eq!(fast.stats, reference.stats, "{label}: stats diverged");
+            assert_eq!(fast.free, reference.free, "{label}: frontier diverged");
+            let (traced, trace) = run_traced(true);
+            assert_eq!(traced.stats, reference.stats, "{label}: traced stats");
+            assert_eq!(
+                trace.events(),
+                reference_trace.events(),
+                "{label}: SB event streams diverged"
+            );
+            (preset, prof.counter("engine.ff.stream_jumps"))
+        },
+    );
+    assert!(
+        jumps
+            .iter()
+            .any(|&(preset, n)| preset == Preset::Compress && n > 0),
+        "the stream jump never fired beyond one core: {jumps:?}"
+    );
+}
+
 /// A watchdog bound that lands inside a stream trips at the same cycle,
-/// with the same diagnostics, as in the naive loop: the jump stops one
+/// with the same diagnostics, as in the reference loop: the jump stops one
 /// cycle short of the bound and the real tick after it panics.
 #[test]
 fn the_watchdog_fires_at_the_same_cycle_inside_a_stream() {

@@ -1,20 +1,20 @@
-//! Differential matrix for the sparse active-set engine (the PR 5
-//! acceptance contract): on every workload preset × {1, 4, 16} cores,
-//! and on every adversarial graph in the catalog, the sparse engine must
-//! report *exactly* what the naive per-cycle loop reports — the same
+//! Differential matrix for the event-driven engine — the sparse park
+//! rule and its jumps: on every workload preset × {1, 4, 16} cores, and
+//! on every adversarial graph in the catalog, it must report *exactly*
+//! what the per-cycle reference loop (`fast_forward` off) reports — the
+//! same
 //! `GcStats` (total cycles, per-core stall attribution, memory and SB
 //! counters), the same allocation frontier, the same cycle-stamped SB
 //! event stream and trace rows, and the same probe-bus recording —
-//! including under schedule policies, which the sparse engine composes
-//! with (unlike the PR 2 fast-forward, which they suppress).
+//! including under schedule policies, which the parks and the
+//! all-parked jump compose with.
 //!
 //! The matrix rides the `HWGC_JOBS` worker pool; every pair is an
-//! independent simulation. Both engines are pinned everywhere so the
-//! differential still bites when CI exports `HWGC_ENGINE=naive`.
+//! independent simulation.
 
 use hwgc_check::graphs;
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy};
-use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
+use hwgc_core::{GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::Heap;
 use hwgc_jobs::par_map;
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig, PagePolicy};
@@ -24,17 +24,12 @@ use hwgc_workloads::{Preset, WorkloadSpec};
 fn sparse_config(cores: usize, extra: u32) -> GcConfig {
     GcConfig {
         mem: MemConfig::default().with_extra_latency(extra),
-        // Pinned: the unpinned default auto-selects the naive loop at a
-        // single core (see `GcConfig::effective_engine`), which would
-        // quietly turn the 1-core legs into naive-vs-naive.
-        engine: Some(EngineKind::Sparse),
         ..GcConfig::with_cores(cores)
     }
 }
 
-fn naive_config(cores: usize, extra: u32) -> GcConfig {
+fn reference_config(cores: usize, extra: u32) -> GcConfig {
     GcConfig {
-        engine: Some(EngineKind::Naive),
         fast_forward: false,
         ..sparse_config(cores, extra)
     }
@@ -78,7 +73,7 @@ fn every_preset_is_bit_exact_under_sparse() {
         let mut sparse_heap = base.clone();
         let mut naive_heap = base;
         let sparse = SimCollector::new(sparse_config(cores, extra)).collect(&mut sparse_heap);
-        let naive = SimCollector::new(naive_config(cores, extra)).collect(&mut naive_heap);
+        let naive = SimCollector::new(reference_config(cores, extra)).collect(&mut naive_heap);
         assert_eq!(
             sparse.stats,
             naive.stats,
@@ -133,7 +128,6 @@ fn scan_hand_off_axes_are_bit_exact_under_sparse() {
         let mut naive_heap = base;
         let sparse = SimCollector::new(cfg).collect(&mut sparse_heap);
         let naive = SimCollector::new(GcConfig {
-            engine: Some(EngineKind::Naive),
             fast_forward: false,
             ..cfg
         })
@@ -172,7 +166,7 @@ fn every_preset_is_bit_exact_under_sparse_with_dram_backend() {
         let mut naive_heap = base;
         let sparse = SimCollector::new(with_backend(sparse_config(cores, 0), backend))
             .collect(&mut sparse_heap);
-        let naive = SimCollector::new(with_backend(naive_config(cores, 0), backend))
+        let naive = SimCollector::new(with_backend(reference_config(cores, 0), backend))
             .collect(&mut naive_heap);
         assert_eq!(
             sparse.stats,
@@ -204,7 +198,7 @@ fn small_db() -> Heap {
 /// queues deep, 10 drains them; closed page adds the precharge re-arm to
 /// the horizon; a probe sampling every cycle or every 7th makes the jumps
 /// land mid-window, and trace rows sample across them. Everything a run
-/// produces must match the naive loop: the full `GcStats` (with
+/// produces must match the reference loop: the full `GcStats` (with
 /// `mem.dram` and the queue-occupancy counters the jumps replicate in
 /// bulk), the frontier, the heap image, the recorded SB + memory event
 /// streams and samples, and the trace rows.
@@ -221,7 +215,7 @@ fn dram_jumps_over_bank_busy_windows_are_bit_exact() {
                     };
                     combos.push((
                         pin(sparse_config(cores, extra)),
-                        pin(naive_config(cores, extra)),
+                        pin(reference_config(cores, extra)),
                         format!("{name}/{cores}c bw{bandwidth} +{extra}"),
                     ));
                 }
@@ -272,7 +266,7 @@ fn dram_jumps_over_bank_busy_windows_are_bit_exact() {
 
 /// A watchdog bound that lands inside a DRAM jump (requests queued,
 /// every core parked) trips at the same cycle, with the same
-/// diagnostics and the same heap image, as in the naive loop: the jump
+/// diagnostics and the same heap image, as in the reference loop: the jump
 /// stops one cycle short of the bound and the real tick after it panics.
 #[test]
 fn the_watchdog_fires_at_the_same_cycle_inside_a_dram_jump() {
@@ -306,7 +300,7 @@ fn the_watchdog_fires_at_the_same_cycle_inside_a_dram_jump() {
         let bounds: Vec<u64> = (total / 2..total / 2 + 40).collect();
         par_map(&bounds, |_, &max_cycles| {
             let (sparse_msg, sparse_words) = panic_of(pin(sparse_config(16, 0), max_cycles));
-            let (naive_msg, naive_words) = panic_of(pin(naive_config(16, 0), max_cycles));
+            let (naive_msg, naive_words) = panic_of(pin(reference_config(16, 0), max_cycles));
             assert!(sparse_msg.contains(&format!("exceeded {max_cycles} cycles")));
             assert_eq!(sparse_msg, naive_msg, "{name}: bound {max_cycles}");
             assert!(
@@ -331,7 +325,7 @@ fn catalog_graphs_preserve_the_sb_event_stream_under_sparse_with_dram() {
                 let mut naive_trace = SignalTrace::with_events(1 << 40);
                 let sparse = SimCollector::new(with_backend(sparse_config(cores, 0), backend))
                     .collect_traced(&mut sparse_heap, &mut sparse_trace);
-                let naive = SimCollector::new(with_backend(naive_config(cores, 0), backend))
+                let naive = SimCollector::new(with_backend(reference_config(cores, 0), backend))
                     .collect_traced(&mut naive_heap, &mut naive_trace);
                 assert_eq!(
                     sparse.stats, naive.stats,
@@ -371,7 +365,7 @@ fn every_catalog_graph_preserves_the_sb_event_stream_under_sparse() {
             let mut naive_trace = SignalTrace::with_events(1 << 40);
             let sparse = SimCollector::new(sparse_config(cores, 0))
                 .collect_traced(&mut sparse_heap, &mut sparse_trace);
-            let naive = SimCollector::new(naive_config(cores, 0))
+            let naive = SimCollector::new(reference_config(cores, 0))
                 .collect_traced(&mut naive_heap, &mut naive_trace);
             assert_eq!(
                 sparse.stats, naive.stats,
@@ -425,7 +419,7 @@ fn schedule_policy_sweeps_are_unchanged_under_sparse() {
         let mut p2 = mk(seed);
         let sparse = SimCollector::new(sparse_config(cores, extra))
             .collect_scheduled(&mut sparse_heap, p1.as_mut());
-        let naive = SimCollector::new(naive_config(cores, extra))
+        let naive = SimCollector::new(reference_config(cores, extra))
             .collect_scheduled(&mut naive_heap, p2.as_mut());
         assert_eq!(
             sparse.stats,
@@ -463,8 +457,8 @@ fn probe_recordings_are_identical_under_sparse() {
         let mut r2 = mk();
         let sparse = SimCollector::new(sparse_config(cores, extra))
             .collect_probed(&mut sparse_heap, &mut r1);
-        let naive =
-            SimCollector::new(naive_config(cores, extra)).collect_probed(&mut naive_heap, &mut r2);
+        let naive = SimCollector::new(reference_config(cores, extra))
+            .collect_probed(&mut naive_heap, &mut r2);
         assert_eq!(sparse.stats, naive.stats, "{cores}c +{extra} {sample:?}");
         assert_eq!(
             r1.recording().events,

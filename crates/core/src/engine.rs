@@ -11,17 +11,18 @@
 //! same cycle — both exactly as in the paper's hardware.
 //!
 //! One loop simulates every configuration. Cycles in which a core's
-//! retry provably fails again are not ticked: the core *parks*, and the
-//! stalls it would have recorded are replayed in bulk when it wakes. When
-//! it parks is the park rule ([`EngineKind`]): the sparse rule parks each
-//! stalled core on its own wake condition — a memory stall on the one
-//! port whose retirement can change its retry, and a core that just
-//! issued an access it waits on and that cannot retire by the next tick
-//! at once, on that access's port — while the naive rule parks all of
-//! them only after a cycle in which nothing moved. When no core is awake
-//! the clock jumps to the memory system's next activity
+//! retry provably fails again are not ticked: the core *parks* on its
+//! own wake condition — a memory stall on the one port whose retirement
+//! can change its retry, a lock stall on the SB resource it waits for,
+//! and a core that just issued an access it waits on and that cannot
+//! retire by the next tick at once, on that access's port — and the
+//! stalls it would have recorded are replayed in bulk when it wakes.
+//! When no core is awake the clock jumps to the memory system's next
+//! activity, and when the only cores awake are streaming body words
+//! through at burst speed the run replays in closed form
 //! ([`GcConfig::fast_forward`]). Either way the run is bit-identical to
-//! ticking every core every cycle.
+//! the reference loop (`fast_forward` off), which ticks every core every
+//! cycle.
 //!
 //! A collection cycle has three phases, mirroring Section V-E:
 //!
@@ -54,7 +55,7 @@ use hwgc_obs::{Event, HostProf, NullHostProf, NullProbe, Probe, SampleRec};
 use hwgc_sync::{LockKind, SyncBlock};
 
 use crate::concurrent::{MutatorConfig, MutatorSm, MutatorStats};
-use crate::config::{EngineKind, GcConfig, MAX_CORES};
+use crate::config::{GcConfig, MAX_CORES};
 use crate::machine::{CoreSm, Ctx, State, TickOutcome, WorkCounters};
 use crate::schedule::{CoreView, RandomOrder, SchedulePolicy, ScheduleView};
 use crate::stats::{GcStats, StallReason};
@@ -335,25 +336,15 @@ impl SimCollector {
         probe: &mut P,
         host: &mut H,
     ) -> (Addr, GcStats, Option<MutatorStats>) {
-        // Static dispatch on the memory backend and the park rule: each
-        // instantiation of `run_backend` is monomorphized against its
-        // concrete backend, and the loop's per-rule branches fold away, so
-        // neither rule pays for the other's bookkeeping on the hot path.
-        // A mutator forces the naive rule (see the catalog in
-        // `run_backend`).
-        let sparse = mutator_cfg.is_none() && self.cfg.effective_engine() == EngineKind::Sparse;
-        macro_rules! dispatch {
-            ($b:ty) => {
-                if sparse {
-                    self.run_backend::<P, H, $b, true>(heap, mutator_cfg, policy, probe, host)
-                } else {
-                    self.run_backend::<P, H, $b, false>(heap, mutator_cfg, policy, probe, host)
-                }
-            };
-        }
+        // Static dispatch on the memory backend: each instantiation of
+        // `run_backend` is monomorphized against its concrete backend.
         match self.cfg.mem.backend {
-            MemBackendKind::Fixed => dispatch!(MemorySystem),
-            MemBackendKind::Dram(_) => dispatch!(DramMemorySystem),
+            MemBackendKind::Fixed => {
+                self.run_backend::<P, H, MemorySystem>(heap, mutator_cfg, policy, probe, host)
+            }
+            MemBackendKind::Dram(_) => {
+                self.run_backend::<P, H, DramMemorySystem>(heap, mutator_cfg, policy, probe, host)
+            }
         }
     }
 
@@ -361,7 +352,7 @@ impl SimCollector {
     /// is the hostprof sink ([`NullHostProf`] on every probe door): like
     /// the probe, each `H::ACTIVE` site compiles away when inactive, so
     /// the quiet hot loop is unchanged.
-    fn run_backend<P: Probe, H: HostProf, B: MemBackend, const SPARSE: bool>(
+    fn run_backend<P: Probe, H: HostProf, B: MemBackend>(
         &self,
         heap: &mut Heap,
         mutator_cfg: Option<MutatorConfig>,
@@ -498,12 +489,11 @@ impl SimCollector {
         // wake condition fires, so it does not tick, and the stalls those
         // retries would have recorded are replayed in bulk when it wakes.
         // Contract: bit-identical GcStats, SB event log, probe streams and
-        // trace rows to ticking every core every cycle (the naive rule
-        // without jumps, the reference side of the differential tests).
+        // trace rows to ticking every core every cycle (the reference
+        // loop, `fast_forward` off, the reference side of the
+        // differential tests).
         //
-        // When a stalled core parks is the park rule, `EngineKind`:
-        //
-        // * `Sparse` parks it on the wake condition of its stall class:
+        // A stalled core parks on the wake condition of its stall class:
         //
         //   ScanLock, holder-held ... SB scan-waiter list, handed off
         //                             at a release (below)
@@ -537,18 +527,6 @@ impl SimCollector {
         //                             plain progress (parking a burst
         //                             cost more than the tick it saves)
         //
-        // * `Naive`, the degenerate rule, parks no core alone. After an
-        //   executed cycle that *moved* nothing, every stalled core parks
-        //   on "memory moves" and the next executed cycle wakes them all —
-        //   unless memory is quiet forever (the watchdog must see the
-        //   cycles) or moves in the very next one anyway. A tick moved if
-        //   it progressed, if it stalled after changing state (it may have
-        //   released a header lock, advanced `free` or raised `done` after
-        //   a core waiting for exactly that had ticked; one chain touches
-        //   the core alone: a body word consumed whose store found the
-        //   port busy, `CopyWait → StoreWord`), or if it failed a lock
-        //   while the SB event log is on.
-        //
         // Lock-failure retries are impure (each failed attempt counts, and
         // logs an event when the SB log is on): the skipped attempts are
         // replayed in bulk at wake time, and with the event log on the lock
@@ -567,7 +545,7 @@ impl SimCollector {
         // release leaves the work list empty (waiters fall through to the
         // termination test) and once `done` is up.
         //
-        // The jump rule is `fast_forward`, the same under both park rules:
+        // Two jumps move the clock past cycles nobody needs to tick:
         //
         // * all-parked jump: when nobody is awake, the clock jumps to one
         //   short of the memory system's next activity (its retirement or
@@ -575,24 +553,27 @@ impl SimCollector {
         //   SB wake is caused by a core tick, which cannot happen while
         //   every core sleeps), replaying policy `arrange`s against the
         //   frozen view;
-        // * stream jump (naive rule, static order): every core that moved
-        //   consumed a pass-through body word, stored it and issued the
-        //   next load (`CoreSm::stream_len`), and memory holds nothing but
-        //   those zero-latency burst pairs (`MemBackend::stream_window`):
-        //   `k` such cycles replay in closed form while the stalled cores
-        //   park as above. A streaming core touches neither the SB nor the
-        //   FIFO, a stalled core's cause cannot resolve before the next
-        //   retirement (which bounds `k`), and the queue pins the order.
+        // * stream jump (static order): every tick of the cycle consumed a
+        //   pass-through body word, stored it and issued the next load
+        //   (`CoreSm::stream_len`), every other core is parked or done, and
+        //   memory holds nothing but those zero-latency burst pairs
+        //   (`MemBackend::stream_window`): `k` such cycles replay in closed
+        //   form. A streaming core touches neither the SB nor the FIFO, so
+        //   no SB wake can fire; no parked core's port retires before the
+        //   next retirement (which bounds `k`); and the queue pins the
+        //   order. A streaming core's burst accesses answer `Issue::Soon`
+        //   and keep it awake, which is why this jump is taken at the end
+        //   of a cycle and not in the all-parked branch.
         //
         // Both stop at the next cycle the probe wants sampled and one short
         // of `max_cycles`, so the real cycle after them trips the watchdog
-        // exactly where the reference loop does. Without jumps every cycle
-        // executes. A mutator ticks every cycle and can touch any SB
-        // resource: it forces the naive rule without jumps.
+        // exactly where the reference loop does. A mutator ticks every
+        // cycle and can touch any SB resource: it forces the reference
+        // loop, as `fast_forward` off does.
         // ===============================================================
         let static_order = policy.is_none();
-        let jumps = cfg.fast_forward && mutator.is_none();
-        if SPARSE {
+        let sparse = cfg.fast_forward && mutator.is_none();
+        if sparse {
             sb.enable_wake_tracking();
             mem.enable_wake_feed();
         }
@@ -608,7 +589,7 @@ impl SimCollector {
         // stall, or issued the load it awaits); replay at wake covers the
         // cycles after it.
         let mut park_since: Vec<u64> = vec![0; n];
-        // Sparse rule: per port, the cores parked on its next retirement.
+        // Per port, the cores parked on its next retirement.
         let mut waiting = [0u64; PORT_COUNT];
         // Slot of each core in this cycle's tick order, the inverse of
         // `order`; both stay the identity under static priority.
@@ -621,13 +602,16 @@ impl SimCollector {
         // replaces an all-cores scan; with every core `Done` the clock
         // jumps to the retirement that drains the last transaction.
         let mut done_count: usize = 0;
-        // Naive rule: this cycle's outcome per ticked core, its stream
-        // ticks, whether any other tick moved, and the cores parked until
-        // the next executed cycle.
-        let mut outcomes: Vec<TickOutcome> = vec![TickOutcome::Progress; n];
-        let mut streams: Vec<usize> = Vec::with_capacity(n);
-        let mut moved: bool;
-        let mut held: u64 = 0;
+        // Stream-jump candidates: this cycle's stream ticks, in tick order,
+        // recorded only while `stream_ok` holds — no other tick yet, and
+        // room in the memory bandwidth for one more store/load pair.
+        let stream_cap = if sparse && static_order {
+            cfg.mem.bandwidth as usize / 2
+        } else {
+            0
+        };
+        let mut streams: Vec<usize> = Vec::with_capacity(stream_cap.min(n));
+        let mut stream_ok: bool;
 
         // Wake core `$w` if parked: replay the stalls its skipped retries
         // would have recorded, then re-admit it — into the executing cycle
@@ -637,14 +621,12 @@ impl SimCollector {
         // `cycles + 1`: a core ticking this cycle replays
         // `cycles - park_since` skipped stalls, one more if its retry this
         // cycle already failed behind the waker's back. `$wake_key` is the
-        // hostprof counter of the wake's cause class (`engine.wake.*`),
-        // kept, like `engine.park.*`, for the sparse rule: the naive
-        // rule's whole-machine parks are its jumps (`engine.jump.*`).
+        // hostprof counter of the wake's cause class (`engine.wake.*`).
         macro_rules! wake_parked {
             ($w:expr, $this_cycle:expr, $wake_key:expr) => {{
                 let w: usize = $w;
                 if let Some(reason) = park_reason[w] {
-                    if H::ACTIVE && SPARSE {
+                    if H::ACTIVE {
                         host.count($wake_key, 1);
                     }
                     let this_cycle: bool = $this_cycle;
@@ -673,10 +655,8 @@ impl SimCollector {
                     }
                     park_reason[w] = None;
                     sb.cancel_park(w);
-                    if SPARSE {
-                        for mask in waiting.iter_mut() {
-                            *mask &= !(1u64 << w);
-                        }
+                    for mask in waiting.iter_mut() {
+                        *mask &= !(1u64 << w);
                     }
                     awake |= 1u64 << w;
                     if this_cycle {
@@ -706,7 +686,7 @@ impl SimCollector {
         }
 
         loop {
-            if awake == 0 && jumps {
+            if awake == 0 && sparse {
                 // Every core is parked: jump the clock to the earliest
                 // wake. SB wakes need a core tick, so the only future
                 // activity is the memory system's.
@@ -805,31 +785,21 @@ impl SimCollector {
             } else {
                 cur = awake;
             }
-            if SPARSE {
-                // Retirements in this memory tick wake the cores parked on
-                // their ports into this cycle — exactly the cycle a
-                // per-cycle run would first see the retry succeed.
-                let retired = mem.take_wakes();
-                let mut woken = 0;
-                for (r, w) in retired.iter().zip(&waiting) {
-                    woken |= r & w;
-                }
-                while woken != 0 {
-                    let w = woken.trailing_zeros() as usize;
-                    woken &= woken - 1;
-                    wake_parked!(w, true, "engine.wake.mem");
-                }
-            } else {
-                // Naive rule: the memory tick the held cores waited for has
-                // run, so every one of them retries this cycle.
-                while held != 0 {
-                    let w = held.trailing_zeros() as usize;
-                    held &= held - 1;
-                    wake_parked!(w, true, "engine.wake.mem");
-                }
+            // Retirements in this memory tick wake the cores parked on
+            // their ports into this cycle — exactly the cycle a per-cycle
+            // run would first see the retry succeed.
+            let retired = mem.take_wakes();
+            let mut woken = 0;
+            for (r, w) in retired.iter().zip(&waiting) {
+                woken |= r & w;
             }
-            moved = false;
+            while woken != 0 {
+                let w = woken.trailing_zeros() as usize;
+                woken &= woken - 1;
+                wake_parked!(w, true, "engine.wake.mem");
+            }
             streams.clear();
+            stream_ok = stream_cap > 0;
             // Tick the awake cores in this cycle's order: `cur` holds one
             // bit per slot (the core index itself under static priority,
             // the paper's arbiter), so the walk visits only the cores that
@@ -899,7 +869,7 @@ impl SimCollector {
                         );
                     }
                 }
-                // The sparse rule's park, if this tick ends in one.
+                // The park this tick ends in, if any (catalog).
                 let park = match outcome {
                     TickOutcome::Parked => {
                         // Done core: it never ticks again, and the
@@ -909,49 +879,43 @@ impl SimCollector {
                         awake &= !(1u64 << idx);
                         None
                     }
-                    TickOutcome::Awaiting(reason) if SPARSE => {
-                        // Park at issue (catalog): the replay at the
-                        // access's retirement records the stalls of every
-                        // skipped retry, as it does for a core that
-                        // stalled once.
-                        await_ports(&mut waiting, idx, reason);
-                        Some(reason)
-                    }
-                    TickOutcome::Progress | TickOutcome::Awaiting(_) => {
+                    TickOutcome::Progress => {
                         // `Done` is entered only by a productive tick.
                         if after == State::Done {
                             done_count += 1;
                         }
-                        // Naive rule: did this tick move (see the catalog)?
-                        // The only productive paths from `CopyWait` or
-                        // `StoreWord` back to `CopyWait` are the stream
-                        // tick and its second half alone, retried after a
-                        // busy store port: the SB and the FIFO untouched.
-                        if !SPARSE {
-                            outcomes[idx] = outcome;
-                            if matches!(before, State::CopyWait | State::StoreWord)
+                        // A stream-jump candidate? The only productive
+                        // paths from `CopyWait` or `StoreWord` back to
+                        // `CopyWait` are the stream tick and its second
+                        // half alone, retried after a busy store port: the
+                        // SB and the FIFO untouched.
+                        if stream_ok {
+                            stream_ok = matches!(before, State::CopyWait | State::StoreWord)
                                 && after == State::CopyWait
-                            {
+                                && streams.len() < stream_cap;
+                            if stream_ok {
                                 streams.push(idx);
-                            } else {
-                                moved = true;
                             }
                         }
                         None
                     }
-                    TickOutcome::Stalled(reason) if !SPARSE => {
-                        outcomes[idx] = outcome;
-                        moved |= (after != before
-                            && (before, after) != (State::CopyWait, State::StoreWord))
-                            || (lock_of(reason).is_some() && sb.event_log_enabled());
-                        None
+                    TickOutcome::Awaiting(_) | TickOutcome::Stalled(_) if !sparse => None,
+                    TickOutcome::Awaiting(reason) => {
+                        // Park at issue (catalog): the replay at the
+                        // access's retirement records the stalls of every
+                        // skipped retry, as it does for a core that
+                        // stalled once.
+                        stream_ok = false;
+                        await_ports(&mut waiting, idx, reason);
+                        Some(reason)
                     }
                     TickOutcome::Stalled(reason) => {
-                        // Sparse rule: park on the wake condition (catalog).
-                        // A scan-lock write-port conflict (owner already gone)
-                        // clears next cycle, and with the event log on every
-                        // lock failure must be a real tick; the empty-worklist
+                        // Park on the wake condition (catalog). A scan-lock
+                        // write-port conflict (owner already gone) clears
+                        // next cycle, and with the event log on every lock
+                        // failure must be a real tick; the empty-worklist
                         // retry is pure (no lock, no stats, no events).
+                        stream_ok = false;
                         let log = sb.event_log_enabled();
                         match reason {
                             StallReason::ScanLock if !log && sb.scan_owner().is_some() => {
@@ -991,61 +955,59 @@ impl SimCollector {
                     park_since[idx] = cycles + 1;
                     awake &= !(1u64 << idx);
                 }
-                if SPARSE {
-                    // SB operations in this tick may have woken parked
-                    // cores. A woken core whose slot is still ahead ticks
-                    // this cycle (its retry now succeeds, as in a per-cycle
-                    // run); one whose slot already passed failed once more
-                    // behind the waker's back and resumes next cycle.
-                    if !sb.wakes().is_empty() {
-                        wake_scratch.clear();
-                        wake_scratch.extend_from_slice(sb.wakes());
-                        sb.clear_wakes();
-                        for &w in &wake_scratch {
-                            wake_parked!(w, pos_of[w] > slot, "engine.wake.sb");
-                        }
+                // SB operations in this tick may have woken parked
+                // cores. A woken core whose slot is still ahead ticks
+                // this cycle (its retry now succeeds, as in a per-cycle
+                // run); one whose slot already passed failed once more
+                // behind the waker's back and resumes next cycle.
+                if !sb.wakes().is_empty() {
+                    wake_scratch.clear();
+                    wake_scratch.extend_from_slice(sb.wakes());
+                    sb.clear_wakes();
+                    for &w in &wake_scratch {
+                        wake_parked!(w, pos_of[w] > slot, "engine.wake.sb");
                     }
-                    // Scan-lock hand-off (see the catalog). A candidate
-                    // admitted from the next cycle has this cycle's failure
-                    // (behind the releaser's back, or against the spent
-                    // write port) accounted in bulk.
-                    let waiters = sb.take_scan_release();
-                    if waiters != 0 {
-                        let (now, next) = if static_order {
-                            scan_hand_off(
-                                waiters,
-                                idx,
-                                sb.scan_acquirable(),
-                                sb.scan() >= sb.free() || done,
-                            )
-                        } else {
-                            (waiters, 0)
-                        };
-                        let mut woken = now | next;
-                        while woken != 0 {
-                            let w = woken.trailing_zeros() as usize;
-                            woken &= woken - 1;
-                            wake_parked!(
-                                w,
-                                now & (1u64 << w) != 0 && pos_of[w] > slot,
-                                "engine.wake.sb"
-                            );
-                        }
-                    }
-                    if done && !done_announced {
-                        // Termination broadcast: every poll retry reads the
-                        // done flag, so no park may outlive it. (Every parked
-                        // core also has an ordinary wake pending: this is
-                        // one-shot insurance.)
-                        done_announced = true;
-                        for c in 0..n {
-                            if park_reason[c].is_some() {
-                                wake_parked!(c, pos_of[c] > slot, "engine.wake.done");
-                            }
-                        }
-                    }
-                    rem |= cur & ((!1u64) << slot);
                 }
+                // Scan-lock hand-off (see the catalog). A candidate
+                // admitted from the next cycle has this cycle's failure
+                // (behind the releaser's back, or against the spent
+                // write port) accounted in bulk.
+                let waiters = sb.take_scan_release();
+                if waiters != 0 {
+                    let (now, next) = if static_order {
+                        scan_hand_off(
+                            waiters,
+                            idx,
+                            sb.scan_acquirable(),
+                            sb.scan() >= sb.free() || done,
+                        )
+                    } else {
+                        (waiters, 0)
+                    };
+                    let mut woken = now | next;
+                    while woken != 0 {
+                        let w = woken.trailing_zeros() as usize;
+                        woken &= woken - 1;
+                        wake_parked!(
+                            w,
+                            now & (1u64 << w) != 0 && pos_of[w] > slot,
+                            "engine.wake.sb"
+                        );
+                    }
+                }
+                if done && !done_announced {
+                    // Termination broadcast: every poll retry reads the
+                    // done flag, so no park may outlive it. (Every parked
+                    // core also has an ordinary wake pending: this is
+                    // one-shot insurance.)
+                    done_announced = true;
+                    for c in 0..n {
+                        if park_reason[c].is_some() {
+                            wake_parked!(c, pos_of[c] > slot, "engine.wake.done");
+                        }
+                    }
+                }
+                rem |= cur & ((!1u64) << slot);
             }
             cycles += 1;
             if sb.scan() == sb.free() {
@@ -1072,45 +1034,24 @@ impl SimCollector {
                 cores.iter().map(|c| c.state()).collect::<Vec<_>>()
             );
 
-            if !SPARSE && jumps && !moved {
-                // Naive rule, after a cycle whose only movers (if any) ran
-                // stream ticks. The stream jump's length is bounded by the
-                // shortest remaining run, the watchdog, the next cycle the
-                // probe wants sampled, and what the backend can replay.
-                let mut k = 0;
-                if !streams.is_empty() && policy.is_none() {
-                    k = cfg.max_cycles - 1 - cycles;
-                    for &i in &streams {
-                        k = cores[i].stream_len(heap, k);
-                    }
-                    if P::ACTIVE {
-                        if let Some(ns) = probe.next_sample(cycles + 1) {
-                            k = k.min(ns.saturating_sub(cycles + 1));
-                        }
-                    }
-                    if k > 0 {
-                        k = k.min(mem.stream_window(&streams).unwrap_or(0));
+            if stream_ok && !streams.is_empty() && awake.count_ones() as usize == streams.len() {
+                // Every tick of this cycle was a stream tick and every
+                // other core is parked or done: replay the streams in
+                // closed form. The jump's length is bounded by the shortest
+                // remaining run, the watchdog, the next cycle the probe
+                // wants sampled, and what the backend can replay. Parked
+                // cores replay the skipped cycles at their wake.
+                let mut k = cfg.max_cycles - 1 - cycles;
+                for &i in &streams {
+                    k = cores[i].stream_len(heap, k);
+                }
+                if P::ACTIVE {
+                    if let Some(ns) = probe.next_sample(cycles + 1) {
+                        k = k.min(ns.saturating_sub(cycles + 1));
                     }
                 }
-                let park = if streams.is_empty() {
-                    mem.next_activity_cycle().is_some_and(|at| at > cycles + 1)
-                } else {
-                    k > 0
-                };
-                if park {
-                    // Every stalled core parks until the next executed
-                    // cycle; the stream cores stay awake.
-                    let mut rem = awake;
-                    while rem != 0 {
-                        let c = rem.trailing_zeros() as usize;
-                        rem &= rem - 1;
-                        if let TickOutcome::Stalled(reason) = outcomes[c] {
-                            park_reason[c] = Some(reason);
-                            park_since[c] = cycles;
-                            held |= 1u64 << c;
-                        }
-                    }
-                    awake &= !held;
+                if k > 0 {
+                    k = k.min(mem.stream_window(&streams).unwrap_or(0));
                 }
                 if k > 0 {
                     if H::ACTIVE {
@@ -1319,12 +1260,12 @@ mod tests {
     }
 
     #[test]
-    fn max_cores_fill_the_core_masks_under_either_rule() {
-        for engine in [EngineKind::Naive, EngineKind::Sparse] {
+    fn max_cores_fill_the_core_masks_in_either_loop() {
+        for fast_forward in [true, false] {
             let mut heap = diamond(500);
             let snap = Snapshot::capture(&heap);
             let cfg = GcConfig {
-                engine: Some(engine),
+                fast_forward,
                 ..GcConfig::with_cores(MAX_CORES)
             };
             let out = SimCollector::new(cfg).collect(&mut heap);
@@ -1510,42 +1451,15 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_is_bit_exact_under_high_latency() {
-        // The Figure 6 regime (+20 cycles on every access) maximizes dead
-        // cycles — exactly where fast-forward pays off and where any
-        // replication error in stall/stat accounting would surface.
-        use hwgc_memsim::MemConfig;
-        for cores in [1, 2, 4, 16] {
-            // Pin the naive park rule: this differential isolates its
-            // jumps against the plain per-cycle loop (the sparse rule has
-            // its own differentials below).
-            let cfg = GcConfig {
-                mem: MemConfig::default().with_extra_latency(20),
-                engine: Some(EngineKind::Naive),
-                ..GcConfig::with_cores(cores)
-            };
-            let mut h1 = diamond(500);
-            let fast = SimCollector::new(cfg).collect(&mut h1);
-            let mut h2 = diamond(500);
-            let naive_cfg = GcConfig {
-                fast_forward: false,
-                ..cfg
-            };
-            let naive = SimCollector::new(naive_cfg).collect(&mut h2);
-            assert_eq!(fast.stats, naive.stats, "{cores} cores");
-            assert_eq!(fast.free, naive.free, "{cores} cores");
-        }
-    }
-
-    #[test]
     fn fast_forward_preserves_trace_rows_and_events() {
         use hwgc_memsim::MemConfig;
         let cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(20),
-            engine: Some(EngineKind::Naive),
             ..GcConfig::with_cores(4)
         };
-        // Sparse sampling leaves room to skip between samples; the rows
+        // `with_events` turns the SB event log on, which forbids parking
+        // the lock classes (each per-cycle fail logs an event). Sparse
+        // sampling leaves room to skip between samples; the rows
         // and the complete SB event log must still be identical.
         for sample_every in [1u64, 7, 1 << 40] {
             let mut h1 = diamond(500);
@@ -1595,7 +1509,6 @@ mod tests {
         use hwgc_obs::{OwnedEvent, Recorder, Recording};
         let cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(20),
-            engine: Some(EngineKind::Naive),
             ..GcConfig::with_cores(4)
         };
         let run = |cfg: GcConfig| {
@@ -1625,7 +1538,7 @@ mod tests {
             ..cfg
         });
         assert_eq!(stats, stats_naive);
-        // Fast-forward replicates the exact spans of the naive loop.
+        // Fast-forward replicates the exact spans of the reference loop.
         assert_eq!(spans(&rec_ff), spans(&rec_naive));
         // Conservative completeness: per (core, reason) span lengths sum
         // exactly to the per-core stall counters, and each span is
@@ -1651,26 +1564,22 @@ mod tests {
 
     #[test]
     fn sparse_is_bit_exact_across_cores_and_latency() {
-        // The sparse active-set loop must replicate the naive loop's
+        // The event-driven loop must replicate the reference loop's
         // stats exactly in both the contended low-latency regime (parks
         // are mostly lock waits) and the Figure 6 regime (+20 cycles per
-        // access, parks are mostly memory waits). Both engines are
-        // pinned so the differential survives `HWGC_ENGINE` in CI.
+        // access, parks are mostly memory waits, and jumps skip the most
+        // dead cycles).
         use hwgc_memsim::MemConfig;
         for extra in [0u32, 20] {
             for cores in [1, 2, 4, 16] {
                 let cfg = GcConfig {
                     mem: MemConfig::default().with_extra_latency(extra),
-                    // Pinned: the unpinned 1-core default auto-selects
-                    // the naive loop, degrading this leg to naive-vs-naive.
-                    engine: Some(EngineKind::Sparse),
                     ..GcConfig::with_cores(cores)
                 };
                 let mut h1 = diamond(500);
                 let sparse = SimCollector::new(cfg).collect(&mut h1);
                 let mut h2 = diamond(500);
                 let naive = SimCollector::new(GcConfig {
-                    engine: Some(EngineKind::Naive),
                     fast_forward: false,
                     ..cfg
                 })
@@ -1701,12 +1610,10 @@ mod tests {
                     ..MemConfig::default().with_extra_latency(extra)
                 },
                 test_before_lock: true,
-                engine: Some(EngineKind::Sparse),
                 ..GcConfig::with_cores(cores)
             };
             let sparse = SimCollector::new(cfg).collect(&mut spec.build());
             let naive = SimCollector::new(GcConfig {
-                engine: Some(EngineKind::Naive),
                 fast_forward: false,
                 ..cfg
             })
@@ -1718,48 +1625,17 @@ mod tests {
     }
 
     #[test]
-    fn sparse_preserves_trace_rows_and_events() {
-        // `with_events` turns the SB event log on, which forbids parking
-        // the lock classes (each per-cycle fail logs an event): the rows,
-        // the complete SB event log, and the stats must all be identical
-        // at every sampling stride.
-        use hwgc_memsim::MemConfig;
-        let cfg = GcConfig {
-            mem: MemConfig::default().with_extra_latency(20),
-            engine: Some(EngineKind::Sparse),
-            ..GcConfig::with_cores(4)
-        };
-        for sample_every in [1u64, 7, 1 << 40] {
-            let mut h1 = diamond(500);
-            let mut t1 = crate::trace::SignalTrace::with_events(sample_every);
-            let sparse = SimCollector::new(cfg).collect_traced(&mut h1, &mut t1);
-            let mut h2 = diamond(500);
-            let mut t2 = crate::trace::SignalTrace::with_events(sample_every);
-            let naive = SimCollector::new(GcConfig {
-                engine: Some(EngineKind::Naive),
-                fast_forward: false,
-                ..cfg
-            })
-            .collect_traced(&mut h2, &mut t2);
-            assert_eq!(sparse.stats, naive.stats, "sample_every {sample_every}");
-            assert_eq!(t1.rows(), t2.rows(), "sample_every {sample_every}");
-            assert_eq!(t1.events(), t2.events(), "sample_every {sample_every}");
-        }
-    }
-
-    #[test]
     fn sparse_is_bit_exact_under_schedule_policies() {
-        // Both park rules compose with `SchedulePolicy`: policies reorder
+        // Parks and jumps compose with `SchedulePolicy`: policies reorder
         // only runnable cores, and the per-cycle `arrange` stream is
         // replayed through jumps, so the whole run — cycle counts and
         // stall attribution included — is identical to the per-cycle
-        // reference loop (naive rule, no jumps) under either rule.
+        // reference loop.
         use crate::schedule::{Adversarial, RandomOrder, SchedulePolicy};
         use hwgc_memsim::MemConfig;
         for extra in [0u32, 20] {
             let cfg = GcConfig {
                 mem: MemConfig::default().with_extra_latency(extra),
-                engine: Some(EngineKind::Naive),
                 fast_forward: false,
                 ..GcConfig::with_cores(4)
             };
@@ -1772,19 +1648,16 @@ mod tests {
                     let mut p0 = mk(seed);
                     let mut h0 = diamond(500);
                     let reference = SimCollector::new(cfg).collect_scheduled(&mut h0, p0.as_mut());
-                    for engine in [EngineKind::Sparse, EngineKind::Naive] {
-                        let mut p1 = mk(seed);
-                        let mut h1 = diamond(500);
-                        let jumping = SimCollector::new(GcConfig {
-                            engine: Some(engine),
-                            fast_forward: true,
-                            ..cfg
-                        })
-                        .collect_scheduled(&mut h1, p1.as_mut());
-                        let what = format!("{engine:?} {} seed {seed} +{extra}", p1.name());
-                        assert_eq!(jumping.stats, reference.stats, "{what}");
-                        assert_eq!(jumping.free, reference.free, "{what}");
-                    }
+                    let mut p1 = mk(seed);
+                    let mut h1 = diamond(500);
+                    let jumping = SimCollector::new(GcConfig {
+                        fast_forward: true,
+                        ..cfg
+                    })
+                    .collect_scheduled(&mut h1, p1.as_mut());
+                    let what = format!("{} seed {seed} +{extra}", p1.name());
+                    assert_eq!(jumping.stats, reference.stats, "{what}");
+                    assert_eq!(jumping.free, reference.free, "{what}");
                 }
             }
         }
@@ -1800,7 +1673,6 @@ mod tests {
         use hwgc_obs::Recorder;
         let cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(20),
-            engine: Some(EngineKind::Sparse),
             ..GcConfig::with_cores(4)
         };
         for sample in [Some(8u64), None] {
@@ -1814,7 +1686,6 @@ mod tests {
             let mut r2 = mk();
             let mut h2 = diamond(500);
             let naive = SimCollector::new(GcConfig {
-                engine: Some(EngineKind::Naive),
                 fast_forward: false,
                 ..cfg
             })
@@ -2089,7 +1960,6 @@ mod tests {
                 header_fifo_capacity: 0,
                 ..Default::default()
             },
-            engine: Some(EngineKind::Sparse),
             ..GcConfig::with_cores(cores)
         }
     }
@@ -2147,7 +2017,6 @@ mod tests {
         let mut heap = chain();
         let sparse = SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
         let naive = SimCollector::new(GcConfig {
-            engine: Some(EngineKind::Naive),
             fast_forward: false,
             ..cfg
         })

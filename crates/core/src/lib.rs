@@ -40,7 +40,7 @@ pub mod stats;
 pub mod trace;
 
 pub use concurrent::{MutatorConfig, MutatorStats};
-pub use config::{engine_from, EngineKind, GcConfig, MAX_CORES};
+pub use config::{GcConfig, MAX_CORES};
 pub use engine::{ConcurrentOutcome, GcOutcome, SimCollector};
 pub use schedule::{
     Adversarial, CoreView, RandomOrder, SchedulePolicy, ScheduleView, StaticPriority,

@@ -204,10 +204,9 @@ fn await_issue(issue: Issue, next: State, reason: StallReason) -> Step {
     }
 }
 
-/// What a full tick amounted to, as seen by the engine's quiescence
-/// detector: a cycle in which *every* core reports [`TickOutcome::Stalled`]
-/// or [`TickOutcome::Parked`] changed nothing a core can observe, so the
-/// next cycles replay identically until the memory system's next event.
+/// What a full tick amounted to, as the engine's park rule sees it: a
+/// stalled or awaiting core retries against frozen inputs until its
+/// wake condition fires, so it can park instead of ticking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TickOutcome {
     /// The core did productive work (or transitioned state) this cycle.

@@ -184,7 +184,7 @@ impl StallBreakdown {
 ///
 /// `PartialEq` is part of the fast-forward contract: the differential
 /// tests compare entire `GcStats` values between the fast-forwarding and
-/// the naive engine loop, field for field.
+/// the per-cycle reference loop, field for field.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcStats {
     /// Total clock cycles of the collection cycle (Table II "Total").

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hwgc_core::{EngineKind, GcConfig, SignalTrace, SimCollector};
+use hwgc_core::{GcConfig, SignalTrace, SimCollector};
 use hwgc_heap::{GraphBuilder, Heap};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 
@@ -82,27 +82,19 @@ fn collect_counting(heap: &mut Heap, cfg: GcConfig) -> (u64, u64) {
 
 #[test]
 fn steady_state_cycles_do_not_allocate() {
-    // Both steady-state engines are covered: the naive per-cycle loop
-    // (pinned, with fast-forward off, so every simulated cycle runs
-    // the loop body) and the sparse active-set loop, whose park/wake
-    // machinery — wake lists, wake feed, retirement calendar, replay
-    // scratch — must likewise be preallocated before cycle 0.
-    let naive = GcConfig {
-        engine: Some(EngineKind::Naive),
+    // Both loops are covered: the reference loop (fast-forward off, so
+    // every simulated cycle runs the loop body) and the event-driven
+    // one, whose park/wake machinery — wake lists, wake feed,
+    // retirement calendar, replay scratch — must likewise be
+    // preallocated before cycle 0.
+    let reference = GcConfig {
         fast_forward: false,
         ..GcConfig::with_cores(4)
     };
-    let sparse = GcConfig {
-        engine: Some(EngineKind::Sparse),
-        ..GcConfig::with_cores(4)
-    };
-    // The naive loop with all three fast-forward flavours on, over
-    // bodies long enough to stream: the jumps' scratch (the stream set)
-    // is preallocated too.
-    let fast_forward = GcConfig {
-        fast_forward: true,
-        ..naive
-    };
+    let sparse = GcConfig::with_cores(4);
+    // The event-driven loop over bodies long enough to stream: the
+    // stream jump's scratch (the stream set) is preallocated too.
+    let fast_forward = sparse;
     // The sparse loop on the DRAM backend: bank queues, the scheduler's
     // bit sets and the all-parked jumps across bank-busy windows.
     let sparse_dram = GcConfig {
@@ -110,9 +102,9 @@ fn steady_state_cycles_do_not_allocate() {
         ..sparse
     };
     for (mode, cfg, delta) in [
-        ("naive", naive, 1),
+        ("reference", reference, 1),
         ("sparse", sparse, 1),
-        ("naive+ff", fast_forward, 12),
+        ("sparse+stream", fast_forward, 12),
         ("sparse+dram", sparse_dram, 1),
     ] {
         let chain = |len| chain(len, delta);

@@ -1,24 +1,23 @@
 //! Self-observation must not perturb the simulation: a run with the
 //! [`hwgc_obs::HostProfiler`] attached must produce bit-identical
 //! `GcStats` and allocation frontier to a hostprof-off run of the same
-//! heap, on every engine. This is the property that lets wall-clock
+//! heap, in either loop. This is the property that lets wall-clock
 //! profiling stay on in CI legs and experiment binaries without
 //! invalidating a single deterministic number — and what keeps the
 //! profiler's *deterministic* counters (park/wake/jump statistics)
 //! honest: they describe exactly the run the plain door would have
 //! executed.
 
-use hwgc_core::{EngineKind, GcConfig, GcStats, SimCollector};
+use hwgc_core::{GcConfig, GcStats, SimCollector};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::HostProfiler;
 use hwgc_sync::LockKind;
 use hwgc_workloads::{Preset, WorkloadSpec};
 
-fn config(engine: EngineKind, cores: usize, extra: u32) -> GcConfig {
+fn config(cores: usize, extra: u32) -> GcConfig {
     GcConfig {
         n_cores: cores,
         mem: MemConfig::default().with_extra_latency(extra),
-        engine: Some(engine),
         ..GcConfig::default()
     }
 }
@@ -36,13 +35,15 @@ fn assert_every_cycle_accounted_for(stats: &GcStats, prof: &HostProfiler) {
 }
 
 #[test]
-fn hostprof_on_equals_hostprof_off_across_engines() {
-    let engines = [EngineKind::Naive, EngineKind::Sparse];
+fn hostprof_on_equals_hostprof_off_in_either_loop() {
     let presets = [Preset::Compress, Preset::Javac];
-    for engine in engines {
+    for fast_forward in [true, false] {
         for preset in presets {
             for (cores, extra) in [(4usize, 0u32), (16, 20)] {
-                let cfg = config(engine, cores, extra);
+                let cfg = GcConfig {
+                    fast_forward,
+                    ..config(cores, extra)
+                };
                 let base = WorkloadSpec::new(preset, 42).build();
 
                 let mut plain_heap = base.clone();
@@ -55,19 +56,19 @@ fn hostprof_on_equals_hostprof_off_across_engines() {
                 assert_eq!(
                     profiled.stats,
                     plain.stats,
-                    "{engine:?}/{}/{cores}c +{extra}: hostprof-on GcStats diverged",
+                    "ff {fast_forward}/{}/{cores}c +{extra}: hostprof-on GcStats diverged",
                     preset.name()
                 );
                 assert_eq!(
                     profiled.free,
                     plain.free,
-                    "{engine:?}/{}/{cores}c +{extra}: hostprof-on free diverged",
+                    "ff {fast_forward}/{}/{cores}c +{extra}: hostprof-on free diverged",
                     preset.name()
                 );
                 assert_eq!(
                     prof_heap.words(),
                     plain_heap.words(),
-                    "{engine:?}/{}/{cores}c +{extra}: hostprof-on heap image diverged",
+                    "ff {fast_forward}/{}/{cores}c +{extra}: hostprof-on heap image diverged",
                     preset.name()
                 );
 
@@ -77,12 +78,12 @@ fn hostprof_on_equals_hostprof_off_across_engines() {
                 let executed = prof.counter("engine.cycles_executed");
                 assert!(
                     executed > 0,
-                    "{engine:?}/{}: no cycles observed",
+                    "ff {fast_forward}/{}: no cycles observed",
                     preset.name()
                 );
                 assert!(
                     executed <= plain.stats.total_cycles,
-                    "{engine:?}/{}: observed {executed} executed cycles > {} simulated",
+                    "ff {fast_forward}/{}: observed {executed} executed cycles > {} simulated",
                     preset.name(),
                     plain.stats.total_cycles
                 );
@@ -92,39 +93,32 @@ fn hostprof_on_equals_hostprof_off_across_engines() {
 }
 
 #[test]
-fn fast_forward_off_executes_every_cycle_under_either_park_rule() {
-    // `fast_forward` is the jump rule of both park rules: off, not one
-    // cycle is skipped — and not one simulated number moves.
-    for engine in [EngineKind::Naive, EngineKind::Sparse] {
-        let run = |fast_forward: bool| {
-            let cfg = GcConfig {
-                fast_forward,
-                ..config(engine, 4, 20)
-            };
-            let mut heap = WorkloadSpec::new(Preset::Javac, 42).build();
-            let mut prof = HostProfiler::new();
-            let out = SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
-            (out, prof)
+fn fast_forward_off_executes_every_cycle() {
+    // `fast_forward` off is the reference loop: not one cycle is skipped,
+    // not one core parks — and not one simulated number moves.
+    let run = |fast_forward: bool| {
+        let cfg = GcConfig {
+            fast_forward,
+            ..config(4, 20)
         };
-        let (jumping, jumping_prof) = run(true);
-        let (every, every_prof) = run(false);
-        assert!(
-            jumping_prof.counter("engine.jump.all_parked") > 0,
-            "{engine:?}"
-        );
-        assert_eq!(
-            every_prof.counter("engine.jump.all_parked"),
-            0,
-            "{engine:?}"
-        );
-        assert_eq!(
-            every.stats.root_phase_cycles + every_prof.counter("engine.cycles_executed"),
-            every.stats.total_cycles,
-            "{engine:?}: a cycle skipped with fast_forward off"
-        );
-        assert_eq!(every.stats, jumping.stats, "{engine:?}");
-        assert_eq!(every.free, jumping.free, "{engine:?}");
-    }
+        let mut heap = WorkloadSpec::new(Preset::Javac, 42).build();
+        let mut prof = HostProfiler::new();
+        let out = SimCollector::new(cfg).collect_hostprof(&mut heap, &mut prof);
+        (out, prof)
+    };
+    let (jumping, jumping_prof) = run(true);
+    let (every, every_prof) = run(false);
+    assert!(jumping_prof.counter("engine.jump.all_parked") > 0);
+    assert!(jumping_prof.counter_prefix_sum("engine.park.") > 0);
+    assert_eq!(every_prof.counter("engine.jump.all_parked"), 0);
+    assert_eq!(every_prof.counter_prefix_sum("engine.park."), 0);
+    assert_eq!(
+        every.stats.root_phase_cycles + every_prof.counter("engine.cycles_executed"),
+        every.stats.total_cycles,
+        "a cycle skipped with fast_forward off"
+    );
+    assert_eq!(every.stats, jumping.stats);
+    assert_eq!(every.free, jumping.free);
 }
 
 #[test]
@@ -132,7 +126,7 @@ fn deterministic_counters_are_stable_across_reruns() {
     // Two profiled runs of the same configuration must agree on every
     // deterministic counter and histogram — this is what makes them
     // golden-testable. (Timers are explicitly exempt.)
-    let cfg = config(EngineKind::Sparse, 16, 20);
+    let cfg = config(16, 20);
     let run = || {
         let mut heap = WorkloadSpec::new(Preset::Compress, 42).build();
         let mut prof = HostProfiler::new();
@@ -164,8 +158,7 @@ fn scan_lock_releases_wake_no_thundering_herd() {
     };
     let mut heap = spec.build();
     let mut prof = HostProfiler::new();
-    let out =
-        SimCollector::new(config(EngineKind::Sparse, 16, 0)).collect_hostprof(&mut heap, &mut prof);
+    let out = SimCollector::new(config(16, 0)).collect_hostprof(&mut heap, &mut prof);
     let parks = prof.counter("engine.park.scan_lock");
     let acquired = out.stats.sync.acquired(LockKind::Scan);
     assert!(
@@ -194,7 +187,7 @@ fn memory_wakes_never_outnumber_memory_parks() {
         (Preset::Javac, 0, MemBackendKind::Fixed),
         (Preset::Db, 0, dram),
     ] {
-        let mut cfg = config(EngineKind::Sparse, 16, extra);
+        let mut cfg = config(16, extra);
         cfg.mem = cfg.mem.with_backend(backend);
         let mut heap = WorkloadSpec::new(preset, 42).build();
         let mut prof = HostProfiler::new();
@@ -220,14 +213,14 @@ fn memory_wakes_never_outnumber_memory_parks() {
 
 #[test]
 fn one_core_compress_streams_and_every_cycle_is_accounted_for() {
-    // The default one-core park rule is the naive one, with jumps on, on
-    // the fixed-latency backend (both pinned here against `HWGC_ENGINE`
-    // / `HWGC_MEM_BACKEND`). On compress (long data bodies behind a
-    // null-padded spine) the stream jump must carry a real share of the
-    // run — this is the vacuity guard of `check/tests/fast_forward.rs`'s
-    // stream matrix — and the all-parked jumps, the stream jumps and the
-    // executed cycles must add up to the simulated total.
-    let mut cfg = config(EngineKind::Naive, 1, 0);
+    // One core with jumps on, on the fixed-latency backend (pinned here
+    // against `HWGC_MEM_BACKEND`). On compress (long data bodies behind
+    // a null-padded spine) the stream jump must carry a real share of
+    // the run — this is the vacuity guard of
+    // `check/tests/fast_forward.rs`'s stream matrix — and the all-parked
+    // jumps, the stream jumps and the executed cycles must add up to the
+    // simulated total.
+    let mut cfg = config(1, 0);
     cfg.mem = cfg.mem.with_backend(MemBackendKind::Fixed);
     let mut heap = WorkloadSpec::new(Preset::Compress, 42).build();
     let mut prof = HostProfiler::new();
@@ -247,14 +240,14 @@ fn one_core_compress_streams_and_every_cycle_is_accounted_for() {
 fn sixteen_core_db_on_dram_jumps_over_bank_busy_windows() {
     // The vacuity guard of `check/tests/sparse.rs`'s DRAM jump matrix.
     // `db` keeps 16 cores parked on body loads and stores while requests
-    // queue behind 8 banks; with the exact activity horizon the sparse
-    // loop (pinned here, like the backend, against `HWGC_ENGINE` /
-    // `HWGC_MEM_BACKEND`) jumps those windows instead of ticking through
+    // queue behind 8 banks; with the exact activity horizon the loop
+    // (the backend pinned here against `HWGC_MEM_BACKEND`) jumps those
+    // windows instead of ticking through
     // them: 76 432 jumps in 415 305 cycles (18.4 %), 284 653 cycles
     // (68.5 % of the total) executed. Under the old `cycle + 1` horizon a
     // jump needed every bank queue empty: 7 jumps, and every cycle
     // outside them executed.
-    let mut cfg = config(EngineKind::Sparse, 16, 0);
+    let mut cfg = config(16, 0);
     cfg.mem = cfg
         .mem
         .with_backend(MemBackendKind::Dram(DramConfig::default()));
@@ -273,6 +266,10 @@ fn sixteen_core_db_on_dram_jumps_over_bank_busy_windows() {
         100 * executed <= 85 * steady,
         "{executed} of {steady} steady-state cycles executed: over 85 %"
     );
-    assert_eq!(prof.counter("engine.ff.stream_cycles"), 0, "sparse rule");
+    assert_eq!(
+        prof.counter("engine.ff.stream_cycles"),
+        0,
+        "the DRAM model declines stream windows"
+    );
     assert_every_cycle_accounted_for(&out.stats, &prof);
 }

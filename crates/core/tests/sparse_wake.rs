@@ -2,7 +2,7 @@
 //!
 //! The classic hazard of a parked-core rewrite is the missed wakeup: a
 //! core sleeps past a cycle in which its retry would have succeeded. The
-//! oracle here is the shadow naive engine, which ticks every core every
+//! oracle here is the reference loop, which ticks every core every
 //! cycle and therefore *cannot* oversleep. If the sparse engine ever
 //! lets a core sleep through a productive cycle, that core's progress is
 //! delayed, `total_cycles` grows, and its stall breakdown diverges — so
@@ -160,13 +160,9 @@ proptest! {
             },
             multiport_sb: multiport == 1,
             line_split: [None, Some(2), Some(5)][split_choice],
-            // Pinned so the 1-core draws still differential sparse vs
-            // naive (the unpinned single-core default is the naive loop).
-            engine: Some(hwgc_core::EngineKind::Sparse),
             ..GcConfig::with_cores(cores)
         };
         let naive_cfg = GcConfig {
-            engine: Some(hwgc_core::EngineKind::Naive),
             fast_forward: false,
             ..sparse_cfg
         };
@@ -174,7 +170,7 @@ proptest! {
         let (n_stats, n_free, _, _) = run(naive_cfg, &shape, policy_choice, seed);
         prop_assert_eq!(
             &s_stats, &n_stats,
-            "sparse diverged from shadow naive engine ({cores} cores, +{extra} latency, \
+            "sparse diverged from the reference loop ({cores} cores, +{extra} latency, \
              policy {policy_choice}, multiport {multiport}, split {split_choice}, \
              fifo {fifo_choice}, {backend:?})"
         );
@@ -183,7 +179,7 @@ proptest! {
         verify_collection(&s_heap, s_free, &s_snap).unwrap();
     }
 
-    /// The event log flips the park rules for lock classes (they must
+    /// The event log flips the park rule for lock classes (they must
     /// stay awake so each per-cycle fail logs). Exercise that mode too.
     #[test]
     fn sparse_never_oversleeps_with_event_log(
@@ -193,9 +189,6 @@ proptest! {
     ) {
         let sparse_cfg = GcConfig {
             mem: MemConfig::default().with_extra_latency(extra),
-            // Pinned so the 1-core draws still differential sparse vs
-            // naive (the unpinned single-core default is the naive loop).
-            engine: Some(hwgc_core::EngineKind::Sparse),
             ..GcConfig::with_cores(cores)
         };
         let mut h1 = build(&shape);
@@ -204,7 +197,6 @@ proptest! {
         let mut h2 = build(&shape);
         let mut t2 = hwgc_core::trace::SignalTrace::with_events(1 << 40);
         let naive = SimCollector::new(GcConfig {
-            engine: Some(hwgc_core::EngineKind::Naive),
             fast_forward: false,
             ..sparse_cfg
         })

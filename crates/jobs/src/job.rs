@@ -8,7 +8,7 @@
 //! moved here from `hwgc-bench` so the job layer and the harness derive
 //! byte-identical ledger records; `hwgc-bench` re-exports them.
 
-use hwgc_core::{EngineKind, GcConfig, GcOutcome, SimCollector, MAX_CORES};
+use hwgc_core::{GcConfig, GcOutcome, SimCollector, MAX_CORES};
 use hwgc_heap::{verify_collection, Snapshot};
 use hwgc_memsim::{
     DramConfig, MemBackendKind, MemConfig, PagePolicy, MAX_BANKS, MAX_SERVICE_LATENCY,
@@ -82,11 +82,14 @@ pub fn workload_key(spec: &WorkloadSpec) -> String {
     format!("{}/seed{}/scale{}", spec.preset, spec.seed, spec.scale)
 }
 
-/// Ledger label for the engine a config resolves to.
+/// Ledger label for the engine loop a config runs: the event-driven
+/// `sparse` rule, or the per-cycle `reference` loop when
+/// [`GcConfig::fast_forward`] is off.
 pub fn engine_label(cfg: &GcConfig) -> &'static str {
-    match cfg.effective_engine() {
-        EngineKind::Naive => "naive",
-        EngineKind::Sparse => "sparse",
+    if cfg.fast_forward {
+        "sparse"
+    } else {
+        "reference"
     }
 }
 
@@ -154,10 +157,10 @@ pub fn ledger_config_pairs(cfg: &GcConfig) -> Vec<(String, String)> {
 /// [`LedgerRecord::config_hash`] with it). An allow list: every other
 /// variable — output paths, profiling toggles, harness parallelism, the
 /// cache's own knobs, a stale name in someone's shell — cannot change a
-/// simulation result and so must not change its identity. Both listed
-/// knobs are also resolved into [`ledger_config_pairs`].
+/// simulation result and so must not change its identity. The listed
+/// knob is also resolved into [`ledger_config_pairs`].
 pub fn ledger_env_pairs() -> Vec<(String, String)> {
-    const SHAPES_A_SIMULATION: [&str; 2] = ["HWGC_ENGINE", "HWGC_MEM_BACKEND"];
+    const SHAPES_A_SIMULATION: [&str; 1] = ["HWGC_MEM_BACKEND"];
     SHAPES_A_SIMULATION
         .iter()
         .filter_map(|&k| std::env::var(k).ok().map(|v| (k.to_string(), v)))
@@ -322,26 +325,6 @@ fn mem_from_json(j: &Json) -> Result<MemConfig, String> {
     Ok(mem)
 }
 
-fn engine_to_json(e: Option<EngineKind>) -> Json {
-    match e {
-        None => Json::Null,
-        Some(EngineKind::Naive) => Json::Str("naive".into()),
-        Some(EngineKind::Sparse) => Json::Str("sparse".into()),
-    }
-}
-
-fn engine_from_json(j: Option<&Json>) -> Result<Option<EngineKind>, String> {
-    match j {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => match s.as_str() {
-            "naive" => Ok(Some(EngineKind::Naive)),
-            "sparse" => Ok(Some(EngineKind::Sparse)),
-            other => Err(format!("bad `engine` {other:?}")),
-        },
-        Some(_) => Err("`engine` is neither null nor a string".to_string()),
-    }
-}
-
 /// Serialize a [`GcConfig`] for the worker wire. Exhaustive: a new
 /// `GcConfig` field must be added here or the compiler complains in
 /// [`config_from_json`]'s struct literal.
@@ -368,7 +351,6 @@ pub fn config_to_json(cfg: &GcConfig) -> Json {
         ),
         ("multiport_sb".to_string(), Json::Bool(cfg.multiport_sb)),
         ("fast_forward".to_string(), Json::Bool(cfg.fast_forward)),
-        ("engine".to_string(), engine_to_json(cfg.engine)),
     ])
 }
 
@@ -376,8 +358,18 @@ pub fn config_to_json(cfg: &GcConfig) -> Json {
 /// [`SimCollector::new`] and the memory backends accept; a frame they
 /// would assert on (a zero count or divisor, more than [`MAX_CORES`]
 /// cores, a service latency past [`MAX_SERVICE_LATENCY`], more than
-/// [`MAX_BANKS`] banks) is an `Err` naming the field.
+/// [`MAX_BANKS`] banks) is an `Err` naming the field, and so is a
+/// non-null `engine`: the park-rule pin is gone, and a frame that still
+/// carries one comes from a stale encoder whose run would not be the one
+/// it asked for.
 pub fn config_from_json(j: &Json) -> Result<GcConfig, String> {
+    if let Some(engine) = j.get("engine").filter(|e| !matches!(e, Json::Null)) {
+        return Err(format!(
+            "`engine` {} is no longer a config field (one park rule; \
+             `fast_forward: false` is the reference loop)",
+            engine.to_string_compact()
+        ));
+    }
     let n_cores = positive("n_cores", req_usize(j, "n_cores")?)?;
     if n_cores > MAX_CORES {
         return Err(format!(
@@ -400,7 +392,6 @@ pub fn config_from_json(j: &Json) -> Result<GcConfig, String> {
         max_cycles: req_u64(j, "max_cycles")?,
         multiport_sb: req_bool(j, "multiport_sb")?,
         fast_forward: req_bool(j, "fast_forward")?,
-        engine: engine_from_json(j.get("engine"))?,
     })
 }
 
@@ -466,7 +457,7 @@ mod tests {
                 },
                 line_split: Some(8),
                 tick_permutation_seed: Some(3),
-                engine: Some(EngineKind::Sparse),
+                fast_forward: false,
                 ..GcConfig::with_cores(4)
             },
         };
@@ -540,11 +531,7 @@ mod tests {
             }
         }
         assert_eq!(during, before);
-        assert!(
-            env.iter()
-                .all(|(k, _)| k == "HWGC_ENGINE" || k == "HWGC_MEM_BACKEND"),
-            "{env:?}"
-        );
+        assert!(env.iter().all(|(k, _)| k == "HWGC_MEM_BACKEND"), "{env:?}");
     }
 
     /// `cfg`'s wire form with the field at `path` replaced.
@@ -565,7 +552,15 @@ mod tests {
             }
         }
         let mut frame = config_to_json(cfg);
-        set(&mut frame, path, value);
+        if path == ["engine"] {
+            // The field left the wire; a stale encoder still sends it.
+            let Json::Obj(pairs) = &mut frame else {
+                unreachable!()
+            };
+            pairs.push(("engine".to_string(), value));
+        } else {
+            set(&mut frame, path, value);
+        }
         // Through the text form, like a real worker frame or cache line.
         Json::parse(&frame.to_string_compact()).unwrap()
     }
@@ -579,7 +574,7 @@ mod tests {
         };
         let zero = Json::Int(0);
         let big = |n: u64| Json::Int(i128::from(n));
-        let cases: [(&GcConfig, &[&str], Json, &str); 15] = [
+        let cases: [(&GcConfig, &[&str], Json, &str); 17] = [
             (&fixed, &["n_cores"], zero.clone(), "`n_cores`"),
             // One core past the mask width, and the largest count a frame
             // can carry.
@@ -640,9 +635,11 @@ mod tests {
                 big(u64::from(u32::MAX)),
                 "`t_ras` + `t_rp` + `t_rcd` + `t_cas` + `extra_latency`",
             ),
-            // A removed engine: what a stale `HWGC_WORKER_BIN` or an old
-            // journal line would send.
+            // A removed engine pin: what a stale `HWGC_WORKER_BIN` or an
+            // old journal line would send.
             (&fixed, &["engine"], Json::Str("par".into()), "`engine`"),
+            (&fixed, &["engine"], Json::Str("naive".into()), "`engine`"),
+            (&fixed, &["engine"], Json::Str("sparse".into()), "`engine`"),
         ];
         for (cfg, path, value, named) in cases {
             let err = config_from_json(&frame_with(cfg, path, value))
@@ -697,20 +694,21 @@ mod tests {
             })),
             ..base
         });
-        for engine in [None, Some(EngineKind::Naive), Some(EngineKind::Sparse)] {
+        for fast_forward in [true, false] {
             cfgs.push(GcConfig {
                 line_split: Some(1),
                 multiport_sb: true,
                 test_before_lock: true,
                 tick_permutation_seed: Some(9),
-                engine,
+                fast_forward,
                 ..base
             });
         }
-        // The automatic choice travels as an explicit `null`.
+        // An older frame's `null` engine (the automatic choice) still
+        // decodes, to the same config.
         assert_eq!(
-            config_from_json(&frame_with(&base, &["engine"], Json::Null)).map(|c| c.engine),
-            Ok(None)
+            config_from_json(&frame_with(&base, &["engine"], Json::Null)),
+            Ok(base)
         );
         for cfg in cfgs {
             let wire = config_to_json(&cfg).to_string_compact();

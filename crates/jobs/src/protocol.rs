@@ -5,7 +5,10 @@
 //! then exactly that many bytes of compact JSON. The prefix makes the
 //! stream self-delimiting without any escaping discipline, and a torn
 //! pipe (worker killed mid-frame) surfaces as a short read — an error,
-//! never a silently truncated message.
+//! never a silently truncated message. The prefix is untrusted input
+//! too: a length past 16 MiB is refused before anything is
+//! allocated, and a payload is read as it arrives, so a short stream
+//! never reserves the length it claims.
 //!
 //! Coordinator → worker: [`ToWorker::Job`] frames, then one
 //! [`ToWorker::Shutdown`]. Worker → coordinator: one
@@ -14,7 +17,7 @@
 //! order jobs were received. Workers never see the cache, the journal
 //! or telemetry — those are coordinator state; a worker only simulates.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 
 use hwgc_core::GcOutcome;
 use hwgc_obs::json::Json;
@@ -22,8 +25,17 @@ use hwgc_obs::json::Json;
 use crate::cache::{outcome_from_json, outcome_to_json};
 use crate::job::{job_from_json, job_to_json, SimJob};
 
+/// The longest frame payload [`read_frame`] accepts, in bytes: far above
+/// any job or outcome frame (a few KiB), far below an allocation that
+/// could take the reading process down.
+const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// The longest length line [`read_frame`] reads: the 20 digits of
+/// `u64::MAX` and a newline, with room to spare.
+const MAX_LENGTH_LINE: u64 = 32;
+
 fn bad_data(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+    std::io::Error::new(ErrorKind::InvalidData, msg)
 }
 
 /// Write one frame.
@@ -35,18 +47,31 @@ pub fn write_frame(w: &mut impl Write, payload: &Json) -> std::io::Result<()> {
 }
 
 /// Read one frame; `Ok(None)` is clean EOF (peer closed between
-/// frames), any mid-frame termination is an error.
+/// frames), any mid-frame termination is an error. A length prefix that
+/// is not a number, or exceeds 16 MiB, is an [`ErrorKind::InvalidData`]
+/// error.
 pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<Json>> {
     let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
+    if r.by_ref().take(MAX_LENGTH_LINE).read_line(&mut line)? == 0 {
         return Ok(None);
     }
     let len: usize = line
         .trim()
         .parse()
         .map_err(|_| bad_data(format!("bad frame length {line:?}")))?;
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    if len > MAX_FRAME_LEN {
+        return Err(bad_data(format!(
+            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte limit"
+        )));
+    }
+    let mut buf = Vec::new();
+    r.by_ref().take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(std::io::Error::new(
+            ErrorKind::UnexpectedEof,
+            format!("frame torn after {} of {len} bytes", buf.len()),
+        ));
+    }
     let text = String::from_utf8(buf).map_err(|e| bad_data(format!("frame not utf-8: {e}")))?;
     Json::parse(&text)
         .map(Some)
@@ -180,5 +205,34 @@ mod tests {
         wire.truncate(wire.len() - 3); // kill the peer mid-frame
         let mut r = std::io::BufReader::new(&wire[..]);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    #[test]
+    fn oversized_length_prefixes_are_invalid_data_before_any_allocation() {
+        // 20 GB (used to abort in the allocator), `usize::MAX` (used to
+        // panic on capacity overflow) and 4 GB (used to allocate the
+        // whole length before noticing the stream was two bytes long).
+        for wire in [
+            "20000000000\n{}",
+            "18446744073709551615\n{}",
+            "4000000000\n{}",
+        ] {
+            let mut r = std::io::BufReader::new(wire.as_bytes());
+            let err = read_frame(&mut r).expect_err(wire);
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{wire}: {err}");
+        }
+        // Past `u64::MAX`, and a length line that never ends.
+        for wire in [
+            "99999999999999999999999\n{}".to_string(),
+            "9".repeat(1 << 20),
+        ] {
+            let mut r = std::io::BufReader::new(wire.as_bytes());
+            let err = read_frame(&mut r).expect_err("refused");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        }
+        // The limit itself is a length like any other.
+        let wire = format!("{MAX_FRAME_LEN}\n{{}}");
+        let err = read_frame(&mut std::io::BufReader::new(wire.as_bytes())).expect_err("torn");
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof, "{err}");
     }
 }

@@ -34,7 +34,7 @@
 //!    it. `None` means the memory system is quiet forever absent new
 //!    requests. It may be conservative (earlier than the real next move)
 //!    but never late — the engine jumps straight to `c` when every core
-//!    is parked. It is the one horizon of both park rules: a
+//!    is parked. It is the one horizon of both jumps: a
 //!    global-quiescence horizon and a core-invisible service-start tick
 //!    are special cases of it.
 //! 2. **Fast-forward replication** ([`MemBackend::fast_forward`]): after
@@ -51,12 +51,15 @@
 //!    path included. A retirement is the only memory event that changes
 //!    `load_ready` or frees a store buffer for `try_issue` on that port,
 //!    so a core parked on one port is woken by that port's bit or not at
-//!    all, and never by traffic on its other ports.
+//!    all, and never by traffic on its other ports. A stream window
+//!    (obligation 4) is such a run of ticks: it leaves the masks as the
+//!    ticks it replays would have.
 //! 4. **Stream replication** ([`MemBackend::stream_window`] /
 //!    [`MemBackend::apply_stream_window`]): when the window is
 //!    `Some(limit)`, `apply_stream_window(streams, k)` for any
 //!    `k <= limit` must leave the backend — ports, queue, burst
-//!    trackers, calendar, statistics — exactly as `k` rounds of `tick()`
+//!    trackers, calendar, statistics, wake masks when the feed is on —
+//!    exactly as `k` rounds of `tick()`
 //!    followed by each stream core's `consume_load(BodyLoad)`,
 //!    `try_issue(BodyStore, next)` and `try_issue(BodyLoad, next)`
 //!    would. `None` whenever that is not the case. The DRAM model keeps
@@ -98,8 +101,8 @@ pub enum MemBackendKind {
     Dram(DramConfig),
 }
 
-/// Parse the `HWGC_MEM_BACKEND` environment knob (mirrors
-/// `hwgc_core::config::engine_from` / `hwgc_jobs`' `jobs_from`).
+/// Parse the `HWGC_MEM_BACKEND` environment knob (mirrors `hwgc_jobs`'
+/// `jobs_from`).
 ///
 /// Grammar (ASCII case-insensitive, surrounding whitespace ignored):
 ///
@@ -251,8 +254,8 @@ pub trait MemBackend {
     /// Take ownership of the recorded events (empty if logging was off).
     fn take_event_log(&mut self) -> Vec<MemEventRecord>;
 
-    /// Turn on the sparse-rule wake feed (contract obligation 3). Off by
-    /// default; the naive rule pays nothing.
+    /// Turn on the engine's wake feed (contract obligation 3). Off by
+    /// default; the reference loop pays nothing.
     ///
     /// # Panics
     /// Panics with more than 64 cores: a mask holds one bit per core.
@@ -348,7 +351,7 @@ mod tests {
 
     /// Every input class the parser distinguishes, in one place — the
     /// documentation test for the `HWGC_MEM_BACKEND` grammar (the
-    /// `engine_from`/`jobs_from` convention).
+    /// `jobs_from` convention).
     #[test]
     fn backend_from_documents_every_input_class() {
         // Unset, empty, and explicit `fixed` are the fixed backend.

@@ -56,7 +56,7 @@
 //!   stamps are absolute and `bank_busy_cycles` is charged at service
 //!   start. The engine's all-parked jump therefore skips bank-busy
 //!   windows on this backend exactly as it skips retirement waits on the
-//!   fixed one, under either park rule.
+//!   fixed one.
 
 use std::collections::VecDeque;
 

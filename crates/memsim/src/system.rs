@@ -882,9 +882,8 @@ impl Service for Fixed {
         self.latency
     }
 
-    /// `None` unless the replay is exact: event log and wake feed off
-    /// (each tick would log four transitions and feed two wakes per
-    /// stream), FIFO service, no comparator re-check pending, no
+    /// `None` unless the replay is exact: event log off (each tick would
+    /// log four transitions per stream), FIFO service, no comparator re-check pending, no
     /// completed load waiting for a frozen core, and the queue holding
     /// precisely the stream pairs `(c, BodyStore), (c, BodyLoad)` in tick
     /// order, within the bandwidth, every one a zero-latency burst
@@ -898,7 +897,6 @@ impl Service for Fixed {
     fn stream_window(m: &Memory<Fixed>, streams: &[usize]) -> Option<u64> {
         let queue = &m.service.queue;
         if m.events.is_some()
-            || m.wake_feed
             || m.service.reorder_state.is_some()
             || m.pending_stores_dirty
             || m.complete > 0
@@ -919,7 +917,8 @@ impl Service for Fixed {
     /// halves within the tick and saw them re-issued one word further:
     /// the queued transactions, their issue stamps and the burst
     /// trackers shift by `k`, and the per-tick counters are replicated in
-    /// bulk.
+    /// bulk. With the wake feed on, each stream's body ports retired in
+    /// every replayed tick, so their bits join the wake masks.
     fn apply_stream_window(m: &mut Memory<Fixed>, streams: &[usize], k: u64) {
         debug_assert!(
             Fixed::stream_window(m, streams).is_some_and(|limit| k <= limit),
@@ -936,6 +935,7 @@ impl Service for Fixed {
                 txn.addr += words;
                 m.service.last_body_addr[c][slot] = Some(txn.addr);
                 m.issued_at[c * PORT_COUNT + port as usize] += k;
+                m.push_wake(c, port);
             }
         }
     }

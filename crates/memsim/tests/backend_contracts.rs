@@ -20,7 +20,7 @@
 //!    `take_wakes()` returns after a tick have bit `c` of entry `p` set
 //!    exactly when core `c`'s load on port `p` became ready or its store
 //!    on port `p` freed the buffer in that tick (shadow comparison
-//!    against polling, the naive engine's view), and nothing outside a
+//!    against polling, the reference loop's view), and nothing outside a
 //!    tick sets a bit.
 //! 4. **Tie order** — transactions retiring in the same cycle reach the
 //!    event log in `(core, port)` order, whatever order they were issued
@@ -31,7 +31,8 @@
 //!    under the bandwidth cap, a busy bank starts exactly at `ready_at`,
 //!    and a bank whose `ready_at` a clock jump crossed is free.
 //! 6. **Stream replication** — (fixed) `apply_stream_window` equals the
-//!    explicit rounds it stands for.
+//!    explicit rounds it stands for, the wake masks included when the
+//!    feed is on.
 //! 7. **Issue bound** — a request `try_issue` takes with `Issue::Later`
 //!    has not retired after the next tick (shadow check after every
 //!    tick), and on the fixed backend a zero-latency burst continuation,
@@ -115,7 +116,7 @@ fn apply<B: MemBackend>(m: &mut B, op: Op) {
     }
 }
 
-/// The naive engine's view of a backend: which `(core, port)` pairs a
+/// The reference loop's view of a backend: which `(core, port)` pairs a
 /// core could act on right now (a completed load, or a free buffer).
 fn visible_state<B: MemBackend>(m: &B) -> Vec<(bool, bool)> {
     (0..CORES)
@@ -372,7 +373,7 @@ proptest! {
 }
 
 /// Shadow-naive comparison: before each tick poll the full visible
-/// state (as the naive engine would); after it, the retirements it
+/// state (as the reference loop would); after it, the retirements it
 /// shows — a load turning ready, a store freeing its buffer — must be
 /// exactly the bits of `take_wakes()`, port by port. A core parked on
 /// one port relies on the completeness to resume, and on the exactness
@@ -860,24 +861,31 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// Contract 6: `apply_stream_window(S, k)` equals `k` explicit
-    /// rounds — statistics, every port, the queue, the burst trackers
-    /// and the calendar (the `Debug` image is the whole state) and the
-    /// activity horizon.
+    /// rounds — statistics, every port, the queue, the burst trackers,
+    /// the calendar and, with the feed on, the wake masks (the `Debug`
+    /// image is the whole state) and the activity horizon.
     #[test]
     fn stream_window_replays_explicit_rounds(
         n in 1usize..=5,
         runs in prop::collection::vec(2u64..=64, 5),
         header_traffic in prop_oneof![Just(false), Just(true)],
+        wake_feed in prop_oneof![Just(false), Just(true)],
         latency in 2u32..9,
         slack in 0u32..3,
         pick in 0u64..1 << 32,
     ) {
         let cfg = stream_cfg(latency, 2 * n as u32 + slack);
-        let (m, streams, ids) = streaming_system(n, cfg, |m| {
+        let (mut m, streams, ids) = streaming_system(n, cfg, |m| {
+            if wake_feed {
+                m.enable_wake_feed();
+            }
             if header_traffic {
                 park_header_traffic(m, n);
             }
         });
+        // The engine takes the masks at the start of every cycle, so a
+        // jump begins from empty ones.
+        m.take_wakes();
         let limit = m.stream_window(&ids).expect("a pure stream state");
         if header_traffic {
             // The header store entered service one tick ago.
@@ -894,6 +902,12 @@ proptest! {
         prop_assert_eq!(jumped.stats(), ticked.stats());
         prop_assert_eq!(format!("{jumped:?}"), format!("{ticked:?}"));
         prop_assert_eq!(jumped.next_activity_cycle(), ticked.next_activity_cycle());
+        let (jumped_wakes, ticked_wakes) = (jumped.take_wakes(), ticked.take_wakes());
+        prop_assert_eq!(jumped_wakes, ticked_wakes);
+        // Both body ports of every stream retired in every round.
+        let body = if wake_feed { (1u64 << n) - 1 } else { 0 };
+        prop_assert_eq!(jumped_wakes[Port::BodyLoad as usize], body);
+        prop_assert_eq!(jumped_wakes[Port::BodyStore as usize], body);
     }
 
     /// The DRAM backend never offers a stream window, whatever state
@@ -940,7 +954,12 @@ fn stream_window_refuses_whatever_it_cannot_replay() {
         "reordered service"
     );
     assert_eq!(accepted(good, &|m| m.enable_event_log()), None, "event log");
-    assert_eq!(accepted(good, &|m| m.enable_wake_feed()), None, "wake feed");
+    // The wake feed is no obstacle: the replay sets the masks the
+    // replayed ticks would have (contract 6).
+    assert!(
+        accepted(good, &|m| m.enable_wake_feed()).is_some(),
+        "wake feed"
+    );
 
     // Traffic that is not the stream's.
     assert_eq!(

@@ -318,7 +318,7 @@ mod tests {
                 ("n_cores".to_string(), "16".to_string()),
                 ("extra_latency".to_string(), "20".to_string()),
             ],
-            env: vec![("HWGC_ENGINE".to_string(), "sparse".to_string())],
+            env: vec![("HWGC_MEM_BACKEND".to_string(), "dram".to_string())],
             stats_digest: 0xdead_beef,
             total_cycles: Some(124_483),
             sb_fingerprint: Some(0x1234),

@@ -207,7 +207,7 @@ pub struct SyncBlock {
     /// authoritative register file and cross-checks the index under
     /// `debug_assert`.
     held_headers: Vec<(u32, u32)>,
-    /// Sparse-engine wake lists (`None` = tracking off; the naive engine
+    /// Sparse-engine wake lists (`None` = tracking off; the reference loop
     /// loop pays nothing). See [`SyncBlock::enable_wake_tracking`].
     wake: Option<WakeLists>,
     /// SB clock: number of `begin_cycle` calls (adjustable via
@@ -706,7 +706,7 @@ impl SyncBlock {
     // --- sparse-engine wake lists --------------------------------------
 
     /// Turn on the wake lists the sparse engine parks stalled cores on.
-    /// Off by default — the naive loop and the checkers never consult
+    /// Off by default — the reference loop and the checkers never consult
     /// them, and every hook below is a `None` test when off.
     pub fn enable_wake_tracking(&mut self) {
         self.wake = Some(WakeLists::new(self.n_cores));
@@ -738,9 +738,8 @@ impl SyncBlock {
     #[inline]
     pub fn park_on_header(&mut self, core: usize, addr: u32) {
         let w = self.wake.as_mut().expect("wake tracking off");
-        if w.header[core].replace(addr).is_none() {
-            w.header_n += 1;
-        }
+        w.header[core] = addr;
+        w.header_parked |= 1u64 << core;
     }
 
     /// Park `core` in the empty-worklist spin: woken when `free` moves or
@@ -760,9 +759,7 @@ impl SyncBlock {
         if let Some(w) = &mut self.wake {
             w.scan_waiters &= !(1u64 << core);
             w.empty &= !(1u64 << core);
-            if w.header[core].take().is_some() {
-                w.header_n -= 1;
-            }
+            w.header_parked &= !(1u64 << core);
         }
     }
 
@@ -802,10 +799,11 @@ struct WakeLists {
     scan_released: bool,
     /// Cores parked in the empty-worklist spin (bitmask).
     empty: u64,
-    /// Per-core header address the core is parked on.
-    header: Vec<Option<u32>>,
-    /// Number of `Some` entries in `header` (skip the scan when zero).
-    header_n: usize,
+    /// Cores parked on a header lock (bitmask).
+    header_parked: u64,
+    /// Per-core header address the core is parked on (meaningful only
+    /// for the cores in `header_parked`).
+    header: Vec<u32>,
     /// Cores woken since the engine last drained, in wake order.
     woken: Vec<usize>,
 }
@@ -817,8 +815,8 @@ impl WakeLists {
             scan_waiters: 0,
             scan_released: false,
             empty: 0,
-            header: vec![None; n_cores],
-            header_n: 0,
+            header_parked: 0,
+            header: vec![0; n_cores],
             woken: Vec::with_capacity(n_cores),
         }
     }
@@ -834,13 +832,12 @@ impl WakeLists {
 
     #[inline]
     fn wake_header(&mut self, addr: u32) {
-        if self.header_n == 0 {
-            return;
-        }
-        for c in 0..self.header.len() {
-            if self.header[c] == Some(addr) {
-                self.header[c] = None;
-                self.header_n -= 1;
+        let mut mask = self.header_parked;
+        while mask != 0 {
+            let c = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if self.header[c] == addr {
+                self.header_parked &= !(1u64 << c);
                 self.woken.push(c);
             }
         }
