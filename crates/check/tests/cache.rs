@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use hwgc_core::{GcConfig, GcOutcome, SimCollector};
 use hwgc_jobs::{outcome_from_json, outcome_to_json, par_map, CacheError, CacheMode, ResultCache};
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
-use hwgc_obs::json::Json;
+use hwgc_obs::json::{Json, RawJson};
 use hwgc_obs::{JobOutcome, LedgerRecord, LedgerStore};
 use hwgc_workloads::{Preset, WorkloadSpec};
 
@@ -158,7 +158,7 @@ fn verify_mode_catches_an_injected_stale_record() {
     let mut stale = key(p, c, d);
     stale.stats_digest = other.stats.digest();
     stale.total_cycles = Some(other.stats.total_cycles);
-    stale.result = Some(outcome_to_json(&other));
+    stale.result = Some(RawJson::new(&outcome_to_json(&other)));
     stale.append_jsonl(&path).unwrap();
 
     // Plain rw mode trusts the internally-consistent record (that is the
@@ -212,7 +212,7 @@ fn corrupt_payload_is_rejected_even_on_a_plain_hit() {
     // Payload tampered after the digest was recorded.
     let mut tampered = real.clone();
     tampered.stats.total_cycles += 1;
-    rec.result = Some(outcome_to_json(&tampered));
+    rec.result = Some(RawJson::new(&outcome_to_json(&tampered)));
     rec.append_jsonl(&path).unwrap();
 
     let cache = ResultCache::open(CacheMode::Rw, &[], Some(&path)).unwrap();

@@ -219,25 +219,89 @@ pub struct GcStats {
 }
 
 impl GcStats {
-    /// FNV-1a digest over the complete statistics (every counter of every
-    /// substructure, via the canonical `Debug` rendering — all fields are
-    /// integers, so the rendering is exact). Two runs are stats-equivalent
-    /// iff their digests match; the run ledger records this as the
-    /// simulation's output fingerprint. Wall-clock never enters: `GcStats`
-    /// carries simulated quantities only.
+    /// FNV-1a digest over the complete statistics: every counter of
+    /// every substructure, in the bytes of the canonical `Debug`
+    /// rendering (`format!("{self:?}")` — all fields are integers, so the
+    /// rendering is exact). The bytes are fed to the hash as they are
+    /// produced, and nothing is formatted: the digits byte by byte, the
+    /// constant text between them one precomputed step at a time. Two
+    /// runs are stats-equivalent iff their digests match; the run ledger
+    /// records this as the simulation's output fingerprint. Wall-clock
+    /// never enters: `GcStats` carries simulated quantities only.
     pub fn digest(&self) -> u64 {
-        /// FNV-1a state fed the `Debug` text as it is formatted.
-        struct Fnv(u64);
-        impl std::fmt::Write for Fnv {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                for b in s.bytes() {
-                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                Ok(())
+        let mut h = Fnv(FNV_OFFSET);
+        text!(h, b"GcStats { total_cycles: ");
+        h.u64(self.total_cycles);
+        text!(h, b", empty_worklist_cycles: ");
+        h.u64(self.empty_worklist_cycles);
+        text!(h, b", stall: ");
+        h.breakdown(&self.stall);
+        text!(h, b", per_core: [");
+        for (i, b) in self.per_core.iter().enumerate() {
+            if i > 0 {
+                h.bytes(b", ");
+            }
+            h.breakdown(b);
+        }
+        text!(h, b"], objects_copied: ");
+        h.u64(self.objects_copied);
+        text!(h, b", words_copied: ");
+        h.u64(self.words_copied);
+        text!(h, b", pointers_visited: ");
+        h.u64(self.pointers_visited);
+        text!(h, b", chunks_claimed: ");
+        h.u64(self.chunks_claimed);
+        text!(h, b", roots_processed: ");
+        h.u64(self.roots_processed);
+        text!(h, b", root_phase_cycles: ");
+        h.u64(self.root_phase_cycles);
+        let f = &self.fifo;
+        text!(h, b", fifo: FifoStats { pushes: ");
+        h.u64(f.pushes);
+        text!(h, b", overflows: ");
+        h.u64(f.overflows);
+        text!(h, b", hits: ");
+        h.u64(f.hits);
+        text!(h, b", misses: ");
+        h.u64(f.misses);
+        text!(h, b", max_occupancy: ");
+        h.u64(f.max_occupancy as u64);
+        let m = &self.mem;
+        text!(h, b" }, mem: MemStats { issued: ");
+        h.list(&m.issued);
+        text!(h, b", comparator_blocked_cycles: ");
+        h.u64(m.comparator_blocked_cycles);
+        text!(h, b", header_cache_hits: ");
+        h.u64(m.header_cache_hits);
+        text!(h, b", header_cache_misses: ");
+        h.u64(m.header_cache_misses);
+        text!(h, b", queue_occupancy_sum: ");
+        h.u64(m.queue_occupancy_sum);
+        text!(h, b", queue_busy_cycles: ");
+        h.u64(m.queue_busy_cycles);
+        text!(h, b", cycles: ");
+        h.u64(m.cycles);
+        match &m.dram {
+            None => text!(h, b", dram: None"),
+            Some(d) => {
+                text!(h, b", dram: Some(DramStats { row_hits: ");
+                h.u64(d.row_hits);
+                text!(h, b", row_empties: ");
+                h.u64(d.row_empties);
+                text!(h, b", row_conflicts: ");
+                h.u64(d.row_conflicts);
+                text!(h, b", bank_accesses: ");
+                h.list(&d.bank_accesses);
+                text!(h, b", bank_busy_cycles: ");
+                h.list(&d.bank_busy_cycles);
+                h.bytes(b" })");
             }
         }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        std::fmt::Write::write_fmt(&mut h, format_args!("{self:?}")).expect("hashing cannot fail");
+        text!(h, b" }, sync: SyncStats { acquisitions: ");
+        h.list(&self.sync.acquisitions);
+        text!(h, b", failed_attempts: ");
+        h.list(&self.sync.failed_attempts);
+        h.bytes(b" } }");
         h.0
     }
 
@@ -259,6 +323,122 @@ impl GcStats {
             return 0.0;
         }
         self.stall.get(reason) as f64 / denom
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a constant byte string in one step.
+///
+/// A byte only changes the low 8 bits of the state it is XORed into, and
+/// the low 8 bits of a product depend only on the low 8 bits of its
+/// factors. So hashing `n` fixed bytes from state `h` gives
+/// `h * P^n + add[h & 0xff]`: the bytes' effect depends on the incoming
+/// state's low byte alone, and is tabulated here for all 256 of them.
+struct Segment {
+    mul: u64,
+    add: [u64; 256],
+}
+
+impl Segment {
+    const fn of(bytes: &[u8]) -> Segment {
+        let mut mul = 1u64;
+        let mut i = 0;
+        while i < bytes.len() {
+            mul = mul.wrapping_mul(FNV_PRIME);
+            i += 1;
+        }
+        let mut add = [0u64; 256];
+        let mut low = 0;
+        while low < 256 {
+            let mut h = low as u64;
+            let mut i = 0;
+            while i < bytes.len() {
+                h = (h ^ bytes[i] as u64).wrapping_mul(FNV_PRIME);
+                i += 1;
+            }
+            add[low] = h.wrapping_sub((low as u64).wrapping_mul(mul));
+            low += 1;
+        }
+        Segment { mul, add }
+    }
+}
+
+/// Feed the constant text `$text` to the [`Fnv`] state `$h` in one step
+/// (see [`Segment`]).
+macro_rules! text {
+    ($h:expr, $text:literal) => {{
+        static SEGMENT: Segment = Segment::of($text);
+        $h.segment(&SEGMENT)
+    }};
+}
+use text;
+
+/// FNV-1a state fed the `Debug` text of [`GcStats`] piece by piece.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    fn segment(&mut self, s: &Segment) {
+        self.0 = self
+            .0
+            .wrapping_mul(s.mul)
+            .wrapping_add(s.add[(self.0 & 0xff) as usize]);
+    }
+
+    /// `v` in decimal, as `{:?}` writes it.
+    fn u64(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.bytes(&digits[start..]);
+    }
+
+    /// `[a, b, …]`.
+    fn list(&mut self, values: &[u64]) {
+        self.bytes(b"[");
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                self.bytes(b", ");
+            }
+            self.u64(v);
+        }
+        self.bytes(b"]");
+    }
+
+    fn breakdown(&mut self, b: &StallBreakdown) {
+        text!(self, b"StallBreakdown { scan_lock: ");
+        self.u64(b.scan_lock);
+        text!(self, b", free_lock: ");
+        self.u64(b.free_lock);
+        text!(self, b", header_lock: ");
+        self.u64(b.header_lock);
+        text!(self, b", body_load: ");
+        self.u64(b.body_load);
+        text!(self, b", body_store: ");
+        self.u64(b.body_store);
+        text!(self, b", header_load: ");
+        self.u64(b.header_load);
+        text!(self, b", header_store: ");
+        self.u64(b.header_store);
+        text!(self, b", empty_spin: ");
+        self.u64(b.empty_spin);
+        text!(self, b", drain: ");
+        self.u64(b.drain);
+        self.bytes(b" }");
     }
 }
 

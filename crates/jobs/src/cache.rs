@@ -37,7 +37,7 @@ use std::sync::Mutex;
 
 use hwgc_core::{GcOutcome, GcStats, StallBreakdown, StallReason};
 use hwgc_memsim::{DramStats, FifoStats, MemStats, PORT_COUNT};
-use hwgc_obs::json::Json;
+use hwgc_obs::json::{Json, RawJson, Reader};
 use hwgc_obs::{JobOutcome, LedgerRecord, LedgerStore, StoreError};
 use hwgc_sync::SyncStats;
 
@@ -341,10 +341,13 @@ impl ResultCache {
         if !self.mode.reads() {
             return Ok(CacheLookup::Absent);
         }
-        let cached = self
-            .store
-            .get(hash)
-            .map(|rec| (rec.stats_digest, rec.result.as_ref().map(outcome_from_json)));
+        let cached = self.store.get(hash).map(|rec| {
+            let payload = rec
+                .result
+                .as_ref()
+                .map(|raw| outcome_from_text(raw.as_str()));
+            (rec.stats_digest, payload)
+        });
         match cached {
             None => Ok(CacheLookup::Absent),
             Some((recorded, Some(payload))) => {
@@ -429,7 +432,7 @@ impl ResultCache {
         let mut rec = key.clone();
         rec.stats_digest = outcome.stats.digest();
         rec.total_cycles = Some(outcome.stats.total_cycles);
-        rec.result = Some(outcome_to_json(outcome));
+        rec.result = Some(RawJson::new(&outcome_to_json(outcome)));
         rec.host = Vec::new(); // cache records carry no host noise
         let _guard = self.write_lock.lock().unwrap();
         if let Err(e) = rec.append_jsonl(path) {
@@ -439,9 +442,14 @@ impl ResultCache {
 }
 
 fn verify_pct_from_env() -> u64 {
-    std::env::var("HWGC_CACHE_VERIFY_PCT")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
+    verify_pct_from(std::env::var("HWGC_CACHE_VERIFY_PCT").ok().as_deref())
+}
+
+/// Parse an `HWGC_CACHE_VERIFY_PCT` value: a decimal percentage
+/// (surrounding whitespace ignored), capped at 100. Unset or anything
+/// else samples the default 25 %.
+pub fn verify_pct_from(var: Option<&str>) -> u64 {
+    var.and_then(|v| v.trim().parse::<u64>().ok())
         .map_or(25, |pct| pct.min(100))
 }
 
@@ -454,52 +462,20 @@ pub fn cache_path_from_env() -> PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// GcStats / GcOutcome <-> Json: the payload codec. Lives here (not in
-// hwgc-obs) because obs deliberately has no dependency on hwgc-core.
-// Round-trip is exact — every field is an integer — so the decoded
-// stats' `digest()` equals the original's.
+// GcStats / GcOutcome <-> Json: the payload codec, encoded as a tree and
+// decoded from its text in one pass. Lives here (not in hwgc-obs)
+// because obs deliberately has no dependency on hwgc-core. Round-trip
+// is exact — every field is an integer — so the decoded stats'
+// `digest()` equals the original's.
 // ---------------------------------------------------------------------
 
 fn u64s(values: &[u64]) -> Json {
     Json::Arr(values.iter().map(|&v| Json::Int(i128::from(v))).collect())
 }
 
-/// Decoders name the field they fail on; `what` is formatted only then.
-fn u64s_back(j: &Json, what: &(impl std::fmt::Display + ?Sized)) -> Result<Vec<u64>, String> {
-    let Json::Arr(items) = j else {
-        return Err(format!("`{what}` is not an array"));
-    };
-    // Sized up front: collecting `Result`s would grow the vector from 4.
-    let mut values = Vec::with_capacity(items.len());
-    for v in items {
-        let n = v.as_int().and_then(|i| u64::try_from(i).ok());
-        values.push(n.ok_or_else(|| format!("`{what}` holds a non-u64"))?);
-    }
-    Ok(values)
-}
-
 fn breakdown_to_json(b: &StallBreakdown) -> Json {
     // One entry per StallReason, in bus-index order.
     u64s(&StallReason::ALL.map(|r| b.get(r)))
-}
-
-fn breakdown_from_json(
-    j: &Json,
-    what: &(impl std::fmt::Display + ?Sized),
-) -> Result<StallBreakdown, String> {
-    let values = u64s_back(j, what)?;
-    if values.len() != StallReason::COUNT {
-        return Err(format!(
-            "`{what}` has {} entries, expected {}",
-            values.len(),
-            StallReason::COUNT
-        ));
-    }
-    let mut b = StallBreakdown::default();
-    for (reason, &n) in StallReason::ALL.iter().zip(&values) {
-        b.record_n(*reason, n);
-    }
-    Ok(b)
 }
 
 /// Serialize full [`GcStats`] (payload half of a cache record).
@@ -612,100 +588,6 @@ pub fn stats_to_json(s: &GcStats) -> Json {
     Json::Obj(fields)
 }
 
-fn req_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_int)
-        .and_then(|i| u64::try_from(i).ok())
-        .ok_or_else(|| format!("missing u64 field `{key}`"))
-}
-
-/// Decode [`stats_to_json`] output. Exact inverse: the decoded stats'
-/// digest equals the encoded stats'.
-pub fn stats_from_json(j: &Json) -> Result<GcStats, String> {
-    let fifo_raw = u64s_back(j.get("fifo").ok_or("missing `fifo`")?, "fifo")?;
-    if fifo_raw.len() != 5 {
-        return Err(format!("`fifo` has {} entries, expected 5", fifo_raw.len()));
-    }
-    let mem_j = j.get("mem").ok_or("missing `mem`")?;
-    let issued_raw = u64s_back(
-        mem_j.get("issued").ok_or("missing `mem.issued`")?,
-        "mem.issued",
-    )?;
-    let issued: [u64; PORT_COUNT] = issued_raw
-        .try_into()
-        .map_err(|_| format!("`mem.issued` is not {PORT_COUNT} entries"))?;
-    let dram = match mem_j.get("dram") {
-        Some(d) => Some(DramStats {
-            row_hits: req_u64(d, "row_hits")?,
-            row_empties: req_u64(d, "row_empties")?,
-            row_conflicts: req_u64(d, "row_conflicts")?,
-            bank_accesses: u64s_back(
-                d.get("bank_accesses")
-                    .ok_or("missing `dram.bank_accesses`")?,
-                "dram.bank_accesses",
-            )?,
-            bank_busy_cycles: u64s_back(
-                d.get("bank_busy_cycles")
-                    .ok_or("missing `dram.bank_busy_cycles`")?,
-                "dram.bank_busy_cycles",
-            )?,
-        }),
-        None => None,
-    };
-    let sync_j = j.get("sync").ok_or("missing `sync`")?;
-    let arr3 = |key: &str| -> Result<[u64; 3], String> {
-        u64s_back(
-            sync_j
-                .get(key)
-                .ok_or_else(|| format!("missing `sync.{key}`"))?,
-            key,
-        )?
-        .try_into()
-        .map_err(|_| format!("`sync.{key}` is not 3 entries"))
-    };
-    let per_core = match j.get("per_core") {
-        Some(Json::Arr(cores)) => cores
-            .iter()
-            .enumerate()
-            .map(|(i, c)| breakdown_from_json(c, &format_args!("per_core[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err("missing array field `per_core`".to_string()),
-    };
-    Ok(GcStats {
-        total_cycles: req_u64(j, "total_cycles")?,
-        empty_worklist_cycles: req_u64(j, "empty_worklist_cycles")?,
-        stall: breakdown_from_json(j.get("stall").ok_or("missing `stall`")?, "stall")?,
-        per_core,
-        objects_copied: req_u64(j, "objects_copied")?,
-        words_copied: req_u64(j, "words_copied")?,
-        pointers_visited: req_u64(j, "pointers_visited")?,
-        chunks_claimed: req_u64(j, "chunks_claimed")?,
-        roots_processed: req_u64(j, "roots_processed")?,
-        root_phase_cycles: req_u64(j, "root_phase_cycles")?,
-        fifo: FifoStats {
-            pushes: fifo_raw[0],
-            overflows: fifo_raw[1],
-            hits: fifo_raw[2],
-            misses: fifo_raw[3],
-            max_occupancy: usize::try_from(fifo_raw[4]).map_err(|_| "fifo occupancy overflow")?,
-        },
-        mem: MemStats {
-            issued,
-            comparator_blocked_cycles: req_u64(mem_j, "comparator_blocked_cycles")?,
-            header_cache_hits: req_u64(mem_j, "header_cache_hits")?,
-            header_cache_misses: req_u64(mem_j, "header_cache_misses")?,
-            queue_occupancy_sum: req_u64(mem_j, "queue_occupancy_sum")?,
-            queue_busy_cycles: req_u64(mem_j, "queue_busy_cycles")?,
-            cycles: req_u64(mem_j, "cycles")?,
-            dram,
-        },
-        sync: SyncStats {
-            acquisitions: arr3("acquisitions")?,
-            failed_attempts: arr3("failed_attempts")?,
-        },
-    })
-}
-
 /// Serialize a full [`GcOutcome`] (the cache payload).
 pub fn outcome_to_json(o: &GcOutcome) -> Json {
     Json::Obj(vec![
@@ -714,17 +596,323 @@ pub fn outcome_to_json(o: &GcOutcome) -> Json {
     ])
 }
 
-/// Decode [`outcome_to_json`] output.
+/// Decode [`outcome_to_json`] output: the tree is written out and read
+/// back by [`outcome_from_text`], the one decoder.
 pub fn outcome_from_json(j: &Json) -> Result<GcOutcome, String> {
-    let free = j
-        .get("free")
-        .and_then(Json::as_int)
-        .and_then(|i| u32::try_from(i).ok())
-        .ok_or("missing u32 field `free`")?;
+    outcome_from_text(&j.to_string_compact())
+}
+
+/// Decode [`outcome_to_json`] output from its text, in one pass and
+/// without a tree. Exact inverse: the decoded stats' digest equals the
+/// encoded stats'. Members may come in any order; the first occurrence
+/// of a member wins and unknown members are skipped. An error names the
+/// member it fails on.
+pub fn outcome_from_text(text: &str) -> Result<GcOutcome, String> {
+    let mut r = Reader::new(text);
+    let (mut free, mut stats) = (None, None);
+    object_or_skip(&mut r, |r, key| {
+        match key {
+            "free" if free.is_none() => {
+                let n = r.u64()?.and_then(|n| u32::try_from(n).ok());
+                free = Some(n.ok_or("missing u32 field `free`")?);
+            }
+            "stats" if stats.is_none() => stats = Some(stats_from_reader(r)?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    r.finish()?;
     Ok(GcOutcome {
-        free,
-        stats: stats_from_json(j.get("stats").ok_or("missing `stats`")?)?,
+        free: free.ok_or("missing u32 field `free`")?,
+        stats: stats.ok_or("missing `stats`")?,
     })
+}
+
+/// Read an object member by member; any other value is skipped and reads
+/// as an object without members.
+fn object_or_skip<'a>(
+    r: &mut Reader<'a>,
+    mut each: impl FnMut(&mut Reader<'a>, &str) -> Result<(), String>,
+) -> Result<(), String> {
+    if r.peek() == Some(b'{') {
+        r.object(|r, key| each(r, &key))
+    } else {
+        Ok(r.skip()?)
+    }
+}
+
+/// One `u64` member.
+fn u64_of(r: &mut Reader, key: &str) -> Result<u64, String> {
+    r.u64()?.ok_or_else(|| format!("missing u64 field `{key}`"))
+}
+
+/// A `u64` array, each element handed to `push`; `what` names the array
+/// in errors. Returns the element count.
+fn u64s_of(
+    r: &mut Reader,
+    what: &(impl std::fmt::Display + ?Sized),
+    mut push: impl FnMut(usize, u64),
+) -> Result<usize, String> {
+    if r.peek() != Some(b'[') {
+        r.skip()?;
+        return Err(format!("`{what}` is not an array"));
+    }
+    let mut n = 0;
+    r.array(|r| {
+        let v = r
+            .u64()?
+            .ok_or_else(|| format!("`{what}` holds a non-u64"))?;
+        push(n, v);
+        n += 1;
+        Ok::<(), String>(())
+    })?;
+    Ok(n)
+}
+
+/// A `u64` array of exactly `N` elements.
+fn u64_array<const N: usize>(
+    r: &mut Reader,
+    what: &(impl std::fmt::Display + ?Sized),
+) -> Result<Result<[u64; N], usize>, String> {
+    let mut values = [0; N];
+    let n = u64s_of(r, what, |i, v| {
+        if let Some(slot) = values.get_mut(i) {
+            *slot = v;
+        }
+    })?;
+    Ok(if n == N { Ok(values) } else { Err(n) })
+}
+
+fn breakdown_of(
+    r: &mut Reader,
+    what: &(impl std::fmt::Display + ?Sized),
+) -> Result<StallBreakdown, String> {
+    let values = u64_array::<{ StallReason::COUNT }>(r, what)?
+        .map_err(|n| format!("`{what}` has {n} entries, expected {}", StallReason::COUNT))?;
+    let mut b = StallBreakdown::default();
+    for (reason, n) in StallReason::ALL.into_iter().zip(values) {
+        b.record_n(reason, n);
+    }
+    Ok(b)
+}
+
+/// The members of `stats` (and of `stats.mem`, `stats.mem.dram` and
+/// `stats.sync`), one bit each, in the order their absence is reported.
+const STATS_MEMBERS: [&str; 13] = [
+    "fifo",
+    "mem",
+    "sync",
+    "per_core",
+    "total_cycles",
+    "empty_worklist_cycles",
+    "stall",
+    "objects_copied",
+    "words_copied",
+    "pointers_visited",
+    "chunks_claimed",
+    "roots_processed",
+    "root_phase_cycles",
+];
+const MEM_MEMBERS: [&str; 8] = [
+    "issued",
+    "comparator_blocked_cycles",
+    "header_cache_hits",
+    "header_cache_misses",
+    "queue_occupancy_sum",
+    "queue_busy_cycles",
+    "cycles",
+    "dram",
+];
+const DRAM_MEMBERS: [&str; 5] = [
+    "row_hits",
+    "row_empties",
+    "row_conflicts",
+    "bank_accesses",
+    "bank_busy_cycles",
+];
+const SYNC_MEMBERS: [&str; 2] = ["acquisitions", "failed_attempts"];
+
+/// Which of `names` have been read: the first occurrence of a member
+/// wins, later ones are skipped.
+struct Seen<const N: usize> {
+    names: [&'static str; N],
+    bits: u32,
+}
+
+impl<const N: usize> Seen<N> {
+    fn new(names: [&'static str; N]) -> Self {
+        Seen { names, bits: 0 }
+    }
+
+    /// Is `key` a member not yet read? (It is marked read.)
+    fn first(&mut self, key: &str) -> bool {
+        let Some(i) = self.names.iter().position(|&n| n == key) else {
+            return false;
+        };
+        let fresh = self.bits & (1 << i) == 0;
+        self.bits |= 1 << i;
+        fresh
+    }
+
+    /// The first member not read, if any.
+    fn missing(&self) -> Option<&'static str> {
+        (0..N)
+            .find(|&i| self.bits & (1 << i) == 0)
+            .map(|i| self.names[i])
+    }
+}
+
+fn stats_from_reader(r: &mut Reader) -> Result<GcStats, String> {
+    let mut s = GcStats::default();
+    let mut seen = Seen::new(STATS_MEMBERS);
+    object_or_skip(r, |r, key| {
+        if !seen.first(key) {
+            return Ok(r.skip()?);
+        }
+        let slot = match key {
+            "fifo" => {
+                let [pushes, overflows, hits, misses, occupancy] = u64_array::<5>(r, "fifo")?
+                    .map_err(|n| format!("`fifo` has {n} entries, expected 5"))?;
+                s.fifo = FifoStats {
+                    pushes,
+                    overflows,
+                    hits,
+                    misses,
+                    max_occupancy: usize::try_from(occupancy)
+                        .map_err(|_| "fifo occupancy overflow")?,
+                };
+                return Ok(());
+            }
+            "mem" => {
+                s.mem = mem_from_reader(r)?;
+                return Ok(());
+            }
+            "sync" => {
+                s.sync = sync_from_reader(r)?;
+                return Ok(());
+            }
+            "per_core" => {
+                if r.peek() != Some(b'[') {
+                    r.skip()?;
+                    return Err("missing array field `per_core`".to_string());
+                }
+                return r.array(|r| {
+                    let what = format_args!("per_core[{}]", s.per_core.len());
+                    let core = breakdown_of(r, &what)?;
+                    s.per_core.push(core);
+                    Ok(())
+                });
+            }
+            "stall" => {
+                s.stall = breakdown_of(r, "stall")?;
+                return Ok(());
+            }
+            "total_cycles" => &mut s.total_cycles,
+            "empty_worklist_cycles" => &mut s.empty_worklist_cycles,
+            "objects_copied" => &mut s.objects_copied,
+            "words_copied" => &mut s.words_copied,
+            "pointers_visited" => &mut s.pointers_visited,
+            "chunks_claimed" => &mut s.chunks_claimed,
+            "roots_processed" => &mut s.roots_processed,
+            _ => &mut s.root_phase_cycles,
+        };
+        *slot = u64_of(r, key)?;
+        Ok(())
+    })?;
+    match seen.missing() {
+        None => Ok(s),
+        Some("per_core") => Err("missing array field `per_core`".to_string()),
+        Some(key @ ("fifo" | "mem" | "sync" | "stall")) => Err(format!("missing `{key}`")),
+        Some(key) => Err(format!("missing u64 field `{key}`")),
+    }
+}
+
+fn mem_from_reader(r: &mut Reader) -> Result<MemStats, String> {
+    let mut m = MemStats::default();
+    let mut seen = Seen::new(MEM_MEMBERS);
+    object_or_skip(r, |r, key| {
+        if !seen.first(key) {
+            return Ok(r.skip()?);
+        }
+        let slot = match key {
+            "dram" => {
+                m.dram = Some(dram_from_reader(r)?);
+                return Ok(());
+            }
+            "issued" => {
+                m.issued = u64_array::<PORT_COUNT>(r, "mem.issued")?
+                    .map_err(|_| format!("`mem.issued` is not {PORT_COUNT} entries"))?;
+                return Ok(());
+            }
+            "comparator_blocked_cycles" => &mut m.comparator_blocked_cycles,
+            "header_cache_hits" => &mut m.header_cache_hits,
+            "header_cache_misses" => &mut m.header_cache_misses,
+            "queue_occupancy_sum" => &mut m.queue_occupancy_sum,
+            "queue_busy_cycles" => &mut m.queue_busy_cycles,
+            _ => &mut m.cycles,
+        };
+        *slot = u64_of(r, key)?;
+        Ok(())
+    })?;
+    match seen.missing() {
+        // `dram` is optional: the fixed backend has no DRAM stats.
+        None | Some("dram") => Ok(m),
+        Some("issued") => Err("missing `mem.issued`".to_string()),
+        Some(key) => Err(format!("missing u64 field `{key}`")),
+    }
+}
+
+fn dram_from_reader(r: &mut Reader) -> Result<DramStats, String> {
+    let mut d = DramStats::default();
+    let mut seen = Seen::new(DRAM_MEMBERS);
+    object_or_skip(r, |r, key| {
+        if !seen.first(key) {
+            return Ok(r.skip()?);
+        }
+        let slot = match key {
+            "bank_accesses" => {
+                return u64s_of(r, "dram.bank_accesses", |_, v| d.bank_accesses.push(v)).map(drop)
+            }
+            "bank_busy_cycles" => {
+                return u64s_of(r, "dram.bank_busy_cycles", |_, v| {
+                    d.bank_busy_cycles.push(v)
+                })
+                .map(drop)
+            }
+            "row_hits" => &mut d.row_hits,
+            "row_empties" => &mut d.row_empties,
+            _ => &mut d.row_conflicts,
+        };
+        *slot = u64_of(r, key)?;
+        Ok(())
+    })?;
+    match seen.missing() {
+        None => Ok(d),
+        Some(key @ ("bank_accesses" | "bank_busy_cycles")) => Err(format!("missing `dram.{key}`")),
+        Some(key) => Err(format!("missing u64 field `{key}`")),
+    }
+}
+
+fn sync_from_reader(r: &mut Reader) -> Result<SyncStats, String> {
+    let mut s = SyncStats::default();
+    let mut seen = Seen::new(SYNC_MEMBERS);
+    object_or_skip(r, |r, key| {
+        if !seen.first(key) {
+            return Ok(r.skip()?);
+        }
+        let values =
+            u64_array::<3>(r, key)?.map_err(|_| format!("`sync.{key}` is not 3 entries"))?;
+        if key == "acquisitions" {
+            s.acquisitions = values;
+        } else {
+            s.failed_attempts = values;
+        }
+        Ok(())
+    })?;
+    match seen.missing() {
+        None => Ok(s),
+        Some(key) => Err(format!("missing `sync.{key}`")),
+    }
 }
 
 #[cfg(test)]
@@ -745,8 +933,7 @@ mod tests {
             stats_digest: 1,
             ..LedgerRecord::default()
         }
-        .to_json()
-        .to_string_compact()
+        .to_json_string()
     }
 
     fn open_err(mode: CacheMode, ro: &[&Path], rw: Option<&Path>) -> String {
@@ -804,15 +991,12 @@ mod tests {
             ..GcStats::default()
         };
         stats.per_core[2].record_n(StallReason::ScanLock, 5);
-        let Json::Obj(mut fields) = stats_to_json(&stats) else {
-            panic!("stats encode as an object")
-        };
-        let per_core = &mut fields.iter_mut().find(|(k, _)| k == "per_core").unwrap().1;
-        let Json::Arr(cores) = per_core else {
-            panic!("per_core is an array")
-        };
-        cores[2] = Json::Arr(vec![Json::Int(-1); StallReason::COUNT]);
-        let err = stats_from_json(&Json::Obj(fields)).unwrap_err();
-        assert_eq!(err, "`per_core[2]` holds a non-u64");
+        let text = outcome_to_json(&GcOutcome { free: 7, stats })
+            .to_string_compact()
+            .replace("[5,0,0,0,0,0,0,0,0]", "[-1,0,0,0,0,0,0,0,0]");
+        assert_eq!(
+            outcome_from_text(&text).unwrap_err(),
+            "`per_core[2]` holds a non-u64"
+        );
     }
 }

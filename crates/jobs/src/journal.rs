@@ -23,6 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use hwgc_obs::json::Json;
+use hwgc_obs::ledger::append_line;
 use hwgc_obs::JobOutcome;
 
 use crate::job::{workload_key, SimJob};
@@ -83,47 +84,68 @@ impl Journal {
     /// Open (or create) the journal at `path` for `set`. An existing
     /// journal is validated against the set's digest and its completed
     /// hashes are loaded; a fresh one gets its plan line written.
+    ///
+    /// A final line without its newline that does not parse is what a
+    /// writer killed mid-append leaves: it is cut off the file and the
+    /// journal resumes without it. Any other line that is not UTF-8 or
+    /// not JSON is [`JournalError::Corrupt`], naming its line.
     pub fn open(path: &Path, sweep: &str, set: &JobSet) -> Result<Journal, JournalError> {
         let expected = set.digest();
         let mut done = HashSet::new();
         let mut has_plan = false;
-        if path.exists() {
-            for (lineno, line) in fs::read_to_string(path)?.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
+        let bytes = match fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e.into()),
+        };
+        let corrupt = |lineno: usize, msg: &dyn std::fmt::Display| {
+            JournalError::Corrupt(format!("{}:{lineno}: {msg}", path.display()))
+        };
+        let mut torn_at = None;
+        let mut start = 0;
+        for (i, raw) in bytes.split(|&b| b == b'\n').enumerate() {
+            let line_start = start;
+            start += raw.len() + 1;
+            let unterminated = start > bytes.len();
+            let parsed = std::str::from_utf8(raw)
+                .map_err(|e| corrupt(i + 1, &format_args!("not valid UTF-8: {e}")))
+                .map(str::trim)
+                .and_then(|line| match line {
+                    "" => Ok(None),
+                    line => Json::parse(line).map(Some).map_err(|e| corrupt(i + 1, &e)),
+                });
+            let j = match parsed {
+                Ok(Some(j)) => j,
+                Ok(None) => continue,
+                Err(_) if unterminated => {
+                    torn_at = Some(line_start);
+                    break;
                 }
-                let j = Json::parse(line).map_err(|e| {
-                    JournalError::Corrupt(format!("{}:{}: {e}", path.display(), lineno + 1))
-                })?;
-                match j.get("kind").and_then(Json::as_str) {
-                    Some("plan") => {
-                        let recorded = j
-                            .get("jobset")
-                            .and_then(Json::as_str)
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or_else(|| {
-                                JournalError::Corrupt("plan line lacks a jobset digest".into())
-                            })?;
-                        if recorded != expected {
-                            return Err(JournalError::PlanMismatch { recorded, expected });
-                        }
-                        has_plan = true;
+                Err(e) => return Err(e),
+            };
+            let hash_field = |key: &str| {
+                j.get(key)
+                    .and_then(Json::as_str)
+                    .and_then(|s| u64::from_str_radix(s, 16).ok())
+            };
+            match j.get("kind").and_then(Json::as_str) {
+                Some("plan") => {
+                    let recorded = hash_field("jobset").ok_or_else(|| {
+                        JournalError::Corrupt("plan line lacks a jobset digest".into())
+                    })?;
+                    if recorded != expected {
+                        return Err(JournalError::PlanMismatch { recorded, expected });
                     }
-                    Some("done") => {
-                        let hash = j
-                            .get("config_hash")
-                            .and_then(Json::as_str)
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or_else(|| {
-                                JournalError::Corrupt("done line lacks a config_hash".into())
-                            })?;
-                        done.insert(hash);
-                    }
-                    // A truncated last line never parses (handled above);
-                    // an unknown kind is a forward-compat skip.
-                    _ => {}
+                    has_plan = true;
                 }
+                Some("done") => {
+                    let hash = hash_field("config_hash").ok_or_else(|| {
+                        JournalError::Corrupt("done line lacks a config_hash".into())
+                    })?;
+                    done.insert(hash);
+                }
+                // An unknown kind is a forward-compat skip.
+                _ => {}
             }
         }
         if let Some(parent) = path.parent() {
@@ -133,8 +155,12 @@ impl Journal {
         }
         let mut file = fs::OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(path)?;
+        if let Some(len) = torn_at {
+            file.set_len(len as u64)?;
+        }
         if !has_plan {
             let plan = Json::Obj(vec![
                 ("schema".to_string(), Json::Str(JOURNAL_SCHEMA.into())),
@@ -143,7 +169,7 @@ impl Journal {
                 ("total".to_string(), Json::Int(set.len() as i128)),
                 ("jobset".to_string(), Json::Str(format!("{expected:016x}"))),
             ]);
-            plan.write_line(&mut file)?;
+            append_json_line(&mut file, &plan)?;
         }
         let resumed = done.len();
         Ok(Journal {
@@ -197,10 +223,18 @@ impl Journal {
             ("outcome".to_string(), Json::Str(how.label().to_string())),
             ("worker".to_string(), Json::Int(worker as i128)),
         ]);
-        line.write_line(&mut inner.file)?;
+        append_json_line(&mut inner.file, &line)?;
         inner.file.flush()?;
         Ok(())
     }
+}
+
+/// Append `value` as one line, on a fresh line if the file's last line
+/// lacks its newline (see [`append_line`]).
+fn append_json_line(file: &mut fs::File, value: &Json) -> std::io::Result<()> {
+    let mut line = value.to_string_compact();
+    line.push('\n');
+    append_line(file, line.as_bytes())
 }
 
 /// The journal path requested via `HWGC_JOURNAL`, if any.
@@ -276,5 +310,91 @@ mod tests {
         drop(j);
         let lines = fs::read_to_string(&path).unwrap();
         assert_eq!(lines.lines().filter(|l| l.contains("\"done\"")).count(), 1);
+    }
+
+    /// A done line as `record_done` writes it, cut to `keep` bytes.
+    fn torn_done_line(path: &Path, keep: usize) -> Vec<u8> {
+        let text = fs::read(path).unwrap();
+        let last = text[..text.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        text[last..last + keep].to_vec()
+    }
+
+    #[test]
+    fn a_torn_final_line_is_dropped_and_appends_resume_on_a_fresh_line() {
+        let set = tiny_set(&[1, 2, 4]);
+        let path = tmp("torn.jsonl");
+        Journal::open(&path, "t", &set)
+            .unwrap()
+            .record_done(0, &set.jobs()[0], JobOutcome::Miss, 0)
+            .unwrap();
+        let whole = fs::read(&path).unwrap();
+        // A writer killed mid-append leaves a prefix of its line.
+        let probe = tmp("torn_probe.jsonl");
+        Journal::open(&probe, "t", &set)
+            .unwrap()
+            .record_done(1, &set.jobs()[1], JobOutcome::Miss, 0)
+            .unwrap();
+        let fragment = torn_done_line(&probe, 40);
+        fs::write(&path, [&whole[..], &fragment[..]].concat()).unwrap();
+        {
+            let j = Journal::open(&path, "t", &set).unwrap();
+            assert_eq!(j.resumed(), 1);
+            assert!(!j.completed(set.hashes()[1]));
+            j.record_done(2, &set.jobs()[2], JobOutcome::Miss, 0)
+                .unwrap();
+        }
+        let j = Journal::open(&path, "t", &set).unwrap();
+        assert_eq!(j.resumed(), 2);
+        assert!(j.completed(set.hashes()[0]) && j.completed(set.hashes()[2]));
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.ends_with('\n'));
+        assert_eq!(text.lines().count(), 3, "{text}");
+    }
+
+    #[test]
+    fn a_whole_final_line_without_its_newline_is_kept() {
+        let set = tiny_set(&[1, 2]);
+        let path = tmp("unterminated.jsonl");
+        Journal::open(&path, "t", &set)
+            .unwrap()
+            .record_done(0, &set.jobs()[0], JobOutcome::Miss, 0)
+            .unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.pop();
+        fs::write(&path, &bytes).unwrap();
+        {
+            let j = Journal::open(&path, "t", &set).unwrap();
+            assert_eq!(j.resumed(), 1);
+            j.record_done(1, &set.jobs()[1], JobOutcome::Miss, 0)
+                .unwrap();
+        }
+        assert_eq!(Journal::open(&path, "t", &set).unwrap().resumed(), 2);
+    }
+
+    #[test]
+    fn a_bad_line_that_ends_in_a_newline_is_corrupt() {
+        let set = tiny_set(&[1, 2]);
+        let path = tmp("bad_line.jsonl");
+        Journal::open(&path, "t", &set).unwrap();
+        let plan = fs::read(&path).unwrap();
+        for (bad, what) in [
+            (&b"{\"kind\":\"do"[..], "JSON"),
+            (&b"\"\xff\""[..], "UTF-8"),
+        ] {
+            fs::write(&path, [&plan[..], bad, b"\n"].concat()).unwrap();
+            match Journal::open(&path, "t", &set) {
+                Err(JournalError::Corrupt(msg)) => {
+                    assert!(msg.contains(":2:"), "{what}: {msg}");
+                    if what == "UTF-8" {
+                        assert!(msg.contains("UTF-8"), "{msg}");
+                    }
+                }
+                Err(e) => panic!("{what}: expected Corrupt, got {e}"),
+                Ok(_) => panic!("{what}: a bad line was accepted"),
+            }
+        }
     }
 }

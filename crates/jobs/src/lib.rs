@@ -36,8 +36,9 @@ pub mod protocol;
 
 pub use artifacts::ArtifactStore;
 pub use cache::{
-    cache_path_from_env, outcome_from_json, outcome_to_json, stats_from_json, stats_to_json,
-    sweep_cache_mode, CacheCounters, CacheError, CacheLookup, CacheMode, ResultCache,
+    cache_path_from_env, outcome_from_json, outcome_from_text, outcome_to_json, stats_to_json,
+    sweep_cache_mode, verify_pct_from, CacheCounters, CacheError, CacheLookup, CacheMode,
+    ResultCache,
 };
 pub use exec::{run_jobset, worker_bin_path, ExecError, ExecOptions, ExecReport};
 pub use job::{

@@ -4,17 +4,18 @@
 //! * `run_jobset` finds hits by `JobSet::hashes` and appends misses under
 //!   `SimJob::cache_key`: both must name the same configuration;
 //! * a cache file a cold sweep wrote loads and re-appends, record by
-//!   record, to its own bytes;
-//! * `outcome_from_json` never panics on truncated, bit-flipped or
-//!   spliced payloads.
+//!   record, to its own bytes, and each of its lines is the compact text
+//!   of its own JSON tree;
+//! * the payload decoder never panics on truncated, bit-flipped or
+//!   spliced payloads, and reads a payload's text and its tree alike.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use hwgc_core::GcConfig;
 use hwgc_jobs::{
-    outcome_from_json, outcome_to_json, run_jobset, simulate, CacheMode, ConfigMatrix, ExecOptions,
-    JobSet, ResultCache, SimJob,
+    outcome_from_json, outcome_from_text, outcome_to_json, run_jobset, simulate, CacheMode,
+    ConfigMatrix, ExecOptions, JobSet, ResultCache, SimJob,
 };
 use hwgc_memsim::{DramConfig, MemBackendKind, MemConfig};
 use hwgc_obs::json::Json;
@@ -78,7 +79,11 @@ fn a_cold_cache_file_holds_the_set_hashes_and_reappends_to_its_own_bytes() {
     for rec in store.records() {
         rec.append_jsonl(&copy).unwrap();
     }
-    assert_eq!(std::fs::read(&copy).unwrap(), std::fs::read(&path).unwrap());
+    let bytes = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(std::fs::read_to_string(&copy).unwrap(), bytes);
+    for line in bytes.lines() {
+        assert_eq!(Json::parse(line).unwrap().to_string_compact(), line);
+    }
 
     // And the warm run finds every job by those hashes.
     let warm = ResultCache::open(CacheMode::Rw, &[], Some(&path)).unwrap();
@@ -139,8 +144,16 @@ proptest! {
 
     #[test]
     fn the_payload_decoder_never_panics(text in Mutated) {
+        let from_text = outcome_from_text(&text);
+        prop_assert!(from_text.is_err() || Json::parse(&text).is_ok(), "{}", text);
         if let Ok(doc) = Json::parse(&text) {
-            if let Ok(outcome) = outcome_from_json(&doc) {
+            let from_tree = outcome_from_json(&doc);
+            prop_assert_eq!(from_text.is_ok(), from_tree.is_ok(), "{}", text);
+            if let (Ok(a), Ok(b)) = (&from_text, &from_tree) {
+                prop_assert_eq!(a.free, b.free);
+                prop_assert_eq!(&a.stats, &b.stats);
+            }
+            if let Ok(outcome) = from_tree {
                 // Whatever decodes is a whole outcome: it re-encodes and
                 // decodes to the same digest.
                 let again = outcome_from_json(&outcome_to_json(&outcome)).unwrap();

@@ -1,4 +1,4 @@
-//! A minimal JSON value, writer and parser.
+//! A minimal JSON value, writer and reader.
 //!
 //! The build environment has no registry access, so the exporters and
 //! their round-trip/validation tests use this self-contained
@@ -6,7 +6,13 @@
 //! `u64` metric counts survive a serialize → parse → serialize cycle bit
 //! for bit; floats use the shortest `{:?}` form, which Rust guarantees to
 //! round-trip.
+//!
+//! There is one reader: the [`Reader`] tokenizer. [`Json::parse`] builds
+//! trees on it, and the ledger and cache decoders walk their lines with
+//! it directly, keeping a payload they only pass along as [`RawJson`]
+//! text.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -131,21 +137,79 @@ impl Json {
     /// Arrays and objects nest at most [`MAX_DEPTH`] deep; deeper input
     /// is an error rather than a recursion that overflows the stack.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-            items: Vec::new(),
-            fields: Vec::new(),
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing garbage"));
-        }
+        let mut r = Reader::new(text);
+        let value = r.value()?;
+        r.finish()?;
         Ok(value)
+    }
+}
+
+/// The compact text of a JSON value, held as written: exactly the bytes
+/// [`Json::to_string_compact`] renders for it, so it is valid JSON by
+/// construction and writes back byte for byte without a tree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RawJson(String);
+
+impl RawJson {
+    /// The compact text of `value`.
+    pub fn new(value: &Json) -> RawJson {
+        RawJson(value.to_string_compact())
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// Writes one JSON object's members straight into a string, in the
+/// bytes [`Json::to_string_compact`] would render for the same fields.
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Open an object at the end of `out`.
+    pub fn open(out: &'a mut String) -> ObjectWriter<'a> {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Start member `key` and return the string its value is written to.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) {
+        write_escaped(self.key(key), value);
+    }
+
+    /// An integer member.
+    pub fn int(&mut self, key: &str, value: u64) {
+        let _ = write!(self.key(key), "{value}");
+    }
+
+    /// A member holding any value.
+    pub fn value(&mut self, key: &str, value: &Json) {
+        value.write(self.key(key));
+    }
+
+    /// A member holding a value already in compact text.
+    pub fn raw(&mut self, key: &str, value: &RawJson) {
+        self.key(key).push_str(value.as_str());
+    }
+
+    /// Close the object.
+    pub fn close(self) {
+        self.out.push('}');
     }
 }
 
@@ -187,20 +251,199 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
+/// Decoders that report errors as text can read with `?`.
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
+/// A JSON scalar as [`Reader::scalar`] found it. A string without
+/// escapes borrows its text from the input.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Int(i128),
+    Float(f64),
+    Str(Cow<'a, str>),
+}
+
+impl Scalar<'_> {
+    /// The value as a `u64`, if it is an integer in range.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::Int(i) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+}
+
+/// The JSON tokenizer every reader in the workspace shares: the grammar,
+/// the [`MAX_DEPTH`] nesting cap and the byte-offset errors live here
+/// and nowhere else. [`Json::parse`] builds trees on it; typed decoders
+/// walk a document with it directly and keep nothing they do not need.
+///
+/// A document is read value by value: [`Reader::array`] and
+/// [`Reader::object`] hand each member to a callback, which must read
+/// exactly one value ([`Reader::scalar`], [`Reader::value`],
+/// [`Reader::raw`], [`Reader::skip`] or a nested container);
+/// [`Reader::finish`] then rejects trailing garbage.
+///
+/// The per-token steps are `#[inline(always)]`: decoders in other crates
+/// take one per number, and without the attribute the calls cost a
+/// third of a cache payload's decode.
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
-    /// The members of every open array and object, innermost last. A
-    /// container is collected off the top of its stack when it closes:
-    /// one allocation of the exact size instead of a growing `Vec` each.
-    items: Vec<Json>,
-    fields: Vec<(String, Json)>,
+    /// Cleared when the reader passes anything
+    /// [`Json::to_string_compact`] would write differently: whitespace,
+    /// an escaped or raw control character, a float or an integer
+    /// spelled with a sign or a leading zero. [`Reader::raw`] reads it.
+    compact: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the first value of `text` (leading whitespace
+    /// skipped).
+    pub fn new(text: &'a str) -> Reader<'a> {
+        let mut r = Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            compact: true,
+        };
+        r.skip_ws();
+        r
+    }
+
+    /// The next byte, without consuming it: `[` and `{` open containers.
+    #[inline(always)]
+    pub fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    /// End of document: only whitespace may follow the value read.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing garbage"));
+        }
+        Ok(())
+    }
+
+    /// Read one value as a tree.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        Tree::default().value(self)
+    }
+
+    /// Read one value and keep its compact text (see [`RawJson`]): the
+    /// input slice itself when it is already written the way
+    /// [`Json::to_string_compact`] writes, re-rendered otherwise.
+    pub fn raw(&mut self) -> Result<RawJson, JsonError> {
+        let start = self.pos;
+        self.compact = true;
+        self.skip()?;
+        let text = &self.text[start..self.pos];
+        Ok(RawJson(if self.compact {
+            text.to_owned()
+        } else {
+            Json::parse(text)?.to_string_compact()
+        }))
+    }
+
+    /// Read one value, validating it, and drop it.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            // Members are read by `scalar`, which recurses only into a
+            // nested container.
+            Some(b'[') => self.array(|r| r.scalar().map(drop)),
+            Some(b'{') => self.object(|r, _| r.scalar().map(drop)),
+            _ => self.leaf().map(drop),
+        }
+    }
+
+    /// Read one value: `Some` scalar, or `None` for an array or object,
+    /// which is skipped (and validated) whole.
+    #[inline(always)]
+    pub fn scalar(&mut self) -> Result<Option<Scalar<'a>>, JsonError> {
+        match self.peek() {
+            Some(b'[' | b'{') => self.skip().map(|()| None),
+            _ => self.leaf().map(Some),
+        }
+    }
+
+    /// Read one value as a `u64`: `Some` for an integer in range, `None`
+    /// for anything else (an array or object is skipped whole).
+    #[inline(always)]
+    pub fn u64(&mut self) -> Result<Option<u64>, JsonError> {
+        Ok(match self.peek() {
+            Some(b'0'..=b'9') => self.number()?.as_u64(),
+            _ => self.scalar()?.as_ref().and_then(Scalar::as_u64),
+        })
+    }
+
+    /// Read one value that is not an array or object.
+    #[inline(always)]
+    fn leaf(&mut self) -> Result<Scalar<'a>, JsonError> {
+        match self.peek() {
+            Some(b'n') => self.literal(b"null", Scalar::Null),
+            Some(b't') => self.literal(b"true", Scalar::Bool(true)),
+            Some(b'f') => self.literal(b"false", Scalar::Bool(false)),
+            Some(b'"') => self.string().map(Scalar::Str),
+            Some(c) if c.is_ascii_digit() || c == b'-' => self.number(),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    /// Read one array, calling `each` once per element to read it.
+    pub fn array<E: From<JsonError>>(
+        &mut self,
+        mut each: impl FnMut(&mut Reader<'a>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.nest(b'[', "expected array")?;
+        self.skip_ws();
+        if !self.eat(b']') {
+            loop {
+                each(self)?;
+                if !self.next_member(b']', "expected , or ]")? {
+                    break;
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Read one object, calling `each` once per member with its key to
+    /// read the value. Keys arrive in document order, duplicates
+    /// included.
+    pub fn object<E: From<JsonError>>(
+        &mut self,
+        mut each: impl FnMut(&mut Reader<'a>, Cow<'a, str>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.nest(b'{', "expected object")?;
+        self.skip_ws();
+        if !self.eat(b'}') {
+            loop {
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':', "expected :")?;
+                self.skip_ws();
+                each(self, key)?;
+                if !self.next_member(b'}', "expected , or }")? {
+                    break;
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
     fn err(&self, message: &'static str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -208,12 +451,37 @@ impl Parser<'_> {
         }
     }
 
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
+    /// After a member of an array or object closed by `close`: `true`
+    /// past the `,` and whitespace before the next member, `false` past
+    /// the closing bracket.
+    #[inline(always)]
+    fn next_member(&mut self, close: u8, message: &'static str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            Some(&b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(&b) if b == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.err(message)),
         }
     }
 
+    #[inline(always)]
+    fn skip_ws(&mut self) {
+        if let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.compact = false;
+            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+                self.pos += 1;
+            }
+        }
+    }
+
+    #[inline(always)]
     fn eat(&mut self, b: u8) -> bool {
         if self.bytes.get(self.pos) == Some(&b) {
             self.pos += 1;
@@ -223,6 +491,7 @@ impl Parser<'_> {
         }
     }
 
+    #[inline(always)]
     fn expect(&mut self, b: u8, message: &'static str) -> Result<(), JsonError> {
         if self.eat(b) {
             Ok(())
@@ -231,20 +500,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.bytes.get(self.pos) {
-            Some(b'n') => self.literal(b"null", Json::Null),
-            Some(b't') => self.literal(b"true", Json::Bool(true)),
-            Some(b'f') => self.literal(b"false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &[u8], value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &[u8], value: Scalar<'a>) -> Result<Scalar<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
@@ -253,19 +509,24 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"', "expected string")?;
-        // Fast path: a string without escapes is one slice of the input
-        // (`"` and `\\` are ASCII, so both ends are char boundaries).
+        // Fast path: a string without escapes or control characters is
+        // one slice of the input (`"` and `\\` are ASCII, so both ends
+        // are char boundaries).
         let start = self.pos;
         let rest = &self.bytes[start..];
-        if let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') {
+        if let Some(len) = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        {
             if rest[len] == b'"' {
                 self.pos += len + 1;
-                return Ok(self.text[start..start + len].to_owned());
+                return Ok(Cow::Borrowed(&self.text[start..start + len]));
             }
         }
-        self.escaped_string()
+        self.compact = false;
+        self.escaped_string().map(Cow::Owned)
     }
 
     /// The rest of a string that holds an escape (or no closing quote),
@@ -327,7 +588,8 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    #[inline(always)]
+    fn number(&mut self) -> Result<Scalar<'a>, JsonError> {
         let start = self.pos;
         let negative = self.eat(b'-');
         // Accumulated on the way; used only when it cannot have wrapped.
@@ -337,6 +599,11 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let digits = self.pos - start - usize::from(negative);
+        // `Json::Int` writes no sign on a non-negative value and no
+        // leading zero (floats are handled below).
+        if negative || (digits > 1 && self.bytes[self.pos - digits] == b'0') {
+            self.compact = false;
+        }
         let mut is_float = false;
         if self.eat(b'.') {
             is_float = true;
@@ -356,21 +623,24 @@ impl Parser<'_> {
         }
         // Up to 19 digits always fit a `u64`.
         if !is_float && !negative && (1..=19).contains(&digits) {
-            return Ok(Json::Int(i128::from(magnitude)));
+            return Ok(Scalar::Int(i128::from(magnitude)));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         if is_float {
+            // A float may be written any number of ways.
+            self.compact = false;
             text.parse::<f64>()
-                .map(Json::Float)
+                .map(Scalar::Float)
                 .map_err(|_| self.err("bad number"))
         } else {
             text.parse::<i128>()
-                .map(Json::Int)
+                .map(Scalar::Int)
                 .map_err(|_| self.err("bad number"))
         }
     }
 
     /// Open one array or object; past [`MAX_DEPTH`] the parse fails.
+    #[inline(always)]
     fn nest(&mut self, open: u8, message: &'static str) -> Result<(), JsonError> {
         self.expect(open, message)?;
         if self.depth == MAX_DEPTH {
@@ -379,49 +649,47 @@ impl Parser<'_> {
         self.depth += 1;
         Ok(())
     }
+}
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.nest(b'[', "expected array")?;
-        let base = self.items.len();
-        self.skip_ws();
-        if !self.eat(b']') {
-            loop {
-                self.skip_ws();
-                let item = self.value()?;
-                self.items.push(item);
-                self.skip_ws();
-                if self.eat(b']') {
-                    break;
-                }
-                self.expect(b',', "expected , or ]")?;
-            }
-        }
-        self.depth -= 1;
-        Ok(Json::Arr(self.items.drain(base..).collect()))
-    }
+/// Builds [`Json`] trees on a [`Reader`]. The members of every open
+/// array and object wait on its stacks, innermost last; a container is
+/// collected off the top when it closes: one allocation of the exact
+/// size instead of a growing `Vec` each.
+#[derive(Default)]
+struct Tree {
+    items: Vec<Json>,
+    fields: Vec<(String, Json)>,
+}
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.nest(b'{', "expected object")?;
-        let base = self.fields.len();
-        self.skip_ws();
-        if !self.eat(b'}') {
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':', "expected :")?;
-                self.skip_ws();
-                let value = self.value()?;
-                self.fields.push((key, value));
-                self.skip_ws();
-                if self.eat(b'}') {
-                    break;
-                }
-                self.expect(b',', "expected , or }")?;
+impl Tree {
+    fn value(&mut self, r: &mut Reader) -> Result<Json, JsonError> {
+        match r.peek() {
+            Some(b'[') => {
+                let base = self.items.len();
+                r.array(|r| {
+                    let item = self.value(r)?;
+                    self.items.push(item);
+                    Ok::<(), JsonError>(())
+                })?;
+                Ok(Json::Arr(self.items.drain(base..).collect()))
             }
+            Some(b'{') => {
+                let base = self.fields.len();
+                r.object(|r, key| {
+                    let value = self.value(r)?;
+                    self.fields.push((key.into_owned(), value));
+                    Ok::<(), JsonError>(())
+                })?;
+                Ok(Json::Obj(self.fields.drain(base..).collect()))
+            }
+            _ => Ok(match r.leaf()? {
+                Scalar::Null => Json::Null,
+                Scalar::Bool(b) => Json::Bool(b),
+                Scalar::Int(i) => Json::Int(i),
+                Scalar::Float(f) => Json::Float(f),
+                Scalar::Str(s) => Json::Str(s.into_owned()),
+            }),
         }
-        self.depth -= 1;
-        Ok(Json::Obj(self.fields.drain(base..).collect()))
     }
 }
 

@@ -290,7 +290,7 @@ impl LedgerStore {
         order.sort_by_key(|&i| self.hashes[i]);
         let mut out = String::new();
         for i in order {
-            out.push_str(&self.records[i].to_json().to_string_compact());
+            out.push_str(&self.records[i].to_json_string());
             out.push('\n');
         }
         out
@@ -322,20 +322,24 @@ impl LedgerStore {
 }
 
 /// The non-blank lines of a JSONL file with their 1-based numbers, split
-/// as [`str::lines`] splits text. Each line is checked for UTF-8 on its
-/// own, so one bad byte costs its line and not the file.
+/// as [`str::lines`] splits text. The file is checked for UTF-8 once; a
+/// file that fails the check is checked line by line, so one bad byte
+/// costs its line and not the file.
 fn jsonl_lines(bytes: &[u8]) -> impl Iterator<Item = (usize, Result<&str, String>)> {
-    bytes
-        .split(|&b| b == b'\n')
-        .enumerate()
-        .filter_map(|(i, line)| {
+    let lines: Box<dyn Iterator<Item = Result<&str, String>>> = match std::str::from_utf8(bytes) {
+        Ok(text) => Box::new(
+            text.split('\n')
+                .map(|line| Ok(line.strip_suffix('\r').unwrap_or(line))),
+        ),
+        Err(_) => Box::new(bytes.split(|&b| b == b'\n').map(|line| {
             let line = line.strip_suffix(b"\r").unwrap_or(line);
-            match std::str::from_utf8(line) {
-                Ok(text) if text.trim().is_empty() => None,
-                Ok(text) => Some((i + 1, Ok(text))),
-                Err(e) => Some((i + 1, Err(format!("not valid UTF-8: {e}")))),
-            }
-        })
+            std::str::from_utf8(line).map_err(|e| format!("not valid UTF-8: {e}"))
+        })),
+    };
+    lines
+        .enumerate()
+        .filter(|(_, line)| !matches!(line, Ok(text) if text.trim().is_empty()))
+        .map(|(i, line)| (i + 1, line))
 }
 
 /// Strip every `host_*` field from a parsed ledger JSON object — the
@@ -356,6 +360,7 @@ pub fn strip_host_fields(doc: &Json) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::RawJson;
 
     fn record(workload: &str, digest: u64) -> LedgerRecord {
         LedgerRecord {
@@ -385,7 +390,7 @@ mod tests {
         let mut richer = record("a", 7);
         richer.sb_fingerprint = Some(0xabc);
         richer.efficacy = vec![("win.fired".to_string(), 3)];
-        richer.result = Some(Json::Int(1));
+        richer.result = Some(RawJson::new(&Json::Int(1)));
         richer.host = vec![("wall_ns".to_string(), Json::Int(99))];
         assert_eq!(store.insert(richer).unwrap(), InsertOutcome::Merged);
         assert_eq!(store.len(), 1);
@@ -471,7 +476,7 @@ mod tests {
         let dir = std::env::temp_dir().join("hwgc_store_tolerant");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.jsonl");
-        let good = record("a", 7).to_json().to_string_compact();
+        let good = record("a", 7).to_json_string();
         let truncated = &good[..good.len() / 2];
         std::fs::write(&path, format!("{good}\nnot json at all\n{truncated}\n")).unwrap();
         let (store, report) = LedgerStore::load_tolerant(&path).unwrap();
@@ -488,7 +493,7 @@ mod tests {
         let dir = std::env::temp_dir().join("hwgc_store_hostile");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.jsonl");
-        let good = |workload: &str| record(workload, 7).to_json().to_string_compact();
+        let good = |workload: &str| record(workload, 7).to_json_string();
         let mut bytes = format!("{}\n", good("a")).into_bytes();
         bytes.extend_from_slice(&"[".repeat(1_000_000).into_bytes());
         bytes.push(b'\n');
@@ -572,8 +577,7 @@ mod tests {
         // Schema-version skew: a v2 record must be rejected with its
         // line number, not silently misread.
         let skewed = record("a", 7)
-            .to_json()
-            .to_string_compact()
+            .to_json_string()
             .replace("hwgc-ledger-v1", "hwgc-ledger-v2");
         std::fs::write(&path, format!("{skewed}\n")).unwrap();
         let err = LedgerStore::load(&path).unwrap_err();
@@ -598,7 +602,7 @@ mod tests {
 
     #[test]
     fn strip_host_quarantines() {
-        let doc = record("a", 7).to_json();
+        let doc = Json::parse(&record("a", 7).to_json_string()).unwrap();
         let stripped = strip_host_fields(&doc);
         let Json::Obj(fields) = &stripped else {
             panic!()

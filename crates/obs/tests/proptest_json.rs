@@ -7,15 +7,20 @@
 //!   variants of a real cache line, `Json::parse` agrees with the
 //!   reference reader in `json_reference` on every `Ok` value and on
 //!   `Ok` versus `Err`;
+//! * the tokenizer's validating skip accepts exactly what the reference
+//!   accepts, and `Reader::raw` keeps exactly the text
+//!   `Json::to_string_compact` writes for the value;
 //! * `LedgerRecord::from_json_str` and `LedgerStore::load_tolerant` never
-//!   panic on those inputs, and a tolerant load accounts for every line.
+//!   panic on those inputs, a record is read only from a valid JSON
+//!   line and writes back to a line that reads as the same record, and a
+//!   tolerant load accounts for every line.
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs these in release with
 //! 20000).
 
 mod json_reference;
 
-use hwgc_obs::json::Json;
+use hwgc_obs::json::{Json, Reader};
 use hwgc_obs::{LedgerRecord, LedgerStore, StoreError};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -205,6 +210,22 @@ fn assert_agrees(text: &str) {
     }
 }
 
+/// The tokenizer's skip accepts `text` exactly when the reference
+/// parses it, and `Reader::raw` keeps the compact text of the value.
+fn assert_skip_agrees(text: &str) {
+    let mut r = Reader::new(text);
+    let skipped = r.skip().and_then(|()| r.finish());
+    match (skipped, json_reference::parse(text)) {
+        (Ok(()), Ok(value)) => {
+            let mut r = Reader::new(text);
+            let raw = r.raw().expect("skip accepted it");
+            assert_eq!(raw.as_str(), value.to_string_compact(), "{text:?}");
+        }
+        (Err(_), Err(_)) => {}
+        (new, old) => panic!("skip and the reference disagree on {text:?}: {new:?} vs {old:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
@@ -218,8 +239,54 @@ proptest! {
     #[test]
     fn reader_agrees_with_the_reference_on_mutated_documents(bytes in Variant) {
         assert_agrees(&String::from_utf8_lossy(&bytes));
+        assert_skip_agrees(&String::from_utf8_lossy(&bytes));
         if let Ok(text) = std::str::from_utf8(&bytes) {
             assert_agrees(text);
+            assert_skip_agrees(text);
+        }
+    }
+
+    #[test]
+    fn raw_values_keep_their_compact_text(value in ArbJson(4), spaced in 0u32..2) {
+        let compact = value.to_string_compact();
+        // The same value with whitespace before every string and
+        // structural character.
+        let text = if spaced == 1 {
+            let mut out = String::new();
+            let mut in_string = false;
+            let mut escaped = false;
+            for c in compact.chars() {
+                if in_string {
+                    in_string = escaped || c != '"';
+                    escaped = !escaped && c == '\\';
+                    out.push(c);
+                } else {
+                    in_string = c == '"';
+                    if matches!(c, '"' | '[' | ']' | '{' | '}' | ',' | ':') {
+                        out.push_str(" \t");
+                    }
+                    out.push(c);
+                }
+            }
+            out.push('\n');
+            out
+        } else {
+            compact.clone()
+        };
+        assert_skip_agrees(&text);
+        let mut r = Reader::new(&text);
+        prop_assert_eq!(r.raw().unwrap().as_str(), compact.as_str());
+    }
+
+    #[test]
+    fn ledger_records_come_only_from_json_and_write_back(bytes in Variant) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(rec) = LedgerRecord::from_json_str(&text) {
+            prop_assert!(json_reference::parse(&text).is_ok(), "{:?}", text);
+            let line = rec.to_json_string();
+            let again = LedgerRecord::from_json_str(&line).unwrap();
+            prop_assert_eq!(again.to_json_string(), line);
+            prop_assert_eq!(again, rec);
         }
     }
 
@@ -267,6 +334,26 @@ proptest! {
 #[test]
 fn the_cache_line_is_a_valid_record() {
     let rec = LedgerRecord::from_json_str(CACHE_LINE).unwrap();
-    assert_eq!(rec.to_json().to_string_compact(), CACHE_LINE);
+    assert_eq!(rec.to_json_string(), CACHE_LINE);
     assert_agrees(CACHE_LINE);
+    assert_skip_agrees(CACHE_LINE);
+}
+
+#[test]
+fn a_line_with_a_malformed_payload_is_quarantined() {
+    let path = std::env::temp_dir().join(format!(
+        "hwgc_proptest_json_payload_{}.jsonl",
+        std::process::id()
+    ));
+    let broken = CACHE_LINE.replace("\"fifo\":[3500,", "\"fifo\":[3500,,");
+    std::fs::write(&path, format!("{broken}\n")).unwrap();
+    let (store, report) = LedgerStore::load_tolerant(&path).unwrap();
+    assert!(store.is_empty());
+    assert_eq!(report.quarantined.len(), 1);
+    assert!(
+        report.quarantined[0].contains("JSON error"),
+        "{:?}",
+        report.quarantined
+    );
+    let _ = std::fs::remove_file(&path);
 }
