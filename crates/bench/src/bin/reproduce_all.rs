@@ -74,7 +74,8 @@ fn main() {
     // Children inherit the caller's HWGC_CACHE when set; when unset, pin
     // the sweep default (`rw` on the shared cache path) explicitly so the
     // whole batch dedupes against later binaries sweeping the same
-    // configurations (`bench_baseline` measures exactly that overlap).
+    // configurations (`table1_empty_worklist` after `fig5_scaling` is
+    // all hits).
     let cache_mode = std::env::var("HWGC_CACHE").unwrap_or_else(|_| "rw".to_string());
     let outputs = hwgc_jobs::par_map(&binaries, |_, bin| {
         let mut cmd = Command::new(dir.join(bin));

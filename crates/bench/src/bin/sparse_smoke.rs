@@ -4,8 +4,8 @@
 //! and requires bit-identical `GcStats` and allocation frontier on every
 //! combo, plus identical cycle-stamped SB event streams on a traced
 //! sub-matrix. A machine-parseable parity report (one JSON line per
-//! combo, with both wall clocks and the event-driven speedup over the
-//! reference) is written for upload.
+//! combo, with its simulated cycle count) is written for upload. Host
+//! timing is not measured here; `benchmark/run.sh` owns it.
 //!
 //! ```text
 //! sparse_smoke [--out <path>] [--expect-backend <fixed|dram>]
@@ -126,24 +126,24 @@ fn main() {
     let session = hwgc_bench::sweep_begin("sparse_smoke", set.len());
 
     let mut report = String::new();
-    report.push_str("{\n  \"schema\": \"hwgc-sparse-smoke-v2\",\n  \"combos\": [\n");
+    report.push_str("{\n  \"schema\": \"hwgc-sparse-smoke-v3\",\n  \"combos\": [\n");
     let mut first = true;
-    println!(
-        "    preset  cores      backend   extra        cycles   sparse ms  reference ms   speedup"
-    );
+    println!("    preset  cores      backend   extra        cycles");
     for job in set.jobs() {
         let (preset, cores) = (job.spec.preset, job.cfg.n_cores);
         let (extra, backend_name) = (job.cfg.mem.extra_latency, backend_name(job.cfg.mem.backend));
         let base = job.spec.build();
         let snap = Snapshot::capture(&base);
-        let timed = |cfg: GcConfig| {
+        // Host time feeds the fleet telemetry stream only; the report
+        // carries none.
+        let started = Instant::now();
+        let run = |cfg: GcConfig| {
             let mut heap = base.clone();
-            let t = Instant::now();
             let out = SimCollector::new(cfg).collect(&mut heap);
-            (out, heap, t.elapsed().as_secs_f64())
+            (out, heap)
         };
 
-        let (sparse, sparse_heap, sparse_s) = timed(job.cfg);
+        let (sparse, sparse_heap) = run(job.cfg);
         hwgc_heap::verify_collection(&sparse_heap, sparse.free, &snap).unwrap_or_else(|e| {
             fail(&format!(
                 "{}/{cores}c/{backend_name} +{extra}: sparse run failed \
@@ -152,7 +152,7 @@ fn main() {
             ))
         });
 
-        let (reference, _, reference_s) = timed(GcConfig {
+        let (reference, _) = run(GcConfig {
             fast_forward: false,
             ..job.cfg
         });
@@ -177,17 +177,13 @@ fn main() {
         session.progress.job(
             &format!("{}@{cores}c/{backend_name}+{extra}", preset.name()),
             hwgc_obs::JobOutcome::Miss,
-            ((sparse_s + reference_s) * 1e9) as u64,
+            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         );
 
-        let speedup = reference_s / sparse_s.max(1e-9);
         println!(
-            "{:>10}  {cores:>5}  {backend_name:>11}  {extra:>6}  {:>12}  {:>10.3}  \
-             {:>12.3}  {speedup:>7.2}x",
+            "{:>10}  {cores:>5}  {backend_name:>11}  {extra:>6}  {:>12}",
             preset.name(),
             sparse.stats.total_cycles,
-            sparse_s * 1e3,
-            reference_s * 1e3,
         );
         let sep = if first { "" } else { ",\n" };
         first = false;
@@ -195,9 +191,7 @@ fn main() {
             report,
             "{sep}    {{\"preset\": \"{}\", \"cores\": {cores}, \
              \"backend\": \"{backend_name}\", \"extra_latency\": {extra}, \
-             \"cycles\": {}, \"sparse_wall_s\": {sparse_s:.6}, \
-             \"reference_wall_s\": {reference_s:.6}, \
-             \"speedup\": {speedup:.2}, \"parity\": true}}",
+             \"cycles\": {}, \"parity\": true}}",
             preset.name(),
             sparse.stats.total_cycles,
         );

@@ -4,9 +4,9 @@
 //! the `MemBackend` trait (statically dispatched). That refactor claimed
 //! bit-exactness. This file makes the claim permanent:
 //!
-//! 1. every cycle count in the committed `BENCH_simulator.json` baseline
-//!    must still be reproduced *exactly* by the default (fixed-latency)
-//!    backend, and
+//! 1. every cycle count and `GcStats` digest in the committed
+//!    `BENCH_simulator.json` baseline must still be reproduced *exactly*
+//!    by the default (fixed-latency) backend, and
 //! 2. on the Figure 6 configuration (+20 cycles per access, the regime
 //!    where memory timing dominates), the cycle-stamped SB event stream
 //!    must match the committed fingerprint byte for byte.
@@ -21,10 +21,13 @@ use hwgc_jobs::par_map;
 use hwgc_workloads::{Preset, WorkloadSpec};
 use std::fmt::Write as _;
 
+/// One committed combo: preset, cores, cycles and `GcStats::digest()`.
+type Combo = (Preset, usize, u64, u64);
+
 /// Parse the `combos` array of `BENCH_simulator.json` without a JSON
 /// dependency: each combo is one line shaped
-/// `{"preset": "javac", "cores": 4, "cycles": 106237, ...}`.
-fn baseline_combos() -> Vec<(Preset, usize, u64)> {
+/// `{"preset": "javac", "cores": 4, "cycles": 106237, "stats_digest": "…", ...}`.
+fn baseline_combos() -> Vec<Combo> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simulator.json");
     let text = std::fs::read_to_string(path).expect("read BENCH_simulator.json");
     let mut combos = Vec::new();
@@ -32,24 +35,30 @@ fn baseline_combos() -> Vec<(Preset, usize, u64)> {
         let Some(rest) = line.trim().strip_prefix("{\"preset\": \"") else {
             continue;
         };
-        let field = |key: &str| -> u64 {
+        let field = |key: &str, radix: u32| -> u64 {
             let tag = format!("\"{key}\": ");
             let at = rest
                 .find(&tag)
                 .unwrap_or_else(|| panic!("no {key} in {line}"));
-            rest[at + tag.len()..]
+            let digits: String = rest[at + tag.len()..]
+                .trim_start_matches('"')
                 .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .expect("numeric field")
+                .take_while(|c| c.is_digit(radix))
+                .collect();
+            u64::from_str_radix(&digits, radix)
+                .unwrap_or_else(|e| panic!("bad {key} in {line}: {e}"))
         };
         let name: String = rest.chars().take_while(|&c| c != '"').collect();
         let preset = Preset::ALL
             .into_iter()
             .find(|p| p.name() == name)
             .unwrap_or_else(|| panic!("unknown preset {name:?} in baseline"));
-        combos.push((preset, field("cores") as usize, field("cycles")));
+        combos.push((
+            preset,
+            field("cores", 10) as usize,
+            field("cycles", 10),
+            field("stats_digest", 16),
+        ));
     }
     assert!(
         combos.len() >= 24,
@@ -59,12 +68,14 @@ fn baseline_combos() -> Vec<(Preset, usize, u64)> {
     combos
 }
 
-/// Every committed baseline cycle count, reproduced exactly through the
-/// trait-dispatched default backend.
+/// Every committed baseline cycle count and stats digest, reproduced
+/// exactly through the trait-dispatched default backend. The digest
+/// covers every stall and lock counter, so a change that moves them
+/// without moving `total_cycles` fails here too.
 #[test]
 fn default_backend_reproduces_the_committed_baseline_exactly() {
     let combos = baseline_combos();
-    par_map(&combos, |_, &(preset, cores, want_cycles)| {
+    par_map(&combos, |_, &(preset, cores, want_cycles, want_digest)| {
         let mut heap = WorkloadSpec::new(preset, 42).build();
         let out = SimCollector::new(GcConfig::with_cores(cores)).collect(&mut heap);
         assert_eq!(
@@ -74,6 +85,15 @@ fn default_backend_reproduces_the_committed_baseline_exactly() {
              BENCH_simulator.json — the refactor is no longer bit-exact \
              (or the timing model changed without refreshing the baseline)",
             preset.name()
+        );
+        assert_eq!(
+            out.stats.digest(),
+            want_digest,
+            "{}/{cores}c: stats digest {:016x} diverged from BENCH_simulator.json's \
+             {want_digest:016x} at equal cycles — a stall or lock counter moved \
+             (re-run bench_baseline if the change is intentional)",
+            preset.name(),
+            out.stats.digest()
         );
     });
 }

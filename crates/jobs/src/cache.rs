@@ -95,7 +95,7 @@ impl CacheMode {
 /// [`CacheMode::Rw`] instead of `Ro`. Sweep resumption is journal ∪
 /// cache — a journaled job is skipped by replaying its payload record —
 /// so a sweep that never wrote payloads could not be resumed, and
-/// cross-binary dedupe (`reproduce_all` then `bench_baseline`) needs
+/// cross-binary dedupe (`fig5_scaling` then `table1_empty_worklist`) needs
 /// the first binary's results on disk when the second one starts.
 pub fn sweep_cache_mode() -> CacheMode {
     match std::env::var("HWGC_CACHE") {

@@ -283,8 +283,8 @@ impl LedgerStore {
     /// The canonical serialization: one line per config hash, stably
     /// sorted by hash (ties cannot occur — the hash is the key). This is
     /// the format the committed `BENCH_ledger.jsonl` is kept in, so
-    /// re-running `bench_baseline` on an unchanged simulator produces a
-    /// byte-identical file.
+    /// re-running `bench_baseline` on an unchanged simulator rewrites the
+    /// same records in the same order; only their `host_*` fields move.
     pub fn canonical_jsonl(&self) -> String {
         let mut order: Vec<usize> = (0..self.records.len()).collect();
         order.sort_by_key(|&i| self.hashes[i]);
