@@ -10,6 +10,13 @@
 //! Reported per point: shared synchronization operations per live object
 //! and fragmentation — the two ends of the trade the paper's coprocessor
 //! collapses (its fine-grained scheme needs neither).
+//!
+//! The collectors run on real threads, so both columns depend on the
+//! host's thread schedule: which thread steals, claims or retires a LAB
+//! first changes the counts, and two runs differ (work-stealing
+//! fragmentation at LAB 64 has read 14288 and 13968 words). Read the
+//! trend across knob values, not the digits; `reproduce_all` leaves this
+//! binary out of its deterministic batch.
 
 use hwgc_bench::{row, spec, write_csv};
 use hwgc_heap::{verify_collection_relaxed, Snapshot};

@@ -14,7 +14,7 @@
 //! takes at most L body words, so all cores can copy one array
 //! concurrently.
 
-use hwgc_bench::{row, run_verified_heap_keyed, sweep_finish, write_csv};
+use hwgc_bench::{row, run_verified_heap, write_csv};
 use hwgc_core::GcConfig;
 use hwgc_heap::{GraphBuilder, Heap};
 use hwgc_workloads::generators::{big_array_chain, GenStats};
@@ -54,10 +54,7 @@ fn main() {
                 line_split,
                 ..GcConfig::default()
             };
-            let mut heap = build();
-            // The key names the heap *contents* (builder + shape), so a
-            // cached result is guaranteed to describe this exact graph.
-            let out = run_verified_heap_keyed(&mut heap, cfg, "bigarrays-chain24x2001");
+            let out = run_verified_heap(&mut build(), cfg, "bigarrays-chain24x2001");
             if cores == 1 {
                 base = out.stats.total_cycles;
             }
@@ -90,5 +87,4 @@ fn main() {
         "granularity,cores,cycles,speedup,claims",
         &csv,
     );
-    sweep_finish();
 }

@@ -8,6 +8,10 @@
 //! fragmentation. The hardware model needs *zero* synchronization cost
 //! for the same fine-grained algorithm — that contrast is the paper's
 //! thesis.
+//!
+//! Every column depends on the host: the wall clocks on its speed and
+//! core count, and sync-ops/object and fragmentation on the thread
+//! schedule, so no two runs print the same table.
 
 use hwgc_bench::{row, spec, write_csv};
 use hwgc_heap::{verify_collection, verify_collection_relaxed, Snapshot};
@@ -20,7 +24,7 @@ fn main() {
         .unwrap_or(1);
     println!("Ablation B: software collectors (real threads)");
     println!(
-        "host parallelism: {host} — wall-clock speedups are only meaningful when the\n         thread count stays at or below this; sync-ops/object and fragmentation are\n         schedule-independent.\n"
+        "host parallelism: {host} — wall-clock speedups are only meaningful when the\n         thread count stays at or below this; sync-ops/object and fragmentation vary\n         with the thread schedule from run to run.\n"
     );
     let presets = [Preset::Db, Preset::Javac, Preset::Cup, Preset::Compress];
     let threads = [1usize, 2, 4];

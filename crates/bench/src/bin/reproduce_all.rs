@@ -1,10 +1,18 @@
 //! One-shot reproduction driver: runs every deterministic experiment in
-//! DESIGN.md's index back to back. Useful as a release smoke test and to
-//! refresh all CSVs under `target/experiments/` after a model change.
+//! DESIGN.md's index. Useful as a release smoke test and to refresh all
+//! CSVs under `target/experiments/` after a model change.
 //!
-//! The experiments write disjoint CSVs, so they run concurrently on the
-//! `HWGC_JOBS` worker pool (set `HWGC_JOBS=1` for the old serial
-//! behavior); each child's output is captured and printed in experiment
+//! ```text
+//! reproduce_all [--trace-out <path>] [--metrics-out <path>]
+//!               [--ledger <path>] [--telemetry <path>]
+//! ```
+//!
+//! The children are `experiments --check` (the paper's figures and
+//! tables as one declared sweep, then a check that EXPERIMENTS.md's
+//! generated tables match what it just measured) and the binaries with
+//! hand-built workloads or probed runs. They write disjoint CSVs, so they
+//! run concurrently on the `HWGC_JOBS` worker pool (set `HWGC_JOBS=1` for
+//! a serial batch); each child's output is captured and printed in
 //! order, so the log reads identically at any job count.
 //!
 //! `--trace-out <path>` / `--metrics-out <path>` are forwarded to the
@@ -14,77 +22,83 @@
 //! child as `HWGC_LEDGER`, so the ledger-aware experiments (`gc_report`
 //! today) append their `hwgc-ledger-v1` records to one batch-wide JSONL
 //! file (appends are single `O_APPEND` writes, safe under `HWGC_JOBS`
-//! concurrency). After the batch, `gen_stall_tables
-//! --check` verifies that EXPERIMENTS.md's generated tables (Table I,
-//! Table II) still match the metrics JSON `table1_empty_worklist` and
-//! `table2_stall_breakdown` just wrote.
+//! concurrency). Any other argument, or a flag without its path, is a
+//! usage error that exits 2 before any child runs.
 //!
-//! Observability (PR 9): every child consults the content-addressed
-//! result cache per the inherited `HWGC_CACHE` knobs, and all children
-//! append to one `hwgc-sweep-telemetry-v1` stream (`--telemetry <path>`,
-//! default `target/experiments/sweep-telemetry.jsonl`; single-line
-//! `O_APPEND` writes, safe under concurrency). After the batch the
-//! driver validates the stream and prints the fleet hit-rate line — on a
-//! warm `HWGC_CACHE=rw` cache a repeat run skips ≥90% of simulations.
+//! Observability: every child consults the content-addressed result
+//! cache per the inherited `HWGC_CACHE` knobs, and all children append to
+//! one `hwgc-sweep-telemetry-v1` stream (`--telemetry <path>`, default
+//! `target/experiments/sweep-telemetry.jsonl`; single-line `O_APPEND`
+//! writes, safe under concurrency). After the batch the driver validates
+//! the stream and prints the fleet hit-rate line — on a warm
+//! `HWGC_CACHE=rw` cache a repeat run skips every simulation.
 //!
-//! (`ablation_software` is excluded — it measures real threads and its
-//! wall-clock columns are host-dependent; run it separately, and prefer
-//! `HWGC_JOBS=1` when quoting its numbers.)
+//! Excluded: `ablation_software` and `ablation_granularity` run real
+//! threads, so their sync-operation and fragmentation columns (and
+//! `ablation_software`'s wall clocks) depend on the host's thread
+//! schedule and differ between runs; run them separately.
 
 use std::process::Command;
 
+const USAGE: &str = "usage: reproduce_all [--trace-out <path>] [--metrics-out <path>] \
+                     [--ledger <path>] [--telemetry <path>]";
+
+/// The four `<flag> <path>` pairs, each at most once, in `FLAGS` order.
+fn parse_args(args: &[String]) -> Result<[Option<String>; 4], String> {
+    const FLAGS: [&str; 4] = ["--trace-out", "--metrics-out", "--ledger", "--telemetry"];
+    let mut values: [Option<String>; 4] = Default::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let i = FLAGS
+            .iter()
+            .position(|f| f == arg)
+            .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+        let path = args.next().ok_or_else(|| format!("{arg} needs a path"))?;
+        if values[i].replace(path.clone()).is_some() {
+            return Err(format!("{arg} is given twice"));
+        }
+    }
+    Ok(values)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} needs a path"))
-                .clone()
-        })
-    };
-    let trace_out = flag_value("--trace-out");
-    let metrics_out = flag_value("--metrics-out");
-    let ledger = flag_value("--ledger");
-    let telemetry = flag_value("--telemetry")
+    let [trace_out, metrics_out, ledger, telemetry] = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("reproduce_all: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
+    let telemetry = telemetry
         .map(std::path::PathBuf::from)
         .or_else(hwgc_bench::telemetry_path)
         .unwrap_or_else(|| hwgc_bench::experiments_dir().join("sweep-telemetry.jsonl"));
     // Fresh stream per batch: children append concurrently.
     let _ = std::fs::remove_file(&telemetry);
 
-    let binaries = [
-        "fig5_scaling",
-        "table1_empty_worklist",
-        "table2_stall_breakdown",
-        "fig6_latency",
-        "fig6_dram",
-        "ablation_fifo",
-        "ablation_testlock",
-        "ablation_heapsize",
-        "ablation_granularity",
-        "ablation_linesplit",
-        "ablation_headercache",
-        "ext_concurrent",
-        "trace_dump",
-        "gc_report",
+    let children: [&[&str]; 6] = [
+        &["experiments", "--check"],
+        &["ablation_heapsize"],
+        &["ablation_linesplit"],
+        &["ext_concurrent"],
+        &["trace_dump"],
+        &["gc_report"],
     ];
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("target dir").to_path_buf();
     let start = std::time::Instant::now();
     // Children inherit the caller's HWGC_CACHE when set; when unset, pin
-    // the sweep default (`rw` on the shared cache path) explicitly so the
-    // whole batch dedupes against later binaries sweeping the same
-    // configurations (`table1_empty_worklist` after `fig5_scaling` is
-    // all hits).
+    // the sweep default (`rw` on the shared cache path) explicitly so a
+    // repeat batch, or a later `experiments` run, finds every job there.
     let cache_mode = std::env::var("HWGC_CACHE").unwrap_or_else(|_| "rw".to_string());
-    let outputs = hwgc_jobs::par_map(&binaries, |_, bin| {
+    let outputs = hwgc_jobs::par_map(&children, |_, argv| {
+        let bin = argv[0];
         let mut cmd = Command::new(dir.join(bin));
+        cmd.args(&argv[1..]);
         cmd.env("HWGC_TELEMETRY", &telemetry);
         cmd.env("HWGC_CACHE", &cache_mode);
         if let Some(p) = &ledger {
             cmd.env("HWGC_LEDGER", p);
         }
-        if *bin == "trace_dump" {
+        if bin == "trace_dump" {
             if let Some(p) = &trace_out {
                 cmd.env("HWGC_TRACE_OUT", p);
             }
@@ -96,11 +110,12 @@ fn main() {
             .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"))
     });
     let mut failures = 0;
-    for (i, (bin, out)) in binaries.iter().zip(&outputs).enumerate() {
+    for (i, (argv, out)) in children.iter().zip(&outputs).enumerate() {
+        let bin = argv.join(" ");
         println!(
             "\n=== [{} / {}] {bin} {}",
             i + 1,
-            binaries.len(),
+            children.len(),
             "=".repeat(40)
         );
         print!("{}", String::from_utf8_lossy(&out.stdout));
@@ -111,22 +126,6 @@ fn main() {
         }
     }
     assert!(failures == 0, "{failures} experiment(s) failed");
-
-    // table1_empty_worklist and table2_stall_breakdown refreshed their
-    // metrics JSON above; make sure the committed EXPERIMENTS.md tables
-    // still match. Runs serially after the batch because it reads what
-    // the batch wrote.
-    println!("\n=== gen_stall_tables --check {}", "=".repeat(40));
-    let check = Command::new(dir.join("gen_stall_tables"))
-        .arg("--check")
-        .output()
-        .expect("failed to launch gen_stall_tables");
-    print!("{}", String::from_utf8_lossy(&check.stdout));
-    eprint!("{}", String::from_utf8_lossy(&check.stderr));
-    assert!(
-        check.status.success(),
-        "EXPERIMENTS.md stall table is stale"
-    );
 
     // Fleet telemetry: validate the shared stream and print the
     // batch-wide cache effectiveness line.
@@ -151,9 +150,10 @@ fn main() {
     }
 
     println!(
-        "\nall {} experiments reproduced in {:.1} s ({} jobs); CSVs under target/experiments/",
-        binaries.len(),
+        "\nall {} children reproduced in {:.1} s ({} jobs); CSVs under {}",
+        children.len(),
         start.elapsed().as_secs_f64(),
         hwgc_jobs::jobs(),
+        hwgc_bench::experiments_dir().display(),
     );
 }

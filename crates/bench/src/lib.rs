@@ -1,76 +1,44 @@
 //! Shared harness for the experiment binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's experiment index). This library provides the common
-//! plumbing: running a preset through the simulated collector with
-//! verification, formatting the paper-style tables, and writing CSV files
-//! under `target/experiments/`.
+//! `experiments` regenerates the paper's tables and figures as one
+//! declared sweep; the other binaries in `src/bin/` cover the
+//! extensions, traces and reports (see DESIGN.md's experiment index).
+//! This library provides the common plumbing: the sweep session,
+//! verified runs of hand-built heaps, formatting the paper-style tables,
+//! and writing CSV files under `target/experiments/`.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use hwgc_core::{GcConfig, GcOutcome, GcStats, SignalTrace, SimCollector, StallReason};
 use hwgc_heap::{verify_collection, Heap, Snapshot};
-use hwgc_jobs::{cache_path_from_env, ArtifactStore, ResultCache};
+use hwgc_jobs::{
+    backend_label, cache_path_from_env, engine_label, ledger_config_pairs, ledger_env_pairs,
+    ArtifactStore, ResultCache,
+};
 use hwgc_obs::{
     chrome_trace_json, derive_metrics, Fanout, FoldedStacks, HostProfiler, Json, LedgerRecord,
     MetricsRegistry, Recorder, Recording, RunMeta, RunReport, SweepProgress, SweepSummary,
 };
 use hwgc_workloads::{Preset, WorkloadSpec};
 
-// The ledger key builders and the sweep job layer's entry points live in
-// `hwgc-jobs` since the unified sweep layer (PR 10); re-exported here so
-// the experiment binaries keep one import surface.
-pub use hwgc_jobs::{
-    backend_label, engine_label, ledger_config_pairs, ledger_env_pairs, workload_key,
-};
-
 /// The core counts evaluated in the paper (Figures 5/6, Table I).
 pub const CORE_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Run one verified collection of `spec` under `cfg` and return the
-/// outcome. Rides the content-addressed result cache: the workload key
-/// is derived from the full spec ([`workload_key`]), so a cache hit is
-/// guaranteed to describe the identical heap.
+/// Run one verified collection of a pre-built heap (the caller keeps
+/// ownership of workload construction). Uncached: a display label does
+/// not identify heap *contents*, so this path never consults the result
+/// cache; spec-built workloads go through [`sweep_jobset`] instead.
 ///
 /// # Panics
 /// Panics if the collected heap fails verification — experiment numbers
-/// from an incorrect collection would be meaningless — or on a cache
-/// integrity violation (a recorded digest disagreeing with a fresh
-/// simulation).
-pub fn run_verified(spec: &WorkloadSpec, cfg: GcConfig) -> GcOutcome {
-    run_cached(&workload_key(spec), &cfg, || {
-        let mut heap = spec.build();
-        let snap = Snapshot::capture(&heap);
-        let out = SimCollector::new(cfg).collect(&mut heap);
-        verify_collection(&heap, out.free, &snap)
-            .unwrap_or_else(|e| panic!("{} failed verification: {e}", spec.preset));
-        out
-    })
-}
-
-/// Run a pre-built heap (caller keeps ownership of workload construction).
-/// Uncached: a display label does not identify heap *contents*, so this
-/// path never consults the result cache — see
-/// [`run_verified_heap_keyed`] for callers whose key does.
+/// from an incorrect collection would be meaningless.
 pub fn run_verified_heap(heap: &mut Heap, cfg: GcConfig, label: &str) -> GcOutcome {
     let snap = Snapshot::capture(heap);
     let out = SimCollector::new(cfg).collect(heap);
     verify_collection(heap, out.free, &snap)
         .unwrap_or_else(|e| panic!("{label} failed verification: {e}"));
     out
-}
-
-/// [`run_verified_heap`] through the result cache. `workload_key` is a
-/// cache identity, not a display label: the caller guarantees that every
-/// heap ever run under this key (across binaries and sessions) is
-/// byte-identical. A violated guarantee cannot corrupt results — the
-/// digest cross-check hard-fails — but it will abort sweeps.
-pub fn run_verified_heap_keyed(heap: &mut Heap, cfg: GcConfig, workload_key: &str) -> GcOutcome {
-    run_cached(workload_key, &cfg, move || {
-        run_verified_heap(heap, cfg, workload_key)
-    })
 }
 
 /// Default workload spec for a preset (seed fixed for reproducibility).
@@ -133,9 +101,8 @@ pub fn binary_name() -> String {
 }
 
 /// Begin (or join) the process-wide sweep session. The first caller
-/// names the sweep and announces its job total; later calls — including
-/// the lazy one inside [`run_verified`] — return the existing session
-/// unchanged. Opens the result cache per `HWGC_CACHE` (committed ledger
+/// names the sweep and announces its job total; later calls return the
+/// existing session unchanged. Opens the result cache per `HWGC_CACHE` (committed ledger
 /// read-only; workspace cache file from `HWGC_CACHE_PATH` in writable
 /// modes) and the telemetry stream per `HWGC_TELEMETRY`.
 ///
@@ -154,15 +121,6 @@ pub fn sweep_begin(name: &str, total: usize) -> &'static SweepSession {
         let progress = SweepProgress::new(name, total, telemetry_path().as_deref(), false);
         SweepSession { cache, progress }
     })
-}
-
-/// The current sweep session, lazily begun with the binary's own name
-/// and an open-ended job total.
-pub fn sweep_session() -> &'static SweepSession {
-    match SWEEP.get() {
-        Some(s) => s,
-        None => sweep_begin(&binary_name(), 0),
-    }
 }
 
 /// Emit the telemetry summary line and return the final counters.
@@ -207,38 +165,6 @@ pub fn sweep_jobset(name: &str, set: &hwgc_jobs::JobSet) -> hwgc_jobs::ExecRepor
         },
     )
     .unwrap_or_else(|e| panic!("{name} sweep failed: {e}"))
-}
-
-/// The ledger identity of one cacheable job (outputs empty — the cache
-/// layer fills them on a miss).
-pub fn cache_key(workload: &str, cfg: &GcConfig) -> LedgerRecord {
-    LedgerRecord {
-        binary: binary_name(),
-        workload: workload.to_string(),
-        engine: engine_label(cfg).to_string(),
-        backend: backend_label(cfg).to_string(),
-        config: ledger_config_pairs(cfg),
-        env: ledger_env_pairs(),
-        ..LedgerRecord::default()
-    }
-}
-
-/// Satisfy one job through the session cache and report it to telemetry.
-fn run_cached(workload: &str, cfg: &GcConfig, sim: impl FnOnce() -> GcOutcome) -> GcOutcome {
-    let session = sweep_session();
-    let key = cache_key(workload, cfg);
-    let started = Instant::now();
-    match session.cache.run_cached(&key, sim) {
-        Ok((out, how)) => {
-            session.progress.job(
-                &format!("{workload}@{}c/{}", cfg.n_cores, engine_label(cfg)),
-                how,
-                u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            );
-            out
-        }
-        Err(e) => panic!("content-addressed cache integrity failure: {e}"),
-    }
 }
 
 /// The typed artifact store every experiment binary writes into
@@ -425,7 +351,7 @@ pub fn stall_folded(stats: &GcStats) -> FoldedStacks {
 
 /// Fold the engine's [`GcStats`] counters into `reg` under `prefix`:
 /// total/stall-cycle counters plus the per-cause stall *fractions* as
-/// gauges (what `gen_stall_tables` renders). This is the bridge for
+/// gauges. This is the bridge for
 /// consumers that have statistics but no recorded event stream.
 pub fn record_stats(reg: &mut MetricsRegistry, prefix: &str, stats: &GcStats) {
     reg.counter_add(&format!("{prefix}.total_cycles"), stats.total_cycles);
@@ -511,11 +437,11 @@ pub fn assert_blame_reconciles(report: &RunReport, stats: &GcStats) {
 }
 
 /// Print a fixed-width table row.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
+pub fn row<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
     cells
         .iter()
         .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
+        .map(|(c, w)| format!("{:>w$}", c.as_ref(), w = w))
         .collect::<Vec<_>>()
         .join("  ")
 }
