@@ -20,7 +20,7 @@
 //! `engine.*` counters say how the loop spent the run — parks and wakes
 //! by class, all-parked jumps, calendar pops.
 //!
-//! `--ledger FILE` (or `HWGC_LEDGER`) appends one `hwgc-ledger-v1` JSONL
+//! `--ledger FILE` appends one `hwgc-ledger-v1` JSONL
 //! record of the simulation — config hash, stats digest and the profiled
 //! run's efficacy counters.
 //!
@@ -38,8 +38,8 @@
 //!    schema validation.
 
 use hwgc_bench::{
-    append_ledger_to, assert_blame_reconciles, experiments_dir, ledger_path, ledger_record,
-    report_for_run, run_hostprof_heap, run_probed_heap, run_verified_heap,
+    append_ledger_to, assert_blame_reconciles, experiments_dir, ledger_record, report_for_run,
+    run_hostprof_heap, run_probed_heap, run_verified_heap,
 };
 use hwgc_core::{GcConfig, MAX_CORES};
 use hwgc_memsim::MemConfig;
@@ -211,7 +211,7 @@ fn main() {
     // record the ledger already holds for that hash: a digest mismatch
     // means this binary and a previous run disagree about the same
     // configuration — fatal under `--check`.
-    if let Some(path) = ledger.map(std::path::PathBuf::from).or_else(ledger_path) {
+    if let Some(path) = ledger.map(std::path::PathBuf::from) {
         let rec = ledger_record("gc_report", &label, &cfg, &out.stats, None, Some(&prof));
         let store = match LedgerStore::load_tolerant(&path) {
             Ok((store, _report)) => store,

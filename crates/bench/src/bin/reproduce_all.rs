@@ -15,15 +15,13 @@
 //! a serial batch); each child's output is captured and printed in
 //! order, so the log reads identically at any job count.
 //!
-//! `--trace-out <path>` / `--metrics-out <path>` are forwarded to the
-//! `trace_dump` child (as `HWGC_TRACE_OUT` / `HWGC_METRICS_OUT`), so one
-//! driver invocation can also produce the Perfetto trace and the metrics
-//! snapshot of the traced run. `--ledger <path>` is forwarded to every
-//! child as `HWGC_LEDGER`, so the ledger-aware experiments (`gc_report`
-//! today) append their `hwgc-ledger-v1` records to one batch-wide JSONL
-//! file (appends are single `O_APPEND` writes, safe under `HWGC_JOBS`
-//! concurrency). Any other argument, or a flag without its path, is a
-//! usage error that exits 2 before any child runs.
+//! `--trace-out <path>` / `--metrics-out <path>` are forwarded as the same
+//! flags to the `trace_dump` child, so one driver invocation can also
+//! produce the Perfetto trace and the metrics snapshot of the traced run.
+//! `--ledger <path>` is forwarded to `gc_report`, the one ledger-aware
+//! child, which appends its `hwgc-ledger-v1` record there. Any other
+//! argument, or a flag without its path, is a usage error that exits 2
+//! before any child runs.
 //!
 //! Observability: every child consults the content-addressed result
 //! cache per the inherited `HWGC_CACHE` knobs, and all children append to
@@ -74,13 +72,25 @@ fn main() {
     // Fresh stream per batch: children append concurrently.
     let _ = std::fs::remove_file(&telemetry);
 
-    let children: [&[&str]; 6] = [
-        &["experiments", "--check"],
-        &["ablation_heapsize"],
-        &["ablation_linesplit"],
-        &["ext_concurrent"],
-        &["trace_dump"],
-        &["gc_report"],
+    let words = |words: &[&str]| -> Vec<String> { words.iter().map(|w| w.to_string()).collect() };
+    let flag = |name: &str, value: &Option<String>| -> Vec<String> {
+        value
+            .iter()
+            .flat_map(|v| [name.to_string(), v.clone()])
+            .collect()
+    };
+    let children: [Vec<String>; 6] = [
+        words(&["experiments", "--check"]),
+        words(&["ablation_heapsize"]),
+        words(&["ablation_linesplit"]),
+        words(&["ext_concurrent"]),
+        [
+            words(&["trace_dump"]),
+            flag("--trace-out", &trace_out),
+            flag("--metrics-out", &metrics_out),
+        ]
+        .concat(),
+        [words(&["gc_report"]), flag("--ledger", &ledger)].concat(),
     ];
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("target dir").to_path_buf();
@@ -90,22 +100,11 @@ fn main() {
     // repeat batch, or a later `experiments` run, finds every job there.
     let cache_mode = std::env::var("HWGC_CACHE").unwrap_or_else(|_| "rw".to_string());
     let outputs = hwgc_jobs::par_map(&children, |_, argv| {
-        let bin = argv[0];
+        let bin = &argv[0];
         let mut cmd = Command::new(dir.join(bin));
         cmd.args(&argv[1..]);
         cmd.env("HWGC_TELEMETRY", &telemetry);
         cmd.env("HWGC_CACHE", &cache_mode);
-        if let Some(p) = &ledger {
-            cmd.env("HWGC_LEDGER", p);
-        }
-        if bin == "trace_dump" {
-            if let Some(p) = &trace_out {
-                cmd.env("HWGC_TRACE_OUT", p);
-            }
-            if let Some(p) = &metrics_out {
-                cmd.env("HWGC_METRICS_OUT", p);
-            }
-        }
         cmd.output()
             .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"))
     });

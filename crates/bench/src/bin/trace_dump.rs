@@ -22,11 +22,9 @@
 //! can collect the Perfetto artifact without changing the format.
 //! `--metrics-out`
 //! additionally writes the run's metrics registry snapshot (lock wait/hold
-//! histograms, contention pairs, port counters, `stats.*`). Both flags
-//! fall back to the `HWGC_TRACE_OUT` / `HWGC_METRICS_OUT` environment
-//! variables so drivers like `reproduce_all` can forward them. A
-//! flamegraph-ready folded-stacks stall dump always lands next to the
-//! trace artifact.
+//! histograms, contention pairs, port counters, `stats.*`);
+//! `reproduce_all` forwards both flags. A flamegraph-ready folded-stacks
+//! stall dump always lands next to the trace artifact.
 
 use std::path::PathBuf;
 
@@ -40,8 +38,8 @@ use hwgc_workloads::Preset;
 fn main() {
     let mut preset = Preset::Cup;
     let mut format = "summary".to_string();
-    let mut trace_out: Option<String> = std::env::var("HWGC_TRACE_OUT").ok();
-    let mut metrics_out: Option<String> = std::env::var("HWGC_METRICS_OUT").ok();
+    let mut trace_out: Option<String> = None;
+    let mut metrics_out: Option<String> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;

@@ -450,22 +450,6 @@ pub fn row<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
 // Host self-profiling + run ledger (PR 8)
 // ---------------------------------------------------------------------------
 
-/// Is host self-profiling requested? `HWGC_HOSTPROF=1|true|on` turns the
-/// [`HostProfiler`] on in the binaries that honour it; anything else (or
-/// unset) keeps the zero-overhead [`hwgc_obs::NullHostProf`] path.
-pub fn hostprof_enabled() -> bool {
-    hostprof_from(std::env::var("HWGC_HOSTPROF").ok().as_deref())
-}
-
-/// Parse an `HWGC_HOSTPROF`-style value (separated from the env read for
-/// testability).
-pub fn hostprof_from(var: Option<&str>) -> bool {
-    matches!(
-        var.map(str::trim),
-        Some("1") | Some("true") | Some("on") | Some("yes")
-    )
-}
-
 /// One verified collection with the host profiler attached. The profiler
 /// never influences the simulation — `collect_hostprof` produces
 /// bit-identical [`GcStats`] to `collect` (enforced by the
@@ -525,15 +509,6 @@ pub fn ledger_record(
     rec
 }
 
-/// The run-ledger path requested via `HWGC_LEDGER`, if any.
-pub fn ledger_path() -> Option<PathBuf> {
-    std::env::var("HWGC_LEDGER")
-        .ok()
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
-}
-
 /// Append `rec` to the JSONL ledger at `path`.
 ///
 /// # Panics
@@ -542,12 +517,4 @@ pub fn ledger_path() -> Option<PathBuf> {
 pub fn append_ledger_to(rec: &LedgerRecord, path: &std::path::Path) {
     rec.append_jsonl(path)
         .unwrap_or_else(|e| panic!("ledger append to {} failed: {e}", path.display()));
-}
-
-/// Append `rec` to the ledger named by `HWGC_LEDGER`; no-op when the
-/// variable is unset or empty.
-pub fn append_ledger(rec: &LedgerRecord) {
-    if let Some(path) = ledger_path() {
-        append_ledger_to(rec, &path);
-    }
 }

@@ -9,13 +9,11 @@
 //! * `HWGC_MEM_BACKEND` (`backend_from`, `PagePolicy::parse`);
 //! * `HWGC_CACHE` (`CacheMode::parse`);
 //! * `HWGC_JOBS` / `HWGC_WORKERS` (`jobs_from`, `workers_from`);
-//! * `HWGC_CACHE_VERIFY_PCT` (`verify_pct_from`);
-//! * `HWGC_HOSTPROF` (`hostprof_from`).
+//! * `HWGC_CACHE_VERIFY_PCT` (`verify_pct_from`).
 //!
 //! `PROPTEST_CASES` raises the case count (CI runs this in release with
 //! 20000).
 
-use hwgc_bench::hostprof_from;
 use hwgc_jobs::{jobs_from, verify_pct_from, workers_from, CacheMode};
 use hwgc_memsim::{backend_from, DramConfig, MemBackendKind, PagePolicy};
 use proptest::prelude::*;
@@ -193,13 +191,6 @@ proptest! {
         };
         prop_assert_eq!(verify_pct_from(Some(&text)), want);
         prop_assert_eq!(verify_pct_from(None), 25);
-    }
-
-    #[test]
-    fn hostprof_follows_its_grammar(text in Text) {
-        let want = matches!(text.trim(), "1" | "true" | "on" | "yes");
-        prop_assert_eq!(hostprof_from(Some(&text)), want);
-        prop_assert!(!hostprof_from(None));
     }
 }
 

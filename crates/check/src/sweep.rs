@@ -18,11 +18,10 @@
 //!
 //! Scale is controlled by [`SweepConfig`]: [`SweepConfig::smoke`] is the
 //! CI-sized default (≥ 200 combinations in a few seconds);
-//! [`SweepConfig::from_env`] reads `HWGC_SWEEP_SEEDS`, `HWGC_SWEEP_CORES`
-//! and `HWGC_SWEEP_LINT` for the nightly full sweep.
+//! [`SweepConfig::nightly`] is the nightly full sweep.
 
 use hwgc_core::schedule::{Adversarial, RandomOrder, SchedulePolicy, StaticPriority};
-use hwgc_core::{GcConfig, SeqCheney, SignalTrace, SimCollector, MAX_CORES};
+use hwgc_core::{GcConfig, SeqCheney, SignalTrace, SimCollector};
 use hwgc_heap::{verify_collection, Heap, Snapshot};
 use hwgc_jobs::par_map;
 use hwgc_memsim::MemConfig;
@@ -78,49 +77,14 @@ impl SweepConfig {
         }
     }
 
-    /// Environment-scaled configuration for the nightly full sweep:
-    ///
-    /// * `HWGC_SWEEP_SEEDS` — seeds per (policy, core count), default 100,
-    /// * `HWGC_SWEEP_CORES` — comma-separated core counts, default
-    ///   `1,2,3,4,8,12,16`,
-    /// * `HWGC_SWEEP_LINT` — `0` disables the per-run lint, default on.
-    pub fn from_env() -> SweepConfig {
-        SweepConfig::from_env_values(
-            std::env::var("HWGC_SWEEP_SEEDS").ok().as_deref(),
-            std::env::var("HWGC_SWEEP_CORES").ok().as_deref(),
-            std::env::var("HWGC_SWEEP_LINT").ok().as_deref(),
-        )
-    }
-
-    /// [`SweepConfig::from_env`] on explicit values — separable for tests,
-    /// since the process environment is shared mutable state. Unset,
-    /// unparseable or zero/empty values fall back to the documented
-    /// defaults; core counts outside `1..=MAX_CORES` are dropped
-    /// individually.
-    pub fn from_env_values(
-        seeds: Option<&str>,
-        cores: Option<&str>,
-        lint: Option<&str>,
-    ) -> SweepConfig {
-        let seeds: u64 = match seeds.and_then(|s| s.trim().parse().ok()) {
-            Some(n) if n >= 1 => n,
-            _ => 100,
-        };
-        let core_counts: Vec<usize> = cores
-            .map(|s| {
-                s.split(',')
-                    .filter_map(|c| c.trim().parse().ok())
-                    .filter(|c: &usize| (1..=MAX_CORES).contains(c))
-                    .collect()
-            })
-            .filter(|v: &Vec<usize>| !v.is_empty())
-            .unwrap_or_else(|| vec![1, 2, 3, 4, 8, 12, 16]);
-        let lint = lint.is_none_or(|s| s != "0");
+    /// The nightly full sweep: 7 core counts × 2 seeded policies × 100
+    /// seeds = 1400 combinations per graph, all linted.
+    pub fn nightly() -> SweepConfig {
         SweepConfig {
-            core_counts,
-            seeds: (0..seeds).map(|i| 0x5EED + i * 0x9E37_79B9).collect(),
+            core_counts: vec![1, 2, 3, 4, 8, 12, 16],
+            seeds: (0..100).map(|i| 0x5EED + i * 0x9E37_79B9).collect(),
             policies: vec![PolicyKind::Random, PolicyKind::Adversarial],
-            lint,
+            lint: true,
         }
     }
 
@@ -254,48 +218,10 @@ mod tests {
     use crate::graphs;
 
     #[test]
-    fn from_env_values_documents_every_input_class() {
-        // All unset → documented defaults.
-        let d = SweepConfig::from_env_values(None, None, None);
-        assert_eq!(d.seeds.len(), 100);
-        assert_eq!(d.core_counts, vec![1, 2, 3, 4, 8, 12, 16]);
-        assert!(d.lint);
-
-        // Garbage and zero seed counts fall back to the default.
-        for bad in ["zero", "", "-4", "0"] {
-            let c = SweepConfig::from_env_values(Some(bad), None, None);
-            assert_eq!(c.seeds.len(), 100, "HWGC_SWEEP_SEEDS={bad:?}");
-        }
-        let c = SweepConfig::from_env_values(Some(" 7 "), None, None);
-        assert_eq!(c.seeds.len(), 7, "whitespace is trimmed");
-
-        // Core lists: parse what parses, drop zeros and counts beyond
-        // MAX_CORES, default when nothing survives.
-        let c = SweepConfig::from_env_values(None, Some("2, 4,junk,0,16,65,64"), None);
-        assert_eq!(c.core_counts, vec![2, 4, 16, 64]);
-        for bad in ["", "junk", "0,0", "65"] {
-            let c = SweepConfig::from_env_values(None, Some(bad), None);
-            assert_eq!(
-                c.core_counts,
-                vec![1, 2, 3, 4, 8, 12, 16],
-                "HWGC_SWEEP_CORES={bad:?}"
-            );
-        }
-
-        // Lint: only the literal "0" disables it.
-        assert!(!SweepConfig::from_env_values(None, None, Some("0")).lint);
-        for on in ["1", "", "off", "true"] {
-            assert!(
-                SweepConfig::from_env_values(None, None, Some(on)).lint,
-                "HWGC_SWEEP_LINT={on:?}"
-            );
-        }
-    }
-
-    #[test]
     fn combo_count_matches_dimensions() {
         let cfg = SweepConfig::smoke();
         assert_eq!(cfg.combos(), 5 * 2 * 20);
+        assert_eq!(SweepConfig::nightly().combos(), 7 * 2 * 100);
         let with_static = SweepConfig {
             policies: vec![PolicyKind::Static, PolicyKind::Random],
             ..SweepConfig::smoke()

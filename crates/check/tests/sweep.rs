@@ -39,15 +39,13 @@ fn quick_sweep_on_every_catalog_shape() {
     }
 }
 
-/// The nightly full sweep: every catalog shape × the environment-scaled
-/// configuration (defaults: 7 core counts × 2 policies × 100 seeds = 1400
-/// combinations per shape). Run with `cargo test -p hwgc-check --test
-/// sweep -- --ignored`, scaled by `HWGC_SWEEP_SEEDS` / `HWGC_SWEEP_CORES`
-/// / `HWGC_SWEEP_LINT`.
+/// The nightly full sweep: every catalog shape × the nightly configuration
+/// (7 core counts × 2 policies × 100 seeds = 1400 combinations per shape).
+/// Run with `cargo test -p hwgc-check --test sweep -- --ignored`.
 #[test]
 #[ignore = "full sweep — minutes of runtime; run nightly or on demand"]
 fn full_sweep_all_shapes() {
-    let cfg = SweepConfig::from_env();
+    let cfg = SweepConfig::nightly();
     for (name, heap) in graphs::catalog() {
         let outcome = run_sweep(&|| heap.clone(), &cfg);
         assert_eq!(outcome.combos, cfg.combos(), "{name}");

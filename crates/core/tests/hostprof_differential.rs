@@ -217,7 +217,7 @@ fn one_core_compress_streams_and_every_cycle_is_accounted_for() {
     // against `HWGC_MEM_BACKEND`). On compress (long data bodies behind
     // a null-padded spine) the stream jump must carry a real share of
     // the run — this is the vacuity guard of
-    // `check/tests/fast_forward.rs`'s stream matrix — and the all-parked
+    // `check/tests/parity.rs`'s stream grid — and the all-parked
     // jumps, the stream jumps and the executed cycles must add up to the
     // simulated total.
     let mut cfg = config(1, 0);
@@ -238,7 +238,7 @@ fn one_core_compress_streams_and_every_cycle_is_accounted_for() {
 
 #[test]
 fn sixteen_core_db_on_dram_jumps_over_bank_busy_windows() {
-    // The vacuity guard of `check/tests/sparse.rs`'s DRAM jump matrix.
+    // The vacuity guard of `check/tests/parity.rs`'s DRAM jump grid.
     // `db` keeps 16 cores parked on body loads and stores while requests
     // queue behind 8 banks; with the exact activity horizon the loop
     // (the backend pinned here against `HWGC_MEM_BACKEND`) jumps those

@@ -514,8 +514,8 @@ mod tests {
         // An output path, a harness knob and a name nothing reads. None
         // of them can change what another test computes, so no lock.
         let noise = [
-            ("HWGC_TRACE_OUT", "/some/path"),
-            ("HWGC_SWEEP_LINT", "1"),
+            ("HWGC_TELEMETRY", "/some/path"),
+            ("HWGC_UPDATE_GOLDENS", "1"),
             ("HWGC_NO_SUCH_KNOB", "on"),
         ];
         let saved = noise.map(|(k, _)| std::env::var_os(k));
