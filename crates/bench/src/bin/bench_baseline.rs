@@ -29,13 +29,16 @@
 //! `benchmark/run.sh`'s job, not this binary's.
 //!
 //! The binary also writes the `BENCH_ledger.jsonl` companion next to
-//! `--out`: one `hwgc-ledger-v1` provenance record per
-//! [`PROFILED_RUNS`] entry, each from a host-profiled run. The file is
-//! maintained through [`LedgerStore`]: fresh records are merged with
-//! whatever the file already holds (a fresh record wins a digest
-//! conflict, with the drift reported — the file is being regenerated)
-//! and the result is written canonically, one record per `config_hash`,
-//! sorted by hash. Its `host_*` fields are the recording host's.
+//! `--out`: one digest-only `hwgc-ledger-v1` record per
+//! [`LEDGER_PRESETS`] entry, each from a host-profiled run of the
+//! `experiments fig6_latency` job of that preset at 16 cores, keyed by
+//! the job's own [`SimJob::cache_key`]. A sweep's result cache loads the
+//! committed file, so a sweep that declares one of these jobs checks its
+//! fresh digest against the record. Each record carries the run's
+//! digest, cycles and deterministic efficacy counters and no `host_*`
+//! field, and the file is written fresh and canonically (one record per
+//! `config_hash`, sorted by hash), so it too is the same bytes on every
+//! run; CI compares it with the committed copy as well.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
@@ -44,8 +47,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hwgc_bench::spec;
 use hwgc_core::{GcConfig, SimCollector};
 use hwgc_heap::{verify_collection, Snapshot};
+use hwgc_jobs::SimJob;
 use hwgc_memsim::MemConfig;
-use hwgc_obs::{LedgerStore, StoreError};
+use hwgc_obs::LedgerStore;
 use hwgc_workloads::Preset;
 
 const USAGE: &str = "usage: bench_baseline [--out <path>]";
@@ -77,14 +81,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The profiled ledger runs: the two 16-core regimes under the Figure 6
+/// The ledger's runs: the two 16-core regimes under the Figure 6
 /// memory model (+20 cycles per access) — javac, the paper's headline
-/// workload (lock-bound), and compress (long copy streams, memory-bound)
-/// — as `(ledger workload, preset, cores)`.
-const PROFILED_RUNS: &[(&str, Preset, usize)] = &[
-    ("fig6-16c", Preset::Javac, 16),
-    ("compress-16c", Preset::Compress, 16),
-];
+/// workload (lock-bound), and compress (long copy streams,
+/// memory-bound).
+const LEDGER_PRESETS: [Preset; 2] = [Preset::Javac, Preset::Compress];
 
 /// The report line for one verified collection of `preset` at `cores`.
 fn combo_line(preset: Preset, cores: usize) -> String {
@@ -104,58 +105,31 @@ fn combo_line(preset: Preset, cores: usize) -> String {
     )
 }
 
-/// Regenerate the ledger companion at `path` from [`PROFILED_RUNS`],
-/// merged with the file's existing records and written canonically.
+/// Write the ledger companion at `path` from [`LEDGER_PRESETS`].
 fn write_ledger(path: &Path) {
     let mut store = LedgerStore::new();
-    for &(config, preset, cores) in PROFILED_RUNS {
-        let cfg = GcConfig {
-            n_cores: cores,
-            mem: MemConfig::default().with_extra_latency(20),
-            ..GcConfig::default()
+    for preset in LEDGER_PRESETS {
+        let job = SimJob {
+            spec: spec(preset),
+            cfg: GcConfig {
+                n_cores: 16,
+                mem: MemConfig::default().with_extra_latency(20),
+                ..GcConfig::default()
+            },
         };
-        let (run, prof) = hwgc_bench::run_hostprof(&spec(preset), cfg);
+        let (run, prof) = hwgc_bench::run_hostprof(&job.spec, job.cfg);
+        let mut rec = job.cache_key("bench_baseline");
+        rec.stats_digest = run.stats.digest();
+        rec.total_cycles = Some(run.stats.total_cycles);
+        rec.efficacy = prof.counters().map(|(k, v)| (k.to_string(), v)).collect();
         store
-            .insert(hwgc_bench::ledger_record(
-                "bench_baseline",
-                config,
-                &cfg,
-                &run.stats,
-                None,
-                Some(&prof),
-            ))
-            .unwrap_or_else(|e| panic!("fresh ledger records conflict: {e}"));
-    }
-    match LedgerStore::load_tolerant(path) {
-        Ok((old, load_report)) => {
-            for line in &load_report.quarantined {
-                eprintln!("[ledger] quarantined: {line}");
-            }
-            for rec in old.records() {
-                if let Err(StoreError::Conflict {
-                    config_hash,
-                    field,
-                    have,
-                    incoming,
-                }) = store.insert(rec.clone())
-                {
-                    println!(
-                        "[ledger] {config_hash:016x} {field} drifted: {incoming} -> {have} \
-                         (fresh run wins)"
-                    );
-                }
-            }
-        }
-        Err(e) => eprintln!("[ledger] existing {} not merged: {e}", path.display()),
+            .insert(rec)
+            .unwrap_or_else(|e| panic!("ledger records conflict: {e}"));
     }
     store
         .write_canonical(path)
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!(
-        "[ledger] {} ({} records, canonical)",
-        path.display(),
-        store.len()
-    );
+    println!("[ledger] {} ({} records)", path.display(), store.len());
 }
 
 fn main() {

@@ -591,6 +591,21 @@ mod tests {
     }
 
     #[test]
+    fn every_committed_ledger_record_is_a_declared_job() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ledger.jsonl");
+        let committed = hwgc_obs::LedgerStore::load(std::path::Path::new(path)).unwrap();
+        assert!(!committed.is_empty());
+        let declared = JobSet::from_jobs(EXPERIMENTS.iter().flat_map(|e| (e.jobs)()));
+        for hash in committed.hashes() {
+            assert!(
+                declared.hashes().contains(&hash),
+                "BENCH_ledger.jsonl record {hash:016x} matches no declared job, \
+                 so no sweep ever checks it"
+            );
+        }
+    }
+
+    #[test]
     fn splice_replaces_between_markers() {
         let doc =
             "before\n<!-- BEGIN GENERATED: t -->\nold table\n<!-- END GENERATED: t -->\nafter\n";

@@ -3,8 +3,7 @@
 //! CSVs under `target/experiments/` after a model change.
 //!
 //! ```text
-//! reproduce_all [--trace-out <path>] [--metrics-out <path>]
-//!               [--ledger <path>] [--telemetry <path>]
+//! reproduce_all [--trace-out <path>] [--metrics-out <path>] [--ledger <path>]
 //! ```
 //!
 //! The children are `experiments --check` (the paper's figures and
@@ -23,13 +22,10 @@
 //! argument, or a flag without its path, is a usage error that exits 2
 //! before any child runs.
 //!
-//! Observability: every child consults the content-addressed result
-//! cache per the inherited `HWGC_CACHE` knobs, and all children append to
-//! one `hwgc-sweep-telemetry-v1` stream (`--telemetry <path>`, default
-//! `target/experiments/sweep-telemetry.jsonl`; single-line `O_APPEND`
-//! writes, safe under concurrency). After the batch the driver validates
-//! the stream and prints the fleet hit-rate line — on a warm
-//! `HWGC_CACHE=rw` cache a repeat run skips every simulation.
+//! The `experiments` child runs its sweep through the content-addressed
+//! result cache (`HWGC_CACHE`, `rw` when unset) and prints its hit/miss
+//! summary line on stderr; on a warm cache a repeat batch skips every
+//! simulation of that sweep.
 //!
 //! Excluded: `ablation_software` and `ablation_granularity` run real
 //! threads, so their sync-operation and fragmentation columns (and
@@ -39,12 +35,12 @@
 use std::process::Command;
 
 const USAGE: &str = "usage: reproduce_all [--trace-out <path>] [--metrics-out <path>] \
-                     [--ledger <path>] [--telemetry <path>]";
+                     [--ledger <path>]";
 
-/// The four `<flag> <path>` pairs, each at most once, in `FLAGS` order.
-fn parse_args(args: &[String]) -> Result<[Option<String>; 4], String> {
-    const FLAGS: [&str; 4] = ["--trace-out", "--metrics-out", "--ledger", "--telemetry"];
-    let mut values: [Option<String>; 4] = Default::default();
+/// The three `<flag> <path>` pairs, each at most once, in `FLAGS` order.
+fn parse_args(args: &[String]) -> Result<[Option<String>; 3], String> {
+    const FLAGS: [&str; 3] = ["--trace-out", "--metrics-out", "--ledger"];
+    let mut values: [Option<String>; 3] = Default::default();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         let i = FLAGS
@@ -61,16 +57,10 @@ fn parse_args(args: &[String]) -> Result<[Option<String>; 4], String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let [trace_out, metrics_out, ledger, telemetry] = parse_args(&args).unwrap_or_else(|e| {
+    let [trace_out, metrics_out, ledger] = parse_args(&args).unwrap_or_else(|e| {
         eprintln!("reproduce_all: {e}\n{USAGE}");
         std::process::exit(2)
     });
-    let telemetry = telemetry
-        .map(std::path::PathBuf::from)
-        .or_else(hwgc_bench::telemetry_path)
-        .unwrap_or_else(|| hwgc_bench::experiments_dir().join("sweep-telemetry.jsonl"));
-    // Fresh stream per batch: children append concurrently.
-    let _ = std::fs::remove_file(&telemetry);
 
     let words = |words: &[&str]| -> Vec<String> { words.iter().map(|w| w.to_string()).collect() };
     let flag = |name: &str, value: &Option<String>| -> Vec<String> {
@@ -103,7 +93,6 @@ fn main() {
         let bin = &argv[0];
         let mut cmd = Command::new(dir.join(bin));
         cmd.args(&argv[1..]);
-        cmd.env("HWGC_TELEMETRY", &telemetry);
         cmd.env("HWGC_CACHE", &cache_mode);
         cmd.output()
             .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"))
@@ -125,28 +114,6 @@ fn main() {
         }
     }
     assert!(failures == 0, "{failures} experiment(s) failed");
-
-    // Fleet telemetry: validate the shared stream and print the
-    // batch-wide cache effectiveness line.
-    match std::fs::read_to_string(&telemetry) {
-        Ok(text) => match hwgc_obs::validate_telemetry_jsonl(&text) {
-            Ok(totals) => {
-                println!(
-                    "\n[telemetry] {} — {} jobs: {} hit / {} miss / {} verified / {} checked \
-                     ({:.1}% of simulations skipped via cache)",
-                    telemetry.display(),
-                    totals.done,
-                    totals.hits,
-                    totals.misses,
-                    totals.verified,
-                    totals.digest_checks,
-                    100.0 * totals.hit_rate(),
-                );
-            }
-            Err(e) => panic!("telemetry stream {} is invalid: {e}", telemetry.display()),
-        },
-        Err(e) => eprintln!("[telemetry] no stream at {}: {e}", telemetry.display()),
-    }
 
     println!(
         "\nall {} children reproduced in {:.1} s ({} jobs); CSVs under {}",

@@ -47,24 +47,24 @@ pub fn spec(preset: Preset) -> WorkloadSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Sweep observatory: result cache + fleet telemetry (PR 9)
+// Sweep session: result cache + stderr progress
 // ---------------------------------------------------------------------------
 
-/// One sweep's shared observability state: the content-addressed result
-/// cache and the telemetry reporter.
+/// One sweep's shared state: the content-addressed result cache and the
+/// stderr progress reporter.
 pub struct SweepSession {
     /// The `HWGC_CACHE`-configured result cache.
     pub cache: ResultCache,
-    /// The live progress reporter (stderr + `HWGC_TELEMETRY` stream).
+    /// The live stderr progress reporter.
     pub progress: SweepProgress,
 }
 
 static SWEEP: OnceLock<SweepSession> = OnceLock::new();
 
-/// The committed digest-only ledger the default `ro` cache mode checks
-/// against: `HWGC_CACHE_LEDGER` when set, else `BENCH_ledger.jsonl` in
-/// the working directory, else relative to the workspace root (so
-/// `cargo run` works from anywhere in the tree).
+/// The committed digest-only ledger every sweep's cache checks fresh
+/// digests against: `HWGC_CACHE_LEDGER` when set, else
+/// `BENCH_ledger.jsonl` in the working directory, else relative to the
+/// workspace root (so `cargo run` works from anywhere in the tree).
 pub fn committed_ledger_path() -> PathBuf {
     if let Some(p) = std::env::var_os("HWGC_CACHE_LEDGER") {
         return PathBuf::from(p);
@@ -77,15 +77,6 @@ pub fn committed_ledger_path() -> PathBuf {
         Some(dir) => PathBuf::from(dir).join("../../BENCH_ledger.jsonl"),
         None => cwd,
     }
-}
-
-/// The telemetry JSONL stream requested via `HWGC_TELEMETRY`, if any.
-pub fn telemetry_path() -> Option<PathBuf> {
-    std::env::var("HWGC_TELEMETRY")
-        .ok()
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
 }
 
 /// The running experiment binary's name (ledger provenance; never part
@@ -102,35 +93,35 @@ pub fn binary_name() -> String {
 
 /// Begin (or join) the process-wide sweep session. The first caller
 /// names the sweep and announces its job total; later calls return the
-/// existing session unchanged. Opens the result cache per `HWGC_CACHE` (committed ledger
-/// read-only; workspace cache file from `HWGC_CACHE_PATH` in writable
-/// modes) and the telemetry stream per `HWGC_TELEMETRY`.
+/// existing session unchanged. Opens the result cache per `HWGC_CACHE`
+/// (committed ledger read-only; workspace cache file from
+/// `HWGC_CACHE_PATH` in writable modes).
 ///
 /// # Panics
 /// Panics when a cache source is corrupt or holds conflicting digests —
 /// a sweep must not start over a cache it cannot trust.
 pub fn sweep_begin(name: &str, total: usize) -> &'static SweepSession {
     SWEEP.get_or_init(|| {
-        // Sweeps default to `rw` (not the one-off `ro`): resumption and
-        // cross-binary dedupe both need payload records on disk.
+        // Sweeps default to `rw` (not `ro`): resumption and cross-run
+        // dedupe both need payload records on disk.
         let mode = hwgc_jobs::sweep_cache_mode();
         let committed = committed_ledger_path();
         let rw = cache_path_from_env();
         let cache = ResultCache::open(mode, &[&committed], Some(&rw))
             .unwrap_or_else(|e| panic!("result cache failed to open: {e}"));
-        let progress = SweepProgress::new(name, total, telemetry_path().as_deref(), false);
+        let progress = SweepProgress::new(name, total);
         SweepSession { cache, progress }
     })
 }
 
-/// Emit the telemetry summary line and return the final counters.
+/// Print the sweep's summary line and return the final counters.
 /// No-op `None` when no job ever ran through the session.
 pub fn sweep_finish() -> Option<SweepSummary> {
     SWEEP.get().map(|s| s.progress.finish())
 }
 
-/// Run a declared [`hwgc_jobs::JobSet`] through the session observatory:
-/// the shared result cache, fleet telemetry, `HWGC_WORKERS` process
+/// Run a declared [`hwgc_jobs::JobSet`] through the sweep session:
+/// the shared result cache, stderr progress, `HWGC_WORKERS` process
 /// fleet sizing and the `HWGC_JOURNAL` resumption journal. Outcomes come
 /// back in job-set order regardless of execution engine, so callers can
 /// rebuild their tables deterministically.

@@ -46,7 +46,7 @@ fn experiments_rejects_bad_arguments() {
 fn reproduce_all_rejects_bad_arguments() {
     for args in [
         &["--ledger"][..],
-        &["--telemetry", "t.jsonl", "--trace-out"],
+        &["--ledger", "l.jsonl", "--trace-out"],
         &["--ledger", "a.jsonl", "--ledger", "b.jsonl"],
         &["--check"],
         &["fig5_scaling"],

@@ -1,5 +1,5 @@
 //! Typed artifact store: one root directory per sweep run that CSV
-//! tables, JSON exports, telemetry streams and resumption journals all
+//! tables, JSON exports and resumption journals all
 //! land under, so CI can upload a single directory and `--check` gates
 //! know where to look.
 //!
@@ -81,12 +81,6 @@ impl ArtifactStore {
         self.write(file_name, contents.as_bytes())
     }
 
-    /// The path an artifact of this name would occupy (without writing
-    /// it) — where e.g. a journal or telemetry stream should be opened.
-    pub fn path_of(&self, file_name: &str) -> PathBuf {
-        self.root.join(file_name)
-    }
-
     fn write(&self, file_name: &str, bytes: &[u8]) -> PathBuf {
         let path = self.root.join(file_name);
         if let Some(parent) = path.parent() {
@@ -116,6 +110,5 @@ mod tests {
         assert_eq!(fs::read_to_string(&json).unwrap(), "7\n");
         let txt = store.text("notes.txt", "hi");
         assert_eq!(fs::read_to_string(&txt).unwrap(), "hi");
-        assert_eq!(store.path_of("x.jsonl"), root.join("x.jsonl"));
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! A worker is deliberately dumb: handshake `Ready`, then loop —
 //! receive a job, simulate it, answer `Done` (or `Failed` if the
-//! collection cannot be verified). Cache, journal and telemetry are
+//! collection cannot be verified). Cache, journal and progress are
 //! coordinator state; keeping them out of the worker is what makes
 //! in-process and multi-process sweeps byte-identical.
 //!

@@ -26,10 +26,9 @@
 //! faster or fail louder — never different.
 //!
 //! Modes come from `HWGC_CACHE` (`off` / `ro` / `rw` / `verify`;
-//! default `ro` for one-off runs, `rw` for sweeps — see
-//! [`sweep_cache_mode`]); the workspace cache file from
-//! `HWGC_CACHE_PATH`; the verify sampling percentage from
-//! `HWGC_CACHE_VERIFY_PCT`.
+//! sweeps default to `rw` — see [`sweep_cache_mode`]); the workspace
+//! cache file from `HWGC_CACHE_PATH`; the verify sampling percentage
+//! from `HWGC_CACHE_VERIFY_PCT`.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,16 +68,6 @@ impl CacheMode {
         })
     }
 
-    /// The mode selected by `HWGC_CACHE` (default [`CacheMode::Ro`];
-    /// unknown values fall back to the default rather than silently
-    /// disabling integrity checks).
-    pub fn from_env() -> CacheMode {
-        match std::env::var("HWGC_CACHE") {
-            Ok(v) => CacheMode::parse(&v).unwrap_or_default(),
-            Err(_) => CacheMode::Ro,
-        }
-    }
-
     /// True when the mode may consult stored records at all.
     pub fn reads(self) -> bool {
         self != CacheMode::Off
@@ -90,9 +79,9 @@ impl CacheMode {
     }
 }
 
-/// The cache mode for *sweeps*: `HWGC_CACHE` as in
-/// [`CacheMode::from_env`], but unset (and unknown values) default to
-/// [`CacheMode::Rw`] instead of `Ro`. Sweep resumption is journal ∪
+/// The cache mode for *sweeps*: `HWGC_CACHE` parsed by
+/// [`CacheMode::parse`], with unset (and unknown values) defaulting to
+/// [`CacheMode::Rw`]. Sweep resumption is journal ∪
 /// cache — a journaled job is skipped by replaying its payload record —
 /// so a sweep that never wrote payloads could not be resumed, and
 /// cross-run dedupe (`experiments fig5_scaling` then `experiments
@@ -235,9 +224,8 @@ impl ResultCache {
                 }
             }
             // The workspace cache (payload-carrying, simulation-skipping)
-            // is consulted only by the writable modes: default `ro` must
-            // never skip a simulation on the say-so of an uncommitted
-            // file.
+            // is consulted only by the writable modes: `ro` must never
+            // skip a simulation on the say-so of an uncommitted file.
             if mode.writes() {
                 if let Some(path) = rw_path {
                     LedgerStore::load_tolerant(path)

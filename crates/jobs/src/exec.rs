@@ -9,13 +9,12 @@
 //!   over stdin/stdout (length-prefixed JSON, see [`crate::protocol`]).
 //!   Jobs are dealt round-robin into per-worker queues; a worker whose
 //!   queue drains **steals from the back of the longest other queue**,
-//!   so a slow job never strands the rest of its queue. Steal and
-//!   in-flight counts feed [`SweepProgress::fleet`], which keeps the
-//!   ETA monotone.
+//!   so a slow job never strands the rest of its queue. The steal count
+//!   lands in [`ExecReport::steals`].
 //!
 //! Both engines share the exact same cache transaction
 //! ([`ResultCache::lookup`] before execution, [`ResultCache::complete`]
-//! after) and the same journal/telemetry hooks, and both gather results
+//! after) and the same journal and progress hooks, and both gather results
 //! **by job index** — so for a given cache state the outcome vector,
 //! the ledger records and every downstream artifact are byte-identical
 //! across engines and worker counts (proptested in `tests/jobset.rs`).
@@ -32,7 +31,6 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use hwgc_core::GcOutcome;
 use hwgc_obs::{JobOutcome, SweepProgress};
@@ -52,7 +50,7 @@ pub struct ExecOptions<'a> {
     /// The shared result cache (open it with
     /// [`crate::cache::sweep_cache_mode`] for resumable sweeps).
     pub cache: &'a ResultCache,
-    /// Telemetry reporter, if any.
+    /// Stderr progress reporter, if any.
     pub progress: Option<&'a SweepProgress>,
     /// `0` = in-process on the `par_map` pool; `N >= 1` = that many
     /// `sweep_worker` processes (see [`crate::workers`]).
@@ -158,11 +156,10 @@ pub fn run_jobset(set: &JobSet, opts: &ExecOptions) -> Result<ExecReport, ExecEr
     // by the hashes the set was deduplicated by. Only a job that must
     // execute builds its ledger key (see `complete_job`).
     for (i, (job, &hash)) in set.jobs().iter().zip(set.hashes()).enumerate() {
-        let started = Instant::now();
         match opts.cache.lookup_hash(hash)? {
             CacheLookup::Hit(out) => {
                 if let Some(p) = opts.progress {
-                    p.job(&job.label(), JobOutcome::Hit, elapsed_ns(started));
+                    p.job(JobOutcome::Hit);
                 }
                 if let Some(j) = opts.journal {
                     j.record_done(i, job, JobOutcome::Hit, 0)?;
@@ -205,11 +202,7 @@ pub fn run_jobset(set: &JobSet, opts: &ExecOptions) -> Result<ExecReport, ExecEr
     })
 }
 
-fn elapsed_ns(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Complete one executed job: cache transaction, journal, telemetry.
+/// Complete one executed job: cache transaction, journal, progress.
 /// The single completion path both engines share.
 fn complete_job(
     set: &JobSet,
@@ -217,7 +210,6 @@ fn complete_job(
     lookups: &[Option<CacheLookup>],
     index: usize,
     outcome: &GcOutcome,
-    host_ns: u64,
     worker: usize,
 ) -> Result<JobOutcome, ExecError> {
     let job = &set.jobs()[index];
@@ -238,7 +230,7 @@ fn complete_job(
         j.record_done(index, job, how, worker)?;
     }
     if let Some(p) = opts.progress {
-        p.job(&job.label(), how, host_ns);
+        p.job(how);
     }
     Ok(how)
 }
@@ -251,9 +243,8 @@ fn run_in_process(
     slots: &[Mutex<Option<(GcOutcome, JobOutcome)>>],
 ) -> Result<(), ExecError> {
     let results: Vec<Result<(), ExecError>> = par_map(pending, |_, &i| {
-        let started = Instant::now();
         let out = simulate(&set.jobs()[i]);
-        let how = complete_job(set, opts, lookups, i, &out, elapsed_ns(started), 0)?;
+        let how = complete_job(set, opts, lookups, i, &out, 0)?;
         *slots[i].lock().unwrap() = Some((out, how));
         Ok(())
     });
@@ -315,7 +306,6 @@ fn run_fleet(
         Mutex::new(qs)
     };
     let steals = AtomicU64::new(0);
-    let in_flight = AtomicUsize::new(0);
     let per_worker: Vec<AtomicUsize> = (0..nw).map(|_| AtomicUsize::new(0)).collect();
     let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
 
@@ -325,21 +315,11 @@ fn run_fleet(
             *slot = Some(err);
         }
     };
-    let fleet_tick = |delta_done: bool| {
-        let _ = delta_done;
-        if let Some(p) = opts.progress {
-            p.fleet(
-                in_flight.load(Ordering::Relaxed),
-                steals.load(Ordering::Relaxed),
-            );
-        }
-    };
 
     std::thread::scope(|scope| {
         for w in 0..nw {
             let queues = &queues;
             let steals = &steals;
-            let in_flight = &in_flight;
             let per_worker = &per_worker;
             let first_error = &first_error;
             let bin = &bin;
@@ -375,7 +355,6 @@ fn run_fleet(
                     };
                     let Some(index) = index else { break };
                     let job = &set.jobs()[index];
-                    let started = Instant::now();
                     let sent = write_frame(
                         &mut link.stdin,
                         &ToWorker::Job { index, job: *job }.to_json(),
@@ -387,10 +366,7 @@ fn run_fleet(
                         });
                         break;
                     }
-                    in_flight.fetch_add(1, Ordering::Relaxed);
-                    fleet_tick(false);
                     let reply = read_frame(&mut link.stdout);
-                    in_flight.fetch_sub(1, Ordering::Relaxed);
                     match reply {
                         Ok(Some(j)) => match FromWorker::from_json(&j) {
                             Ok(FromWorker::Done {
@@ -398,18 +374,9 @@ fn run_fleet(
                                 outcome,
                             }) if done_index == index => {
                                 per_worker[w].fetch_add(1, Ordering::Relaxed);
-                                match complete_job(
-                                    set,
-                                    opts,
-                                    lookups,
-                                    index,
-                                    &outcome,
-                                    elapsed_ns(started),
-                                    w,
-                                ) {
+                                match complete_job(set, opts, lookups, index, &outcome, w) {
                                     Ok(how) => {
                                         *slots[index].lock().unwrap() = Some((outcome, how));
-                                        fleet_tick(true);
                                     }
                                     Err(e) => {
                                         record_error(e);

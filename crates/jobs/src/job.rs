@@ -48,7 +48,7 @@ impl SimJob {
         self.cache_key("").config_hash()
     }
 
-    /// The telemetry label the harness has always used for sweep jobs.
+    /// A human-readable job label: `workload@<cores>c/<engine>`.
     pub fn label(&self) -> String {
         format!(
             "{}@{}c/{}",
@@ -514,7 +514,7 @@ mod tests {
         // An output path, a harness knob and a name nothing reads. None
         // of them can change what another test computes, so no lock.
         let noise = [
-            ("HWGC_TELEMETRY", "/some/path"),
+            ("HWGC_ARTIFACTS", "/some/path"),
             ("HWGC_UPDATE_GOLDENS", "1"),
             ("HWGC_NO_SUCH_KNOB", "on"),
         ];

@@ -9,7 +9,7 @@
 //! with work stealing (`HWGC_WORKERS`). Execution rides the
 //! content-addressed [`ResultCache`] (sweeps default to `rw`, see
 //! [`sweep_cache_mode`]), journals every completion for resumption
-//! ([`Journal`]), reports to fleet-aware telemetry
+//! ([`Journal`]), reports progress on stderr
 //! ([`hwgc_obs::SweepProgress`]) and lands exports in a typed
 //! [`ArtifactStore`].
 //!
@@ -47,5 +47,5 @@ pub use job::{
 };
 pub use journal::{journal_path_from_env, Journal, JournalError, JOURNAL_SCHEMA};
 pub use matrix::{ConfigMatrix, JobSet};
-pub use par::{jobs, jobs_from, par_map, par_map_profiled, workers, workers_from, ParMapStats};
+pub use par::{jobs, jobs_from, par_map, workers, workers_from};
 pub use protocol::{read_frame, write_frame, FromWorker, ToWorker};

@@ -17,9 +17,8 @@
 //! fleet of the multi-process sweep executor (`crate::exec`); its
 //! default is 0 — no fleet, run in-process on this pool.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// The worker count requested by `HWGC_JOBS` (see the module docs for the
 /// exact unset/zero/garbage semantics).
@@ -100,95 +99,6 @@ where
         .collect()
 }
 
-/// Host-time telemetry of one [`par_map_profiled`] call, for the
-/// harness's hostprof section. Everything here is wall-clock or
-/// machine-dependent; it must never enter simulation artifacts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParMapStats {
-    /// Items processed.
-    pub jobs: u64,
-    /// Worker threads used (1 = inline on the caller).
-    pub workers: u64,
-    /// Wall time of the whole call, scatter to gather.
-    pub wall_ns: u64,
-    /// Sum over items of the delay between call start and the item's
-    /// pickup — the queue-wait integral (high values with low
-    /// `busy_ns` mean the pool is starved, not oversubscribed).
-    pub queue_wait_ns_total: u64,
-    /// Sum over items of their processing time (worker occupancy; with
-    /// `wall_ns * workers` this gives pool utilization).
-    pub busy_ns: u64,
-}
-
-/// [`par_map`] with host-time telemetry: identical results and ordering,
-/// plus a [`ParMapStats`] describing queue wait and worker occupancy.
-pub fn par_map_profiled<T, R, F>(items: &[T], f: F) -> (Vec<R>, ParMapStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = jobs().min(n);
-    let start = Instant::now();
-    if workers <= 1 {
-        let mut busy = 0u64;
-        let out = items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let t0 = Instant::now();
-                let r = f(i, t);
-                busy += t0.elapsed().as_nanos() as u64;
-                r
-            })
-            .collect();
-        let stats = ParMapStats {
-            jobs: n as u64,
-            workers: 1,
-            wall_ns: start.elapsed().as_nanos() as u64,
-            queue_wait_ns_total: 0,
-            busy_ns: busy,
-        };
-        return (out, stats);
-    }
-    let next = AtomicUsize::new(0);
-    let queue_wait = AtomicU64::new(0);
-    let busy = AtomicU64::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                queue_wait.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                let t0 = Instant::now();
-                let r = f(i, &items[i]);
-                busy.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-    let stats = ParMapStats {
-        jobs: n as u64,
-        workers: workers as u64,
-        wall_ns: start.elapsed().as_nanos() as u64,
-        queue_wait_ns_total: queue_wait.load(Ordering::Relaxed),
-        busy_ns: busy.load(Ordering::Relaxed),
-    };
-    let out = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every claimed slot")
-        })
-        .collect();
-    (out, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,18 +157,6 @@ mod tests {
         let none: Vec<u32> = par_map(&[], |_, &x: &u32| x);
         assert!(none.is_empty());
         assert_eq!(par_map(&[9u32], |i, &x| (i, x)), vec![(0, 9)]);
-    }
-
-    #[test]
-    fn par_map_profiled_matches_par_map() {
-        let items: Vec<u64> = (0..64).collect();
-        let plain = par_map(&items, |_, &x| x * 3);
-        let (profiled, stats) = par_map_profiled(&items, |_, &x| x * 3);
-        assert_eq!(plain, profiled);
-        assert_eq!(stats.jobs, 64);
-        assert!(stats.workers >= 1);
-        // Wall time covers the whole call; busy time is per-item work.
-        assert!(stats.wall_ns > 0);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! [`FromWorker::Ready`] handshake at startup, then one
 //! [`FromWorker::Done`] (or [`FromWorker::Failed`]) per job, in the
 //! order jobs were received. Workers never see the cache, the journal
-//! or telemetry — those are coordinator state; a worker only simulates.
+//! or the progress reporter — those are coordinator state; a worker
+//! only simulates.
 
 use std::io::{BufRead, ErrorKind, Read, Write};
 

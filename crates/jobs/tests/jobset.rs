@@ -186,7 +186,8 @@ fn in_process_and_fleet_runs_are_byte_identical() {
 }
 
 /// A warm cache satisfies the whole set without any engine running; the
-/// replayed outcomes match the executed ones bit for bit.
+/// replayed outcomes match the executed ones bit for bit, and the cache
+/// file keeps its bytes (a hit appends nothing).
 #[test]
 fn warm_cache_replay_matches_any_engine() {
     std::env::set_var("HWGC_WORKER_BIN", env!("CARGO_BIN_EXE_sweep_worker"));
@@ -206,10 +207,12 @@ fn warm_cache_replay_matches_any_engine() {
     let cold = run_jobset(&set, &opts(&cache)).unwrap();
     assert_eq!(cold.skipped, 0);
 
+    let cold_bytes = std::fs::read(&path).unwrap();
     let warm_cache = ResultCache::open(CacheMode::Rw, &[], Some(&path)).unwrap();
     let warm = run_jobset(&set, &opts(&warm_cache)).unwrap();
     assert_eq!(warm.skipped, set.len());
     assert_eq!(warm.per_worker, vec![0, 0]);
+    assert_eq!(std::fs::read(&path).unwrap(), cold_bytes);
     for (i, (out, _)) in warm.outcomes.iter().enumerate() {
         assert_eq!(out.stats, cold.outcomes[i].0.stats);
         assert_eq!(out.free, cold.outcomes[i].0.free);

@@ -24,10 +24,8 @@
 //!
 //! Exports: the stable [`HOSTPROF_SCHEMA`] JSON document
 //! ([`HostProfiler::to_json`]), its golden-safe deterministic subset
-//! ([`HostProfiler::deterministic_json`]), folded stacks of host time
-//! ([`HostProfiler::folded`]), and a host-time track merged into an
-//! existing Chrome/Perfetto trace ([`merge_host_track`]) so sim-time and
-//! host-time render side by side.
+//! ([`HostProfiler::deterministic_json`]) and folded stacks of host time
+//! ([`HostProfiler::folded`]).
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -57,7 +55,7 @@ pub trait HostProf {
     /// host timer.
     fn time(&mut self, key: &'static str, ns: u64);
 
-    /// Open a host-time span (rendered on the Chrome host track).
+    /// Record a host-time span (listed under `host.spans` in the dump).
     fn span(&mut self, name: &'static str, start_ns: u64, end_ns: u64);
 
     /// Monotonic nanoseconds since the profiler's epoch; `0` when
@@ -105,7 +103,7 @@ impl TimerAgg {
     }
 }
 
-/// One completed host-time span (for the Chrome host track).
+/// One completed host-time span.
 #[derive(Debug, Clone, Copy)]
 pub struct HostSpan {
     /// Span label.
@@ -304,82 +302,6 @@ impl HostProfiler {
         }
         f
     }
-
-    /// Chrome trace events for the host track: one `ph:"X"` slice per
-    /// recorded span plus counter events for the timer totals, all on
-    /// `pid 1` (`pid 0` is the simulated machine). Timestamps are
-    /// microseconds since the profiler epoch.
-    pub fn chrome_host_events(&self) -> Vec<Json> {
-        const HOST_PID: i128 = 1;
-        let mut events = vec![
-            Json::Obj(vec![
-                ("name".to_string(), Json::Str("process_name".to_string())),
-                ("ph".to_string(), Json::Str("M".to_string())),
-                ("ts".to_string(), Json::Int(0)),
-                ("pid".to_string(), Json::Int(HOST_PID)),
-                ("tid".to_string(), Json::Int(0)),
-                (
-                    "args".to_string(),
-                    Json::Obj(vec![(
-                        "name".to_string(),
-                        Json::Str("hwgc-host".to_string()),
-                    )]),
-                ),
-            ]),
-            Json::Obj(vec![
-                ("name".to_string(), Json::Str("thread_name".to_string())),
-                ("ph".to_string(), Json::Str("M".to_string())),
-                ("ts".to_string(), Json::Int(0)),
-                ("pid".to_string(), Json::Int(HOST_PID)),
-                ("tid".to_string(), Json::Int(0)),
-                (
-                    "args".to_string(),
-                    Json::Obj(vec![(
-                        "name".to_string(),
-                        Json::Str("host-time".to_string()),
-                    )]),
-                ),
-            ]),
-        ];
-        for s in &self.spans {
-            events.push(Json::Obj(vec![
-                ("name".to_string(), Json::Str(s.name.to_string())),
-                ("ph".to_string(), Json::Str("X".to_string())),
-                ("ts".to_string(), Json::Int((s.start_ns / 1_000) as i128)),
-                ("pid".to_string(), Json::Int(HOST_PID)),
-                ("tid".to_string(), Json::Int(0)),
-                ("dur".to_string(), Json::Int((s.dur_ns / 1_000) as i128)),
-            ]));
-        }
-        events
-    }
-}
-
-/// Merge a host-time track into an existing Chrome trace JSON document
-/// (as produced by [`crate::chrome_trace_json`]): the host spans land on
-/// their own process (`pid 1`), and the combined event list is re-sorted
-/// (metadata first, then by timestamp) so
-/// [`crate::validate_chrome_trace`] still passes.
-pub fn merge_host_track(chrome_json: &str, prof: &HostProfiler) -> Result<String, String> {
-    let mut doc = Json::parse(chrome_json).map_err(|e| e.to_string())?;
-    let Json::Obj(fields) = &mut doc else {
-        return Err("chrome trace is not an object".to_string());
-    };
-    let events = fields
-        .iter_mut()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
-        .ok_or("missing traceEvents array")?;
-    let Json::Arr(events) = events else {
-        return Err("traceEvents is not an array".to_string());
-    };
-    events.extend(prof.chrome_host_events());
-    events.sort_by_key(|e| {
-        let is_meta = e.get("ph").and_then(Json::as_str) == Some("M");
-        let ts = e.get("ts").and_then(Json::as_int).unwrap_or(0);
-        (!is_meta as u8, ts)
-    });
-    Ok(doc.to_string_compact())
 }
 
 /// Validate a [`HOSTPROF_SCHEMA`] document: schema tag, section shape,
@@ -484,23 +406,5 @@ mod tests {
         let p = profiler_with_data();
         let folded = p.folded().to_folded_string();
         assert!(folded.contains("host;phase;steady 2000"), "{folded}");
-    }
-
-    #[test]
-    fn host_track_merges_into_a_chrome_trace() {
-        use crate::chrome::{chrome_trace_json, validate_chrome_trace, RunMeta};
-        use crate::probe::Recording;
-        let base = chrome_trace_json(
-            &Recording::default(),
-            &RunMeta {
-                name: "t".to_string(),
-                n_cores: 1,
-                total_cycles: 10,
-            },
-        );
-        let merged = merge_host_track(&base, &profiler_with_data()).unwrap();
-        validate_chrome_trace(&merged, 1).unwrap();
-        assert!(merged.contains("hwgc-host"));
-        assert!(merged.contains("\"root\""));
     }
 }

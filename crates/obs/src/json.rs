@@ -79,17 +79,6 @@ impl Json {
         out
     }
 
-    /// Append this value to `w` as one JSONL line, newline included, in a
-    /// single `write_all`. Several processes append to the same
-    /// `O_APPEND` telemetry, ledger or journal file; a line written in two
-    /// calls (`writeln!` on an unbuffered `File`) can have another
-    /// process's line land between its text and its newline.
-    pub fn write_line(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        let mut line = self.to_string_compact();
-        line.push('\n');
-        w.write_all(line.as_bytes())
-    }
-
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -788,34 +777,5 @@ mod tests {
         assert!(v.get("missing").is_none());
         assert!(v.as_arr().is_none());
         assert!(v.get("a").unwrap().as_str().is_none());
-    }
-
-    #[test]
-    fn write_line_hands_each_line_to_one_write_call() {
-        /// Records the buffer of every `write` call it receives.
-        struct Counting(Vec<Vec<u8>>);
-        impl std::io::Write for Counting {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.push(buf.to_vec());
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let values = [
-            Json::Null,
-            Json::Obj(vec![("k".into(), Json::Str("a\nb".into()))]),
-            Json::Arr(vec![Json::Int(1), Json::Float(0.5)]),
-        ];
-        let mut w = Counting(Vec::new());
-        for v in &values {
-            v.write_line(&mut w).unwrap();
-        }
-        let lines: Vec<Vec<u8>> = values
-            .iter()
-            .map(|v| format!("{}\n", v.to_string_compact()).into_bytes())
-            .collect();
-        assert_eq!(w.0, lines);
     }
 }

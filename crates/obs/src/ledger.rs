@@ -55,9 +55,8 @@ pub struct LedgerRecord {
     pub env: Vec<(String, String)>,
     /// Digest of the run's `GcStats` (an *output*; not hashed).
     pub stats_digest: u64,
-    /// Total simulated cycles — the one-number summary `ledger_diff`
-    /// renders deltas of (an *output*; not hashed). `None` on records
-    /// written before the field existed.
+    /// Total simulated cycles (an *output*; not hashed). `None` on
+    /// records written before the field existed.
     pub total_cycles: Option<u64>,
     /// SB event-stream FNV fingerprint, when the run logged SB events.
     pub sb_fingerprint: Option<u64>,
@@ -392,18 +391,6 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Parse every record of a JSONL ledger file (blank lines skipped).
-pub fn read_jsonl(path: &Path) -> Result<Vec<LedgerRecord>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            LedgerRecord::from_json_str(line).map_err(|e| format!("line {}: {e}", i + 1))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,16 +433,22 @@ mod tests {
         let path = dir.join("ledger.jsonl");
         let _ = std::fs::remove_file(&path);
         let rec = record();
+        let mut other = record();
+        other.workload = "javac".to_string();
         rec.append_jsonl(&path).unwrap();
-        rec.append_jsonl(&path).unwrap();
-        let back = read_jsonl(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        // Serialization sorts the config/env pairs, so compare canonical
-        // forms: a parsed record re-serializes byte-identically.
-        assert_eq!(back[0].to_json_string(), rec.to_json_string());
-        assert_eq!(back[0].config_hash(), rec.config_hash());
-        assert_eq!(back[0].efficacy, rec.efficacy);
-        assert_eq!(back[0].host, rec.host);
+        other.append_jsonl(&path).unwrap();
+        let store = crate::store::LedgerStore::load(&path).unwrap();
+        assert_eq!(store.len(), 2);
+        for want in [&rec, &other] {
+            let back = store.get(want.config_hash()).unwrap();
+            // Serialization sorts the config/env pairs, so compare
+            // canonical forms: a parsed record re-serializes
+            // byte-identically.
+            assert_eq!(back.to_json_string(), want.to_json_string());
+            assert_eq!(back.config_hash(), want.config_hash());
+            assert_eq!(back.efficacy, want.efficacy);
+            assert_eq!(back.host, want.host);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

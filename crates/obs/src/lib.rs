@@ -38,7 +38,6 @@ pub mod attr;
 pub mod chrome;
 pub mod critpath;
 pub mod derive;
-pub mod diff;
 pub mod event;
 pub mod folded;
 pub mod host;
@@ -46,29 +45,25 @@ pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod probe;
+pub mod progress;
 pub mod report;
 pub mod store;
-pub mod telemetry;
 pub mod whatif;
 
 pub use attr::{attribute, BlameReport, ClassBlame, RunModel};
 pub use chrome::{chrome_trace_json, validate_chrome_trace, ChromeSummary, RunMeta};
 pub use critpath::{critical_path, CritPath};
 pub use derive::derive_metrics;
-pub use diff::{DiffEntry, DiffStatus, LedgerDiff, DIFF_SCHEMA};
 pub use event::{Event, OwnedEvent, SampleRec};
 pub use folded::FoldedStacks;
 pub use host::{
-    merge_host_track, validate_hostprof_json, HostProf, HostProfiler, NullHostProf, TimerAgg,
-    HOSTPROF_SCHEMA,
+    validate_hostprof_json, HostProf, HostProfiler, NullHostProf, TimerAgg, HOSTPROF_SCHEMA,
 };
 pub use json::Json;
-pub use ledger::{read_jsonl, LedgerRecord, LEDGER_SCHEMA};
+pub use ledger::{LedgerRecord, LEDGER_SCHEMA};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use probe::{Fanout, NullProbe, Probe, Recorder, Recording, SharedProbe};
+pub use progress::{JobOutcome, SweepProgress, SweepSummary};
 pub use report::{render_report_json, render_report_markdown, HostSection, RunReport};
-pub use store::{strip_host_fields, InsertOutcome, LedgerStore, LoadReport, StoreError};
-pub use telemetry::{
-    validate_telemetry_jsonl, JobOutcome, SweepProgress, SweepSummary, TELEMETRY_SCHEMA,
-};
+pub use store::{InsertOutcome, LedgerStore, LoadReport, StoreError};
 pub use whatif::{predict, Prediction};

@@ -1,8 +1,7 @@
 //! The indexed ledger store: load/merge/dedupe JSONL ledgers into one
 //! structure keyed by [`LedgerRecord::config_hash`] — the backbone that
-//! the content-addressed result cache (`hwgc-check`), the `ledger_diff`
-//! regression differ and the committed `BENCH_ledger.jsonl` canonicalizer
-//! all share.
+//! the content-addressed result cache (`hwgc-jobs`) and the committed
+//! `BENCH_ledger.jsonl` writer share.
 //!
 //! Identity and integrity rules:
 //!
@@ -26,7 +25,6 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use crate::json::Json;
 use crate::ledger::LedgerRecord;
 
 /// Why a store operation failed.
@@ -284,7 +282,7 @@ impl LedgerStore {
     /// sorted by hash (ties cannot occur — the hash is the key). This is
     /// the format the committed `BENCH_ledger.jsonl` is kept in, so
     /// re-running `bench_baseline` on an unchanged simulator rewrites the
-    /// same records in the same order; only their `host_*` fields move.
+    /// same bytes.
     pub fn canonical_jsonl(&self) -> String {
         let mut order: Vec<usize> = (0..self.records.len()).collect();
         order.sort_by_key(|&i| self.hashes[i]);
@@ -307,13 +305,7 @@ impl LedgerStore {
         std::fs::write(path, self.canonical_jsonl())
     }
 
-    /// Total simulated cycles summed over records that carry the field
-    /// (a cheap headline for reports).
-    pub fn total_cycles(&self) -> u64 {
-        self.records.iter().filter_map(|r| r.total_cycles).sum()
-    }
-
-    /// Hashes held, sorted (the join axis of `ledger_diff`).
+    /// Hashes held, sorted.
     pub fn hashes(&self) -> Vec<u64> {
         let mut h = self.hashes.clone();
         h.sort_unstable();
@@ -342,25 +334,10 @@ fn jsonl_lines(bytes: &[u8]) -> impl Iterator<Item = (usize, Result<&str, String
         .map(|(i, line)| (i + 1, line))
 }
 
-/// Strip every `host_*` field from a parsed ledger JSON object — the
-/// quarantine helper for consumers that compare records across machines.
-pub fn strip_host_fields(doc: &Json) -> Json {
-    match doc {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .iter()
-                .filter(|(k, _)| !k.starts_with("host_"))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::RawJson;
+    use crate::json::{Json, RawJson};
 
     fn record(workload: &str, digest: u64) -> LedgerRecord {
         LedgerRecord {
@@ -598,16 +575,5 @@ mod tests {
         let (empty, report) = LedgerStore::load_tolerant(&dir.join("nope.jsonl")).unwrap();
         assert!(empty.is_empty());
         assert_eq!(report, LoadReport::default());
-    }
-
-    #[test]
-    fn strip_host_quarantines() {
-        let doc = Json::parse(&record("a", 7).to_json_string()).unwrap();
-        let stripped = strip_host_fields(&doc);
-        let Json::Obj(fields) = &stripped else {
-            panic!()
-        };
-        assert!(fields.iter().all(|(k, _)| !k.starts_with("host_")));
-        assert!(stripped.get("stats_digest").is_some());
     }
 }
